@@ -35,6 +35,21 @@ import (
 	"infoflow/internal/twitter"
 )
 
+// Connection timeouts. Without them a client that trickles its request
+// header, or parks an idle keep-alive connection, holds a goroutine and
+// a socket for good. There is no read or write timeout: a request's own
+// deadline (-timeout) already bounds how long its answer may take.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the http.Server that serves h, with the
+// connection timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -96,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "flowserve: serving model %q (%d nodes, %d edges) on http://%s\n",
 		*name, m.NumNodes(), m.NumEdges(), ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -176,3 +176,19 @@ func TestSmokeMissingArgs(t *testing.T) {
 		t.Fatal("nonexistent corpus accepted")
 	}
 }
+
+// TestHTTPServerTimeouts pins the connection timeouts on the server
+// flowserve builds, so a slow or idle client cannot hold a connection
+// for good.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if hs.IdleTimeout != idleTimeout || hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", hs.IdleTimeout, idleTimeout)
+	}
+	if hs.Handler == nil {
+		t.Error("server has no handler")
+	}
+}

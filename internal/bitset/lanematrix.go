@@ -2,9 +2,9 @@ package bitset
 
 // LaneMatrix is a dense, strided matrix of lane masks: Rows rows of W
 // consecutive uint64 words each, row r occupying Bits[r*W : (r+1)*W].
-// It generalises the one-word-per-node lane masks of the 64-lane
-// reachability sweep to W words per node, so one sweep can carry up to
-// 64*W independent query lanes (W is capped by callers, not here).
+// Each row holds one node's lane masks in the reachability sweep, so
+// one sweep can carry up to 64*W independent query lanes (W is capped
+// by callers, not here).
 //
 // The fields are exported because the wide-lane kernels in
 // internal/graph index the backing slice directly on their hot path;

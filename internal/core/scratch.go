@@ -48,11 +48,11 @@ func (m *ICM) SatisfiesScratch(x PseudoState, conds []FlowCondition, sc *graph.S
 	return true
 }
 
-// The packed tier: the same three indicators over a bit-packed
-// pseudo-state (64 edges per word, as maintained by mh.Sampler's shadow
-// state) plus the 64-lane sweep that answers up to 64 flow queries from
-// one sample. All are thin adapters over internal/graph's bit-parallel
-// kernels; the []bool tier above remains the reference semantics.
+// The packed tier: the same indicators over a bit-packed pseudo-state
+// (64 edges per word, as maintained by mh.Sampler's shadow state). Both
+// are thin adapters over internal/graph's packed kernels; the []bool
+// tier above remains the reference semantics. Multi-query estimators
+// call graph.ReachLanesWideInto directly.
 
 // ActiveNodesBitsInto is ActiveNodesInto with the pseudo-state and the
 // destination packed: one word-wise reset plus one BFS per call, no
@@ -68,28 +68,4 @@ func (m *ICM) ActiveNodesBitsInto(sources []graph.NodeID, x bitset.Set, sc *grap
 //flowlint:hotpath
 func (m *ICM) HasFlowBits(u, v graph.NodeID, x bitset.Set, sc *graph.Scratch) bool {
 	return m.G.HasPathBits(u, v, x, sc)
-}
-
-// FlowLanesInto runs the 64-lane reachability sweep over a packed
-// pseudo-state: seeds[k] is seeded with lane bits seedBits[k], and the
-// returned reach (the grown buffer) has reach[v] lane bit L set iff v
-// carries flow from a node seeded with L. See graph.ReachLanesInto for
-// the full contract.
-//
-//flowlint:hotpath
-func (m *ICM) FlowLanesInto(seeds []graph.NodeID, seedBits []uint64, x bitset.Set, sc *graph.Scratch, reach []uint64) []uint64 {
-	return m.G.ReachLanesInto(seeds, seedBits, x, sc, reach)
-}
-
-// FlowLanesWideInto is FlowLanesInto with W-word lane masks: seed row k
-// of seedBits carries the lanes of seeds[k], and on return reach row v
-// has lane L set iff v carries flow from a node seeded with L. One
-// sweep answers up to 64*W queries; see graph.ReachLanesWideInto for
-// the full contract. Callers that sweep the same seed set over many
-// thinned samples should hold a graph.LaneEngine instead, which reuses
-// the SCC condensation across sweeps when the flips between them allow.
-//
-//flowlint:hotpath
-func (m *ICM) FlowLanesWideInto(seeds []graph.NodeID, seedBits *bitset.LaneMatrix, x bitset.Set, sc *graph.Scratch, reach *bitset.LaneMatrix) {
-	m.G.ReachLanesWideInto(seeds, seedBits, x, sc, reach)
 }

@@ -123,13 +123,6 @@ func Registry() []Runner {
 			},
 		},
 		{
-			Name:        "repair",
-			Description: "condensation-repair sweep: replay/repair/rebuild rates and speedup vs baseline at thinning 1/10/100 (timing)",
-			Run: func(small bool) (fmt.Stringer, error) {
-				return RunRepairSweep(pick(small, RepairSweepSmall, RepairSweepPaper))
-			},
-		},
-		{
 			Name:        "sizedist",
 			Description: "analytic cascade-size law vs sampled MH impact: TV agreement and paired timings",
 			Run: func(small bool) (fmt.Stringer, error) {

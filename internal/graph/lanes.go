@@ -2,14 +2,12 @@ package graph
 
 import "infoflow/internal/bitset"
 
-// This file is the bit-parallel tier of the traversal engine. The
-// scalar tier (scratch.go) answers one reachability question per O(n+m)
-// sweep over a []bool edge mask; here the active-edge mask is a packed
-// bitset.Set (the sampler's pseudo-state shadow slots in directly), the
-// visited set is the packed destination itself, and ReachLanesInto
-// propagates up to 64 independent source lanes through a single sweep —
-// each node carries a uint64 of "reached by lane L" bits, so one thinned
-// Metropolis-Hastings sample can answer 64 flow queries at once.
+// This file is the packed tier of the traversal engine. The scalar tier
+// (scratch.go) answers one reachability question per O(n+m) sweep over
+// a []bool edge mask; here the active-edge mask is a packed bitset.Set
+// (the sampler's pseudo-state shadow slots in directly) and the visited
+// set is the packed destination itself. The multi-query sweeps that
+// answer 64*W flow queries per pass live in lanes_wide.go.
 
 // ReachableBitsInto is ReachableInto with both the active-edge mask and
 // the destination packed: dst[v/64] bit v%64 is set iff v is a source or
@@ -123,142 +121,4 @@ func (g *DiGraph) HasPathBits(source, sink NodeID, active bitset.Set, sc *Scratc
 	sc.queue = fq[:0]
 	sc.back = bq[:0]
 	return met
-}
-
-// ReachLanesInto runs the 64-lane bit-parallel reachability sweep: seed
-// node seeds[k] is OR-seeded with the lane bits seedBits[k], and on
-// return reach[v] has lane bit L set iff v is reachable (across edges
-// whose bit in active is set) from some node seeded with L — with every
-// seed counting as reaching itself, matching Reachable's contract. One
-// sweep therefore answers up to 64 single-source reachability queries:
-// lane assignment is the caller's, and seeding several nodes with the
-// same lane or one node with several lanes are both legal.
-//
-// The sweep condenses the active subgraph reachable from the seeds into
-// strongly connected components with one iterative Tarjan pass (every
-// node of an SCC has the same reach word by definition), then pushes
-// lane masks over the condensation in topological order — ancestors
-// before descendants, so each SCC's mask is final when it propagates
-// and each active edge is touched exactly twice in total. A naive
-// monotone worklist instead re-processes a node every time lanes
-// merging inside a large component reach it on different frontiers;
-// near the percolation threshold the samplers operate at, that costs
-// ~8x more pops on the §IV-C reference graph. If sc is nil a temporary
-// Scratch is allocated; if reach is not exactly NumNodes long a fresh
-// slice is allocated. The returned slice is reach (or its replacement).
-//
-//flowlint:hotpath
-func (g *DiGraph) ReachLanesInto(seeds []NodeID, seedBits []uint64, active bitset.Set, sc *Scratch, reach []uint64) []uint64 {
-	n := g.NumNodes()
-	if sc == nil {
-		sc = tempScratch(n)
-	}
-	if len(reach) != n {
-		//flowlint:ignore hotpath -- documented cold fallback when the caller passes no reach buffer; steady-state callers reuse theirs
-		reach = make([]uint64, n)
-	} else {
-		for i := range reach {
-			reach[i] = 0
-		}
-	}
-	sc.beginLanes(n)
-	idx, low, comp := sc.dfsIdx, sc.dfsLow, sc.comp
-	onStack := sc.inq
-	tstack := sc.back[:0]  // Tarjan's SCC stack
-	dfsN := sc.queue[:0]   // DFS stack: frame f visits node dfsN[f]
-	dfsE := sc.dfsEdge[:0] // ... with out-edge cursor dfsE[f]
-	nodes := sc.sccNodes[:0]
-	starts := sc.sccStart[:0]
-	var next int32
-	for _, root := range seeds {
-		if idx[root] != -1 {
-			continue
-		}
-		idx[root], low[root] = next, next
-		next++
-		onStack.Set(int(root))
-		tstack = append(tstack, root)
-		dfsN = append(dfsN, root)
-		dfsE = append(dfsE, 0)
-		for len(dfsN) > 0 {
-			f := len(dfsN) - 1
-			v := dfsN[f]
-			if ei := dfsE[f]; int(ei) < len(g.out[v]) {
-				dfsE[f]++
-				id := g.out[v][ei]
-				if !active.Test(int(id)) {
-					continue
-				}
-				w := g.edges[id].To
-				if idx[w] == -1 {
-					idx[w], low[w] = next, next
-					next++
-					onStack.Set(int(w))
-					tstack = append(tstack, w)
-					dfsN = append(dfsN, w)
-					dfsE = append(dfsE, 0)
-				} else if onStack.Test(int(w)) && low[v] > idx[w] {
-					low[v] = idx[w]
-				}
-				continue
-			}
-			dfsN = dfsN[:f]
-			dfsE = dfsE[:f]
-			if f > 0 {
-				if p := dfsN[f-1]; low[p] > low[v] {
-					low[p] = low[v]
-				}
-			}
-			if low[v] == idx[v] {
-				// v roots an SCC: pop it. Tarjan emits SCCs descendants
-				// first, so emission order reversed is topological.
-				c := int32(len(starts))
-				starts = append(starts, int32(len(nodes)))
-				for {
-					w := tstack[len(tstack)-1]
-					tstack = tstack[:len(tstack)-1]
-					onStack.Clear(int(w))
-					comp[w] = c
-					nodes = append(nodes, w)
-					if w == v {
-						break
-					}
-				}
-			}
-		}
-	}
-	nComp := len(starts)
-	starts = append(starts, int32(len(nodes)))
-	compReach := sc.compReach[:0]
-	for c := 0; c < nComp; c++ {
-		compReach = append(compReach, 0)
-	}
-	for k, v := range seeds {
-		if seedBits[k] != 0 {
-			compReach[comp[v]] |= seedBits[k]
-		}
-	}
-	for c := nComp - 1; c >= 0; c-- {
-		lanes := compReach[c]
-		if lanes == 0 {
-			continue
-		}
-		for i := starts[c]; i < starts[c+1]; i++ {
-			v := nodes[i]
-			reach[v] = lanes
-			for _, id := range g.out[v] {
-				if !active.Test(int(id)) {
-					continue
-				}
-				compReach[comp[g.edges[id].To]] |= lanes
-			}
-		}
-	}
-	sc.back = tstack[:0]
-	sc.queue = dfsN[:0]
-	sc.dfsEdge = dfsE[:0]
-	sc.sccNodes = nodes[:0]
-	sc.sccStart = starts[:0]
-	sc.compReach = compReach[:0]
-	return reach
 }

@@ -60,33 +60,27 @@ func TestHasPathBitsMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestReachLanesMatchesScalar proves the 64-lane sweep agrees lane by
-// lane with one scalar ReachableInto per source, across random graphs,
-// masks, and every lane count 1..64.
+// TestReachLanesMatchesScalar proves the 64-lane (W = 1) sweep agrees
+// lane by lane with one scalar ReachableInto per source, across random
+// graphs, masks, and every lane count 1..64.
 func TestReachLanesMatchesScalar(t *testing.T) {
 	r := rng.New(33)
 	sc := NewScratch(0)
-	var reach []uint64
+	reach := &bitset.LaneMatrix{}
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + r.Intn(59)
 		g := randomTestGraph(r, n, r.Intn(3*n))
 		mask, packed := packedMask(r, g.NumEdges(), r.Float64())
 		lanes := 1 + trial%64 // sweep the lane counts across trials
-		seeds := make([]NodeID, lanes)
-		seedBits := make([]uint64, lanes)
-		for l := range seeds {
-			seeds[l] = NodeID(r.Intn(n))
-			seedBits[l] = 1 << uint(l)
-		}
-		reach = g.ReachLanesInto(seeds, seedBits, packed, sc, reach)
-		if len(reach) != n {
-			t.Fatalf("trial %d: reach length %d, want %d", trial, len(reach), n)
+		seeds, seedBits := wideSeeding(r, n, lanes)
+		g.ReachLanesWideInto(seeds, seedBits, packed, sc, reach)
+		if reach.Rows != n || reach.W != 1 {
+			t.Fatalf("trial %d: reach shaped %dx%d, want %dx1", trial, reach.Rows, reach.W, n)
 		}
 		for l := 0; l < lanes; l++ {
 			want := g.ReachableInto([]NodeID{seeds[l]}, mask, sc, nil)
 			for v := 0; v < n; v++ {
-				got := reach[v]>>uint(l)&1 != 0
-				if got != want[v] {
+				if got := reach.TestBit(v, l); got != want[v] {
 					t.Fatalf("trial %d lane %d (seed %d): node %d lane=%v scalar=%v",
 						trial, l, seeds[l], v, got, want[v])
 				}
@@ -94,8 +88,8 @@ func TestReachLanesMatchesScalar(t *testing.T) {
 		}
 		// No lane above the seeded ones may ever light up.
 		if lanes < 64 {
-			for v, w := range reach {
-				if w>>uint(lanes) != 0 {
+			for v := 0; v < n; v++ {
+				if w := reach.Row(v)[0]; w>>uint(lanes) != 0 {
 					t.Fatalf("trial %d: node %d carries unseeded lane bits %#x", trial, v, w)
 				}
 			}
@@ -113,18 +107,21 @@ func TestReachLanesSharedAndMergedLanes(t *testing.T) {
 	g := Random(r, n, 120)
 	mask, packed := packedMask(r, g.NumEdges(), 0.5)
 	// Lane 0 seeded at nodes 1 and 2; node 3 seeded with lanes 1 and 2.
-	reach := g.ReachLanesInto(
-		[]NodeID{1, 2, 3},
-		[]uint64{1, 1, 0b110},
-		packed, sc, nil)
+	seedBits := bitset.NewLaneMatrix(3, 1)
+	seedBits.SetBit(0, 0)
+	seedBits.SetBit(1, 0)
+	seedBits.SetBit(2, 1)
+	seedBits.SetBit(2, 2)
+	reach := &bitset.LaneMatrix{}
+	g.ReachLanesWideInto([]NodeID{1, 2, 3}, seedBits, packed, sc, reach)
 	multi := g.ReachableInto([]NodeID{1, 2}, mask, sc, nil)
 	single := g.ReachableInto([]NodeID{3}, mask, sc, nil)
 	for v := 0; v < n; v++ {
-		if got := reach[v]&1 != 0; got != multi[v] {
+		if got := reach.TestBit(v, 0); got != multi[v] {
 			t.Fatalf("node %d shared lane 0 = %v, scalar multi-source = %v", v, got, multi[v])
 		}
-		for _, l := range []uint{1, 2} {
-			if got := reach[v]>>l&1 != 0; got != single[v] {
+		for _, l := range []int{1, 2} {
+			if got := reach.TestBit(v, l); got != single[v] {
 				t.Fatalf("node %d lane %d = %v, scalar = %v", v, l, got, single[v])
 			}
 		}
@@ -132,7 +129,8 @@ func TestReachLanesSharedAndMergedLanes(t *testing.T) {
 }
 
 // TestLaneKernelsZeroAlloc pins the steady-state zero-allocation claim
-// for all three packed kernels once scratch and buffers are warm.
+// for the packed kernels once scratch and buffers are warm, with lane
+// sweeps at W = 1 and W = 8 sharing one scratch.
 func TestLaneKernelsZeroAlloc(t *testing.T) {
 	r := rng.New(35)
 	n := 400
@@ -140,46 +138,40 @@ func TestLaneKernelsZeroAlloc(t *testing.T) {
 	_, packed := packedMask(r, g.NumEdges(), 0.4)
 	sc := NewScratch(n)
 	dst := bitset.New(n)
-	reach := make([]uint64, n)
-	seeds := make([]NodeID, 64)
-	seedBits := make([]uint64, 64)
-	for l := range seeds {
-		seeds[l] = NodeID(r.Intn(n))
-		seedBits[l] = 1 << uint(l)
-	}
+	reach, wideReach := &bitset.LaneMatrix{}, &bitset.LaneMatrix{}
+	seeds, seedBits := wideSeeding(r, n, 64)
+	wideSeeds, wideBits := wideSeeding(r, n, 512)
 	sources := []NodeID{0}
 	// Warm every retained buffer.
 	dst = g.ReachableBitsInto(sources, packed, sc, dst)
-	reach = g.ReachLanesInto(seeds, seedBits, packed, sc, reach)
+	g.ReachLanesWideInto(seeds, seedBits, packed, sc, reach)
+	g.ReachLanesWideInto(wideSeeds, wideBits, packed, sc, wideReach)
 	g.HasPathBits(0, NodeID(n-1), packed, sc)
 	if allocs := testing.AllocsPerRun(50, func() {
 		dst = g.ReachableBitsInto(sources, packed, sc, dst)
 		g.HasPathBits(0, NodeID(n-1), packed, sc)
-		reach = g.ReachLanesInto(seeds, seedBits, packed, sc, reach)
+		g.ReachLanesWideInto(seeds, seedBits, packed, sc, reach)
+		g.ReachLanesWideInto(wideSeeds, wideBits, packed, sc, wideReach)
 	}); allocs != 0 {
 		t.Errorf("packed kernels allocate %v per run, want 0", allocs)
 	}
 }
 
-// BenchmarkReachLanes64 measures one 64-lane sweep on the §IV-C-scale
-// graph — the per-sample cost of answering 64 batched flow queries.
+// BenchmarkReachLanes64 measures one 64-lane (W = 1) sweep on the
+// §IV-C-scale graph — the per-sample cost of answering 64 batched flow
+// queries.
 func BenchmarkReachLanes64(b *testing.B) {
 	r := rng.New(2)
 	g := Random(r, 6000, 14000)
 	_, packed := packedMask(r, g.NumEdges(), 0.5)
 	sc := NewScratch(g.NumNodes())
-	seeds := make([]NodeID, 64)
-	seedBits := make([]uint64, 64)
-	for l := range seeds {
-		seeds[l] = NodeID(r.Intn(g.NumNodes()))
-		seedBits[l] = 1 << uint(l)
-	}
-	reach := make([]uint64, g.NumNodes())
-	reach = g.ReachLanesInto(seeds, seedBits, packed, sc, reach)
+	seeds, seedBits := wideSeeding(r, g.NumNodes(), 64)
+	reach := &bitset.LaneMatrix{}
+	g.ReachLanesWideInto(seeds, seedBits, packed, sc, reach)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reach = g.ReachLanesInto(seeds, seedBits, packed, sc, reach)
+		g.ReachLanesWideInto(seeds, seedBits, packed, sc, reach)
 	}
 }
 

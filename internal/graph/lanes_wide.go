@@ -4,21 +4,12 @@ import (
 	"infoflow/internal/bitset"
 )
 
-// This file is the wide tier of the bit-parallel reachability engine:
-// where lanes.go carries one uint64 of lanes per node (64 queries per
-// sweep), here every node carries a W-word row of a bitset.LaneMatrix,
-// so one sweep over one sampled pseudo-state answers up to 64*W
-// single-source reachability queries. The sweep itself is the same
-// two-pass structure as ReachLanesInto — an iterative Tarjan
-// condensation of the active subgraph followed by a topological
-// lane-mask push — but each touched edge ORs W words instead of one.
-//
-// On top of the one-shot sweep, LaneEngine amortises the condensation
-// across consecutive sweeps of a slowly changing mask: between thinned
-// Metropolis-Hastings samples only a handful of accepted flips alter
-// the active set, and most of those provably cannot change the
-// condensation's structure, so the engine replays the cached component
-// order and pays only the push pass.
+// This file is the multi-query tier of the traversal engine: every node
+// carries a W-word row of a bitset.LaneMatrix ("reached by lane L"
+// bits), so one sweep over one sampled pseudo-state answers up to 64*W
+// single-source reachability queries. The sweep has two passes: an
+// iterative Tarjan condensation of the active subgraph, then a
+// topological lane-mask push in which each touched edge ORs W words.
 
 // condenseInto runs one iterative Tarjan pass over the subgraph of
 // active edges reachable from seeds, writing the SCC id of each reached
@@ -35,7 +26,7 @@ func (g *DiGraph) condenseInto(seeds []NodeID, active bitset.Set, sc *Scratch, c
 	n := g.NumNodes()
 	sc.beginCondense(n)
 	if len(comp) < n {
-		//flowlint:ignore hotpath -- grows once per engine (or graph-size change), then reused for good
+		//flowlint:ignore hotpath -- grows once per scratch (or graph-size change), then reused for good
 		comp = make([]int32, n)
 	}
 	comp = comp[:n]
@@ -116,16 +107,11 @@ func (g *DiGraph) condenseInto(seeds []NodeID, active bitset.Set, sc *Scratch, c
 // ancestors first, each reached node's reach row overwritten with its
 // component's mask and every active out-edge ORing the mask into the
 // target component. Each active edge within the condensed region is
-// touched exactly once here.
-//
-// Rows of components no lane reaches are left alone when zeroStale is
-// false (a freshly cleared reach matrix) and explicitly re-zeroed when
-// it is true (a replayed matrix whose region rows may hold the previous
-// sweep's masks). Rows outside the region are never written: the caller
-// guarantees they are already zero.
+// touched exactly once here. Rows no lane reaches are never written:
+// the caller hands in a cleared reach matrix.
 //
 //flowlint:hotpath
-func (g *DiGraph) pushLanesWide(seeds []NodeID, seedBits *bitset.LaneMatrix, active bitset.Set, comp []int32, nodes []NodeID, starts []int32, compWide []uint64, reach *bitset.LaneMatrix, zeroStale bool) {
+func (g *DiGraph) pushLanesWide(seeds []NodeID, seedBits *bitset.LaneMatrix, active bitset.Set, comp []int32, nodes []NodeID, starts []int32, compWide []uint64, reach *bitset.LaneMatrix) {
 	W := seedBits.W
 	for k, v := range seeds {
 		src := seedBits.Row(k)
@@ -141,11 +127,6 @@ func (g *DiGraph) pushLanesWide(seeds []NodeID, seedBits *bitset.LaneMatrix, act
 			lanes |= w
 		}
 		if lanes == 0 {
-			if zeroStale {
-				for i := starts[c]; i < starts[c+1]; i++ {
-					reach.ResetRow(int(nodes[i]))
-				}
-			}
 			continue
 		}
 		for i := starts[c]; i < starts[c+1]; i++ {
@@ -170,9 +151,9 @@ func (g *DiGraph) pushLanesWide(seeds []NodeID, seedBits *bitset.LaneMatrix, act
 //flowlint:hotpath
 func growCompWide(buf []uint64, words int) []uint64 {
 	if cap(buf) < words {
-		// Geometric headroom: the component count creeps upward between
-		// flush rebuilds, and an exact-fit allocation here would turn
-		// every new high-water mark into a fresh allocation.
+		// Geometric headroom: the component count varies from sample to
+		// sample, and an exact-fit allocation here would turn every new
+		// high-water mark into a fresh allocation.
 		c := 2 * cap(buf)
 		if c < words {
 			c = words
@@ -187,40 +168,27 @@ func growCompWide(buf []uint64, words int) []uint64 {
 	return buf
 }
 
-// growPrevWide returns buf grown to hold at least words uint64s,
-// preserving existing contents — validity of each component's stored
-// mask is tracked separately (LaneEngine.prevAt), so stale words are
-// harmless.
-//
-//flowlint:hotpath
-func growPrevWide(buf []uint64, words int) []uint64 {
-	if len(buf) >= words {
-		return buf
-	}
-	if cap(buf) >= words {
-		// The region past the old length is still zero from the original
-		// allocation; validity is tracked per component regardless.
-		return buf[:cap(buf)]
-	}
-	c := 2 * cap(buf)
-	if c < words {
-		c = words
-	}
-	//flowlint:ignore hotpath -- grows to the SCC-count high-water mark, then reused for good
-	nb := make([]uint64, c)
-	copy(nb, buf)
-	return nb
-}
-
-// ReachLanesWideInto is the W-word generalisation of ReachLanesInto:
-// seed node seeds[k] is OR-seeded with the W-word lane row seedBits.Row(k),
+// ReachLanesWideInto runs the bit-parallel reachability sweep: seed
+// node seeds[k] is OR-seeded with the W-word lane row seedBits.Row(k),
 // and on return reach.Row(v) has lane bit L set iff v is reachable
 // (across edges whose bit in active is set) from some node seeded with
-// L — every seed counting as reaching itself. One sweep answers up to
-// 64*seedBits.W single-source reachability queries; lane assignment is
-// the caller's, and shared or merged lanes are legal exactly as in the
-// one-word sweep. reach is resized to (NumNodes, seedBits.W) and
+// L — every seed counting as reaching itself, matching Reachable's
+// contract. One sweep answers up to 64*seedBits.W single-source
+// reachability queries; lane assignment is the caller's, and seeding
+// several nodes with the same lane or one node with several lanes are
+// both legal. reach is resized to (NumNodes, seedBits.W) and
 // overwritten. If sc is nil a temporary Scratch is allocated.
+//
+// The sweep condenses the active subgraph reachable from the seeds into
+// strongly connected components (every node of an SCC has the same
+// reach row by definition), then pushes lane masks over the
+// condensation in topological order — ancestors before descendants, so
+// each SCC's mask is final when it propagates and each active edge is
+// touched exactly twice in total. A naive monotone worklist instead
+// re-processes a node every time lanes merging inside a large component
+// reach it on different frontiers; near the percolation threshold the
+// samplers operate at, that costs ~8x more pops on the §IV-C reference
+// graph.
 //
 //flowlint:hotpath
 func (g *DiGraph) ReachLanesWideInto(seeds []NodeID, seedBits *bitset.LaneMatrix, active bitset.Set, sc *Scratch, reach *bitset.LaneMatrix) {
@@ -238,8 +206,28 @@ func (g *DiGraph) ReachLanesWideInto(seeds []NodeID, seedBits *bitset.LaneMatrix
 	comp, nodes, starts := g.condenseInto(seeds, active, sc, sc.comp, sc.sccNodes[:0], sc.sccStart[:0])
 	sc.comp = comp
 	compWide := growCompWide(sc.compWide, (len(starts)-1)*W)
-	g.pushLanesWide(seeds, seedBits, active, comp, nodes, starts, compWide, reach, false)
+	g.pushLanesWide(seeds, seedBits, active, comp, nodes, starts, compWide, reach)
 	sc.sccNodes = nodes[:0]
 	sc.sccStart = starts[:0]
 	sc.compWide = compWide[:0]
+}
+
+// LaneEngine is kept only because servebench/replay.go, the frozen
+// serving benchmark, compiles against it. Its Sweep is a plain
+// ReachLanesWideInto.
+//
+// Deprecated: call ReachLanesWideInto.
+type LaneEngine struct{ g *DiGraph }
+
+// NewLaneEngine returns a LaneEngine sweeping g (see LaneEngine).
+//
+// Deprecated: call ReachLanesWideInto.
+func NewLaneEngine(g *DiGraph) *LaneEngine { return &LaneEngine{g: g} }
+
+// Sweep is ReachLanesWideInto over the engine's graph; the flip list and
+// its completeness flag are ignored (see LaneEngine).
+//
+// Deprecated: call ReachLanesWideInto.
+func (e *LaneEngine) Sweep(seeds []NodeID, seedBits *bitset.LaneMatrix, active bitset.Set, _ []EdgeID, _ bool, sc *Scratch, reach *bitset.LaneMatrix) {
+	e.g.ReachLanesWideInto(seeds, seedBits, active, sc, reach)
 }

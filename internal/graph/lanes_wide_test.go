@@ -59,55 +59,46 @@ func TestReachLanesWideMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestReachLanesWideMatches64Lane pins the W=1 wide sweep bit-identical
-// to the one-word ReachLanesInto on the same seeding — same Tarjan, same
-// push, so the words must be equal, not merely equivalent.
+// TestReachLanesWideMatches64Lane pins every wider sweep to the 64-lane
+// (W = 1) sweep on the same seeding: with the lanes moved into the top
+// word of a W-word row, that word must equal the one-word result bit for
+// bit and every other word must stay zero. Same Tarjan, same push, so
+// the words must be equal, not merely equivalent.
 func TestReachLanesWideMatches64Lane(t *testing.T) {
 	r := rng.New(42)
 	sc := NewScratch(0)
-	var narrow []uint64
-	reach := &bitset.LaneMatrix{}
+	narrow, reach := &bitset.LaneMatrix{}, &bitset.LaneMatrix{}
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + r.Intn(79)
 		g := randomTestGraph(r, n, r.Intn(4*n))
 		_, packed := packedMask(r, g.NumEdges(), r.Float64())
 		lanes := 1 + r.Intn(64)
-		seeds, seedBits := wideSeeding(r, n, lanes)
-		narrowBits := make([]uint64, lanes)
-		for l := range narrowBits {
-			narrowBits[l] = 1 << uint(l)
+		seeds, narrowBits := wideSeeding(r, n, lanes)
+		g.ReachLanesWideInto(seeds, narrowBits, packed, sc, narrow)
+		W := []int{2, 4, 16}[trial%3]
+		wideBits := bitset.NewLaneMatrix(lanes, W)
+		for l := 0; l < lanes; l++ {
+			wideBits.SetBit(l, 64*(W-1)+l)
 		}
-		narrow = g.ReachLanesInto(seeds, narrowBits, packed, sc, narrow)
-		g.ReachLanesWideInto(seeds, seedBits, packed, sc, reach)
+		g.ReachLanesWideInto(seeds, wideBits, packed, sc, reach)
 		for v := 0; v < n; v++ {
-			if got := reach.Row(v)[0]; got != narrow[v] {
-				t.Fatalf("trial %d: node %d wide word %#x != 64-lane word %#x", trial, v, got, narrow[v])
+			row := reach.Row(v)
+			if got, want := row[W-1], narrow.Row(v)[0]; got != want {
+				t.Fatalf("trial %d W=%d: node %d top word %#x != 64-lane word %#x", trial, W, v, got, want)
+			}
+			for j, w := range row[:W-1] {
+				if w != 0 {
+					t.Fatalf("trial %d W=%d: node %d unseeded word %d = %#x", trial, W, v, j, w)
+				}
 			}
 		}
 	}
 }
 
-// flipSome toggles k random edge bits in the live mask and records them
-// in the flip log (with occasional duplicates, which the engine must
-// treat as cancelling).
-func flipSome(r *rng.RNG, active bitset.Set, m, k int, log []EdgeID) []EdgeID {
-	for j := 0; j < k; j++ {
-		id := EdgeID(r.Intn(m))
-		active.Flip(int(id))
-		log = append(log, id)
-		if r.Bernoulli(0.1) { // duplicate: net no-op on the mask and the sig
-			active.Flip(int(id))
-			log = append(log, id)
-		}
-	}
-	return log
-}
-
-// TestLaneEngineMatchesFullSweep is the condensation-reuse invariant
-// gate: across adversarial flip sequences (random small flip sets, with
-// duplicates), every engine Sweep must be bit-identical to a from-scratch
-// ReachLanesWideInto on the same mask, and the run must exercise BOTH
-// the replay and the rebuild path.
+// TestLaneEngineMatchesFullSweep pins the LaneEngine shim to its
+// contract: whatever flip list it is handed, complete or not, every
+// Sweep is bit-identical to a from-scratch ReachLanesWideInto on the
+// same mask.
 func TestLaneEngineMatchesFullSweep(t *testing.T) {
 	r := rng.New(43)
 	sc, scRef := NewScratch(0), NewScratch(0)
@@ -119,132 +110,30 @@ func TestLaneEngineMatchesFullSweep(t *testing.T) {
 		lanes := []int{1, 64, 65, 130, 511}[trial%5]
 		seeds, seedBits := wideSeeding(r, n, lanes)
 		e := NewLaneEngine(g)
-		reach := &bitset.LaneMatrix{}
-		want := &bitset.LaneMatrix{}
-		var log []EdgeID
-		for step := 0; step < 60; step++ {
-			e.Sweep(seeds, seedBits, active, log, true, sc, reach)
+		reach, want := &bitset.LaneMatrix{}, &bitset.LaneMatrix{}
+		for step := 0; step < 20; step++ {
+			e.Sweep(seeds, seedBits, active, nil, step%2 == 0, sc, reach)
 			g.ReachLanesWideInto(seeds, seedBits, active, scRef, want)
 			for v := 0; v < n; v++ {
 				got, ref := reach.Row(v), want.Row(v)
 				for j := range ref {
 					if got[j] != ref[j] {
-						t.Fatalf("trial %d step %d: node %d word %d engine %#x != full sweep %#x (replays %d rebuilds %d)",
-							trial, step, v, j, got[j], ref[j], e.Replays(), e.Rebuilds())
+						t.Fatalf("trial %d step %d: node %d word %d engine %#x != full sweep %#x",
+							trial, step, v, j, got[j], ref[j])
 					}
 				}
 			}
-			log = flipSome(r, active, m, 1+r.Intn(3), log[:0])
-		}
-		if e.Replays() == 0 {
-			t.Errorf("trial %d (n=%d lanes=%d): no sweep replayed the condensation", trial, n, lanes)
-		}
-		if e.Rebuilds() == 0 {
-			t.Errorf("trial %d (n=%d lanes=%d): no sweep rebuilt the condensation", trial, n, lanes)
-		}
-	}
-}
-
-// TestLaneEngineSignatureGuard mutates the mask WITHOUT reporting the
-// flip: the incremental signature must disagree with the live mask, the
-// engine must fall back to a full rebuild, and the result must still be
-// exact. This is the differential invariant doing its job.
-func TestLaneEngineSignatureGuard(t *testing.T) {
-	r := rng.New(44)
-	sc := NewScratch(0)
-	n := 50
-	g := randomTestGraph(r, n, 150)
-	_, active := packedMask(r, g.NumEdges(), 0.5)
-	seeds, seedBits := wideSeeding(r, n, 70)
-	e := NewLaneEngine(g)
-	reach, want := &bitset.LaneMatrix{}, &bitset.LaneMatrix{}
-	e.Sweep(seeds, seedBits, active, nil, true, sc, reach)
-	before := e.Rebuilds()
-	// Unreported mutation: empty flip log claims nothing changed.
-	active.Flip(3)
-	e.Sweep(seeds, seedBits, active, nil, true, sc, reach)
-	if e.Rebuilds() != before+1 {
-		t.Fatalf("unreported mutation: rebuilds %d, want %d (signature guard must fire)", e.Rebuilds(), before+1)
-	}
-	g.ReachLanesWideInto(seeds, seedBits, active, sc, want)
-	for v := 0; v < n; v++ {
-		got, ref := reach.Row(v), want.Row(v)
-		for j := range ref {
-			if got[j] != ref[j] {
-				t.Fatalf("node %d word %d: engine %#x != full sweep %#x after guarded rebuild", v, j, got[j], ref[j])
+			for k := 1 + r.Intn(3); k > 0; k-- {
+				active.Flip(r.Intn(m))
 			}
 		}
-	}
-}
-
-// TestLaneEngineRebuildTriggers pins the remaining forced-rebuild paths:
-// an incomplete flip log, a changed seed set, and Invalidate.
-func TestLaneEngineRebuildTriggers(t *testing.T) {
-	r := rng.New(45)
-	sc := NewScratch(0)
-	n := 40
-	g := randomTestGraph(r, n, 120)
-	_, active := packedMask(r, g.NumEdges(), 0.5)
-	seeds, seedBits := wideSeeding(r, n, 10)
-	e := NewLaneEngine(g)
-	reach := &bitset.LaneMatrix{}
-	e.Sweep(seeds, seedBits, active, nil, true, sc, reach)
-
-	e.Sweep(seeds, seedBits, active, nil, false, sc, reach) // incomplete log
-	if e.Replays() != 0 {
-		t.Errorf("incomplete flip log replayed the condensation")
-	}
-	other := append([]NodeID{}, seeds...)
-	other[0] = (other[0] + 1) % NodeID(n)
-	e.Sweep(other, seedBits, active, nil, true, sc, reach) // changed seeds
-	if e.Replays() != 0 {
-		t.Errorf("changed seed set replayed the condensation")
-	}
-	e.Invalidate()
-	e.Sweep(other, seedBits, active, nil, true, sc, reach) // explicit invalidation
-	if e.Replays() != 0 {
-		t.Errorf("invalidated engine replayed the condensation")
-	}
-	if got := e.Rebuilds(); got != 4 {
-		t.Errorf("rebuilds = %d, want 4", got)
-	}
-	// And after all that, an honest no-change sweep replays again.
-	e.Sweep(other, seedBits, active, nil, true, sc, reach)
-	if e.Replays() != 1 {
-		t.Errorf("clean follow-up sweep did not replay (replays %d)", e.Replays())
-	}
-}
-
-// TestLaneEngineZeroAlloc pins the steady-state zero-allocation claim
-// for engine sweeps — replayed and rebuilt alike — once buffers are warm.
-func TestLaneEngineZeroAlloc(t *testing.T) {
-	r := rng.New(46)
-	n := 400
-	g := Random(r, n, 1200)
-	m := g.NumEdges()
-	_, active := packedMask(r, m, 0.4)
-	seeds, seedBits := wideSeeding(r, n, 512)
-	sc := NewScratch(n)
-	e := NewLaneEngine(g)
-	reach := &bitset.LaneMatrix{}
-	log := make([]EdgeID, 0, 8)
-	e.Sweep(seeds, seedBits, active, nil, true, sc, reach)
-	for warm := 0; warm < 10; warm++ {
-		log = flipSome(r, active, m, 2, log[:0])
-		e.Sweep(seeds, seedBits, active, log, true, sc, reach)
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		log = flipSome(r, active, m, 2, log[:0])
-		e.Sweep(seeds, seedBits, active, log, true, sc, reach)
-	}); allocs != 0 {
-		t.Errorf("steady-state engine sweep allocates %v per run, want 0", allocs)
 	}
 }
 
 // BenchmarkReachLanesWide measures one 8-word (512-lane) from-scratch
 // sweep on the §IV-C-scale graph — the per-sample cost of answering 512
-// batched flow queries without condensation reuse. Compare ns/op against
-// 8× BenchmarkReachLanes64 for the width win.
+// batched flow queries. Compare ns/op against 8× BenchmarkReachLanes64
+// for the width win.
 func BenchmarkReachLanesWide(b *testing.B) {
 	r := rng.New(2)
 	g := Random(r, 6000, 14000)
@@ -258,28 +147,4 @@ func BenchmarkReachLanesWide(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.ReachLanesWideInto(seeds, seedBits, packed, sc, reach)
 	}
-}
-
-// BenchmarkLaneEngineSweep measures the engine's replay path at 512
-// lanes: the mask differs by two reported flips per sweep, so most
-// sweeps skip the Tarjan pass. Compare against BenchmarkReachLanesWide
-// for the condensation-reuse win.
-func BenchmarkLaneEngineSweep(b *testing.B) {
-	r := rng.New(2)
-	g := Random(r, 6000, 14000)
-	m := g.NumEdges()
-	_, packed := packedMask(r, m, 0.5)
-	sc := NewScratch(g.NumNodes())
-	seeds, seedBits := wideSeeding(r, g.NumNodes(), 512)
-	e := NewLaneEngine(g)
-	reach := &bitset.LaneMatrix{}
-	log := make([]EdgeID, 0, 4)
-	e.Sweep(seeds, seedBits, packed, nil, true, sc, reach)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		log = flipSome(r, packed, m, 2, log[:0])
-		e.Sweep(seeds, seedBits, packed, log, true, sc, reach)
-	}
-	b.ReportMetric(float64(e.Replays())/float64(e.Replays()+e.Rebuilds()), "replay-rate")
 }

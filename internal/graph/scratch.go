@@ -24,28 +24,27 @@ type Scratch struct {
 	queue []NodeID // forward BFS queue, capacity retained across calls
 	back  []NodeID // backward BFS queue for bidirectional search
 
-	// inq marks nodes currently on the Tarjan stack of the lane sweep
-	// (ReachLanesInto). Packed, because its whole-set reset is a
-	// word-wise clear.
+	// inq marks nodes currently on the Tarjan stack of the lane sweeps
+	// (ReachLanesWideInto and its reverse). Packed, because its
+	// whole-set reset is a word-wise clear.
 	inq bitset.Set
 
-	// Lane-sweep (ReachLanesInto) state: the sweep condenses the active
-	// subgraph reachable from the seeds into strongly connected
-	// components (all nodes of an SCC share one reach word) and
-	// propagates lane masks over the condensation in topological order,
-	// touching each active edge exactly twice (once in Tarjan's DFS,
-	// once in the propagation pass). All buffers are retained across
-	// calls; dfsIdx/dfsLow/comp are refilled with -1 per sweep (a memset
-	// — cheaper than the re-queueing a monotone worklist pays when lanes
-	// merge inside a large SCC).
-	dfsIdx    []int32  // Tarjan discovery index, -1 = unvisited
-	dfsLow    []int32  // Tarjan lowlink
-	comp      []int32  // SCC id per node, -1 = unreachable from seeds
-	dfsEdge   []int32  // per-DFS-stack-frame out-edge cursor
-	sccNodes  []NodeID // nodes grouped by SCC, in emission order
-	sccStart  []int32  // sccNodes offsets per SCC (+ end sentinel)
-	compReach []uint64 // lane mask per SCC (64-lane sweep)
-	compWide  []uint64 // W-word lane masks per SCC (wide sweep)
+	// Lane-sweep state: the sweep condenses the active subgraph
+	// reachable from the seeds into strongly connected components (all
+	// nodes of an SCC share one reach row) and propagates lane masks
+	// over the condensation in topological order, touching each active
+	// edge exactly twice (once in Tarjan's DFS, once in the propagation
+	// pass). All buffers are retained across calls; dfsIdx/dfsLow/comp
+	// are refilled with -1 per sweep (a memset — cheaper than the
+	// re-queueing a monotone worklist pays when lanes merge inside a
+	// large SCC).
+	dfsIdx   []int32  // Tarjan discovery index, -1 = unvisited
+	dfsLow   []int32  // Tarjan lowlink
+	comp     []int32  // SCC id per node, -1 = unreachable from seeds
+	dfsEdge  []int32  // per-DFS-stack-frame out-edge cursor
+	sccNodes []NodeID // nodes grouped by SCC, in emission order
+	sccStart []int32  // sccNodes offsets per SCC (+ end sentinel)
+	compWide []uint64 // W-word lane masks per SCC
 }
 
 // NewScratch returns scratch state sized for graphs of up to n nodes.
@@ -84,25 +83,11 @@ func (sc *Scratch) begin(n int) (fwd, bwd uint32) {
 	return sc.epoch, sc.epoch + 1
 }
 
-// beginLanes opens a lane-propagation sweep over n nodes: it sizes the
-// on-stack marker and the Tarjan arrays, clears the marker word-wise,
-// and refills the index/component arrays with -1. Kept separate from
-// begin because lane sweeps never touch the epoch stamps.
-func (sc *Scratch) beginLanes(n int) {
-	sc.beginCondense(n)
-	if len(sc.comp) < n {
-		sc.comp = make([]int32, n)
-	}
-	for i := 0; i < n; i++ {
-		sc.comp[i] = -1
-	}
-}
-
 // beginCondense opens a condensation pass over n nodes: it sizes the
 // on-stack marker and the Tarjan index arrays, clears the marker
-// word-wise and refills the discovery indices with -1. The component
-// array is the caller's (the wide-lane engine caches its own across
-// sweeps), so unlike beginLanes it is not touched here.
+// word-wise and refills the discovery indices with -1. Kept separate
+// from begin because lane sweeps never touch the epoch stamps; the
+// component array is sized and filled by the condensation itself.
 func (sc *Scratch) beginCondense(n int) {
 	if sc.inq.Cap() < n {
 		sc.inq = bitset.New(n)

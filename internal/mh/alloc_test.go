@@ -92,35 +92,3 @@ func TestFlowProbSteadyStateZeroAlloc(t *testing.T) {
 	require := m.HasFlow(0, sink, x) // satisfiable iff some all-active path exists
 	check("conditioned", []core.FlowCondition{{Source: 0, Sink: sink, Require: require}})
 }
-
-// TestTrackedSamplingZeroAlloc extends the steady-state gate to the
-// batched estimators' chain loop: stepping with flip tracking enabled
-// (the wide-lane engines consume the log via TakeFlips each thinned
-// sample) must allocate nothing once the log has grown to its bound.
-func TestTrackedSamplingZeroAlloc(t *testing.T) {
-	r := rng.New(78)
-	g := graph.Random(r, 300, 900)
-	p := make([]float64, g.NumEdges())
-	for i := range p {
-		p[i] = r.Float64()
-	}
-	m := core.MustNewICM(g, p)
-	s, err := NewSampler(m, nil, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.TrackFlips(true)
-	defer s.TrackFlips(false)
-	for k := 0; k < 200; k++ { // warm scratch, queues, and the flip log
-		s.Step()
-	}
-	s.TakeFlips()
-	if allocs := testing.AllocsPerRun(100, func() {
-		for k := 0; k < 10; k++ {
-			s.Step()
-		}
-		s.TakeFlips()
-	}); allocs != 0 {
-		t.Errorf("steady-state tracked sampling allocates %v per run, want 0", allocs)
-	}
-}

@@ -45,19 +45,15 @@ func laneWords(words, k int) (int, error) {
 }
 
 // batchScratch is the sampler-held buffer set of the batched
-// estimators: per-chunk seed tables, seed-bit matrices, reach matrices
-// and wide-lane engines, plus the shared hit counters. Everything is
-// retained across batches on one sampler, so a repeated batch reuses
-// not just the memory but the engines' cached condensations (each
-// engine validates its cache against the seed set and the mask
-// signature, so stale reuse is impossible). Reach matrices are
-// per-chunk because an engine's replay path relies on rows outside its
-// own condensed region staying zero between its sweeps.
+// estimators: per-chunk seed tables, seed-bit matrices and reach
+// matrices, plus the shared hit counters. Everything is retained across
+// batches on one sampler, so a repeated batch reuses the memory. Reach
+// matrices are per-chunk because ImpactDistributionBatchOn reads every
+// chunk's lanes after the sample's sweeps.
 type batchScratch struct {
 	seeds    [][]graph.NodeID
 	seedBits []*bitset.LaneMatrix
 	reach    []*bitset.LaneMatrix
-	engines  []*graph.LaneEngine
 	hits     []int
 }
 
@@ -68,12 +64,7 @@ func (s *Sampler) prepareLanes(k, words int, source func(int) graph.NodeID) int 
 	bs := &s.batch
 	lanesPer := words * LaneWidth
 	nChunks := (k + lanesPer - 1) / lanesPer
-	for len(bs.engines) < nChunks {
-		e := graph.NewLaneEngine(s.m.G)
-		if s.laneRepairSet {
-			e.SetRepairLimit(s.laneRepairLimit)
-		}
-		bs.engines = append(bs.engines, e)
+	for len(bs.seeds) < nChunks {
 		bs.seedBits = append(bs.seedBits, &bitset.LaneMatrix{})
 		bs.reach = append(bs.reach, &bitset.LaneMatrix{})
 		bs.seeds = append(bs.seeds, nil)
@@ -107,9 +98,7 @@ func (s *Sampler) prepareLanes(k, words int, source func(int) graph.NodeID) int 
 // instead of one scalar search per pair. For the multi-query workloads
 // the paper's experiments run — hundreds of (source, sink) pairs
 // against the same model — this amortises the dominant cost (chain
-// updates) across the whole batch; consecutive sweeps additionally
-// reuse the SCC condensation whenever the accepted flips between them
-// provably left it unchanged.
+// updates) across the whole batch.
 //
 // The chain consumes exactly the same randomness as FlowProb regardless
 // of the pair count, and the lane sweep is an exact reachability
@@ -154,34 +143,37 @@ func FlowProbBatchWideOn(s *Sampler, pairs []FlowPair, opts Options, words int) 
 	if err != nil {
 		return nil, err
 	}
-	k := len(pairs)
-	lanesPer := words * LaneWidth
-	nChunks := s.prepareLanes(k, words, func(q int) graph.NodeID { return pairs[q].Source })
-	bs := &s.batch
-	s.TrackFlips(true)
-	defer s.TrackFlips(false)
-	err = s.Run(opts, func(core.PseudoState) {
-		flips, complete := s.TakeFlips()
-		for c := 0; c < nChunks; c++ {
-			reach := bs.reach[c]
-			bs.engines[c].Sweep(bs.seeds[c], bs.seedBits[c], s.xbits, flips, complete, s.scratch, reach)
-			lo := c * lanesPer
-			hi := min(lo+lanesPer, k)
-			for q := lo; q < hi; q++ {
-				if reach.TestBit(int(pairs[q].Sink), q-lo) {
-					bs.hits[q]++
-				}
-			}
-		}
-	})
+	nChunks := s.prepareLanes(len(pairs), words, func(q int) graph.NodeID { return pairs[q].Source })
+	err = s.Run(opts, func(core.PseudoState) { s.countFlowHits(pairs, words, nChunks) })
 	if err != nil {
 		return nil, err
 	}
-	probs := make([]float64, k)
-	for q, h := range bs.hits {
+	probs := make([]float64, len(pairs))
+	for q, h := range s.batch.hits {
 		probs[q] = float64(h) / float64(opts.Samples)
 	}
 	return probs, nil
+}
+
+// countFlowHits is FlowProbBatchWideOn's per-sample body: one wide-lane
+// sweep of the current pseudo-state per chunk prepared by prepareLanes,
+// then a hit for every pair whose source lane reached its sink.
+//
+//flowlint:hotpath
+func (s *Sampler) countFlowHits(pairs []FlowPair, words, nChunks int) {
+	bs := &s.batch
+	lanesPer := words * LaneWidth
+	for c := 0; c < nChunks; c++ {
+		reach := bs.reach[c]
+		s.m.G.ReachLanesWideInto(bs.seeds[c], bs.seedBits[c], s.xbits, s.scratch, reach)
+		lo := c * lanesPer
+		hi := min(lo+lanesPer, len(pairs))
+		for q := lo; q < hi; q++ {
+			if reach.TestBit(int(pairs[q].Sink), q-lo) {
+				bs.hits[q]++
+			}
+		}
+	}
 }
 
 // ImpactDistributionBatch estimates the §IV-D impact distribution for
@@ -240,12 +232,9 @@ func ImpactDistributionBatchOn(s *Sampler, sets [][]graph.NodeID, opts Options) 
 	for i := range impacts {
 		impacts[i] = make([]int, 0, opts.Samples)
 	}
-	s.TrackFlips(true)
-	defer s.TrackFlips(false)
 	err = s.Run(opts, func(core.PseudoState) {
-		flips, complete := s.TakeFlips()
 		for c := 0; c < nChunks; c++ {
-			bs.engines[c].Sweep(bs.seeds[c], bs.seedBits[c], s.xbits, flips, complete, s.scratch, bs.reach[c])
+			s.m.G.ReachLanesWideInto(bs.seeds[c], bs.seedBits[c], s.xbits, s.scratch, bs.reach[c])
 		}
 		for i, sp := range spans {
 			count := 0
@@ -320,13 +309,10 @@ func CommunityFlowProbsBatchWideOn(s *Sampler, sources []graph.NodeID, opts Opti
 	for k := range counts {
 		counts[k] = make([]int, n)
 	}
-	s.TrackFlips(true)
-	defer s.TrackFlips(false)
 	err = s.Run(opts, func(core.PseudoState) {
-		flips, complete := s.TakeFlips()
 		for c := 0; c < nChunks; c++ {
 			reach := bs.reach[c]
-			bs.engines[c].Sweep(bs.seeds[c], bs.seedBits[c], s.xbits, flips, complete, s.scratch, reach)
+			s.m.G.ReachLanesWideInto(bs.seeds[c], bs.seedBits[c], s.xbits, s.scratch, reach)
 			lo := c * lanesPer
 			for v := 0; v < n; v++ {
 				row := reach.Row(v)

@@ -34,40 +34,50 @@ func randomPairs(r *rng.RNG, n, k int) []FlowPair {
 	return pairs
 }
 
+// servedSchedule is the schedule the server runs (DefaultOptions: Thin =
+// NumEdges, BurnIn = 4*Thin) cut to a test-sized sample count.
+func servedSchedule(m *core.ICM, samples int) Options {
+	opts := DefaultOptions(m.NumEdges())
+	opts.Samples = samples
+	return opts
+}
+
 // TestFlowProbBatchMatchesPerPair is the determinism gate: because the
 // chain's randomness does not depend on the queries, FlowProbBatch over
 // k pairs must produce exactly the per-pair FlowProb estimates of the
 // same seed — hit count for hit count. The 70-pair batch crosses the
-// 64-lane chunk boundary, so both chunks are exercised.
+// 64-lane chunk boundary, so both chunks are exercised, at a short
+// thinning interval and at the served one.
 func TestFlowProbBatchMatchesPerPair(t *testing.T) {
 	m := batchTestModel(11, 30, 80)
-	opts := Options{BurnIn: 100, Thin: 20, Samples: 150}
 	const seed = 99
 	pairs := randomPairs(rng.New(5), m.NumNodes(), 70)
-	batch, err := FlowProbBatch(m, pairs, nil, opts, rng.New(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(pairs) {
-		t.Fatalf("batch returned %d estimates for %d pairs", len(batch), len(pairs))
-	}
-	for k, pair := range pairs {
-		single, err := FlowProb(m, pair.Source, pair.Sink, nil, opts, rng.New(seed))
+	for _, opts := range []Options{{BurnIn: 100, Thin: 20, Samples: 150}, servedSchedule(m, 150)} {
+		batch, err := FlowProbBatch(m, pairs, nil, opts, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batch[k] != single {
-			t.Errorf("pair %d (%d~>%d): batch %v != per-pair %v",
-				k, pair.Source, pair.Sink, batch[k], single)
+		if len(batch) != len(pairs) {
+			t.Fatalf("batch returned %d estimates for %d pairs", len(batch), len(pairs))
+		}
+		for k, pair := range pairs {
+			single, err := FlowProb(m, pair.Source, pair.Sink, nil, opts, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch[k] != single {
+				t.Errorf("thin %d pair %d (%d~>%d): batch %v != per-pair %v",
+					opts.Thin, k, pair.Source, pair.Sink, batch[k], single)
+			}
 		}
 	}
 }
 
 // TestFlowProbBatchConditioned repeats the differential gate with flow
-// conditions constraining the chain.
+// conditions constraining the chain, at a short thinning interval and
+// at the served one.
 func TestFlowProbBatchConditioned(t *testing.T) {
 	m := batchTestModel(12, 25, 70)
-	opts := Options{BurnIn: 120, Thin: 25, Samples: 120}
 	// Condition on a flow the maximal state carries, so it is satisfiable.
 	x := core.NewPseudoState(m.NumEdges())
 	for i := range x {
@@ -84,17 +94,19 @@ func TestFlowProbBatchConditioned(t *testing.T) {
 	}
 	const seed = 123
 	pairs := randomPairs(rng.New(6), m.NumNodes(), 9)
-	batch, err := FlowProbBatch(m, pairs, conds, opts, rng.New(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, pair := range pairs {
-		single, err := FlowProb(m, pair.Source, pair.Sink, conds, opts, rng.New(seed))
+	for _, opts := range []Options{{BurnIn: 120, Thin: 25, Samples: 120}, servedSchedule(m, 120)} {
+		batch, err := FlowProbBatch(m, pairs, conds, opts, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batch[k] != single {
-			t.Errorf("pair %d: conditioned batch %v != per-pair %v", k, batch[k], single)
+		for k, pair := range pairs {
+			single, err := FlowProb(m, pair.Source, pair.Sink, conds, opts, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch[k] != single {
+				t.Errorf("thin %d pair %d: conditioned batch %v != per-pair %v", opts.Thin, k, batch[k], single)
+			}
 		}
 	}
 }
@@ -246,9 +258,10 @@ func TestFlowProbBatchRejectsEmpty(t *testing.T) {
 }
 
 // TestFlowProbBatchZeroAllocSteadyState asserts the batched hot loop —
-// chain updates with flip tracking plus one wide-lane engine sweep per
-// chunk of pairs — allocates nothing once warm. 130 pairs at W=1 forces
-// three chunks, so the multi-engine path is covered too.
+// chain updates plus FlowProbBatchWideOn's per-sample body, one
+// ReachLanesWideInto sweep per chunk of pairs — allocates nothing once
+// warm. 130 pairs at W=1 forces three chunks, so the multi-chunk path
+// is covered too.
 func TestFlowProbBatchZeroAllocSteadyState(t *testing.T) {
 	m := batchTestModel(16, 300, 900)
 	s, err := NewSampler(m, nil, rng.New(9))
@@ -256,31 +269,37 @@ func TestFlowProbBatchZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := randomPairs(rng.New(10), m.NumNodes(), 130)
-	nChunks := s.prepareLanes(len(pairs), 1, func(q int) graph.NodeID { return pairs[q].Source })
-	bs := &s.batch
-	s.TrackFlips(true)
-	defer s.TrackFlips(false)
-	sample := func() {
-		for k := 0; k < 10; k++ {
-			s.Step()
-		}
-		flips, complete := s.TakeFlips()
-		for c := 0; c < nChunks; c++ {
-			reach := bs.reach[c]
-			bs.engines[c].Sweep(bs.seeds[c], bs.seedBits[c], s.xbits, flips, complete, s.scratch, reach)
-			lo := c * LaneWidth
-			for q := lo; q < lo+len(bs.seeds[c]); q++ {
-				if reach.TestBit(int(pairs[q].Sink), q-lo) {
-					bs.hits[q]++
-				}
-			}
-		}
-	}
+	sample := batchSample(s, pairs, 1, 10)
 	for warm := 0; warm < 10; warm++ {
 		sample()
 	}
 	if allocs := testing.AllocsPerRun(100, sample); allocs != 0 {
 		t.Errorf("steady-state batched sampling allocates %v per run, want 0", allocs)
+	}
+}
+
+// batchSample prepares s's lanes for pairs at the given width and
+// returns one steady-state batched output sample: thin chain updates
+// plus FlowProbBatchWideOn's per-sample sweeps and hit counting.
+func batchSample(s *Sampler, pairs []FlowPair, words, thin int) func() {
+	nChunks := s.prepareLanes(len(pairs), words, func(q int) graph.NodeID { return pairs[q].Source })
+	return func() {
+		for k := 0; k < thin; k++ {
+			s.Step()
+		}
+		s.countFlowHits(pairs, words, nChunks)
+	}
+}
+
+// benchBatchSample times batchSample after one warm-up sample;
+// allocs/op must read 0.
+func benchBatchSample(b *testing.B, s *Sampler, pairs []FlowPair, words, thin int) {
+	sample := batchSample(s, pairs, words, thin)
+	sample()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sample()
 	}
 }
 
@@ -291,123 +310,56 @@ func benchPairs64(m *core.ICM) []FlowPair {
 
 // BenchmarkFlowProbBatch64 measures one steady-state batched output
 // sample on the §IV-C 6K-node/14K-edge graph: thin chain updates plus
-// ONE 64-lane sweep answering all 64 pairs. Compare per-op time against
-// BenchmarkFlowProbSequential64 (the same work done by 64 independent
-// chains) for the batching speedup; allocs/op must read 0.
+// ONE 64-lane (W = 1) sweep answering all 64 pairs. Compare per-op time
+// against BenchmarkFlowProbSequential64 (the same work done by 64
+// independent chains) for the batching speedup; allocs/op must read 0.
 func BenchmarkFlowProbBatch64(b *testing.B) {
 	m, s := paperScaleSampler(b)
-	const thin = 200
-	pairs := benchPairs64(m)
-	seeds := make([]graph.NodeID, len(pairs))
-	seedBits := make([]uint64, len(pairs))
-	for q := range pairs {
-		seeds[q] = pairs[q].Source
-		seedBits[q] = 1 << uint(q)
-	}
-	hits := make([]int, len(pairs))
-	reach := make([]uint64, m.NumNodes())
-	for k := 0; k < thin; k++ {
-		s.Step()
-	}
-	reach = m.FlowLanesInto(seeds, seedBits, s.xbits, s.scratch, reach)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := 0; k < thin; k++ {
-			s.Step()
-		}
-		reach = m.FlowLanesInto(seeds, seedBits, s.xbits, s.scratch, reach)
-		for q, pair := range pairs {
-			if reach[pair.Sink]>>uint(q)&1 != 0 {
-				hits[q]++
-			}
-		}
-	}
+	benchBatchSample(b, s, benchPairs64(m), 1, 200)
 }
 
 // BenchmarkFlowProbBatch512 measures one steady-state batched output
 // sample for 512 pairs on the §IV-C graph: thin chain updates plus ONE
-// 8-word wide-lane engine sweep (with condensation reuse across the
-// tracked flips) answering all 512 pairs. Divide ns/op by 512 for the
-// per-query figure; compare against BenchmarkFlowProbBatch512Chunks64,
-// which serves the same 512 pairs as eight 64-lane sweeps per sample.
-// allocs/op must read 0.
+// 8-word wide-lane sweep answering all 512 pairs. Divide ns/op by 512
+// for the per-query figure; compare against
+// BenchmarkFlowProbBatch512Chunks64, which serves the same 512 pairs as
+// eight 64-lane sweeps per sample. allocs/op must read 0.
 func BenchmarkFlowProbBatch512(b *testing.B) {
 	m, s := paperScaleSampler(b)
-	const thin = 200
-	pairs := randomPairs(rng.New(17), m.NumNodes(), 512)
-	nChunks := s.prepareLanes(len(pairs), 8, func(q int) graph.NodeID { return pairs[q].Source })
-	if nChunks != 1 {
-		b.Fatalf("512 pairs at W=8 span %d chunks, want 1", nChunks)
-	}
-	bs := &s.batch
-	s.TrackFlips(true)
-	defer s.TrackFlips(false)
-	sample := func() {
-		for k := 0; k < thin; k++ {
-			s.Step()
-		}
-		flips, complete := s.TakeFlips()
-		bs.engines[0].Sweep(bs.seeds[0], bs.seedBits[0], s.xbits, flips, complete, s.scratch, bs.reach[0])
-		for q := range pairs {
-			if bs.reach[0].TestBit(int(pairs[q].Sink), q) {
-				bs.hits[q]++
-			}
-		}
-	}
-	sample() // warm buffers and the engine cache
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sample()
-	}
-	e := bs.engines[0]
-	b.ReportMetric(float64(e.Replays())/float64(e.Replays()+e.Rebuilds()), "replay-rate")
+	benchBatchSample(b, s, randomPairs(rng.New(17), m.NumNodes(), 512), 8, 200)
 }
 
-// BenchmarkFlowProbBatch512Chunks64 is the pre-wide-lane baseline for
-// the same workload: 512 pairs served by EIGHT chunked 64-lane sweeps
-// per thinned sample (each paying its own Tarjan pass), sharing one
-// chain. This is exactly what the old LaneWidth-chunked FlowProbBatch
-// executed per sample.
+// BenchmarkFlowProbBatch512Chunks64 is the narrow baseline for the same
+// workload: 512 pairs served by EIGHT chunked 64-lane (W = 1) sweeps per
+// thinned sample, each paying its own Tarjan pass, sharing one chain.
 func BenchmarkFlowProbBatch512Chunks64(b *testing.B) {
 	m, s := paperScaleSampler(b)
-	const thin = 200
-	pairs := randomPairs(rng.New(17), m.NumNodes(), 512)
-	nChunks := len(pairs) / LaneWidth
-	seeds := make([][]graph.NodeID, nChunks)
-	seedBits := make([][]uint64, nChunks)
-	for c := 0; c < nChunks; c++ {
-		lo := c * LaneWidth
-		seeds[c] = make([]graph.NodeID, LaneWidth)
-		seedBits[c] = make([]uint64, LaneWidth)
-		for q := lo; q < lo+LaneWidth; q++ {
-			seeds[c][q-lo] = pairs[q].Source
-			seedBits[c][q-lo] = 1 << uint(q-lo)
-		}
+	benchBatchSample(b, s, randomPairs(rng.New(17), m.NumNodes(), 512), 1, 200)
+}
+
+// BenchmarkFlowProbBatch256Served measures one batched output sample at
+// the schedule the server runs, in the shape of a served /flow batch:
+// 256 pairs in one 4-word sweep, Thin = NumEdges chain updates between
+// sweeps, on the §IV-C model the serving benchmark uses (graph.Random
+// 6000/14000 from seed 2, p = 0.2 + 0.4U). The chain is burnt in first
+// (BurnIn = 4*Thin, as DefaultOptions sets it). allocs/op must read 0.
+func BenchmarkFlowProbBatch256Served(b *testing.B) {
+	r := rng.New(2)
+	g := graph.Random(r, 6000, 14000)
+	p := make([]float64, g.NumEdges())
+	for i := range p {
+		p[i] = 0.2 + 0.4*r.Float64()
 	}
-	hits := make([]int, len(pairs))
-	reach := make([]uint64, m.NumNodes())
-	sample := func() {
-		for k := 0; k < thin; k++ {
-			s.Step()
-		}
-		for c := 0; c < nChunks; c++ {
-			reach = m.FlowLanesInto(seeds[c], seedBits[c], s.xbits, s.scratch, reach)
-			lo := c * LaneWidth
-			for q := lo; q < lo+LaneWidth; q++ {
-				if reach[pairs[q].Sink]>>uint(q-lo)&1 != 0 {
-					hits[q]++
-				}
-			}
-		}
+	m := core.MustNewICM(g, p)
+	s, err := NewSampler(m, nil, rng.New(3))
+	if err != nil {
+		b.Fatal(err)
 	}
-	sample()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sample()
+	opts := DefaultOptions(m.NumEdges())
+	for k := 0; k < opts.BurnIn; k++ {
+		s.Step()
 	}
+	benchBatchSample(b, s, randomPairs(rng.New(17), m.NumNodes(), 256), 4, opts.Thin)
 }
 
 // BenchmarkFlowProbSequential64 is the sequential baseline the batch is

@@ -46,17 +46,6 @@ type Options struct {
 	// This is the cancellation hook the serving layer threads request
 	// deadlines through (see Sampler.RunCtx for the context form).
 	Interrupt func() bool
-	// FlipLogCap bounds the accepted-flip log kept between TakeFlips
-	// calls when flip tracking is on. Past the cap the window is marked
-	// incomplete, which forces the consuming lane engine into a full
-	// rebuild — so an undersized cap is a silent performance cliff, not
-	// an error. Zero sizes it from Thin and BurnIn (a steady-state
-	// window is at most Thin accepted flips, kept with one window of
-	// headroom; the first window also spans the undrained burn-in), so
-	// the derived default never overflows. Negative is invalid. Direct
-	// Step drivers that never call Run keep the legacy edge-count bound
-	// unless they set SetFlipLogCap.
-	FlipLogCap int
 }
 
 // DefaultOptions returns settings adequate for the graph sizes in the
@@ -71,7 +60,7 @@ func DefaultOptions(numEdges int) Options {
 }
 
 func (o Options) validate() error {
-	if o.BurnIn < 0 || o.Thin <= 0 || o.Samples <= 0 || o.FlipLogCap < 0 {
+	if o.BurnIn < 0 || o.Thin <= 0 || o.Samples <= 0 {
 		return fmt.Errorf("mh: invalid options %+v", o)
 	}
 	return nil
@@ -121,30 +110,10 @@ type Sampler struct {
 	via     []graph.EdgeID
 	repairQ []graph.NodeID
 
-	// batch holds the lane tables, reach matrices and per-chunk wide-lane
-	// engines of the batched estimators (FlowProbBatch and friends), so
-	// repeated batches on one sampler reuse both the buffers and the
-	// engines' cached condensations.
+	// batch holds the lane tables and reach matrices of the batched
+	// estimators (FlowProbBatch and friends), so repeated batches on one
+	// sampler reuse the buffers.
 	batch batchScratch
-
-	// flipLog records the edge of every accepted flip since the last
-	// TakeFlips, for the wide-lane engine's condensation reuse: between
-	// thinned samples only these edges changed the packed shadow, so the
-	// sweep can decide structurally whether the cached SCC condensation
-	// is still valid. Tracking is off by default (TrackFlips enables it)
-	// and the log is bounded by the edge count — past that a full
-	// recompute is cheaper than replaying the log, so the log is dropped
-	// and flipOverflow marks the gap.
-	trackFlips   bool
-	flipLog      []graph.EdgeID
-	flipLogCap   int // 0 = legacy edge-count bound; Run derives it from Thin
-	flipOverflow bool
-	overflows    int64 // windows that overflowed since construction
-
-	// laneRepairLimit overrides the lane engines' default repair budget
-	// when laneRepairSet is true (see SetLaneRepairLimit).
-	laneRepairLimit int
-	laneRepairSet   bool
 
 	steps    int64
 	accepted int64
@@ -165,98 +134,28 @@ func (s *Sampler) Scratch() *graph.Scratch { return s.scratch }
 
 // StateBits returns the packed shadow of the current pseudo-state,
 // suitable as the active-edge mask of the bit-parallel traversals
-// (HasFlowBits, ActiveNodesBitsInto, FlowLanesInto). Like State, the
-// returned set is live chain state: callers must not modify it and must
-// copy it to retain it across Step calls.
+// (HasFlowBits, ActiveNodesBitsInto, graph.ReachLanesWideInto). Like
+// State, the returned set is live chain state: callers must not modify
+// it and must copy it to retain it across Step calls.
 func (s *Sampler) StateBits() bitset.Set { return s.xbits }
 
-// TrackFlips enables (or disables) recording of accepted flips for
-// TakeFlips. Enabling starts a fresh window: the log is emptied and the
-// overflow mark cleared, so the first TakeFlips afterwards describes
-// exactly the flips accepted since this call. Tracking costs one
-// bounded append per accepted flip and never touches the RNG, so it
-// cannot change the sample stream.
-func (s *Sampler) TrackFlips(on bool) {
-	s.trackFlips = on
-	s.flipLog = s.flipLog[:0]
-	s.flipOverflow = false
-}
+// TrackFlips does nothing. It is kept only because servebench/replay.go,
+// the frozen serving benchmark, compiles against it.
+//
+// Deprecated: no caller needs a flip log.
+func (s *Sampler) TrackFlips(bool) {}
 
-// TakeFlips returns the edges flipped (accepted) since the previous
-// TakeFlips or TrackFlips call, and whether that record is complete. A
-// false complete means the log overflowed — more flips happened than
-// the edge count, at which point a consumer is better off recomputing
-// from the live state than replaying a log — and the returned slice is
-// empty. The slice is sampler-owned scratch, valid until the next Step;
-// callers must not retain it. An edge appears once per accepted flip,
-// so a twice-flipped edge appears twice (net unchanged).
-func (s *Sampler) TakeFlips() (flips []graph.EdgeID, complete bool) {
-	flips = s.flipLog
-	complete = !s.flipOverflow
-	if !complete {
-		flips = nil
-	}
-	s.flipLog = s.flipLog[:0]
-	s.flipOverflow = false
-	return flips, complete
-}
+// TakeFlips returns nil, true. It is kept only because
+// servebench/replay.go compiles against it (see TrackFlips).
+//
+// Deprecated: no caller needs a flip log.
+func (s *Sampler) TakeFlips() (flips []graph.EdgeID, complete bool) { return nil, true }
 
-// SetFlipLogCap overrides the flip-log window bound for direct Step
-// drivers (Run derives it from Options; see Options.FlipLogCap).
-// Non-positive restores the legacy edge-count bound.
-func (s *Sampler) SetFlipLogCap(cap int) { s.flipLogCap = cap }
-
-// FlipLogOverflows returns how many tracking windows overflowed the
-// flip-log cap since the sampler was built. Each overflowed window
-// hands the lane engines an incomplete record and therefore forces one
-// full condensation rebuild per engine chunk — a nonzero rate here
-// with a high LaneStats().OverflowRebuilds means FlipLogCap is
-// undersized for the thinning interval.
-func (s *Sampler) FlipLogOverflows() int64 { return s.overflows }
-
-// LaneStats sums the sweep-outcome counters of the batched estimators'
-// per-chunk lane engines (zero value before any batched run). Replay,
-// repair and rebuild counts across chunks expose how often the cached
-// condensation survived between thinned samples — the serving layer
-// republishes these as expvar rates.
-func (s *Sampler) LaneStats() graph.LaneEngineStats {
-	var out graph.LaneEngineStats
-	for _, e := range s.batch.engines {
-		if e == nil {
-			continue
-		}
-		st := e.Stats()
-		out.Replays += st.Replays
-		out.Repairs += st.Repairs
-		out.Rebuilds += st.Rebuilds
-		out.OverflowRebuilds += st.OverflowRebuilds
-		out.BudgetBails += st.BudgetBails
-		out.ViolationRebuilds += st.ViolationRebuilds
-		out.FlushRebuilds += st.FlushRebuilds
-		out.Splits += st.Splits
-		out.Merges += st.Merges
-		out.Grows += st.Grows
-		out.Deferrals += st.Deferrals
-		out.CancelledFlips += st.CancelledFlips
-	}
-	return out
-}
-
-// SetLaneRepairLimit overrides the per-sweep repair budget of the
-// batched estimators' lane engines, now and for engines created by
-// later batches (see graph.LaneEngine.SetRepairLimit). Limit <= 0
-// disables incremental repair entirely, restoring the replay-or-rebuild
-// baseline — the knob the repair-rate experiments use to measure what
-// repair buys at each thinning interval.
-func (s *Sampler) SetLaneRepairLimit(limit int) {
-	s.laneRepairLimit = limit
-	s.laneRepairSet = true
-	for _, e := range s.batch.engines {
-		if e != nil {
-			e.SetRepairLimit(limit)
-		}
-	}
-}
+// SetFlipLogCap does nothing. It is kept only because
+// servebench/replay.go compiles against it (see TrackFlips).
+//
+// Deprecated: no caller needs a flip log.
+func (s *Sampler) SetFlipLogCap(int) {}
 
 // SetUniformProposal switches the chain to a uniform flip-one-edge
 // proposal instead of the paper's weighted multinomial (§III-C). The
@@ -481,21 +380,6 @@ func (s *Sampler) Step() bool {
 		s.x[i] = !s.x[i]
 	}
 	s.xbits.Flip(i) // the packed shadow tracks accepted flips only
-	if s.trackFlips {
-		limit := s.flipLogCap
-		if limit <= 0 {
-			limit = s.m.NumEdges()
-		}
-		if len(s.flipLog) < limit {
-			s.flipLog = append(s.flipLog, graph.EdgeID(i))
-		} else {
-			if !s.flipOverflow {
-				s.overflows++
-			}
-			s.flipOverflow = true
-			s.flipLog = s.flipLog[:0]
-		}
-	}
 	s.tree.Set(i, flipWeight(s.m.P[i], s.x[i]))
 	s.accepted++
 	s.winAccepted++
@@ -572,23 +456,6 @@ func (s *Sampler) RunCtx(ctx context.Context, opts Options, visit func(core.Pseu
 func (s *Sampler) run(ctx context.Context, opts Options, visit func(core.PseudoState)) error {
 	if err := opts.validate(); err != nil {
 		return err
-	}
-	if s.trackFlips {
-		// Size the flip-log window from the thinning interval: at most
-		// Thin flips are accepted per output sample, kept with one
-		// window of headroom in case a consumer skips a TakeFlips. The
-		// first window is special — nobody drains the log during
-		// burn-in, so it spans BurnIn+Thin steps and needs the larger
-		// bound (entries are 4 bytes; the log shrinks back to its
-		// steady-state length at the first TakeFlips).
-		cap := opts.FlipLogCap
-		if cap == 0 {
-			cap = 2*opts.Thin + 16
-			if first := opts.BurnIn + opts.Thin + 16; first > cap {
-				cap = first
-			}
-		}
-		s.flipLogCap = cap
 	}
 	for done := 0; done < opts.BurnIn; {
 		chunk := opts.Thin

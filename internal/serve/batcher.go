@@ -295,7 +295,6 @@ func (b *batcher) execute(pb *pendingBatch) {
 	}
 	acc := s.PostBurnInAcceptanceRate()
 	b.metrics.setAcceptance(acc)
-	b.metrics.addLaneStats(s.LaneStats())
 
 	res := flowResult{BatchSize: len(pb.members), Lanes: pb.lanes, Acceptance: acc}
 	for _, m := range pb.members {

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
 	"time"
 
@@ -195,47 +194,6 @@ func TestBatcherDrain(t *testing.T) {
 	}
 	if _, err := b.join(context.Background(), testBatchKey(m, 50, 2), m, nil, mh.FlowPair{Source: 1, Sink: 4}, nil, "", ""); !errors.Is(err, ErrDraining) {
 		t.Errorf("join after drain = %v, want ErrDraining", err)
-	}
-}
-
-// TestBatcherLaneStatsMetrics: executing a batch folds the sampler's
-// lane-engine sweep dispositions into the server metrics, and the
-// derived replay/repair/rebuild rates partition the sweep count.
-func TestBatcherLaneStatsMetrics(t *testing.T) {
-	m := serveICM(3, 20, 60)
-	clock := newFakeClock()
-	met := &Metrics{}
-	b := newBatcher(time.Hour, 1, 4, mh.LaneWidth, clock, met, newLRUCache(0))
-	defer b.drain()
-
-	mem, err := b.join(context.Background(), testBatchKey(m, 50, 5), m, nil, mh.FlowPair{Source: 0, Sink: 9}, nil, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
-	clock.Advance(time.Hour)
-	if res := <-mem.done; res.Err != nil {
-		t.Fatal(res.Err)
-	}
-
-	replays, repairs, rebuilds := met.LaneReplays.Load(), met.LaneRepairs.Load(), met.LaneRebuilds.Load()
-	total := replays + repairs + rebuilds
-	if total == 0 {
-		t.Fatal("no lane sweeps recorded after a batch executed")
-	}
-	if rebuilds == 0 {
-		t.Error("LaneRebuilds = 0; the first sweep is always a full build")
-	}
-	replayRate, repairRate, rebuildRate := met.LaneSweepRates()
-	if sum := replayRate + repairRate + rebuildRate; math.Abs(sum-1) > 1e-9 {
-		t.Errorf("sweep rates sum to %v, want 1", sum)
-	}
-	if got := met.LaneOverflowRebuilds.Load(); got > rebuilds {
-		t.Errorf("LaneOverflowRebuilds = %d exceeds total rebuilds %d", got, rebuilds)
-	}
-	snap := met.Snapshot()
-	if snap["lane_replays"].(int64) != replays || snap["lane_rebuild_rate"].(float64) != rebuildRate {
-		t.Errorf("Snapshot lane counters disagree with accessors: %v", snap)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-
-	"infoflow/internal/graph"
 )
 
 // Metrics is the server's operational counter set. Everything is
@@ -52,23 +50,14 @@ type Metrics struct {
 	Timeouts atomic.Int64
 	Errors   atomic.Int64
 
-	// Lane-engine sweep dispositions, aggregated across every sampler
-	// the batcher has run: each thinned sweep either replays the cached
-	// condensation unchanged, repairs it incrementally, or falls back to
-	// a full Tarjan rebuild. The replay/repair/rebuild split is the
-	// primary health signal for the incremental engine — a rebuild rate
-	// creeping up under steady load means the repair preconditions are
-	// failing more often than the design budget.
+	// LaneReplays, LaneRepairs and LaneRebuilds are never written and
+	// always read 0. They are kept only because servebench/drive.go, the
+	// frozen serving benchmark, reads them.
+	//
+	// Deprecated: every lane sweep is a plain full sweep.
 	LaneReplays  atomic.Int64
 	LaneRepairs  atomic.Int64
 	LaneRebuilds atomic.Int64
-
-	// Rebuild sub-causes worth watching separately: overflow rebuilds
-	// mean the flip log capacity is undersized for the configured
-	// thinning interval (see mh.Options.FlipLogCap), flush rebuilds are
-	// the scheduled dead-component sweeps the engine performs by design.
-	LaneOverflowRebuilds atomic.Int64
-	LaneFlushRebuilds    atomic.Int64
 
 	// acceptanceBits holds the float64 bits of the most recent batch's
 	// post-burn-in Metropolis-Hastings acceptance rate.
@@ -133,29 +122,6 @@ func (m *Metrics) LaneUtilization() float64 {
 	return float64(m.BatchedLanes.Load()) / float64(b*budget)
 }
 
-// addLaneStats folds one finished batch's lane-engine counters into
-// the server-wide totals. Each batch runs a fresh sampler, so the
-// sampler's cumulative stats are exactly that batch's contribution.
-func (m *Metrics) addLaneStats(st graph.LaneEngineStats) {
-	m.LaneReplays.Add(st.Replays)
-	m.LaneRepairs.Add(st.Repairs)
-	m.LaneRebuilds.Add(st.Rebuilds)
-	m.LaneOverflowRebuilds.Add(st.OverflowRebuilds)
-	m.LaneFlushRebuilds.Add(st.FlushRebuilds)
-}
-
-// LaneSweepRates returns the fraction of lane-engine sweeps that were
-// replays, repairs, and full rebuilds (all 0 before any sweep has run).
-// The three sum to 1 once sweeps exist.
-func (m *Metrics) LaneSweepRates() (replay, repair, rebuild float64) {
-	rp, rr, rb := m.LaneReplays.Load(), m.LaneRepairs.Load(), m.LaneRebuilds.Load()
-	total := rp + rr + rb
-	if total == 0 {
-		return 0, 0, 0
-	}
-	return float64(rp) / float64(total), float64(rr) / float64(total), float64(rb) / float64(total)
-}
-
 // CacheHitRate returns hits / (hits + misses), 0 when nothing has been
 // looked up.
 func (m *Metrics) CacheHitRate() float64 {
@@ -169,7 +135,6 @@ func (m *Metrics) CacheHitRate() float64 {
 // Snapshot returns the counters and derived gauges as a flat map, the
 // payload served under the "flowserve" expvar and handy for tests.
 func (m *Metrics) Snapshot() map[string]any {
-	replayRate, repairRate, rebuildRate := m.LaneSweepRates()
 	return map[string]any{
 		"flow_requests":      m.FlowRequests.Load(),
 		"community_requests": m.CommunityRequests.Load(),
@@ -193,15 +158,6 @@ func (m *Metrics) Snapshot() map[string]any {
 		"timeouts":           m.Timeouts.Load(),
 		"errors":             m.Errors.Load(),
 		"acceptance_rate":    m.Acceptance(),
-
-		"lane_replays":           m.LaneReplays.Load(),
-		"lane_repairs":           m.LaneRepairs.Load(),
-		"lane_rebuilds":          m.LaneRebuilds.Load(),
-		"lane_overflow_rebuilds": m.LaneOverflowRebuilds.Load(),
-		"lane_flush_rebuilds":    m.LaneFlushRebuilds.Load(),
-		"lane_replay_rate":       replayRate,
-		"lane_repair_rate":       repairRate,
-		"lane_rebuild_rate":      rebuildRate,
 	}
 }
 
