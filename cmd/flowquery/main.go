@@ -110,10 +110,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	m := bm.ExpectedICM()
 	opts := mh.DefaultOptions(m.NumEdges())
 	opts.Samples = *samples
-	src := graph.NodeID(*source)
-	if *source >= 0 && int(src) >= real.NumNodes() {
-		return fmt.Errorf("source %d out of range", src)
+	// Range-check as ints, before any cast to the int32 graph.NodeID.
+	n := real.NumNodes()
+	if *source >= n {
+		return fmt.Errorf("source %d out of range [0, %d)", *source, n)
 	}
+	if *sink >= n {
+		return fmt.Errorf("sink %d out of range [0, %d)", *sink, n)
+	}
+	if err := serve.CheckConds(conds, n); err != nil {
+		return err
+	}
+	src := graph.NodeID(*source)
 
 	switch {
 	case *maximize:

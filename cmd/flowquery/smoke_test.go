@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"infoflow/internal/rng"
@@ -57,6 +58,25 @@ func TestRunMissingArgs(t *testing.T) {
 	}
 	if err := run([]string{"-data", "nope.json", "-source", "0", "-sink", "1"}, &stdout, &stderr); err == nil {
 		t.Fatal("nonexistent corpus accepted")
+	}
+}
+
+// TestRunRejectsOutOfRangeNodes: node ids past the model, including ones
+// that would wrap at int32, are errors, never a panic or a query about a
+// different node.
+func TestRunRejectsOutOfRangeNodes(t *testing.T) {
+	corpus := tinyCorpus(t)
+	for _, args := range [][]string{
+		{"-source", "0", "-sink", "99999"},
+		{"-source", "0", "-sink", "1", "-cond", "99999>1=1"},
+		{"-source", "0", "-sink", "1", "-cond", "0>-1=0"},
+		{"-source", "4294967296", "-sink", "1"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(append([]string{"-data", corpus, "-samples", "10"}, args...), &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%v: err = %v, want an out-of-range error (stdout %q)", args, err, stdout.String())
+		}
 	}
 }
 

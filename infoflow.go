@@ -41,8 +41,8 @@ type (
 // NewGraph returns a graph with n isolated nodes.
 func NewGraph(n int) *Graph { return graph.New(n) }
 
-// Scratch is reusable traversal state for the allocation-free
-// reachability variants (Graph.ReachableInto, Graph.HasPathScratch,
+// Scratch is reusable traversal state for the allocation-free packed
+// reachability kernels (Graph.ReachableBitsInto, Graph.HasPathBits,
 // ICM.ActiveNodesInto, ICM.HasFlowScratch, ICM.SatisfiesScratch, and
 // Sampler.Scratch). One Scratch per goroutine; see DESIGN.md §6.
 type Scratch = graph.Scratch

@@ -1,6 +1,7 @@
 // Package bitset provides dense word-packed bit sets over []uint64.
 //
-// It is the storage substrate of the bit-parallel reachability engine:
+// It is the storage substrate of the reachability engine and the one
+// representation of a pseudo-state (core.PseudoState is a Set):
 // pseudo-states and active-node sets pack 64 edges or nodes per word, so
 // clearing, counting and unioning run word-at-a-time (one instruction
 // per 64 elements) instead of element-at-a-time, and the lane-batched
@@ -9,8 +10,8 @@
 // range over its words directly (e.g. to extract set bits with
 // math/bits.TrailingZeros64) without any iterator allocation.
 //
-// All methods are allocation-free; only New, FromBools and Grow ever
-// allocate. A Set is not safe for concurrent mutation.
+// All methods are allocation-free; only New and Grow ever allocate. A
+// Set is not safe for concurrent mutation.
 package bitset
 
 import "math/bits"
@@ -45,8 +46,9 @@ func (s Set) Set(i int) { s[i>>wordShift] |= 1 << (uint(i) & wordMask) }
 func (s Set) Clear(i int) { s[i>>wordShift] &^= 1 << (uint(i) & wordMask) }
 
 // Flip toggles bit i with a single XOR — the Metropolis-Hastings
-// sampler's packed shadow state is maintained through exactly this op,
-// one call per accepted edge flip.
+// sampler's pseudo-state moves through exactly this op: one call per
+// proposed edge flip, and one more to undo a flip the flow conditions
+// reject.
 //
 //flowlint:hotpath
 func (s Set) Flip(i int) { s[i>>wordShift] ^= 1 << (uint(i) & wordMask) }
@@ -113,17 +115,4 @@ func (s Set) Grow(n int) Set {
 		return s
 	}
 	return New(n)
-}
-
-// FromBools packs xs into dst, growing it when needed, and returns the
-// packed set (dst or its replacement). Bits beyond len(xs) are cleared.
-func FromBools(dst Set, xs []bool) Set {
-	dst = dst.Grow(len(xs))
-	dst.Reset()
-	for i, b := range xs {
-		if b {
-			dst.Set(i)
-		}
-	}
-	return dst
 }

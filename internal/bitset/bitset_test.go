@@ -69,12 +69,6 @@ func TestAgainstBools(t *testing.T) {
 	if got := s.Count(); got != want {
 		t.Fatalf("Count() = %d, want %d", got, want)
 	}
-	packed := FromBools(nil, ref)
-	for i := range packed {
-		if packed[i] != s[i] {
-			t.Fatalf("FromBools word %d = %#x, want %#x", i, packed[i], s[i])
-		}
-	}
 	s.Reset()
 	if s.Count() != 0 {
 		t.Fatal("Count after Reset != 0")
@@ -116,9 +110,6 @@ func TestGrow(t *testing.T) {
 	var nilSet Set
 	if nilSet.Grow(1).Cap() < 1 {
 		t.Error("nil Set did not grow")
-	}
-	if FromBools(nil, nil).Count() != 0 {
-		t.Error("FromBools(nil, nil) non-empty")
 	}
 }
 

@@ -148,7 +148,7 @@ func (m *ICM) CascadeFromPseudoState(sources []graph.NodeID, x PseudoState) *Cas
 		for _, v := range frontier {
 			for _, id := range m.G.OutEdges(v) {
 				c.TriedEdges[id] = true
-				if !x[id] {
+				if !x.Test(int(id)) {
 					continue
 				}
 				c.ActiveEdges[id] = true

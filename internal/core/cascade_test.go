@@ -106,7 +106,7 @@ func TestCascadeFromPseudoStateConsistency(t *testing.T) {
 		// active parent; every tried edge must have an active parent.
 		for e, a := range c.ActiveEdges {
 			edge := g.Edge(graph.EdgeID(e))
-			if a && (!x[e] || !c.ActiveNodes[edge.From]) {
+			if a && (!x.Test(e) || !c.ActiveNodes[edge.From]) {
 				t.Fatalf("bad active edge %d", e)
 			}
 			if c.TriedEdges[e] != c.ActiveNodes[edge.From] {

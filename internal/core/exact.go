@@ -125,15 +125,14 @@ func (m *ICM) enumerate(sources []graph.NodeID, sink graph.NodeID, conds []FlowC
 			}
 			p := math.Exp(logp)
 			condMass += p
-			active := m.G.Reachable(sources, func(id graph.EdgeID) bool { return x[id] })
-			if active[sink] {
+			if m.G.Reachable(sources, edgeActive(x))[sink] {
 				flowMass += p
 			}
 			return
 		}
-		x[i] = true
+		x.Set(i)
 		rec(i+1, logp+logOf(m.P[i]))
-		x[i] = false
+		x.Clear(i)
 		rec(i+1, logp+log1pOf(-m.P[i]))
 	}
 	rec(0, 0)
@@ -161,7 +160,7 @@ func (m *ICM) satisfies(x PseudoState, conds []FlowCondition) bool {
 	case 1:
 		return m.HasFlow(conds[0].Source, conds[0].Sink, x) == conds[0].Require
 	}
-	active := func(id graph.EdgeID) bool { return x[id] }
+	active := edgeActive(x)
 	checked := make(map[graph.NodeID][]bool, 2)
 	for _, c := range conds {
 		reach, ok := checked[c.Source]

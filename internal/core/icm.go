@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"infoflow/internal/bitset"
 	"infoflow/internal/graph"
 	"infoflow/internal/rng"
 )
@@ -61,52 +62,37 @@ func (m *ICM) String() string {
 }
 
 // PseudoState assigns every edge to be active or inactive irrespective of
-// the activity of its parent node (§II, §III-A). It is indexed by
-// EdgeID.
-type PseudoState []bool
+// the activity of its parent node (§II, §III-A). It is packed 64 edges
+// per word: edge id is active iff bit id is set. Being a bitset.Set, it
+// is directly the active-edge mask of the traversal kernels in
+// internal/graph.
+type PseudoState = bitset.Set
 
 // NewPseudoState returns an all-inactive pseudo-state for m edges.
-func NewPseudoState(m int) PseudoState { return make(PseudoState, m) }
-
-// Clone returns an independent copy.
-func (x PseudoState) Clone() PseudoState {
-	c := make(PseudoState, len(x))
-	copy(c, x)
-	return c
-}
-
-// CountActive returns the number of active edges.
-func (x PseudoState) CountActive() int {
-	n := 0
-	for _, b := range x {
-		if b {
-			n++
-		}
-	}
-	return n
-}
+func NewPseudoState(m int) PseudoState { return bitset.New(m) }
 
 // SamplePseudoState draws a pseudo-state from the model's marginal
 // distribution, Equation (3): each edge is active independently with its
-// activation probability.
+// activation probability, one Bernoulli draw per edge in EdgeID order.
 func (m *ICM) SamplePseudoState(r *rng.RNG) PseudoState {
 	x := NewPseudoState(m.NumEdges())
-	for id := range x {
-		x[id] = r.Bernoulli(m.P[id])
+	for id, p := range m.P {
+		if r.Bernoulli(p) {
+			x.Set(id)
+		}
 	}
 	return x
 }
 
 // LogProbPseudoState returns ln Pr[x | M] per Equation (3).
 func (m *ICM) LogProbPseudoState(x PseudoState) float64 {
-	if len(x) != m.NumEdges() {
-		//flowlint:invariant documented contract: a pseudo-state has exactly one entry per edge
+	if len(x) != bitset.WordsFor(m.NumEdges()) {
+		//flowlint:invariant documented contract: a pseudo-state has exactly one word per 64 edges
 		panic("core: pseudo-state size mismatch")
 	}
 	logp := 0.0
-	for id, active := range x {
-		p := m.P[id]
-		if active {
+	for id, p := range m.P {
+		if x.Test(id) {
 			logp += logOf(p)
 		} else {
 			logp += log1pOf(-p)
@@ -115,12 +101,19 @@ func (m *ICM) LogProbPseudoState(x PseudoState) float64 {
 	return logp
 }
 
+// edgeActive adapts a pseudo-state to the edge predicate of the closure
+// traversals graph.Reachable and graph.HasPath.
+func edgeActive(x PseudoState) func(graph.EdgeID) bool {
+	return func(id graph.EdgeID) bool { return x.Test(int(id)) }
+}
+
 // ActiveNodes derives from a pseudo-state the set of i-active nodes given
 // the object's source set: a node is active iff it is a source or is
 // reachable from a source across active edges (the active-state
-// derivation of §III-A).
+// derivation of §III-A). It runs the plain closure BFS graph.Reachable,
+// the reference the packed ActiveNodesInto is tested against.
 func (m *ICM) ActiveNodes(sources []graph.NodeID, x PseudoState) []bool {
-	return m.ActiveNodesInto(sources, x, nil, nil)
+	return m.G.Reachable(sources, edgeActive(x))
 }
 
 // HasFlow reports whether pseudo-state x gives rise to the end-to-end

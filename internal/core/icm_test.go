@@ -36,8 +36,8 @@ func TestSamplePseudoStateMarginals(t *testing.T) {
 	counts := make([]int, 3)
 	for i := 0; i < trials; i++ {
 		x := m.SamplePseudoState(r)
-		for e, a := range x {
-			if a {
+		for e := range counts {
+			if x.Test(e) {
 				counts[e]++
 			}
 		}
@@ -50,17 +50,28 @@ func TestSamplePseudoStateMarginals(t *testing.T) {
 	}
 }
 
+// stateOf packs per-edge activities into a pseudo-state.
+func stateOf(active ...bool) PseudoState {
+	x := NewPseudoState(len(active))
+	for id, a := range active {
+		if a {
+			x.Set(id)
+		}
+	}
+	return x
+}
+
 func TestLogProbPseudoState(t *testing.T) {
 	g := graph.Path(3)
 	m := MustNewICM(g, []float64{0.25, 0.5})
-	x := PseudoState{true, false}
+	x := stateOf(true, false)
 	want := math.Log(0.25) + math.Log(0.5)
 	if got := m.LogProbPseudoState(x); math.Abs(got-want) > 1e-12 {
 		t.Errorf("logprob = %v want %v", got, want)
 	}
 	// Zero-probability state.
 	m2 := MustNewICM(graph.Path(2), []float64{0})
-	if got := m2.LogProbPseudoState(PseudoState{true}); !math.IsInf(got, -1) {
+	if got := m2.LogProbPseudoState(stateOf(true)); !math.IsInf(got, -1) {
 		t.Errorf("impossible state logprob = %v", got)
 	}
 }
@@ -81,7 +92,9 @@ func TestLogProbSumsToOne(t *testing.T) {
 		for bits := 0; bits < 1<<mE; bits++ {
 			x := NewPseudoState(mE)
 			for e := 0; e < mE; e++ {
-				x[e] = bits&(1<<e) != 0
+				if bits&(1<<e) != 0 {
+					x.Set(e)
+				}
 			}
 			total += math.Exp(m.LogProbPseudoState(x))
 		}
@@ -99,8 +112,8 @@ func TestActiveNodesMatchesReachability(t *testing.T) {
 	e23 := g.MustAddEdge(2, 3)
 	m := MustNewICM(g, []float64{0.5, 0.5, 0.5})
 	x := NewPseudoState(3)
-	x[e01] = true
-	x[e23] = true // parent 2 inactive, so 3 must stay inactive
+	x.Set(int(e01))
+	x.Set(int(e23)) // parent 2 inactive, so 3 must stay inactive
 	active := m.ActiveNodes([]graph.NodeID{0}, x)
 	want := []bool{true, true, false, false}
 	for v := range want {
@@ -133,17 +146,5 @@ func TestHasFlowAgreesWithActiveNodes(t *testing.T) {
 	}, &quick.Config{MaxCount: 150})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPseudoStateClone(t *testing.T) {
-	x := PseudoState{true, false, true}
-	c := x.Clone()
-	c[0] = false
-	if !x[0] {
-		t.Fatal("clone aliases original")
-	}
-	if x.CountActive() != 2 || c.CountActive() != 1 {
-		t.Fatal("CountActive wrong")
 	}
 }

@@ -62,7 +62,7 @@ func (m *ICM) EnumImpactDistribution(sources []graph.NodeID) ([]float64, error) 
 			return
 		}
 		if i == me {
-			active := m.G.Reachable(distinct, func(id graph.EdgeID) bool { return x[id] })
+			active := m.G.Reachable(distinct, edgeActive(x))
 			count := 0
 			for _, a := range active {
 				if a {
@@ -72,9 +72,9 @@ func (m *ICM) EnumImpactDistribution(sources []graph.NodeID) ([]float64, error) 
 			out[count-nSources] += math.Exp(logp)
 			return
 		}
-		x[i] = true
+		x.Set(i)
 		rec(i+1, logp+logOf(m.P[i]))
-		x[i] = false
+		x.Clear(i)
 		rec(i+1, logp+log1pOf(-m.P[i]))
 	}
 	rec(0, 0)

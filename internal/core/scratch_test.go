@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"infoflow/internal/bitset"
 	"infoflow/internal/graph"
 	"infoflow/internal/rng"
 )
@@ -20,12 +21,13 @@ func randomScratchICM(r *rng.RNG, n, m int) *ICM {
 }
 
 // TestScratchVariantsMatchClosureAPIs cross-checks ActiveNodesInto,
-// HasFlowScratch and SatisfiesScratch against ActiveNodes, HasFlow and
-// Satisfies over random models and pseudo-states, reusing one scratch.
+// HasFlowScratch and SatisfiesScratch against ActiveNodes, which runs
+// the closure reference graph.Reachable, over random models and
+// pseudo-states, reusing one scratch.
 func TestScratchVariantsMatchClosureAPIs(t *testing.T) {
 	r := rng.New(21)
 	sc := graph.NewScratch(0)
-	var active []bool
+	var active bitset.Set
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + r.Intn(12)
 		m := randomScratchICM(r, n, r.Intn(3*n))
@@ -35,18 +37,19 @@ func TestScratchVariantsMatchClosureAPIs(t *testing.T) {
 		want := m.ActiveNodes(srcs, x)
 		active = m.ActiveNodesInto(srcs, x, sc, active)
 		for v := range want {
-			if active[v] != want[v] {
+			if active.Test(v) != want[v] {
 				t.Fatalf("trial %d node %d: ActiveNodesInto %v, ActiveNodes %v",
-					trial, v, active[v], want[v])
+					trial, v, active.Test(v), want[v])
 			}
 		}
 
-		for u := 0; u < n; u++ {
+		reach := make([][]bool, n)
+		for u := range reach {
+			reach[u] = m.ActiveNodes([]graph.NodeID{graph.NodeID(u)}, x)
 			for v := 0; v < n; v++ {
-				hw := m.HasFlow(graph.NodeID(u), graph.NodeID(v), x)
 				hs := m.HasFlowScratch(graph.NodeID(u), graph.NodeID(v), x, sc)
-				if hw != hs {
-					t.Fatalf("trial %d: flow %d~>%d: scratch %v, closure %v", trial, u, v, hs, hw)
+				if hs != reach[u][v] {
+					t.Fatalf("trial %d: flow %d~>%d: scratch %v, closure %v", trial, u, v, hs, reach[u][v])
 				}
 			}
 		}
@@ -56,8 +59,15 @@ func TestScratchVariantsMatchClosureAPIs(t *testing.T) {
 			u, v := graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))
 			conds = append(conds, FlowCondition{Source: u, Sink: v, Require: r.Bernoulli(0.5)})
 		}
-		if got, want := m.SatisfiesScratch(x, conds, sc), m.Satisfies(x, conds); got != want {
-			t.Fatalf("trial %d: SatisfiesScratch %v, Satisfies %v (conds %+v)", trial, got, want, conds)
+		sat := true
+		for _, c := range conds {
+			sat = sat && reach[c.Source][c.Sink] == c.Require
+		}
+		if got := m.SatisfiesScratch(x, conds, sc); got != sat {
+			t.Fatalf("trial %d: SatisfiesScratch %v, closure %v (conds %+v)", trial, got, sat, conds)
+		}
+		if got := m.Satisfies(x, conds); got != sat {
+			t.Fatalf("trial %d: Satisfies %v, closure %v (conds %+v)", trial, got, sat, conds)
 		}
 		if !m.SatisfiesScratch(x, nil, sc) {
 			t.Fatalf("trial %d: empty condition set must be satisfied", trial)
@@ -72,7 +82,7 @@ func TestCoreScratchZeroAlloc(t *testing.T) {
 	m := randomScratchICM(r, 100, 400)
 	x := m.SamplePseudoState(r)
 	sc := graph.NewScratch(m.NumNodes())
-	active := make([]bool, m.NumNodes())
+	active := bitset.New(m.NumNodes())
 	srcs := []graph.NodeID{0}
 	conds := []FlowCondition{{Source: 0, Sink: 50, Require: m.HasFlow(0, 50, x)}}
 	m.ActiveNodesInto(srcs, x, sc, active)

@@ -2,20 +2,21 @@ package graph
 
 import "infoflow/internal/bitset"
 
-// This file is the packed tier of the traversal engine. The scalar tier
-// (scratch.go) answers one reachability question per O(n+m) sweep over
-// a []bool edge mask; here the active-edge mask is a packed bitset.Set
-// (the sampler's pseudo-state shadow slots in directly) and the visited
-// set is the packed destination itself. The multi-query sweeps that
-// answer 64*W flow queries per pass live in lanes_wide.go.
+// This file holds the single-query kernels of the traversal engine. The
+// active-edge mask is a packed bitset.Set (a pseudo-state slots in
+// directly) and scratch state is caller-owned, so steady-state calls
+// allocate nothing. The multi-query sweeps that answer 64*W flow
+// queries per pass live in lanes_wide.go and lanes_reverse.go. The
+// closure traversals Reachable and HasPath (traverse.go) are the plain
+// BFS reference every kernel is tested against.
 
-// ReachableBitsInto is ReachableInto with both the active-edge mask and
-// the destination packed: dst[v/64] bit v%64 is set iff v is a source or
-// reachable from one across edges whose bit in active is set. dst
-// doubles as the visited set, so the per-call reset is a word-wise clear
-// (n/64 stores) instead of the []bool variant's n. If sc is nil a
-// temporary Scratch is allocated; if dst cannot hold NumNodes bits a
-// fresh set is allocated. The returned set is dst (or its replacement).
+// ReachableBitsInto is the allocation-free, packed variant of Reachable:
+// dst[v/64] bit v%64 is set iff v is a source or reachable from one
+// across edges whose bit in active is set. dst doubles as the visited
+// set, so the per-call reset is a word-wise clear (n/64 stores). If sc
+// is nil a temporary Scratch is allocated; if dst cannot hold NumNodes
+// bits a fresh set is allocated. The returned set is dst (or its
+// replacement).
 //
 //flowlint:hotpath
 func (g *DiGraph) ReachableBitsInto(sources []NodeID, active bitset.Set, sc *Scratch, dst bitset.Set) bitset.Set {
@@ -53,12 +54,18 @@ func (g *DiGraph) ReachableBitsInto(sources []NodeID, active bitset.Set, sc *Scr
 	return dst
 }
 
-// HasPathBits is HasPathScratch with a packed active-edge mask: it
+// HasPathBits is the allocation-free, packed variant of HasPath: it
 // reports whether sink is reachable from source across edges whose bit
-// in active is set, searching bidirectionally with early exit. The
-// visited sets stay epoch-stamped (not packed) because the bidirectional
-// search touches only O(sqrt m) nodes in the common case — an O(1)
-// epoch bump beats even a word-wise clear there.
+// in active is set. If sc is nil a temporary Scratch is allocated.
+//
+// Unlike HasPath it searches bidirectionally — expanding whichever of
+// the forward (out-edges from source) and backward (in-edges from sink)
+// frontiers is currently smaller, and declaring a path the moment the
+// two meet. On the sparse random graphs the samplers walk, the frontiers
+// meet after visiting O(sqrt m) edges rather than O(m). The answer is
+// identical to HasPath's for every input. The visited sets stay
+// epoch-stamped (not packed) because the search touches so few nodes
+// that an O(1) epoch bump beats even a word-wise clear.
 //
 //flowlint:hotpath
 func (g *DiGraph) HasPathBits(source, sink NodeID, active bitset.Set, sc *Scratch) bool {

@@ -39,7 +39,7 @@ func TestReachLanesWideReverseMatchesTransposedForward(t *testing.T) {
 		n := 2 + r.Intn(59)
 		g := randomTestGraph(r, n, r.Intn(3*n))
 		gt := transposed(t, g)
-		_, packed := packedMask(r, g.NumEdges(), r.Float64())
+		packed := randomMask(r, g.NumEdges(), r.Float64())
 		lanes := laneCounts[trial%len(laneCounts)]
 		roots, rootBits := wideSeeding(r, n, lanes)
 
@@ -59,29 +59,28 @@ func TestReachLanesWideReverseMatchesTransposedForward(t *testing.T) {
 }
 
 // TestReachLanesWideReverseMatchesScalar cross-checks each lane of the
-// reverse sweep against a scalar ReachableInto on the transposed graph:
+// reverse sweep against the closure Reachable on the transposed graph:
 // node u carries lane L iff u reaches roots[L] across active edges in
 // g, i.e. iff roots[L] reaches u in the transpose. Independent of the
 // wide differential above, this pins the semantics to first principles.
 func TestReachLanesWideReverseMatchesScalar(t *testing.T) {
 	r := rng.New(54)
-	sc, scRef := NewScratch(0), NewScratch(0)
+	sc := NewScratch(0)
 	reach := &bitset.LaneMatrix{}
-	var fwd []bool
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + r.Intn(40)
 		g := randomTestGraph(r, n, r.Intn(3*n))
 		gt := transposed(t, g)
-		mask, packed := packedMask(r, g.NumEdges(), r.Float64())
+		packed := randomMask(r, g.NumEdges(), r.Float64())
 		lanes := 1 + r.Intn(70)
 		roots, rootBits := wideSeeding(r, n, lanes)
 
 		g.ReachLanesWideReverseInto(roots, rootBits, packed, sc, reach)
 		for l := 0; l < lanes; l++ {
-			fwd = gt.ReachableInto([]NodeID{roots[l]}, mask, scRef, fwd)
+			fwd := gt.Reachable([]NodeID{roots[l]}, maskPred(packed))
 			for v := 0; v < n; v++ {
 				if got := reach.TestBit(v, l); got != fwd[v] {
-					t.Fatalf("trial %d lane %d (root %d): node %d: reverse says %v, scalar transpose says %v",
+					t.Fatalf("trial %d lane %d (root %d): node %d: reverse says %v, transposed Reachable says %v",
 						trial, l, roots[l], v, got, fwd[v])
 				}
 			}
@@ -99,7 +98,7 @@ func TestReachLanesWideReverseSharedLanes(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 2 + r.Intn(40)
 		g := randomTestGraph(r, n, r.Intn(3*n))
-		_, packed := packedMask(r, g.NumEdges(), r.Float64())
+		packed := randomMask(r, g.NumEdges(), r.Float64())
 		u, v := NodeID(r.Intn(n)), NodeID(r.Intn(n))
 
 		both := bitset.NewLaneMatrix(2, 1)
@@ -129,7 +128,7 @@ func TestReachLanesWideReverseZeroAlloc(t *testing.T) {
 	n := 400
 	g := Random(r, n, 1200)
 	m := g.NumEdges()
-	_, packed := packedMask(r, m, 0.4)
+	packed := randomMask(r, m, 0.4)
 	roots, rootBits := wideSeeding(r, n, 512)
 	sc := NewScratch(n)
 	reach := &bitset.LaneMatrix{}
@@ -153,7 +152,7 @@ func TestReachLanesWideReverseZeroAlloc(t *testing.T) {
 func BenchmarkReachLanesWideReverse(b *testing.B) {
 	r := rng.New(2)
 	g := Random(r, 6000, 14000)
-	_, packed := packedMask(r, g.NumEdges(), 0.5)
+	packed := randomMask(r, g.NumEdges(), 0.5)
 	sc := NewScratch(g.NumNodes())
 	roots, rootBits := wideSeeding(r, g.NumNodes(), 512)
 	reach := &bitset.LaneMatrix{}

@@ -7,15 +7,9 @@ import (
 	"infoflow/internal/rng"
 )
 
-// packedMask draws a random active-edge mask in both representations,
-// reusing scratch_test's randomMask for the scalar one.
-func packedMask(r *rng.RNG, m int, p float64) ([]bool, bitset.Set) {
-	mask := randomMask(r, m, p)
-	return mask, bitset.FromBools(nil, mask)
-}
-
 // TestReachableBitsMatchesScalar proves the packed-mask BFS agrees
-// bit-for-bit with ReachableInto on random graphs and masks.
+// bit-for-bit with the closure reference Reachable on random graphs and
+// masks.
 func TestReachableBitsMatchesScalar(t *testing.T) {
 	r := rng.New(31)
 	sc := NewScratch(0)
@@ -23,13 +17,13 @@ func TestReachableBitsMatchesScalar(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + r.Intn(59)
 		g := randomTestGraph(r, n, r.Intn(3*n))
-		mask, packed := packedMask(r, g.NumEdges(), r.Float64())
+		packed := randomMask(r, g.NumEdges(), r.Float64())
 		nSrc := 1 + r.Intn(3)
 		sources := make([]NodeID, nSrc)
 		for i := range sources {
 			sources[i] = NodeID(r.Intn(n))
 		}
-		want := g.ReachableInto(sources, mask, sc, nil)
+		want := g.Reachable(sources, maskPred(packed))
 		packedDst = g.ReachableBitsInto(sources, packed, sc, packedDst)
 		for v := 0; v < n; v++ {
 			if packedDst.Test(v) != want[v] {
@@ -41,18 +35,18 @@ func TestReachableBitsMatchesScalar(t *testing.T) {
 }
 
 // TestHasPathBitsMatchesScalar proves the packed-mask bidirectional
-// search agrees with HasPathScratch (and hence HasPath) everywhere.
+// search agrees with the closure reference HasPath everywhere.
 func TestHasPathBitsMatchesScalar(t *testing.T) {
 	r := rng.New(32)
 	sc := NewScratch(0)
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + r.Intn(49)
 		g := randomTestGraph(r, n, r.Intn(3*n))
-		mask, packed := packedMask(r, g.NumEdges(), r.Float64())
+		packed := randomMask(r, g.NumEdges(), r.Float64())
 		for q := 0; q < 20; q++ {
 			u := NodeID(r.Intn(n))
 			v := NodeID(r.Intn(n))
-			want := g.HasPathScratch(u, v, mask, sc)
+			want := g.HasPath(u, v, maskPred(packed))
 			if got := g.HasPathBits(u, v, packed, sc); got != want {
 				t.Fatalf("trial %d: %d~>%d packed=%v scalar=%v", trial, u, v, got, want)
 			}
@@ -61,7 +55,7 @@ func TestHasPathBitsMatchesScalar(t *testing.T) {
 }
 
 // TestReachLanesMatchesScalar proves the 64-lane (W = 1) sweep agrees
-// lane by lane with one scalar ReachableInto per source, across random
+// lane by lane with one closure Reachable per source, across random
 // graphs, masks, and every lane count 1..64.
 func TestReachLanesMatchesScalar(t *testing.T) {
 	r := rng.New(33)
@@ -70,7 +64,7 @@ func TestReachLanesMatchesScalar(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + r.Intn(59)
 		g := randomTestGraph(r, n, r.Intn(3*n))
-		mask, packed := packedMask(r, g.NumEdges(), r.Float64())
+		packed := randomMask(r, g.NumEdges(), r.Float64())
 		lanes := 1 + trial%64 // sweep the lane counts across trials
 		seeds, seedBits := wideSeeding(r, n, lanes)
 		g.ReachLanesWideInto(seeds, seedBits, packed, sc, reach)
@@ -78,7 +72,7 @@ func TestReachLanesMatchesScalar(t *testing.T) {
 			t.Fatalf("trial %d: reach shaped %dx%d, want %dx1", trial, reach.Rows, reach.W, n)
 		}
 		for l := 0; l < lanes; l++ {
-			want := g.ReachableInto([]NodeID{seeds[l]}, mask, sc, nil)
+			want := g.Reachable([]NodeID{seeds[l]}, maskPred(packed))
 			for v := 0; v < n; v++ {
 				if got := reach.TestBit(v, l); got != want[v] {
 					t.Fatalf("trial %d lane %d (seed %d): node %d lane=%v scalar=%v",
@@ -105,7 +99,7 @@ func TestReachLanesSharedAndMergedLanes(t *testing.T) {
 	sc := NewScratch(0)
 	n := 40
 	g := Random(r, n, 120)
-	mask, packed := packedMask(r, g.NumEdges(), 0.5)
+	packed := randomMask(r, g.NumEdges(), 0.5)
 	// Lane 0 seeded at nodes 1 and 2; node 3 seeded with lanes 1 and 2.
 	seedBits := bitset.NewLaneMatrix(3, 1)
 	seedBits.SetBit(0, 0)
@@ -114,15 +108,15 @@ func TestReachLanesSharedAndMergedLanes(t *testing.T) {
 	seedBits.SetBit(2, 2)
 	reach := &bitset.LaneMatrix{}
 	g.ReachLanesWideInto([]NodeID{1, 2, 3}, seedBits, packed, sc, reach)
-	multi := g.ReachableInto([]NodeID{1, 2}, mask, sc, nil)
-	single := g.ReachableInto([]NodeID{3}, mask, sc, nil)
+	multi := g.Reachable([]NodeID{1, 2}, maskPred(packed))
+	single := g.Reachable([]NodeID{3}, maskPred(packed))
 	for v := 0; v < n; v++ {
 		if got := reach.TestBit(v, 0); got != multi[v] {
-			t.Fatalf("node %d shared lane 0 = %v, scalar multi-source = %v", v, got, multi[v])
+			t.Fatalf("node %d shared lane 0 = %v, multi-source Reachable = %v", v, got, multi[v])
 		}
 		for _, l := range []int{1, 2} {
 			if got := reach.TestBit(v, l); got != single[v] {
-				t.Fatalf("node %d lane %d = %v, scalar = %v", v, l, got, single[v])
+				t.Fatalf("node %d lane %d = %v, Reachable = %v", v, l, got, single[v])
 			}
 		}
 	}
@@ -135,7 +129,7 @@ func TestLaneKernelsZeroAlloc(t *testing.T) {
 	r := rng.New(35)
 	n := 400
 	g := Random(r, n, 1200)
-	_, packed := packedMask(r, g.NumEdges(), 0.4)
+	packed := randomMask(r, g.NumEdges(), 0.4)
 	sc := NewScratch(n)
 	dst := bitset.New(n)
 	reach, wideReach := &bitset.LaneMatrix{}, &bitset.LaneMatrix{}
@@ -163,7 +157,7 @@ func TestLaneKernelsZeroAlloc(t *testing.T) {
 func BenchmarkReachLanes64(b *testing.B) {
 	r := rng.New(2)
 	g := Random(r, 6000, 14000)
-	_, packed := packedMask(r, g.NumEdges(), 0.5)
+	packed := randomMask(r, g.NumEdges(), 0.5)
 	sc := NewScratch(g.NumNodes())
 	seeds, seedBits := wideSeeding(r, g.NumNodes(), 64)
 	reach := &bitset.LaneMatrix{}
@@ -175,12 +169,11 @@ func BenchmarkReachLanes64(b *testing.B) {
 	}
 }
 
-// BenchmarkReachableBits measures the packed single-source sweep against
-// which the []bool variant in traverse benchmarks compares.
+// BenchmarkReachableBits measures the packed single-source sweep.
 func BenchmarkReachableBits(b *testing.B) {
 	r := rng.New(2)
 	g := Random(r, 6000, 14000)
-	_, packed := packedMask(r, g.NumEdges(), 0.5)
+	packed := randomMask(r, g.NumEdges(), 0.5)
 	sc := NewScratch(g.NumNodes())
 	dst := bitset.New(g.NumNodes())
 	sources := []NodeID{0}

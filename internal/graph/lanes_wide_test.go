@@ -21,7 +21,7 @@ func wideSeeding(r *rng.RNG, n, lanes int) ([]NodeID, *bitset.LaneMatrix) {
 }
 
 // TestReachLanesWideMatchesScalar proves the W-word sweep agrees lane by
-// lane with one scalar ReachableInto per seed, across random graphs,
+// lane with one closure Reachable per seed, across random graphs,
 // masks, widths W ∈ {1, 2, 4, 8} and ragged lane counts that leave the
 // top word partly empty (65, 511, ...).
 func TestReachLanesWideMatchesScalar(t *testing.T) {
@@ -32,7 +32,7 @@ func TestReachLanesWideMatchesScalar(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + r.Intn(59)
 		g := randomTestGraph(r, n, r.Intn(3*n))
-		mask, packed := packedMask(r, g.NumEdges(), r.Float64())
+		packed := randomMask(r, g.NumEdges(), r.Float64())
 		lanes := laneCounts[trial%len(laneCounts)]
 		seeds, seedBits := wideSeeding(r, n, lanes)
 		g.ReachLanesWideInto(seeds, seedBits, packed, sc, reach)
@@ -40,7 +40,7 @@ func TestReachLanesWideMatchesScalar(t *testing.T) {
 			t.Fatalf("trial %d: reach shaped %dx%d, want %dx%d", trial, reach.Rows, reach.W, n, seedBits.W)
 		}
 		for l := 0; l < lanes; l++ {
-			want := g.ReachableInto([]NodeID{seeds[l]}, mask, sc, nil)
+			want := g.Reachable([]NodeID{seeds[l]}, maskPred(packed))
 			for v := 0; v < n; v++ {
 				if got := reach.TestBit(v, l); got != want[v] {
 					t.Fatalf("trial %d lane %d (seed %d): node %d lane=%v scalar=%v",
@@ -71,7 +71,7 @@ func TestReachLanesWideMatches64Lane(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + r.Intn(79)
 		g := randomTestGraph(r, n, r.Intn(4*n))
-		_, packed := packedMask(r, g.NumEdges(), r.Float64())
+		packed := randomMask(r, g.NumEdges(), r.Float64())
 		lanes := 1 + r.Intn(64)
 		seeds, narrowBits := wideSeeding(r, n, lanes)
 		g.ReachLanesWideInto(seeds, narrowBits, packed, sc, narrow)
@@ -106,7 +106,7 @@ func TestLaneEngineMatchesFullSweep(t *testing.T) {
 		n := 30 + r.Intn(80)
 		g := randomTestGraph(r, n, 2*n+r.Intn(3*n))
 		m := g.NumEdges()
-		_, active := packedMask(r, m, 0.25+0.4*r.Float64())
+		active := randomMask(r, m, 0.25+0.4*r.Float64())
 		lanes := []int{1, 64, 65, 130, 511}[trial%5]
 		seeds, seedBits := wideSeeding(r, n, lanes)
 		e := NewLaneEngine(g)
@@ -137,7 +137,7 @@ func TestLaneEngineMatchesFullSweep(t *testing.T) {
 func BenchmarkReachLanesWide(b *testing.B) {
 	r := rng.New(2)
 	g := Random(r, 6000, 14000)
-	_, packed := packedMask(r, g.NumEdges(), 0.5)
+	packed := randomMask(r, g.NumEdges(), 0.5)
 	sc := NewScratch(g.NumNodes())
 	seeds, seedBits := wideSeeding(r, g.NumNodes(), 512)
 	reach := &bitset.LaneMatrix{}

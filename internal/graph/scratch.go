@@ -2,11 +2,11 @@ package graph
 
 import "infoflow/internal/bitset"
 
-// Scratch is reusable breadth-first-search state for the mask-based
-// traversal variants (ReachableInto, HasPathScratch). It exists so the
-// Metropolis-Hastings hot path — which runs one traversal per condition
-// check and per thinned output sample — performs zero allocations in
-// steady state.
+// Scratch is reusable traversal state for the packed-mask kernels
+// (ReachableBitsInto, HasPathBits and the wide-lane sweeps). It exists so
+// the Metropolis-Hastings hot path — which runs one traversal per
+// condition check and per thinned output sample — performs zero
+// allocations in steady state.
 //
 // The visited set is an epoch-stamped array: stamp[v] records the epoch
 // of the last traversal that visited v, so "reset" is a single epoch
@@ -101,132 +101,4 @@ func (sc *Scratch) beginCondense(n int) {
 	for i := 0; i < n; i++ {
 		sc.dfsIdx[i] = -1
 	}
-}
-
-// ReachableInto is the mask-based, allocation-free variant of Reachable:
-// active is a dense edge mask indexed by EdgeID (a pseudo-state slots in
-// directly), sc holds the reusable traversal state, and dst receives the
-// result. If sc is nil a temporary Scratch is allocated; if dst is nil or
-// of the wrong length a fresh slice is allocated. dst must not alias
-// active. The returned slice is dst (or its replacement), with dst[v]
-// true iff v is a source or reachable from one across active edges —
-// exactly Reachable's contract.
-//
-//flowlint:hotpath
-func (g *DiGraph) ReachableInto(sources []NodeID, active []bool, sc *Scratch, dst []bool) []bool {
-	n := g.NumNodes()
-	if sc == nil {
-		sc = tempScratch(n)
-	}
-	if len(dst) != n {
-		//flowlint:ignore hotpath -- documented cold fallback when the caller passes no dst; steady-state callers reuse theirs
-		dst = make([]bool, n)
-	} else {
-		for i := range dst {
-			dst[i] = false
-		}
-	}
-	mark, _ := sc.begin(n)
-	stamp := sc.stamp
-	queue := sc.queue[:0]
-	for _, s := range sources {
-		if stamp[s] != mark {
-			stamp[s] = mark
-			dst[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, id := range g.out[v] {
-			if !active[id] {
-				continue
-			}
-			w := g.edges[id].To
-			if stamp[w] != mark {
-				stamp[w] = mark
-				dst[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	sc.queue = queue[:0]
-	return dst
-}
-
-// HasPathScratch is the mask-based, allocation-free variant of HasPath:
-// it reports whether sink is reachable from source across edges whose
-// mask entry is true. If sc is nil a temporary Scratch is allocated.
-//
-// Unlike HasPath it searches bidirectionally — expanding whichever of the
-// forward (out-edges from source) and backward (in-edges from sink)
-// frontiers is currently smaller, and declaring a path the moment the two
-// meet. On the sparse random graphs the samplers walk, the frontiers meet
-// after visiting O(√m) edges rather than O(m), which is where most of the
-// per-sample speedup over the closure API comes from. The answer is
-// identical to HasPath's for every input.
-//
-//flowlint:hotpath
-func (g *DiGraph) HasPathScratch(source, sink NodeID, active []bool, sc *Scratch) bool {
-	if source == sink {
-		return true
-	}
-	n := g.NumNodes()
-	if sc == nil {
-		sc = tempScratch(n)
-	}
-	fwd, bwd := sc.begin(n)
-	stamp := sc.stamp
-	stamp[source] = fwd
-	stamp[sink] = bwd
-	fq := append(sc.queue[:0], source)
-	bq := append(sc.back[:0], sink)
-	fhead, bhead := 0, 0
-	met := false
-	for !met {
-		fpend, bpend := len(fq)-fhead, len(bq)-bhead
-		if fpend == 0 || bpend == 0 {
-			// One search exhausted its reachable set without touching the
-			// other's marks: no path.
-			break
-		}
-		if fpend <= bpend {
-			v := fq[fhead]
-			fhead++
-			for _, id := range g.out[v] {
-				if !active[id] {
-					continue
-				}
-				w := g.edges[id].To
-				if stamp[w] == bwd {
-					met = true
-					break
-				}
-				if stamp[w] != fwd {
-					stamp[w] = fwd
-					fq = append(fq, w)
-				}
-			}
-		} else {
-			v := bq[bhead]
-			bhead++
-			for _, id := range g.in[v] {
-				if !active[id] {
-					continue
-				}
-				w := g.edges[id].From
-				if stamp[w] == fwd {
-					met = true
-					break
-				}
-				if stamp[w] != bwd {
-					stamp[w] = bwd
-					bq = append(bq, w)
-				}
-			}
-		}
-	}
-	sc.queue = fq[:0]
-	sc.back = bq[:0]
-	return met
 }

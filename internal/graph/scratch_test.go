@@ -3,6 +3,7 @@ package graph
 import (
 	"testing"
 
+	"infoflow/internal/bitset"
 	"infoflow/internal/rng"
 )
 
@@ -15,90 +16,48 @@ func randomTestGraph(r *rng.RNG, n, m int) *DiGraph {
 	return Random(r, n, m)
 }
 
-// randomMask builds a random edge mask with the given density.
-func randomMask(r *rng.RNG, m int, density float64) []bool {
-	mask := make([]bool, m)
-	for i := range mask {
-		mask[i] = r.Bernoulli(density)
+// randomMask builds a random packed edge mask with the given density.
+func randomMask(r *rng.RNG, m int, density float64) bitset.Set {
+	mask := bitset.New(m)
+	for i := 0; i < m; i++ {
+		if r.Bernoulli(density) {
+			mask.Set(i)
+		}
 	}
 	return mask
 }
 
-// TestReachableIntoMatchesReachable cross-checks the mask-based variant
-// against the closure API on random graphs, reusing one Scratch and one
-// destination slice across every trial to exercise the epoch reset.
-func TestReachableIntoMatchesReachable(t *testing.T) {
-	r := rng.New(11)
-	sc := NewScratch(0)
-	var dst []bool
-	for trial := 0; trial < 60; trial++ {
-		n := 2 + r.Intn(20)
-		m := r.Intn(3 * n)
-		g := randomTestGraph(r, n, m)
-		mask := randomMask(r, g.NumEdges(), 0.5)
-		sources := []NodeID{NodeID(r.Intn(n))}
-		if r.Bernoulli(0.5) {
-			sources = append(sources, NodeID(r.Intn(n)), sources[0])
-		}
-		want := g.Reachable(sources, func(id EdgeID) bool { return mask[id] })
-		dst = g.ReachableInto(sources, mask, sc, dst)
-		if len(dst) != n {
-			t.Fatalf("trial %d: result length %d want %d", trial, len(dst), n)
-		}
-		for v := range want {
-			if dst[v] != want[v] {
-				t.Fatalf("trial %d: node %d: ReachableInto %v, Reachable %v",
-					trial, v, dst[v], want[v])
-			}
-		}
-	}
+// maskPred adapts a packed edge mask to the edge predicate of the
+// closure reference traversals Reachable and HasPath.
+func maskPred(mask bitset.Set) func(EdgeID) bool {
+	return func(id EdgeID) bool { return mask.Test(int(id)) }
 }
 
-// TestHasPathScratchMatchesHasPath verifies the bidirectional search
-// agrees with the forward closure search for every node pair.
-func TestHasPathScratchMatchesHasPath(t *testing.T) {
-	r := rng.New(12)
-	sc := NewScratch(0)
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + r.Intn(14)
-		g := randomTestGraph(r, n, r.Intn(3*n))
-		mask := randomMask(r, g.NumEdges(), 0.4)
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				want := g.HasPath(NodeID(u), NodeID(v), func(id EdgeID) bool { return mask[id] })
-				got := g.HasPathScratch(NodeID(u), NodeID(v), mask, sc)
-				if got != want {
-					t.Fatalf("trial %d: %d~>%d: scratch %v, closure %v", trial, u, v, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestScratchNilAndGrowth covers the convenience paths: nil scratch, nil
-// dst, and reuse of one Scratch across graphs of increasing size.
+// TestScratchNilAndGrowth covers the convenience paths of the packed
+// kernels: nil scratch, nil dst, and reuse of one Scratch across graphs
+// of increasing size, each checked against the closure reference.
 func TestScratchNilAndGrowth(t *testing.T) {
 	r := rng.New(13)
 	sc := NewScratch(2)
 	for _, n := range []int{3, 8, 40} {
 		g := randomTestGraph(r, n, 2*n)
 		mask := randomMask(r, g.NumEdges(), 0.6)
-		want := g.Reachable([]NodeID{0}, func(id EdgeID) bool { return mask[id] })
-		got := g.ReachableInto([]NodeID{0}, mask, sc, nil)
+		want := g.Reachable([]NodeID{0}, maskPred(mask))
+		got := g.ReachableBitsInto([]NodeID{0}, mask, sc, nil)
 		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("n=%d node %d: %v vs %v", n, v, got[v], want[v])
+			if got.Test(v) != want[v] {
+				t.Fatalf("n=%d node %d: %v vs %v", n, v, got.Test(v), want[v])
 			}
 		}
 		// nil scratch allocates a temporary one.
-		got2 := g.ReachableInto([]NodeID{0}, mask, nil, nil)
+		got2 := g.ReachableBitsInto([]NodeID{0}, mask, nil, nil)
 		for v := range want {
-			if got2[v] != want[v] {
-				t.Fatalf("nil scratch n=%d node %d: %v vs %v", n, v, got2[v], want[v])
+			if got2.Test(v) != want[v] {
+				t.Fatalf("nil scratch n=%d node %d: %v vs %v", n, v, got2.Test(v), want[v])
 			}
 		}
-		if g.HasPathScratch(0, NodeID(n-1), mask, nil) != want[n-1] {
-			t.Fatalf("nil scratch HasPathScratch n=%d disagrees", n)
+		if g.HasPathBits(0, NodeID(n-1), mask, nil) != want[n-1] {
+			t.Fatalf("nil scratch HasPathBits n=%d disagrees", n)
 		}
 	}
 }
@@ -110,44 +69,18 @@ func TestScratchEpochWrap(t *testing.T) {
 	r := rng.New(14)
 	g := Random(r, 12, 30)
 	mask := randomMask(r, g.NumEdges(), 0.5)
-	want := g.Reachable([]NodeID{0}, func(id EdgeID) bool { return mask[id] })
+	want := g.Reachable([]NodeID{0}, maskPred(mask))
 	sc := NewScratch(g.NumNodes())
-	// Fill stamps with a traversal, then force the wrap.
-	g.ReachableInto([]NodeID{0}, mask, sc, nil)
+	// Fill stamps with a search per target, then force the wrap.
+	for v := range want {
+		g.HasPathBits(0, NodeID(v), mask, sc)
+	}
 	sc.epoch = ^uint32(0) - 1
 	for i := 0; i < 4; i++ {
-		got := g.ReachableInto([]NodeID{0}, mask, sc, nil)
 		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("post-wrap traversal %d: node %d: %v vs %v", i, v, got[v], want[v])
+			if g.HasPathBits(0, NodeID(v), mask, sc) != want[v] {
+				t.Fatalf("post-wrap search %d: node %d disagrees with Reachable", i, v)
 			}
 		}
-		if g.HasPathScratch(0, 11, mask, sc) != want[11] {
-			t.Fatalf("post-wrap HasPathScratch %d disagrees", i)
-		}
-	}
-}
-
-// TestTraversalZeroAlloc pins the steady-state contract: with a warmed
-// Scratch and destination slice, neither variant allocates.
-func TestTraversalZeroAlloc(t *testing.T) {
-	r := rng.New(15)
-	g := Random(r, 200, 800)
-	mask := randomMask(r, g.NumEdges(), 0.5)
-	sc := NewScratch(g.NumNodes())
-	dst := make([]bool, g.NumNodes())
-	sources := []NodeID{0, 7}
-	// Warm the queues.
-	g.ReachableInto(sources, mask, sc, dst)
-	g.HasPathScratch(0, 199, mask, sc)
-	if allocs := testing.AllocsPerRun(50, func() {
-		dst = g.ReachableInto(sources, mask, sc, dst)
-	}); allocs != 0 {
-		t.Errorf("ReachableInto allocates %v per run, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		g.HasPathScratch(0, 199, mask, sc)
-	}); allocs != 0 {
-		t.Errorf("HasPathScratch allocates %v per run, want 0", allocs)
 	}
 }

@@ -27,8 +27,8 @@ func TestUniformProposalSameDistribution(t *testing.T) {
 	counts := make([]int, 20)
 	opts := Options{BurnIn: 3000, Thin: 30, Samples: 20000}
 	if err := s.Run(opts, func(x core.PseudoState) {
-		for e, a := range x {
-			if a {
+		for e := range counts {
+			if x.Test(e) {
 				counts[e]++
 			}
 		}
@@ -93,7 +93,7 @@ func TestUniformProposalPinnedEdges(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		s.Step()
 	}
-	if !s.State()[0] || s.State()[1] {
+	if !s.State().Test(0) || s.State().Test(1) {
 		t.Fatalf("pinned state corrupted: %v", s.State())
 	}
 }

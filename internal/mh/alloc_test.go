@@ -86,8 +86,8 @@ func TestFlowProbSteadyStateZeroAlloc(t *testing.T) {
 	check("unconditioned", nil)
 	sink := graph.NodeID(1)
 	x := core.NewPseudoState(m.NumEdges())
-	for i := range x {
-		x[i] = true
+	for i := 0; i < m.NumEdges(); i++ {
+		x.Set(i)
 	}
 	require := m.HasFlow(0, sink, x) // satisfiable iff some all-active path exists
 	check("conditioned", []core.FlowCondition{{Source: 0, Sink: sink, Require: require}})

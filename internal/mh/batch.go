@@ -165,7 +165,7 @@ func (s *Sampler) countFlowHits(pairs []FlowPair, words, nChunks int) {
 	lanesPer := words * LaneWidth
 	for c := 0; c < nChunks; c++ {
 		reach := bs.reach[c]
-		s.m.G.ReachLanesWideInto(bs.seeds[c], bs.seedBits[c], s.xbits, s.scratch, reach)
+		s.m.G.ReachLanesWideInto(bs.seeds[c], bs.seedBits[c], s.x, s.scratch, reach)
 		lo := c * lanesPer
 		hi := min(lo+lanesPer, len(pairs))
 		for q := lo; q < hi; q++ {
@@ -234,7 +234,7 @@ func ImpactDistributionBatchOn(s *Sampler, sets [][]graph.NodeID, opts Options) 
 	}
 	err = s.Run(opts, func(core.PseudoState) {
 		for c := 0; c < nChunks; c++ {
-			s.m.G.ReachLanesWideInto(bs.seeds[c], bs.seedBits[c], s.xbits, s.scratch, bs.reach[c])
+			s.m.G.ReachLanesWideInto(bs.seeds[c], bs.seedBits[c], s.x, s.scratch, bs.reach[c])
 		}
 		for i, sp := range spans {
 			count := 0
@@ -312,7 +312,7 @@ func CommunityFlowProbsBatchWideOn(s *Sampler, sources []graph.NodeID, opts Opti
 	err = s.Run(opts, func(core.PseudoState) {
 		for c := 0; c < nChunks; c++ {
 			reach := bs.reach[c]
-			s.m.G.ReachLanesWideInto(bs.seeds[c], bs.seedBits[c], s.xbits, s.scratch, reach)
+			s.m.G.ReachLanesWideInto(bs.seeds[c], bs.seedBits[c], s.x, s.scratch, reach)
 			lo := c * lanesPer
 			for v := 0; v < n; v++ {
 				row := reach.Row(v)

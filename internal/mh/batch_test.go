@@ -3,7 +3,6 @@ package mh
 import (
 	"testing"
 
-	"infoflow/internal/bitset"
 	"infoflow/internal/core"
 	"infoflow/internal/graph"
 	"infoflow/internal/rng"
@@ -79,10 +78,7 @@ func TestFlowProbBatchMatchesPerPair(t *testing.T) {
 func TestFlowProbBatchConditioned(t *testing.T) {
 	m := batchTestModel(12, 25, 70)
 	// Condition on a flow the maximal state carries, so it is satisfiable.
-	x := core.NewPseudoState(m.NumEdges())
-	for i := range x {
-		x[i] = m.P[i] > 0
-	}
+	x := maximalState(m)
 	var conds []core.FlowCondition
 	for v := graph.NodeID(1); v < graph.NodeID(m.NumNodes()) && len(conds) == 0; v++ {
 		if m.HasFlow(0, v, x) {
@@ -208,40 +204,6 @@ func TestCommunityFlowProbsBatchWideWidthInvariance(t *testing.T) {
 	}
 }
 
-// TestStateBitsShadowsState pins the packed-shadow invariant: after any
-// number of accepted and rejected steps, StateBits equals the []bool
-// state bit for bit — including under conditions, whose rejected
-// candidate flips must not leak into the shadow.
-func TestStateBitsShadowsState(t *testing.T) {
-	m := batchTestModel(14, 25, 70)
-	check := func(name string, conds []core.FlowCondition) {
-		s, err := NewSampler(m, conds, rng.New(77))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for step := 0; step < 3000; step++ {
-			s.Step()
-			if step%250 != 0 {
-				continue
-			}
-			want := bitset.FromBools(nil, s.State())
-			got := s.StateBits()
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: step %d: shadow word %d = %#x, want %#x", name, step, i, got[i], want[i])
-				}
-			}
-		}
-	}
-	check("unconditioned", nil)
-	x := core.NewPseudoState(m.NumEdges())
-	for i := range x {
-		x[i] = m.P[i] > 0
-	}
-	sink := graph.NodeID(1)
-	check("conditioned", []core.FlowCondition{{Source: 0, Sink: sink, Require: m.HasFlow(0, sink, x)}})
-}
-
 // TestFlowProbBatchRejectsEmpty covers the argument guards.
 func TestFlowProbBatchRejectsEmpty(t *testing.T) {
 	m := batchTestModel(15, 10, 20)
@@ -344,22 +306,73 @@ func BenchmarkFlowProbBatch512Chunks64(b *testing.B) {
 // 6000/14000 from seed 2, p = 0.2 + 0.4U). The chain is burnt in first
 // (BurnIn = 4*Thin, as DefaultOptions sets it). allocs/op must read 0.
 func BenchmarkFlowProbBatch256Served(b *testing.B) {
+	m := servedModel()
+	s := servedSampler(b, m, nil)
+	benchBatchSample(b, s, randomPairs(rng.New(17), m.NumNodes(), 256), 4, DefaultOptions(m.NumEdges()).Thin)
+}
+
+// BenchmarkChainUpdateConditioned measures one chain update on the
+// served fixture under a cond_pages-shaped evidence set: one required
+// flow and two forbidden ones. Every proposal that passes the
+// Metropolis-Hastings test flips one bit of the packed state and pays a
+// SatisfiesScratch check, one bidirectional search per condition, on
+// that same set. allocs/op must read 0.
+func BenchmarkChainUpdateConditioned(b *testing.B) {
+	m := servedModel()
+	s := servedSampler(b, m, servedEvidence(m))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
+// servedModel is the §IV-C model the serving benchmark builds:
+// graph.Random 6000/14000 from seed 2, p = 0.2 + 0.4U.
+func servedModel() *core.ICM {
 	r := rng.New(2)
 	g := graph.Random(r, 6000, 14000)
 	p := make([]float64, g.NumEdges())
 	for i := range p {
 		p[i] = 0.2 + 0.4*r.Float64()
 	}
-	m := core.MustNewICM(g, p)
-	s, err := NewSampler(m, nil, rng.New(3))
+	return core.MustNewICM(g, p)
+}
+
+// servedSampler returns a chain on m under conds, burnt in for
+// DefaultOptions' BurnIn (4*NumEdges steps), as the server runs it.
+func servedSampler(b *testing.B, m *core.ICM, conds []core.FlowCondition) *Sampler {
+	b.Helper()
+	s, err := NewSampler(m, conds, rng.New(3))
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := DefaultOptions(m.NumEdges())
-	for k := 0; k < opts.BurnIn; k++ {
+	for k := 0; k < DefaultOptions(m.NumEdges()).BurnIn; k++ {
 		s.Step()
 	}
-	benchBatchSample(b, s, randomPairs(rng.New(17), m.NumNodes(), 256), 4, opts.Thin)
+	return s
+}
+
+// servedEvidence draws one required flow and two forbidden flows over
+// six distinct nodes, each pair connected in the full graph, redrawing
+// until a sampler can satisfy the set.
+func servedEvidence(m *core.ICM) []core.FlowCondition {
+	r := rng.New(19)
+	for {
+		used := map[graph.NodeID]bool{}
+		var conds []core.FlowCondition
+		for len(conds) < 3 {
+			u, v := graph.NodeID(r.Intn(m.NumNodes())), graph.NodeID(r.Intn(m.NumNodes()))
+			if u == v || used[u] || used[v] || !m.G.HasPath(u, v, graph.AllEdges) {
+				continue
+			}
+			used[u], used[v] = true, true
+			conds = append(conds, core.FlowCondition{Source: u, Sink: v, Require: len(conds) == 0})
+		}
+		if _, err := NewSampler(m, conds, rng.New(1)); err == nil {
+			return conds
+		}
+	}
 }
 
 // BenchmarkFlowProbSequential64 is the sequential baseline the batch is

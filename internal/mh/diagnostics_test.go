@@ -188,7 +188,7 @@ func TestThinningImprovesESS(t *testing.T) {
 		series := make([]float64, 0, 4000)
 		err = s.Run(Options{BurnIn: 500, Thin: thin, Samples: 4000}, func(x core.PseudoState) {
 			val := 0.0
-			if x[0] {
+			if x.Test(0) {
 				val = 1
 			}
 			series = append(series, val)

@@ -44,10 +44,10 @@ func CommunityFlowProbs(m *core.ICM, source graph.NodeID, conds []core.FlowCondi
 	srcs := []graph.NodeID{source}
 	active := bitset.New(m.NumNodes())
 	err = s.Run(opts, func(core.PseudoState) {
-		// The packed sweep reads the chain's bit-packed shadow state, and
+		// The sweep reads the chain's packed state as its edge mask, and
 		// the count update walks words, touching only nodes that are
 		// actually active (zero words cost one compare per 64 nodes).
-		active = m.ActiveNodesBitsInto(srcs, s.xbits, s.scratch, active)
+		active = m.ActiveNodesInto(srcs, s.x, s.scratch, active)
 		for wi, w := range active {
 			base := wi * 64
 			for ; w != 0; w &= w - 1 {
@@ -119,7 +119,7 @@ func ImpactDistribution(m *core.ICM, sources []graph.NodeID, conds []core.FlowCo
 	err = s.Run(opts, func(core.PseudoState) {
 		// Popcount over the packed active set: one OnesCount64 per 64
 		// nodes instead of an element-wise bool scan.
-		active = m.ActiveNodesBitsInto(sources, s.xbits, s.scratch, active)
+		active = m.ActiveNodesInto(sources, s.x, s.scratch, active)
 		impacts = append(impacts, active.Count()-nSources)
 	})
 	if err != nil {

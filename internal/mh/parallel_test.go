@@ -59,10 +59,7 @@ func TestParallelFlowProbsDeterministicConditioned(t *testing.T) {
 	var conds []core.FlowCondition
 	for {
 		m = randomICM(r, 8, 20)
-		x := core.NewPseudoState(m.NumEdges())
-		for i := range x {
-			x[i] = m.P[i] > 0
-		}
+		x := maximalState(m)
 		if m.NumNodes() >= 4 && m.HasFlow(0, 1, x) {
 			conds = []core.FlowCondition{{Source: 0, Sink: 1, Require: true}}
 			break

@@ -147,7 +147,7 @@ func BuildRRPoolOn(s *Sampler, targets []graph.NodeID, rootsPerSample, words int
 		for lo := 0; lo < rootsPerSample; lo += lanesPer {
 			hi := min(lo+lanesPer, rootsPerSample)
 			chunk := roots[base+lo : base+hi]
-			s.m.G.ReachLanesWideReverseInto(chunk, rootBits, s.xbits, s.scratch, reach)
+			s.m.G.ReachLanesWideReverseInto(chunk, rootBits, s.x, s.scratch, reach)
 			// Chunk boundaries are multiples of 64, so the chunk's lanes
 			// land word-aligned at global set index base+lo: an OR-copy
 			// of whole words places every RR bit at a position

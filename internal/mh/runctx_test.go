@@ -123,8 +123,8 @@ func TestRunCtxCancelledMidBurnIn(t *testing.T) {
 		t.Fatalf("resumed run emitted %d samples, want %d", len(resumed), opts.Samples)
 	}
 	for _, x := range resumed {
-		for e, active := range x {
-			if active && m.P[e] == 0 || !active && m.P[e] == 1 {
+		for e, p := range m.P {
+			if active := x.Test(e); active && p == 0 || !active && p == 1 {
 				t.Fatal("resumed chain reached an impossible state")
 			}
 		}

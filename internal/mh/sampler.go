@@ -86,16 +86,13 @@ type Sampler struct {
 	conds []core.FlowCondition
 	r     *rng.RNG
 
+	// x is the chain's pseudo-state, packed 64 edges per word. Step
+	// moves it with one XOR per flip (and a second to undo a flip the
+	// conditions reject); every estimator reads it directly as the
+	// active-edge mask of its traversal.
 	x       core.PseudoState
 	tree    *fenwick.Tree
 	uniform bool
-
-	// xbits is the packed shadow of x: always bit-for-bit equal to it,
-	// maintained with one XOR per accepted flip. The bit-parallel
-	// estimators (FlowProbBatch, CommunityFlowProbsBatch, and the
-	// popcount paths in CommunityFlowProbs/ImpactDistribution) read it as
-	// the active-edge mask without ever repacking the []bool state.
-	xbits bitset.Set
 
 	// scratch is the chain's owned traversal state: every condition
 	// check in Step and every estimator built on this sampler reuses it,
@@ -132,12 +129,11 @@ type Sampler struct {
 // must only be used from the goroutine driving the chain.
 func (s *Sampler) Scratch() *graph.Scratch { return s.scratch }
 
-// StateBits returns the packed shadow of the current pseudo-state,
-// suitable as the active-edge mask of the bit-parallel traversals
-// (HasFlowBits, ActiveNodesBitsInto, graph.ReachLanesWideInto). Like
-// State, the returned set is live chain state: callers must not modify
-// it and must copy it to retain it across Step calls.
-func (s *Sampler) StateBits() bitset.Set { return s.xbits }
+// StateBits returns State(). It is kept only because
+// servebench/replay.go compiles against it (see TrackFlips).
+//
+// Deprecated: use State, which is already packed.
+func (s *Sampler) StateBits() bitset.Set { return s.State() }
 
 // TrackFlips does nothing. It is kept only because servebench/replay.go,
 // the frozen serving benchmark, compiles against it.
@@ -175,10 +171,9 @@ func NewSampler(m *core.ICM, conds []core.FlowCondition, r *rng.RNG) (*Sampler, 
 		return nil, err
 	}
 	s.x = x
-	s.xbits = bitset.FromBools(nil, x)
 	weights := make([]float64, m.NumEdges())
 	for i := range weights {
-		weights[i] = flipWeight(m.P[i], x[i])
+		weights[i] = flipWeight(m.P[i], x.Test(i))
 	}
 	s.tree = fenwick.New(weights)
 	return s, nil
@@ -218,8 +213,10 @@ func (s *Sampler) initialState() (core.PseudoState, error) {
 func (s *Sampler) constructInitialState() (core.PseudoState, error) {
 	m := s.m
 	x := core.NewPseudoState(m.NumEdges())
-	for i := range x {
-		x[i] = m.P[i] > 0
+	for i, p := range m.P {
+		if p > 0 {
+			x.Set(i)
+		}
 	}
 	// A bounded number of repair rounds; each round cuts at least one
 	// edge, so m rounds suffice when repair is possible at all.
@@ -244,7 +241,7 @@ func (s *Sampler) constructInitialState() (core.PseudoState, error) {
 				return nil, fmt.Errorf("%w: flow %d~>%d is certain but forbidden",
 					ErrUnsatisfiable, c.Source, c.Sink)
 			}
-			x[id] = false
+			x.Clear(int(id))
 		}
 		if !violated {
 			return x, nil
@@ -275,7 +272,7 @@ func (s *Sampler) cuttableEdgeOnPath(x core.PseudoState, source, sink graph.Node
 	for head := 0; head < len(queue) && !found; head++ {
 		v := queue[head]
 		for _, id := range g.OutEdges(v) {
-			if !x[id] {
+			if !x.Test(int(id)) {
 				continue
 			}
 			w := g.Edge(id).To
@@ -337,7 +334,7 @@ func (s *Sampler) Step() bool {
 		// Uniform proposal ablation: q symmetric, so A = p(x')/p(x).
 		i = s.r.Intn(s.m.NumEdges())
 		p := s.m.P[i]
-		if s.x[i] {
+		if s.x.Test(i) {
 			if p >= 1 {
 				return false // flipping a certain edge off has density 0
 			}
@@ -354,7 +351,7 @@ func (s *Sampler) Step() bool {
 		// Z' after flipping edge i: the edge's proposal weight swaps
 		// between p and 1-p.
 		var zNew float64
-		if s.x[i] {
+		if s.x.Test(i) {
 			zNew = zt - (1 - p) + p
 		} else {
 			zNew = zt - p + (1 - p)
@@ -368,19 +365,12 @@ func (s *Sampler) Step() bool {
 	if a < 1 && s.r.Float64() > a {
 		return false
 	}
-	if len(s.conds) > 0 {
-		s.x[i] = !s.x[i]
-		ok := s.m.SatisfiesScratch(s.x, s.conds, s.scratch)
-		if !ok {
-			s.x[i] = !s.x[i] // reject: candidate violates C
-			return false
-		}
-		// Keep the flip.
-	} else {
-		s.x[i] = !s.x[i]
+	s.x.Flip(i)
+	if len(s.conds) > 0 && !s.m.SatisfiesScratch(s.x, s.conds, s.scratch) {
+		s.x.Flip(i) // reject: candidate violates C
+		return false
 	}
-	s.xbits.Flip(i) // the packed shadow tracks accepted flips only
-	s.tree.Set(i, flipWeight(s.m.P[i], s.x[i]))
+	s.tree.Set(i, flipWeight(s.m.P[i], s.x.Test(i)))
 	s.accepted++
 	s.winAccepted++
 	return true
@@ -426,7 +416,7 @@ func (s *Sampler) ResetCounters() {
 // whole lifetime.
 func (s *Sampler) Steps() int64 { return s.steps }
 
-// State returns the current pseudo-state. The returned slice is the live
+// State returns the current pseudo-state. The returned set is the live
 // chain state: callers must not modify it and must copy it to retain it
 // across Step calls.
 func (s *Sampler) State() core.PseudoState { return s.x }

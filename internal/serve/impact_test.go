@@ -274,6 +274,8 @@ func TestServerImpactBadRequests(t *testing.T) {
 		{"garbage sources", "/impact?sources=1,x", http.StatusBadRequest},
 		{"negative source", "/impact?sources=-2", http.StatusBadRequest},
 		{"out of range", "/impact?sources=99", http.StatusBadRequest},
+		{"past int32", "/impact?sources=4294967297", http.StatusBadRequest},
+		{"cond past int32", "/impact?sources=0&cond=4294967296>5=1", http.StatusBadRequest},
 		{"bad mode", "/impact?sources=0&mode=psychic", http.StatusBadRequest},
 		{"analytic with cond", "/impact?sources=0&mode=analytic&cond=1>2=1", http.StatusBadRequest},
 		{"bad samples", "/impact?sources=0&samples=0", http.StatusBadRequest},

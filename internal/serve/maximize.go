@@ -95,10 +95,8 @@ func (s *Server) parseMaximizeQuery(r *http.Request) (*maximizeQuery, *httpError
 	if err != nil {
 		return nil, badRequest("cond: %v", err)
 	}
-	for _, c := range conds {
-		if int(c.Source) < 0 || int(c.Source) >= n || int(c.Sink) < 0 || int(c.Sink) >= n {
-			return nil, badRequest("cond %d>%d references a node out of range [0, %d)", c.Source, c.Sink, n)
-		}
+	if err := CheckConds(conds, n); err != nil {
+		return nil, badRequest("%v", err)
 	}
 	q.conds = conds
 	q.condKey = condsKey(conds)

@@ -140,11 +140,13 @@ func TestServerMaximizeErrors(t *testing.T) {
 		{"model=m&k=bogus", http.StatusBadRequest},                       // non-numeric budget
 		{"model=m&k=21", http.StatusBadRequest},                          // budget beyond the node count
 		{"model=m&k=2&community=99", http.StatusBadRequest},              // target out of range
+		{"model=m&k=2&community=4294967297", http.StatusBadRequest},      // target id past int32
 		{"model=m&k=2&community=+", http.StatusBadRequest},               // malformed target list
 		{"model=m&k=2&roots=100", http.StatusBadRequest},                 // roots not a multiple of 64
 		{"model=m&k=2&samples=0", http.StatusBadRequest},                 // non-positive samples
 		{"model=m&k=2&samples=1000000", http.StatusBadRequest},           // pool over MaxSketchSets
 		{"model=m&k=2&cond=0>99=1", http.StatusBadRequest},               // cond node out of range
+		{"model=m&k=2&cond=4294967296>1=1", http.StatusBadRequest},       // cond id past int32
 		{"model=m&k=2&timeout=-1s", http.StatusBadRequest},               // negative deadline
 		{"model=nope&k=2", http.StatusNotFound},                          // unknown model
 		{"model=certain&k=1&cond=0>1=0", http.StatusUnprocessableEntity}, // p=1 edge, absence required

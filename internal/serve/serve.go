@@ -318,10 +318,8 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 	if err != nil {
 		return nil, badRequest("cond: %v", err)
 	}
-	for _, c := range conds {
-		if int(c.Source) < 0 || int(c.Source) >= n || int(c.Sink) < 0 || int(c.Sink) >= n {
-			return nil, badRequest("cond %d>%d references a node out of range [0, %d)", c.Source, c.Sink, n)
-		}
+	if err := CheckConds(conds, n); err != nil {
+		return nil, badRequest("%v", err)
 	}
 	q.conds = conds
 	q.condKey = condsKey(conds)
@@ -704,7 +702,8 @@ func writeError(w http.ResponseWriter, herr *httpError) {
 
 // ParseConds parses comma-separated flow conditions — "u>v=1" (flow
 // known present) or "u>v=0" (known absent) — into core form. An empty
-// string is no conditions. Shared with the flowquery CLI.
+// string is no conditions. Ids parse at graph.NodeID's 32 bits, so an
+// oversized id is an error, never a wrap. Shared with the flowquery CLI.
 func ParseConds(s string) ([]core.FlowCondition, error) {
 	if s == "" {
 		return nil, nil
@@ -720,11 +719,11 @@ func ParseConds(s string) ([]core.FlowCondition, error) {
 		if !ok {
 			return nil, fmt.Errorf("condition %q: want u>v=0|1", part)
 		}
-		un, err := strconv.Atoi(strings.TrimSpace(u))
+		un, err := strconv.ParseInt(strings.TrimSpace(u), 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("condition %q: %w", part, err)
 		}
-		vn, err := strconv.Atoi(strings.TrimSpace(v))
+		vn, err := strconv.ParseInt(strings.TrimSpace(v), 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("condition %q: %w", part, err)
 		}
@@ -742,10 +741,22 @@ func ParseConds(s string) ([]core.FlowCondition, error) {
 	return out, nil
 }
 
+// CheckConds returns an error naming the first condition whose source
+// or sink lies outside [0, n). Shared with the flowquery CLI.
+func CheckConds(conds []core.FlowCondition, n int) error {
+	for _, c := range conds {
+		if int(c.Source) < 0 || int(c.Source) >= n || int(c.Sink) < 0 || int(c.Sink) >= n {
+			return fmt.Errorf("cond %d>%d references a node out of range [0, %d)", c.Source, c.Sink, n)
+		}
+	}
+	return nil
+}
+
 // ParseSources parses a comma-separated node-id list ("3,1,7") into
 // node IDs. Whitespace around entries is tolerated; an empty string is
-// an empty set. Range validation is the caller's job (it needs the
-// model). Shared with the flowquery CLI.
+// an empty set. Ids are parsed at 32 bits, as in ParseConds; range
+// validation is the caller's job (it needs the model). Shared with the
+// flowquery CLI.
 func ParseSources(s string) ([]graph.NodeID, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -753,7 +764,7 @@ func ParseSources(s string) ([]graph.NodeID, error) {
 	parts := strings.Split(s, ",")
 	out := make([]graph.NodeID, 0, len(parts))
 	for _, part := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
+		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("source %q: %w", part, err)
 		}

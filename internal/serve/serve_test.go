@@ -261,8 +261,10 @@ func TestServerBadRequests(t *testing.T) {
 		{"/flow?source=0&sink=1&model=nope", http.StatusNotFound},       // unknown model
 		{"/flow?source=0&sink=1&samples=100000", http.StatusBadRequest}, // over MaxSamples
 		{"/flow?source=0&sink=1&samples=0", http.StatusBadRequest},
-		{"/flow?source=0&sink=1&cond=3-7", http.StatusBadRequest},    // malformed condition
-		{"/flow?source=0&sink=1&cond=3>99=1", http.StatusBadRequest}, // condition out of range
+		{"/flow?source=0&sink=1&cond=3-7", http.StatusBadRequest},            // malformed condition
+		{"/flow?source=0&sink=1&cond=3>99=1", http.StatusBadRequest},         // condition out of range
+		{"/flow?source=0&sink=1&cond=4294967296>5=1", http.StatusBadRequest}, // id past int32
+		{"/flow?source=4294967296&sink=1", http.StatusBadRequest},            // source past int32
 		{"/flow?source=0&sink=1&timeout=-1s", http.StatusBadRequest},
 		{"/community?top=5", http.StatusBadRequest},           // missing source
 		{"/community?source=0&top=-2", http.StatusBadRequest}, // bad top
@@ -418,12 +420,16 @@ func TestParseCondsRejectsGarbage(t *testing.T) {
 	if err != nil || len(good) != 2 || !good[0].Require || good[1].Require {
 		t.Fatalf("ParseConds = %+v, %v", good, err)
 	}
-	for _, bad := range []string{"3>7", "3-7=1", "a>b=1", "3>7=2", ">=1"} {
+	// Ids past int32 must be rejected, not wrapped onto node 0 or 1.
+	for _, bad := range []string{"3>7", "3-7=1", "a>b=1", "3>7=2", ">=1", "4294967296>5=1", "1>4294967297=0"} {
 		if _, err := ParseConds(bad); err == nil {
 			t.Errorf("ParseConds(%q) accepted garbage", bad)
 		}
 	}
 	if got, err := ParseConds(""); err != nil || got != nil {
 		t.Errorf("ParseConds(\"\") = %v, %v; want nil, nil", got, err)
+	}
+	if got, err := ParseSources("2,4294967297"); err == nil {
+		t.Errorf("ParseSources wrapped an oversized id to %v", got)
 	}
 }

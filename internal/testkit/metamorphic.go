@@ -127,9 +127,9 @@ func CascadeSizePMF(m *core.ICM, sources []graph.NodeID) []float64 {
 			pmf[n] += math.Exp(logp)
 			return
 		}
-		x[i] = true
+		x.Set(i)
 		rec(i+1, logp+math.Log(m.P[i]))
-		x[i] = false
+		x.Clear(i)
 		rec(i+1, logp+math.Log1p(-m.P[i]))
 	}
 	rec(0, 0)
