@@ -80,6 +80,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("-data and -source (or -impact -sources, or -maximize) are required")
 	}
+	if *top < 1 {
+		return fmt.Errorf("-top must be a positive integer, got %d", *top)
+	}
 	f, err := os.Open(*data)
 	if err != nil {
 		return err

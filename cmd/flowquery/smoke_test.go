@@ -80,6 +80,19 @@ func TestRunRejectsOutOfRangeNodes(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadTop: a -top below 1 is an error, as the server's
+// ?top= is, never a slice-bounds panic on the community ranking.
+func TestRunRejectsBadTop(t *testing.T) {
+	corpus := tinyCorpus(t)
+	for _, top := range []string{"-1", "0"} {
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-data", corpus, "-source", "0", "-community", "-top", top, "-samples", "10"}, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "-top") {
+			t.Errorf("-top %s: err = %v, want a -top error (stdout %q)", top, err, stdout.String())
+		}
+	}
+}
+
 var maximizeHeader = regexp.MustCompile(`top-2 influence seeds over the network \(RIS sketch, \d+ RR sets\):`)
 
 // TestRunMaximizeQuery: -maximize -k prints the selected seeds with

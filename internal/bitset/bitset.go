@@ -60,6 +60,14 @@ func (s Set) Test(i int) bool {
 	return s[i>>wordShift]>>(uint(i)&wordMask)&1 != 0
 }
 
+// Bit returns bit i as 0 or 1, for callers that index or count with it
+// instead of branching on it.
+//
+//flowlint:hotpath
+func (s Set) Bit(i int) uint {
+	return uint(s[i>>wordShift]>>(uint(i)&wordMask)) & 1
+}
+
 // Reset clears every bit, one word store per 64 bits. This is the
 // zero-alloc reset the traversal engine relies on: re-zeroing a packed
 // visited set costs n/64 stores against the n of a []bool clear.

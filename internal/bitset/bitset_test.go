@@ -55,6 +55,13 @@ func TestAgainstBools(t *testing.T) {
 			if s.Test(i) != ref[i] {
 				t.Fatalf("op %d: Test(%d) = %v, ref %v", op, i, s.Test(i), ref[i])
 			}
+			want := uint(0)
+			if ref[i] {
+				want = 1
+			}
+			if s.Bit(i) != want {
+				t.Fatalf("op %d: Bit(%d) = %d, ref %d", op, i, s.Bit(i), want)
+			}
 		}
 	}
 	want := 0

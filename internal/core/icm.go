@@ -74,12 +74,18 @@ func NewPseudoState(m int) PseudoState { return bitset.New(m) }
 // SamplePseudoState draws a pseudo-state from the model's marginal
 // distribution, Equation (3): each edge is active independently with its
 // activation probability, one Bernoulli draw per edge in EdgeID order.
+// Each 64-edge word is assembled in a register and stored once.
 func (m *ICM) SamplePseudoState(r *rng.RNG) PseudoState {
 	x := NewPseudoState(m.NumEdges())
-	for id, p := range m.P {
-		if r.Bernoulli(p) {
-			x.Set(id)
+	for w := range x {
+		ps := m.P[w*64 : min(w*64+64, len(m.P))]
+		var word uint64
+		for j, p := range ps {
+			if r.Bernoulli(p) {
+				word |= 1 << uint(j)
+			}
 		}
+		x[w] = word
 	}
 	return x
 }

@@ -50,6 +50,51 @@ func TestSamplePseudoStateMarginals(t *testing.T) {
 	}
 }
 
+// TestSamplePseudoStateMatchesPerEdgeDraws pins the word-at-a-time
+// SamplePseudoState to the per-edge reference: one Bernoulli draw per
+// edge in EdgeID order, setting the bit on success. Both run from
+// identically seeded generators; the states must be equal word for word
+// (no bit set past the last edge) and the generators must end at the
+// same position, at edge counts around the word boundaries and at the
+// §IV-C scale, with probabilities pinned at 0 and 1 mixed in.
+func TestSamplePseudoStateMatchesPerEdgeDraws(t *testing.T) {
+	r := rng.New(41)
+	for _, me := range []int{0, 1, 63, 64, 65, 14000} {
+		g := graph.Random(r, max(2, me/2+2), me)
+		p := make([]float64, me)
+		for i := range p {
+			switch k := r.Intn(10); k {
+			case 0, 1:
+				p[i] = float64(k)
+			default:
+				p[i] = r.Float64()
+			}
+		}
+		m := MustNewICM(g, p)
+		for seed := uint64(0); seed < 5; seed++ {
+			a, b := rng.New(seed), rng.New(seed)
+			got := m.SamplePseudoState(a)
+			want := NewPseudoState(me)
+			for id, pi := range m.P {
+				if b.Bernoulli(pi) {
+					want.Set(id)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("m=%d seed %d: %d words, want %d", me, seed, len(got), len(want))
+			}
+			for w := range want {
+				if got[w] != want[w] {
+					t.Fatalf("m=%d seed %d: word %d = %#x, want %#x", me, seed, w, got[w], want[w])
+				}
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("m=%d seed %d: generators diverged after the draw", me, seed)
+			}
+		}
+	}
+}
+
 // stateOf packs per-edge activities into a pseudo-state.
 func stateOf(active ...bool) PseudoState {
 	x := NewPseudoState(len(active))

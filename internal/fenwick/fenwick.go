@@ -19,24 +19,34 @@ import (
 // Tree is a weighted-sampling Fenwick tree. The zero value is unusable;
 // construct with New.
 type Tree struct {
-	n       int
-	sums    []float64 // 1-based partial sums, sums[i] covers (i-lowbit(i), i]
+	n   int
+	top int // largest power of two <= max(n, 1): Find's first step
+	// sums holds the 1-based partial sums, sums[i] covering
+	// (i-lowbit(i), i], padded with +Inf to 2*top entries so that Find's
+	// descent never needs an i <= n test: a step onto the padding
+	// compares above every target it accepts.
+	sums    []float64
 	weights []float64 // current weight of each index, 0-based
 	total   float64
 	npos    int // exact count of positive weights; guards total against drift
 }
 
-// New builds a tree over the given weights. Weights must be
+// New builds a tree over the given weights. Weights must be finite and
 // non-negative; the slice is copied.
 func New(weights []float64) *Tree {
+	top := 1
+	for top<<1 <= len(weights) {
+		top <<= 1
+	}
 	t := &Tree{
 		n:       len(weights),
-		sums:    make([]float64, len(weights)+1),
+		top:     top,
+		sums:    make([]float64, 2*top),
 		weights: make([]float64, len(weights)),
 	}
 	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			//flowlint:invariant documented contract: weights must be non-negative and not NaN
+		if !validWeight(w) {
+			//flowlint:invariant documented contract: weights must be finite and non-negative
 			panic(fmt.Sprintf("fenwick: invalid weight %v at %d", w, i))
 		}
 		t.weights[i] = w
@@ -52,8 +62,15 @@ func New(weights []float64) *Tree {
 			t.sums[j] += t.sums[i]
 		}
 	}
+	for i := t.n + 1; i < len(t.sums); i++ {
+		t.sums[i] = math.Inf(1)
+	}
 	return t
 }
+
+// validWeight reports whether w is a finite, non-negative weight; both
+// comparisons are false for NaN.
+func validWeight(w float64) bool { return w >= 0 && w <= math.MaxFloat64 }
 
 // Len returns the number of indices.
 func (t *Tree) Len() int { return t.n }
@@ -72,8 +89,8 @@ func (t *Tree) Weight(i int) float64 { return t.weights[i] }
 //
 //flowlint:hotpath
 func (t *Tree) Set(i int, w float64) {
-	if w < 0 || math.IsNaN(w) {
-		//flowlint:invariant documented contract: weights must be non-negative and not NaN
+	if !validWeight(w) {
+		//flowlint:invariant documented contract: weights must be finite and non-negative
 		panic(fmt.Sprintf("fenwick: invalid weight %v at %d", w, i))
 	}
 	switch {
@@ -136,25 +153,64 @@ func (t *Tree) Sample(r *rng.RNG) int {
 // above it, so callers always receive an index they could legitimately
 // have sampled.
 //
+// The descent is meant for targets in [0, +Inf), which covers every
+// target Sample draws. -0 is treated as 0 and +Inf returns the last
+// positive-weight index, as a comparison descent would; a negative or
+// NaN target returns the first positive-weight index.
+//
+// The descent has no data-dependent branch. Each level compares the bit
+// patterns of the partial sum and the target as integers, which orders
+// exactly as the float comparison for a target in [0, +Inf) while the
+// partial sums are finite, once a negative (roundoff) sum is read as
+// +0, and selects the step, the residual target and the next level's
+// partial sum with the resulting mask. Both candidates for the next level are loaded before the
+// comparison resolves, and the +Inf padding past n stands in for the
+// bounds test. The partial sums read and the subtractions made are the
+// ones a comparison descent makes, so the answer is the same.
+//
 //flowlint:hotpath
 func (t *Tree) Find(target float64) int {
-	idx := 0 // 1-based position before the answer
-	// Largest power of two <= n.
-	bit := 1
-	for bit<<1 <= t.n {
-		bit <<= 1
+	tb := int64(math.Float64bits(target))
+	if uint64(tb) >= infBits {
+		return t.findOutside(tb)
 	}
-	for ; bit > 0; bit >>= 1 {
-		next := idx + bit
-		if next <= t.n && t.sums[next] <= target {
-			idx = next
-			target -= t.sums[next]
-		}
+	sums := t.sums
+	idx := 0 // 1-based position before the answer
+	bit := t.top
+	sb := int64(math.Float64bits(sums[bit]))
+	for bit > 0 {
+		half := bit >> 1
+		lo := int64(math.Float64bits(sums[idx+half]))     // next sum if this step is not taken
+		hi := int64(math.Float64bits(sums[idx+bit+half])) // next sum if it is
+		take := ^(tb - sb&^(sb>>63)) >> 63                // all ones iff sum <= target
+		rest := int64(math.Float64bits(math.Float64frombits(uint64(tb)) - math.Float64frombits(uint64(sb))))
+		tb ^= (tb ^ rest) & take
+		sb = lo ^ (lo^hi)&take
+		idx += bit & int(take)
+		bit = half
 	}
 	if idx >= t.n || t.weights[idx] <= 0 {
 		return t.clampToPositive(idx)
 	}
 	return idx
+}
+
+// infBits is the bit pattern of +Inf. A float64 whose bits, read as an
+// unsigned integer, lie below it is +0, a positive denormal or a
+// positive finite number: exactly Find's descent domain.
+const infBits = 0x7ff0000000000000
+
+// findOutside answers the targets outside [0, +Inf) that Find hands it
+// by bit pattern tb: -0 descends as +0, +Inf lands past every prefix
+// sum, and a negative or NaN target before the first.
+func (t *Tree) findOutside(tb int64) int {
+	switch uint64(tb) {
+	case 1 << 63: // -0
+		return t.Find(0)
+	case infBits:
+		return t.clampToPositive(t.n)
+	}
+	return t.clampToPositive(0)
 }
 
 // clampToPositive snaps a roundoff-afflicted landing index to the last

@@ -263,6 +263,201 @@ func TestSampleNeverReturnsZeroWeight(t *testing.T) {
 	}
 }
 
+// refFind is Find as the comparison descent it replaced: a branch per
+// level on the partial sum against the residual target, guarded by the
+// next <= n bounds test. It is the reference the branch-free descent is
+// pinned to.
+func refFind(t *Tree, target float64) int {
+	idx := 0
+	bit := 1
+	for bit<<1 <= t.n {
+		bit <<= 1
+	}
+	for ; bit > 0; bit >>= 1 {
+		next := idx + bit
+		if next <= t.n && t.sums[next] <= target {
+			idx = next
+			target -= t.sums[next]
+		}
+	}
+	if idx >= t.n || t.weights[idx] <= 0 {
+		return t.clampToPositive(idx)
+	}
+	return idx
+}
+
+// descentWeights draws n weights mixing runs of zeros, denormals, tiny
+// and ordinary magnitudes.
+func descentWeights(r *rng.RNG, n int) []float64 {
+	w := make([]float64, n)
+	for i := 0; i < n; {
+		run := 1 + r.Intn(4)
+		kind := r.Intn(5)
+		for ; run > 0 && i < n; run, i = run-1, i+1 {
+			switch kind {
+			case 0: // a run of zeros
+			case 1:
+				w[i] = 5e-324 * float64(1+r.Intn(3))
+			case 2:
+				w[i] = r.Float64() * 1e-300
+			default:
+				w[i] = r.Float64()
+			}
+		}
+	}
+	return w
+}
+
+// descentTargets lists the targets Find is checked on for tr: 0, the
+// total and its float neighbours, every stored partial sum, the prefix
+// sums at the sampled indices (equal across a run of zero weights, so
+// these land inside such runs) and their neighbours, and uniform draws
+// as Sample makes them.
+func descentTargets(r *rng.RNG, tr *Tree) []float64 {
+	total := tr.Total()
+	ts := []float64{0, total, math.Nextafter(total, math.Inf(1)), math.Nextafter(total, 0)}
+	ts = append(ts, tr.sums[1:tr.n+1]...)
+	idx := make([]int, 0, tr.n)
+	if tr.n <= 256 {
+		for i := 0; i < tr.n; i++ {
+			idx = append(idx, i)
+		}
+	} else {
+		for k := 0; k < 256; k++ {
+			idx = append(idx, r.Intn(tr.n))
+		}
+	}
+	for _, i := range idx {
+		ps := tr.PrefixSum(i)
+		ts = append(ts, ps, math.Nextafter(ps, math.Inf(1)), math.Nextafter(ps, math.Inf(-1)))
+	}
+	for k := 0; k < 64; k++ {
+		ts = append(ts, r.Float64()*total)
+	}
+	return ts
+}
+
+// TestFindMatchesComparisonDescent pins the branch-free descent to
+// refFind over random trees of sizes around powers of two and at the
+// §IV-C edge count, before and after random Sets that drive partial
+// sums below zero by roundoff, on every target of descentTargets that
+// lies in [0, +Inf), and on -0, +Inf and NaN.
+func TestFindMatchesComparisonDescent(t *testing.T) {
+	r := rng.New(31)
+	negative := 0
+	for _, n := range []int{1, 2, 3, 63, 64, 65, 127, 128, 129, 14000} {
+		trials := 40
+		if n > 1000 {
+			trials = 4
+		}
+		for trial := 0; trial < trials; trial++ {
+			weights := descentWeights(r, n)
+			tr := New(weights)
+			for round := 0; round < 3; round++ {
+				if tr.Total() > 0 {
+					targets := append(descentTargets(r, tr), math.Copysign(0, -1), math.Inf(1), math.NaN())
+					for _, target := range targets {
+						if target < 0 {
+							continue // outside the descent's domain; see TestFindOutsideDomain
+						}
+						if got, want := tr.Find(target), refFind(tr, target); got != want {
+							t.Fatalf("n=%d trial %d round %d: Find(%v) = %d, comparison descent %d",
+								n, trial, round, target, got, want)
+						}
+					}
+				}
+				for k := 0; k < 4*n; k++ {
+					i := r.Intn(n)
+					w := 0.0
+					if r.Intn(2) == 0 {
+						w = descentWeights(r, 1)[0] * 3
+					}
+					tr.Set(i, w)
+				}
+				for _, v := range tr.sums[1 : n+1] {
+					if v < 0 {
+						negative++
+						break
+					}
+				}
+			}
+		}
+	}
+	if negative == 0 {
+		t.Error("no tree had a negative partial sum; the roundoff case went unexercised")
+	}
+}
+
+// TestFindOutsideDomain pins Find's answers for targets outside
+// [0, +Inf): -0 is 0, +Inf the last positive-weight index, and a
+// negative or NaN target the first positive-weight index, also on trees
+// whose partial sums roundoff has driven below zero.
+func TestFindOutsideDomain(t *testing.T) {
+	r := rng.New(37)
+	negative := 0
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + r.Intn(70)
+		tr := New(descentWeights(r, n))
+		for k := r.Intn(3 * n); k > 0; k-- {
+			tr.Set(r.Intn(n), r.Float64()*float64(r.Intn(2)))
+		}
+		if tr.Total() <= 0 {
+			continue
+		}
+		for _, v := range tr.sums[1 : n+1] {
+			if v < 0 {
+				negative++
+				break
+			}
+		}
+		first, last := -1, -1
+		for i := 0; i < n; i++ {
+			if tr.Weight(i) > 0 {
+				if first < 0 {
+					first = i
+				}
+				last = i
+			}
+		}
+		if got, want := tr.Find(math.Copysign(0, -1)), tr.Find(0); got != want {
+			t.Fatalf("trial %d: Find(-0) = %d, Find(0) = %d", trial, got, want)
+		}
+		if got := tr.Find(math.Inf(1)); got != last {
+			t.Fatalf("trial %d: Find(+Inf) = %d, want last positive-weight index %d", trial, got, last)
+		}
+		for _, target := range []float64{math.NaN(), -5e-324, -1e-17, -1, math.Inf(-1)} {
+			if got := tr.Find(target); got != first {
+				t.Fatalf("trial %d: Find(%v) = %d, want first positive-weight index %d", trial, target, got, first)
+			}
+		}
+	}
+	if negative == 0 {
+		t.Error("no tree had a negative partial sum; the roundoff case went unexercised")
+	}
+}
+
+// TestNonFiniteWeightPanics: weights must be finite, in New and in Set.
+func TestNonFiniteWeightPanics(t *testing.T) {
+	for _, w := range []float64{math.Inf(1), math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted weight %v", w)
+				}
+			}()
+			New([]float64{1, w})
+		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Set accepted weight %v", w)
+				}
+			}()
+			New([]float64{1, 2}).Set(0, w)
+		}()
+	}
+}
+
 func TestNegativeWeightPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

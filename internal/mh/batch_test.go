@@ -314,9 +314,9 @@ func BenchmarkFlowProbBatch256Served(b *testing.B) {
 // BenchmarkChainUpdateConditioned measures one chain update on the
 // served fixture under a cond_pages-shaped evidence set: one required
 // flow and two forbidden ones. Every proposal that passes the
-// Metropolis-Hastings test flips one bit of the packed state and pays a
-// SatisfiesScratch check, one bidirectional search per condition, on
-// that same set. allocs/op must read 0.
+// Metropolis-Hastings test flips one bit of the packed state and pays
+// one bidirectional search, on that same set, per condition the flip
+// can break (see keepsConds). allocs/op must read 0.
 func BenchmarkChainUpdateConditioned(b *testing.B) {
 	m := servedModel()
 	s := servedSampler(b, m, servedEvidence(m))
@@ -324,6 +324,42 @@ func BenchmarkChainUpdateConditioned(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()
+	}
+}
+
+// BenchmarkChainUpdateServed measures one unconditioned chain update on
+// the served fixture, burnt in as BenchmarkChainUpdateConditioned is:
+// the step every unconditioned served batch runs Thin = NumEdges times
+// per output sample. allocs/op must read 0.
+func BenchmarkChainUpdateServed(b *testing.B) {
+	s := servedSampler(b, servedModel(), nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
+// BenchmarkNewSamplerConditioned measures building a conditioned chain
+// on the served fixture under servedEvidence from the seed
+// servedSampler uses, where every one of the rejectionTries marginal
+// draws misses the evidence: the constructor pays all of them, then
+// the constructive repair. The setup checks that the tries all fail.
+func BenchmarkNewSamplerConditioned(b *testing.B) {
+	m := servedModel()
+	conds := servedEvidence(m)
+	r := rng.New(3)
+	for t := 0; t < rejectionTries; t++ {
+		if m.Satisfies(m.SamplePseudoState(r), conds) {
+			b.Fatalf("rejection try %d satisfies the evidence", t)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewSampler(m, conds, rng.New(3)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -356,8 +392,11 @@ func servedSampler(b *testing.B, m *core.ICM, conds []core.FlowCondition) *Sampl
 // servedEvidence draws one required flow and two forbidden flows over
 // six distinct nodes, each pair connected in the full graph, redrawing
 // until a sampler can satisfy the set.
-func servedEvidence(m *core.ICM) []core.FlowCondition {
-	r := rng.New(19)
+func servedEvidence(m *core.ICM) []core.FlowCondition { return servedEvidenceFrom(m, 19) }
+
+// servedEvidenceFrom is servedEvidence drawn from the given seed.
+func servedEvidenceFrom(m *core.ICM, seed uint64) []core.FlowCondition {
+	r := rng.New(seed)
 	for {
 		used := map[graph.NodeID]bool{}
 		var conds []core.FlowCondition

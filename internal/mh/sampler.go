@@ -86,6 +86,17 @@ type Sampler struct {
 	conds []core.FlowCondition
 	r     *rng.RNG
 
+	// breakable[b] lists the conditions a flip that leaves an edge at
+	// bit b can violate (see keepsConds): an edge turned off can only
+	// break a required flow, an edge turned on can only create a
+	// forbidden one.
+	breakable [2][]core.FlowCondition
+
+	// activeIn[v] and activeOut[v] count v's active in- and out-edges.
+	// They are kept only for a conditioned chain, whose condition check
+	// reads them.
+	activeIn, activeOut []int32
+
 	// x is the chain's pseudo-state, packed 64 edges per word. Step
 	// moves it with one XOR per flip (and a second to undo a flip the
 	// conditions reject); every estimator reads it directly as the
@@ -171,23 +182,41 @@ func NewSampler(m *core.ICM, conds []core.FlowCondition, r *rng.RNG) (*Sampler, 
 		return nil, err
 	}
 	s.x = x
+	if len(conds) > 0 {
+		for _, c := range conds {
+			on := 0
+			if !c.Require {
+				on = 1
+			}
+			s.breakable[on] = append(s.breakable[on], c)
+		}
+		s.activeIn = make([]int32, m.NumNodes())
+		s.activeOut = make([]int32, m.NumNodes())
+		for id := 0; id < m.NumEdges(); id++ {
+			if x.Test(id) {
+				e := m.G.Edge(graph.EdgeID(id))
+				s.activeIn[e.To]++
+				s.activeOut[e.From]++
+			}
+		}
+	}
 	weights := make([]float64, m.NumEdges())
 	for i := range weights {
-		weights[i] = flipWeight(m.P[i], x.Test(i))
+		weights[i] = flipWeights(m.P[i])[x.Bit(i)]
 	}
 	s.tree = fenwick.New(weights)
 	return s, nil
 }
 
-// flipWeight is the §III-C proposal weight of edge i: proportional to the
-// probability of the activity the edge would take after flipping, i.e.
-// p for an inactive edge, 1-p for an active one.
-func flipWeight(p float64, active bool) float64 {
-	if active {
-		return 1 - p
-	}
-	return p
-}
+// flipWeights returns the §III-C proposal weights of an edge with
+// activation probability p, indexed by its bit: each is proportional to
+// the probability of the activity the edge would take after flipping,
+// i.e. p for an inactive edge and 1-p for an active one.
+func flipWeights(p float64) [2]float64 { return [2]float64{p, 1 - p} }
+
+// rejectionTries is how many marginal draws initialState tests against
+// the conditions before it constructs a state instead.
+const rejectionTries = 200
 
 // initialState finds a positive-probability pseudo-state satisfying the
 // conditions: first by rejection from the marginal, then constructively.
@@ -195,7 +224,6 @@ func (s *Sampler) initialState() (core.PseudoState, error) {
 	if len(s.conds) == 0 {
 		return s.m.SamplePseudoState(s.r), nil
 	}
-	const rejectionTries = 200
 	for t := 0; t < rejectionTries; t++ {
 		x := s.m.SamplePseudoState(s.r)
 		if s.m.SatisfiesScratch(x, s.conds, s.scratch) {
@@ -347,32 +375,72 @@ func (s *Sampler) Step() bool {
 		}
 	} else {
 		i = s.tree.Sample(s.r)
-		p := s.m.P[i]
 		// Z' after flipping edge i: the edge's proposal weight swaps
-		// between p and 1-p.
-		var zNew float64
-		if s.x.Test(i) {
-			zNew = zt - (1 - p) + p
-		} else {
-			zNew = zt - p + (1 - p)
-		}
+		// between p and 1-p, so Z' = Z_t - (1-p) + p for an active edge
+		// and Z_t - p + (1-p) for an inactive one, indexed by its bit
+		// rather than branched on.
+		w, b := flipWeights(s.m.P[i]), s.x.Bit(i)
 		// Acceptance: p_ratio/q_ratio = Z_t / Z' (see package comment),
 		// gated by the condition indicator I(x', C) of Equation (7). The
 		// current state always satisfies C, so the indicator ratio is
 		// just I(x', C).
-		a = zt / zNew
+		a = zt / (zt - w[b] + w[b^1])
 	}
 	if a < 1 && s.r.Float64() > a {
 		return false
 	}
 	s.x.Flip(i)
-	if len(s.conds) > 0 && !s.m.SatisfiesScratch(s.x, s.conds, s.scratch) {
-		s.x.Flip(i) // reject: candidate violates C
-		return false
+	on := s.x.Bit(i)
+	if len(s.conds) > 0 {
+		if !s.keepsConds(i, on) {
+			s.x.Flip(i) // reject: candidate violates C
+			return false
+		}
+		e := s.m.G.Edge(graph.EdgeID(i))
+		d := 2*int32(on) - 1
+		s.activeIn[e.To] += d
+		s.activeOut[e.From] += d
 	}
-	s.tree.Set(i, flipWeight(s.m.P[i], s.x.Test(i)))
+	s.tree.Set(i, flipWeights(s.m.P[i])[on])
 	s.accepted++
 	s.winAccepted++
+	return true
+}
+
+// keepsConds reports whether the state, just after flipping edge i to
+// bit on, still satisfies every condition. The state before the flip
+// satisfied all of them, so only the conditions the flip can break are
+// searched:
+//
+//   - an edge turned on only adds paths, so it can violate only a
+//     forbidden flow, and an edge turned off can break only a required
+//     one;
+//   - a flow s~>t gained or lost through the flipped edge u->v has a
+//     path s~>u and a path v~>t. The graph has no self-loops, so the
+//     flip changes no in-edge of u and no out-edge of v: a u != s with
+//     no active in-edge is unreachable from s, and a v != t with no
+//     active out-edge reaches nothing, before the flip and after.
+//
+// Every skipped condition therefore holds, and the verdict is the one
+// a check of every condition returns.
+//
+//flowlint:hotpath
+func (s *Sampler) keepsConds(i int, on uint) bool {
+	conds := s.breakable[on]
+	if len(conds) == 0 {
+		return true
+	}
+	g := s.m.G
+	e := g.Edge(graph.EdgeID(i))
+	uReached, vReaches := s.activeIn[e.From] > 0, s.activeOut[e.To] > 0
+	for _, c := range conds {
+		if (c.Source != e.From && !uReached) || (c.Sink != e.To && !vReaches) {
+			continue
+		}
+		if g.HasPathBits(c.Source, c.Sink, s.x, s.scratch) != c.Require {
+			return false
+		}
+	}
 	return true
 }
 

@@ -13,7 +13,10 @@
 // on the Go release's math/rand internals.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Multiplier for the 128-bit LCG step (PCG default).
 const (
@@ -67,34 +70,22 @@ func splitmix(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// step advances the 128-bit LCG state.
+// step advances the 128-bit LCG state. bits.Mul64 and bits.Add64 are
+// compiler intrinsics (one widening multiply, one add with carry); they
+// compute the same words as portable 32-bit-limb arithmetic and keep
+// Uint64 and Float64 within the inlining budget.
 func (r *RNG) step() {
 	// (hi,lo) = (hi,lo) * mul + inc, in 128-bit arithmetic.
-	lo := r.lo * mulLo
-	hi := r.hi*mulLo + r.lo*mulHi + mulhi64(r.lo, mulLo)
-	lo += r.incLo
-	if lo < r.incLo {
-		hi++
-	}
-	hi += r.incHi
-	r.hi, r.lo = hi, lo
-}
-
-// mulhi64 returns the high 64 bits of a*b.
-func mulhi64(a, b uint64) uint64 {
-	aLo, aHi := a&0xffffffff, a>>32
-	bLo, bHi := b&0xffffffff, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	u := aLo*bHi + (t & 0xffffffff)
-	return aHi*bHi + (t >> 32) + (u >> 32)
+	hi, lo := bits.Mul64(r.lo, mulLo)
+	hi += r.hi*mulLo + r.lo*mulHi
+	lo, carry := bits.Add64(lo, r.incLo, 0)
+	r.hi, r.lo = hi+r.incHi+carry, lo
 }
 
 // Uint64 returns a uniformly distributed 64-bit value.
 func (r *RNG) Uint64() uint64 {
 	// XSL-RR output permutation on the pre-step state.
-	out := r.hi ^ r.lo
-	rot := uint(r.hi >> 58)
-	out = out>>rot | out<<((64-rot)&63)
+	out := bits.RotateLeft64(r.hi^r.lo, -int(r.hi>>58))
 	r.step()
 	return out
 }
@@ -125,8 +116,7 @@ func (r *RNG) Intn(n int) int {
 func (r *RNG) boundedUint64(bound uint64) uint64 {
 	for {
 		v := r.Uint64()
-		hi := mulhi64(v, bound)
-		lo := v * bound
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= -bound%bound {
 			return hi
 		}

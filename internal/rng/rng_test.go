@@ -2,6 +2,8 @@ package rng
 
 import (
 	"math"
+	"math/big"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -246,6 +248,90 @@ func TestForkIndependence(t *testing.T) {
 	}
 	if same > 0 {
 		t.Fatalf("forked generators produced %d identical outputs", same)
+	}
+}
+
+// TestKnownAnswers pins the generator's output stream to values
+// recorded from the portable 32-bit-limb implementation that preceded
+// the math/bits intrinsics: every seeded experiment, golden file and
+// served answer depends on these exact words.
+func TestKnownAnswers(t *testing.T) {
+	check := func(name string, got, want []uint64) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s output %d = %#x, want %#x", name, i, got[i], want[i])
+			}
+		}
+	}
+	draw := func(r *RNG, k int) []uint64 {
+		out := make([]uint64, k)
+		for i := range out {
+			out[i] = r.Uint64()
+		}
+		return out
+	}
+	check("New(1)", draw(New(1), 4),
+		[]uint64{0x50eca17fd93c9778, 0xa46d53073a62db81, 0xadaca4d001b89ef7, 0x58be98cfa28a8ffb})
+	check("NewStream(7, 3)", draw(NewStream(7, 3), 4),
+		[]uint64{0xa10288c777931dce, 0x2d4ead2d516ac038, 0x649b3e7485605d43, 0x0fc04c7e39d411d8})
+	parent := New(1)
+	check("New(1).Fork()", draw(parent.Fork(), 4),
+		[]uint64{0x3dcba044297c58e3, 0xbc1c936dc0ac5d5d, 0x5dc90926fce0683d, 0x7eff61df3ac12ce7})
+	check("New(1) after Fork", draw(parent, 1), []uint64{0xadaca4d001b89ef7})
+
+	r := New(2)
+	for i, want := range []float64{0.1465085772424889, 0.32633483127481266, 0.44677680466264, 0.4208362209280919} {
+		if got := r.Float64(); got != want {
+			t.Errorf("New(2) Float64 %d = %v, want %v", i, got, want)
+		}
+	}
+	r = New(3)
+	for i, want := range []int{4553, 5840, 520, 6355, 11345, 11830, 4613, 8799} {
+		if got := r.Intn(14000); got != want {
+			t.Errorf("New(3) Intn(14000) %d = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// mulhi64 is the portable high-word multiply step and boundedUint64
+// used before bits.Mul64: four 32-bit partial products. It is the
+// reference TestMul64MatchesPortable pins the intrinsic to.
+func mulhi64(a, b uint64) uint64 {
+	aLo, aHi := a&0xffffffff, a>>32
+	bLo, bHi := b&0xffffffff, b>>32
+	t := aHi*bLo + (aLo*bLo)>>32
+	u := aLo*bHi + (t & 0xffffffff)
+	return aHi*bHi + (t >> 32) + (u >> 32)
+}
+
+// TestMul64MatchesPortable checks the 128-bit product behind step and
+// boundedUint64: bits.Mul64's high word equals the portable mulhi64,
+// its low word equals the wrapping a*b, and both equal math/big's
+// exact product, on the edge operands and random pairs.
+func TestMul64MatchesPortable(t *testing.T) {
+	edges := []uint64{0, 1, 2, math.MaxUint32, 1 << 32, 1<<63 - 1, 1 << 63, math.MaxUint64}
+	var pairs [][2]uint64
+	for _, a := range edges {
+		for _, b := range edges {
+			pairs = append(pairs, [2]uint64{a, b})
+		}
+	}
+	r := New(9)
+	for i := 0; i < 10000; i++ {
+		pairs = append(pairs, [2]uint64{r.Uint64(), r.Uint64()})
+	}
+	mask := new(big.Int).SetUint64(math.MaxUint64)
+	for _, p := range pairs {
+		a, b := p[0], p[1]
+		hi, lo := bits.Mul64(a, b)
+		exact := new(big.Int).Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b))
+		wantHi := new(big.Int).Rsh(exact, 64).Uint64()
+		wantLo := new(big.Int).And(exact, mask).Uint64()
+		if hi != wantHi || lo != wantLo || mulhi64(a, b) != wantHi || a*b != wantLo {
+			t.Fatalf("%#x * %#x: Mul64 = (%#x, %#x), mulhi64 = %#x, want (%#x, %#x)",
+				a, b, hi, lo, mulhi64(a, b), wantHi, wantLo)
+		}
 	}
 }
 

@@ -535,9 +535,10 @@ func (s *Server) handleCommunity(w http.ResponseWriter, r *http.Request) {
 
 // topFlows ranks the community vector, dropping the source itself and
 // zero-probability nodes, ties broken by node id for a deterministic
-// response body.
+// response body. top is client input with no upper bound, so it sizes
+// nothing beyond the vector's length.
 func topFlows(probs []float64, source graph.NodeID, top int) []communityEntry {
-	out := make([]communityEntry, 0, top)
+	out := make([]communityEntry, 0, min(top, len(probs)))
 	for v, p := range probs {
 		if graph.NodeID(v) != source && p > 0 {
 			out = append(out, communityEntry{Node: v, Prob: p})

@@ -212,6 +212,39 @@ func TestServerCommunity(t *testing.T) {
 	}
 }
 
+// TestServerCommunityHugeTop: a ?top= far beyond the node count is
+// answered, uncached and then from the cache, with at most n-1 entries
+// (every node but the source) instead of sizing a buffer by top, which
+// ended the process with an out-of-memory fatal error.
+func TestServerCommunityHugeTop(t *testing.T) {
+	srv, ts, clock := startServer(t, nil)
+	url := ts.URL + "/community?source=0&samples=60&seed=3&top=100000000000"
+	var first communityResponse
+	var status int
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		status = getJSON(t, url, &first)
+	}()
+	waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
+	clock.Advance(time.Hour)
+	<-done
+	n := srv.models["m"].ICM.NumNodes()
+	if status != http.StatusOK || first.Cached || len(first.Top) == 0 || len(first.Top) > n-1 {
+		t.Fatalf("uncached: status %d, cached %v, %d entries (n = %d)", status, first.Cached, len(first.Top), n)
+	}
+	var second communityResponse
+	status = getJSON(t, url, &second)
+	if status != http.StatusOK || !second.Cached || len(second.Top) != len(first.Top) {
+		t.Fatalf("cached: status %d, cached %v, %d entries, want %d", status, second.Cached, len(second.Top), len(first.Top))
+	}
+	for i := range first.Top {
+		if second.Top[i] != first.Top[i] {
+			t.Errorf("cached top[%d] = %+v, uncached %+v", i, second.Top[i], first.Top[i])
+		}
+	}
+}
+
 // TestServerTimeout: a request whose deadline passes before its batch
 // flushes gets 504 and counts toward the timeout metric.
 func TestServerTimeout(t *testing.T) {
