@@ -12,7 +12,9 @@
 //	flowquery -data corpus.json -maximize -k 3 -sources 1,4,9
 //
 // Conditions are comma-separated "u>v=1" (flow known present) or
-// "u>v=0" (known absent).
+// "u>v=0" (known absent). They run sorted with duplicates dropped, as
+// flowserve runs them; "u>u=0" and a flow both required and forbidden
+// are errors.
 //
 // -impact prints the cascade-size distribution of the source set: the
 // exact analytic law (internal/sizedist) when the model admits one and
@@ -122,6 +124,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("sink %d out of range [0, %d)", *sink, n)
 	}
 	if err := serve.CheckConds(conds, n); err != nil {
+		return err
+	}
+	// Run the conditions in flowserve's canonical order, so both tools
+	// answer a list alike whatever order it is given in.
+	if conds, _, err = serve.CanonicalConds(conds); err != nil {
 		return err
 	}
 	src := graph.NodeID(*source)

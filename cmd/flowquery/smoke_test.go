@@ -138,3 +138,36 @@ func TestRunImpactQuery(t *testing.T) {
 		t.Errorf("output missing labeled impact header:\n%s", stdout.String())
 	}
 }
+
+// TestRunCondsCanonicalOrder: -cond runs in flowserve's canonical order,
+// so a list, its reversal and a copy with a duplicate print the same
+// answer, and a forbidden self-flow or a flow both required and
+// forbidden is rejected before any sampling, with a reason.
+func TestRunCondsCanonicalOrder(t *testing.T) {
+	corpus := tinyCorpus(t)
+	query := func(cond string) (string, error) {
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-data", corpus, "-source", "0", "-sink", "1", "-samples", "50", "-cond", cond}, &stdout, &stderr)
+		return stdout.String(), err
+	}
+	sorted, err := query("0>2=0,3>4=0,5>5=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sorted, "| 3 conditions") {
+		t.Errorf("output missing the condition count:\n%s", sorted)
+	}
+	for _, cond := range []string{"5>5=1,3>4=0,0>2=0", "3>4=0,0>2=0,5>5=1,3>4=0"} {
+		if got, err := query(cond); err != nil || got != sorted {
+			t.Errorf("-cond %s: %v\n%s\nwant the sorted list's output\n%s", cond, err, got, sorted)
+		}
+	}
+	for cond, want := range map[string]string{
+		"2>2=0":             "always reaches itself",
+		"3>4=1,0>2=0,3>4=0": "both required and forbidden",
+	} {
+		if _, err := query(cond); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-cond %s: err = %v, want one saying %q", cond, err, want)
+		}
+	}
+}

@@ -69,25 +69,105 @@ func (g *DiGraph) ReachableBitsInto(sources []NodeID, active bitset.Set, sc *Scr
 //
 //flowlint:hotpath
 func (g *DiGraph) HasPathBits(source, sink NodeID, active bitset.Set, sc *Scratch) bool {
-	if source == sink {
-		return true
-	}
-	n := g.NumNodes()
 	if sc == nil {
-		sc = tempScratch(n)
+		sc = tempScratch(g.NumNodes())
 	}
-	fwd, bwd := sc.begin(n)
+	found, _, _ := g.search(source, sink, active, sc, nil)
+	return found
+}
+
+// PathSearch is the verdict of one SearchPathBits call and the evidence
+// behind it.
+type PathSearch struct {
+	// Found reports whether an active source~>sink path exists.
+	Found bool
+	// Backward reports which frontier of a failed search ran dry: false
+	// for the forward one, true for the backward one.
+	Backward bool
+	// Side lists the dry frontier's nodes when the search failed: exactly
+	// the nodes source reaches (forward), or exactly the nodes that reach
+	// sink (backward). It aliases the Scratch's queues and is valid until
+	// the Scratch's next traversal.
+	Side []NodeID
+	// Path lists, when the search found a path and was given a via array,
+	// the edges of one active source~>sink path in order; it is empty
+	// when source == sink.
+	Path []EdgeID
+}
+
+// SearchPathBits runs HasPathBits' search and also returns what it
+// visited: the dry frontier of a failed search, or, when via is non-nil,
+// the path a successful one found, built in path's backing array. via
+// must hold NumNodes entries; the search overwrites those of the nodes
+// it visits and reads no others, so it needs no reset between calls. If
+// sc is nil a temporary Scratch is allocated.
+//
+//flowlint:hotpath
+func (g *DiGraph) SearchPathBits(source, sink NodeID, active bitset.Set, sc *Scratch, via, path []EdgeID) (r PathSearch) {
+	if sc == nil {
+		sc = tempScratch(g.NumNodes())
+	}
+	var meet EdgeID
+	r.Found, r.Backward, meet = g.search(source, sink, active, sc, via)
+	switch {
+	case !r.Found && r.Backward:
+		r.Side = sc.back
+		return r
+	case !r.Found:
+		r.Side = sc.queue
+		return r
+	case via == nil:
+		return r
+	}
+	path = path[:0]
+	if source != sink {
+		// The forward half walks back from the meeting edge's tail to
+		// source and is then reversed; the backward half walks on from
+		// its head to sink.
+		e := g.edges[meet]
+		for v := e.From; v != source; v = g.edges[via[v]].From {
+			path = append(path, via[v])
+		}
+		for a, b := 0, len(path)-1; a < b; a, b = a+1, b-1 {
+			path[a], path[b] = path[b], path[a]
+		}
+		path = append(path, meet)
+		for v := e.To; v != sink; v = g.edges[via[v]].To {
+			path = append(path, via[v])
+		}
+	}
+	r.Path = path
+	return r
+}
+
+// search is the one bidirectional search loop behind HasPathBits and
+// SearchPathBits. It returns found and, on success, the edge meet = a->b
+// on which the frontiers met (a visited forward, b backward); on
+// failure, whether the backward frontier is the one that ran dry. Each
+// frontier's visited nodes stay in sc.queue (forward) and sc.back
+// (backward) until the Scratch's next traversal. When via is non-nil,
+// via[w] records how each visited w other than source and sink was
+// reached: the edge from its forward parent into w, or the edge from w
+// to its backward parent. The inner loops return directly rather than
+// break out on a flag; the flag form ran 8-9% slower.
+//
+//flowlint:hotpath
+func (g *DiGraph) search(source, sink NodeID, active bitset.Set, sc *Scratch, via []EdgeID) (found, backward bool, meet EdgeID) {
+	if source == sink {
+		return true, false, -1
+	}
+	fwd, bwd := sc.begin(g.NumNodes())
 	stamp := sc.stamp
 	stamp[source] = fwd
 	stamp[sink] = bwd
 	fq := append(sc.queue[:0], source)
 	bq := append(sc.back[:0], sink)
 	fhead, bhead := 0, 0
-	met := false
-	for !met {
+	for {
 		fpend, bpend := len(fq)-fhead, len(bq)-bhead
 		if fpend == 0 || bpend == 0 {
-			break
+			sc.queue, sc.back = fq, bq
+			return false, fpend != 0, -1
 		}
 		if fpend <= bpend {
 			v := fq[fhead]
@@ -98,12 +178,15 @@ func (g *DiGraph) HasPathBits(source, sink NodeID, active bitset.Set, sc *Scratc
 				}
 				w := g.edges[id].To
 				if stamp[w] == bwd {
-					met = true
-					break
+					sc.queue, sc.back = fq, bq
+					return true, false, id
 				}
 				if stamp[w] != fwd {
 					stamp[w] = fwd
 					fq = append(fq, w)
+					if via != nil {
+						via[w] = id
+					}
 				}
 			}
 		} else {
@@ -115,17 +198,17 @@ func (g *DiGraph) HasPathBits(source, sink NodeID, active bitset.Set, sc *Scratc
 				}
 				w := g.edges[id].From
 				if stamp[w] == fwd {
-					met = true
-					break
+					sc.queue, sc.back = fq, bq
+					return true, false, id
 				}
 				if stamp[w] != bwd {
 					stamp[w] = bwd
 					bq = append(bq, w)
+					if via != nil {
+						via[w] = id
+					}
 				}
 			}
 		}
 	}
-	sc.queue = fq[:0]
-	sc.back = bq[:0]
-	return met
 }

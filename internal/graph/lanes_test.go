@@ -35,20 +35,59 @@ func TestReachableBitsMatchesScalar(t *testing.T) {
 }
 
 // TestHasPathBitsMatchesScalar proves the packed-mask bidirectional
-// search agrees with the closure reference HasPath everywhere.
+// search agrees with the closure reference HasPath everywhere, and that
+// SearchPathBits' evidence is exact: the dry side of a failed search is
+// the set of nodes the source reaches (forward) or that reach the sink
+// (backward), and a found path is an active source~>sink path.
 func TestHasPathBitsMatchesScalar(t *testing.T) {
 	r := rng.New(32)
 	sc := NewScratch(0)
+	var via, path []EdgeID
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + r.Intn(49)
 		g := randomTestGraph(r, n, r.Intn(3*n))
 		packed := randomMask(r, g.NumEdges(), r.Float64())
+		via = make([]EdgeID, n)
 		for q := 0; q < 20; q++ {
 			u := NodeID(r.Intn(n))
 			v := NodeID(r.Intn(n))
 			want := g.HasPath(u, v, maskPred(packed))
 			if got := g.HasPathBits(u, v, packed, sc); got != want {
 				t.Fatalf("trial %d: %d~>%d packed=%v scalar=%v", trial, u, v, got, want)
+			}
+			if res := g.SearchPathBits(u, v, packed, sc, nil, nil); res.Found != want || res.Path != nil {
+				t.Fatalf("trial %d: %d~>%d without via: found %v path %v, want %v and no path", trial, u, v, res.Found, res.Path, want)
+			}
+			res := g.SearchPathBits(u, v, packed, sc, via, path)
+			if res.Found != want {
+				t.Fatalf("trial %d: %d~>%d SearchPathBits=%v scalar=%v", trial, u, v, res.Found, want)
+			}
+			if res.Found {
+				at := u
+				for _, id := range res.Path {
+					if !packed.Test(int(id)) || g.Edge(id).From != at {
+						t.Fatalf("trial %d: %d~>%d: path %v is not active from %d", trial, u, v, res.Path, at)
+					}
+					at = g.Edge(id).To
+				}
+				if at != v {
+					t.Fatalf("trial %d: %d~>%d: path %v ends at %d", trial, u, v, res.Path, at)
+				}
+				path = res.Path
+				continue
+			}
+			side := make([]bool, n)
+			for _, w := range res.Side {
+				side[w] = true
+			}
+			for w := NodeID(0); w < NodeID(n); w++ {
+				in := g.HasPath(u, w, maskPred(packed))
+				if res.Backward {
+					in = g.HasPath(w, v, maskPred(packed))
+				}
+				if side[w] != in {
+					t.Fatalf("trial %d: %d~>%d: backward %v side %v, node %d in=%v", trial, u, v, res.Backward, res.Side, w, in)
+				}
 			}
 		}
 	}
@@ -141,9 +180,11 @@ func TestLaneKernelsZeroAlloc(t *testing.T) {
 	g.ReachLanesWideInto(seeds, seedBits, packed, sc, reach)
 	g.ReachLanesWideInto(wideSeeds, wideBits, packed, sc, wideReach)
 	g.HasPathBits(0, NodeID(n-1), packed, sc)
+	via, path := make([]EdgeID, n), make([]EdgeID, 0, n)
 	if allocs := testing.AllocsPerRun(50, func() {
 		dst = g.ReachableBitsInto(sources, packed, sc, dst)
 		g.HasPathBits(0, NodeID(n-1), packed, sc)
+		g.SearchPathBits(0, NodeID(n-1), packed, sc, via, path)
 		g.ReachLanesWideInto(seeds, seedBits, packed, sc, reach)
 		g.ReachLanesWideInto(wideSeeds, wideBits, packed, sc, wideReach)
 	}); allocs != 0 {

@@ -54,7 +54,8 @@ func BenchmarkFlowProbSteadyState(b *testing.B) {
 
 // TestFlowProbSteadyStateZeroAlloc asserts the zero-alloc claim the
 // benchmark reports: once warm, chain updates plus flow tests allocate
-// nothing, with and without flow conditions gating acceptance.
+// nothing, with and without flow conditions gating acceptance, including
+// the certificate renewals of a required and two forbidden flows.
 func TestFlowProbSteadyStateZeroAlloc(t *testing.T) {
 	r := rng.New(77)
 	g := graph.Random(r, 300, 900)
@@ -91,4 +92,6 @@ func TestFlowProbSteadyStateZeroAlloc(t *testing.T) {
 	}
 	require := m.HasFlow(0, sink, x) // satisfiable iff some all-active path exists
 	check("conditioned", []core.FlowCondition{{Source: 0, Sink: sink, Require: require}})
+	m = servedModel()
+	check("served evidence", servedEvidence(m))
 }

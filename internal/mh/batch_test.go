@@ -1,6 +1,7 @@
 package mh
 
 import (
+	"fmt"
 	"testing"
 
 	"infoflow/internal/core"
@@ -315,11 +316,28 @@ func BenchmarkFlowProbBatch256Served(b *testing.B) {
 // served fixture under a cond_pages-shaped evidence set: one required
 // flow and two forbidden ones. Every proposal that passes the
 // Metropolis-Hastings test flips one bit of the packed state and pays
-// one bidirectional search, on that same set, per condition the flip
-// can break (see keepsConds). allocs/op must read 0.
+// one bidirectional search per condition whose certificate the flip
+// touches (see keepsConds). allocs/op must read 0.
 func BenchmarkChainUpdateConditioned(b *testing.B) {
 	m := servedModel()
-	s := servedSampler(b, m, servedEvidence(m))
+	benchSteps(b, servedSampler(b, m, servedEvidence(m)))
+}
+
+// BenchmarkChainUpdateConditionedSets is BenchmarkChainUpdateConditioned
+// under one evidence set per sub-benchmark, drawn by servedEvidenceFrom
+// from a fixed seed: how often a flip touches a certificate, and what
+// the search then costs, differ from set to set. allocs/op must read 0.
+func BenchmarkChainUpdateConditionedSets(b *testing.B) {
+	m := servedModel()
+	for seed := uint64(1); seed <= 8; seed++ {
+		b.Run(fmt.Sprintf("seed=%d", seed), func(b *testing.B) {
+			benchSteps(b, servedSampler(b, m, servedEvidenceFrom(m, seed)))
+		})
+	}
+}
+
+// benchSteps times s.Step, reporting allocations.
+func benchSteps(b *testing.B, s *Sampler) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -332,12 +350,7 @@ func BenchmarkChainUpdateConditioned(b *testing.B) {
 // the step every unconditioned served batch runs Thin = NumEdges times
 // per output sample. allocs/op must read 0.
 func BenchmarkChainUpdateServed(b *testing.B) {
-	s := servedSampler(b, servedModel(), nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
+	benchSteps(b, servedSampler(b, servedModel(), nil))
 }
 
 // BenchmarkNewSamplerConditioned measures building a conditioned chain

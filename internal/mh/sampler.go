@@ -86,16 +86,11 @@ type Sampler struct {
 	conds []core.FlowCondition
 	r     *rng.RNG
 
-	// breakable[b] lists the conditions a flip that leaves an edge at
-	// bit b can violate (see keepsConds): an edge turned off can only
-	// break a required flow, an edge turned on can only create a
-	// forbidden one.
-	breakable [2][]core.FlowCondition
-
-	// activeIn[v] and activeOut[v] count v's active in- and out-edges.
-	// They are kept only for a conditioned chain, whose condition check
-	// reads them.
-	activeIn, activeOut []int32
+	// certs[b] holds the certificates of the conditions a flip that
+	// leaves an edge at bit b can violate (see keepsConds): an edge
+	// turned off can only break a required flow, an edge turned on can
+	// only create a forbidden one.
+	certs [2][]certificate
 
 	// x is the chain's pseudo-state, packed 64 edges per word. Step
 	// moves it with one XOR per flip (and a second to undo a flip the
@@ -114,9 +109,12 @@ type Sampler struct {
 
 	// via and repairQ back constructInitialState's path repairs, so
 	// repeated repair rounds reuse one parent-edge array and one queue
-	// instead of allocating per round.
+	// instead of allocating per round. via also records the tree edges
+	// of a required flow's search, from which renew builds its witness
+	// path, in path.
 	via     []graph.EdgeID
 	repairQ []graph.NodeID
+	path    []graph.EdgeID
 
 	// batch holds the lane tables and reach matrices of the batched
 	// estimators (FlowProbBatch and friends), so repeated batches on one
@@ -175,6 +173,9 @@ func (s *Sampler) SetUniformProposal(uniform bool) { s.uniform = uniform }
 // NewSampler builds a chain for model m under conditions conds (nil for
 // marginal sampling), seeded from r. It returns ErrUnsatisfiable if it
 // cannot construct an initial state consistent with the conditions.
+// Each condition's certificate holds O(n) words, so the sampler's
+// memory grows with len(conds) × NumNodes; callers taking conditions
+// from outside the program should bound their number.
 func NewSampler(m *core.ICM, conds []core.FlowCondition, r *rng.RNG) (*Sampler, error) {
 	s := &Sampler{m: m, conds: conds, r: r, scratch: graph.NewScratch(m.NumNodes())}
 	x, err := s.initialState()
@@ -183,20 +184,28 @@ func NewSampler(m *core.ICM, conds []core.FlowCondition, r *rng.RNG) (*Sampler, 
 	}
 	s.x = x
 	if len(conds) > 0 {
-		for _, c := range conds {
-			on := 0
-			if !c.Require {
-				on = 1
-			}
-			s.breakable[on] = append(s.breakable[on], c)
+		n := m.NumNodes()
+		if len(s.via) < n {
+			s.via = make([]graph.EdgeID, n)
 		}
-		s.activeIn = make([]int32, m.NumNodes())
-		s.activeOut = make([]int32, m.NumNodes())
-		for id := 0; id < m.NumEdges(); id++ {
-			if x.Test(id) {
-				e := m.G.Edge(graph.EdgeID(id))
-				s.activeIn[e.To]++
-				s.activeOut[e.From]++
+		s.path = make([]graph.EdgeID, 0, n)
+		for _, c := range conds {
+			on, bits := 0, m.NumEdges()
+			if !c.Require {
+				on, bits = 1, n
+			}
+			s.certs[on] = append(s.certs[on], certificate{
+				FlowCondition: c,
+				mark:          bitset.New(bits),
+				members:       make([]int32, 0, n),
+			})
+		}
+		for _, certs := range s.certs {
+			for k := range certs {
+				if !s.renew(&certs[k]) {
+					//flowlint:invariant unreachable: initialState returns a state satisfying every condition
+					panic("mh: initial state violates a flow condition")
+				}
 			}
 		}
 	}
@@ -391,15 +400,9 @@ func (s *Sampler) Step() bool {
 	}
 	s.x.Flip(i)
 	on := s.x.Bit(i)
-	if len(s.conds) > 0 {
-		if !s.keepsConds(i, on) {
-			s.x.Flip(i) // reject: candidate violates C
-			return false
-		}
-		e := s.m.G.Edge(graph.EdgeID(i))
-		d := 2*int32(on) - 1
-		s.activeIn[e.To] += d
-		s.activeOut[e.From] += d
+	if len(s.conds) > 0 && !s.keepsConds(i, on) {
+		s.x.Flip(i) // reject: candidate violates C
+		return false
 	}
 	s.tree.Set(i, flipWeights(s.m.P[i])[on])
 	s.accepted++
@@ -407,40 +410,105 @@ func (s *Sampler) Step() bool {
 	return true
 }
 
+// certificate is the evidence that a condition holds in the chain
+// state, kept valid across steps so that keepsConds searches the
+// condition only when a flip touches it. Its members are edge ids for a
+// required flow: an active witness path source~>sink. For a forbidden
+// flow they are node ids: a superset of the nodes source reaches
+// (keyTail), or of the nodes that reach sink (keyHead). mark holds the
+// members as a set.
+type certificate struct {
+	core.FlowCondition
+	key     int // index into flipKeys: what a flip must hit in mark
+	mark    bitset.Set
+	members []int32
+}
+
+// Certificate keys: a flip of edge i = u->v touches a witness path that
+// contains i, a forward set that contains u, or a backward set that
+// contains v.
+const (
+	keyEdge = iota
+	keyTail
+	keyHead
+)
+
+// flipKeys returns the keys of a flip of edge i = e, indexed by
+// certificate key.
+func flipKeys(i int, e graph.Edge) [3]int { return [3]int{i, int(e.From), int(e.To)} }
+
 // keepsConds reports whether the state, just after flipping edge i to
 // bit on, still satisfies every condition. The state before the flip
-// satisfied all of them, so only the conditions the flip can break are
-// searched:
+// satisfied all of them, and each condition's certificate still proves
+// it unless the flip touches the certificate, so only those conditions
+// are searched:
 //
 //   - an edge turned on only adds paths, so it can violate only a
 //     forbidden flow, and an edge turned off can break only a required
 //     one;
-//   - a flow s~>t gained or lost through the flipped edge u->v has a
-//     path s~>u and a path v~>t. The graph has no self-loops, so the
-//     flip changes no in-edge of u and no out-edge of v: a u != s with
-//     no active in-edge is unreachable from s, and a v != t with no
-//     active out-edge reaches nothing, before the flip and after.
+//   - an edge turned off that is not on a required flow's witness path
+//     leaves the path active;
+//   - an edge u->v turned on creates a path s~>t only if s reaches u
+//     and v reaches t, so it creates none when u lies outside a
+//     forbidden flow's forward set or v outside its backward set.
 //
-// Every skipped condition therefore holds, and the verdict is the one
-// a check of every condition returns.
+// Every skipped condition therefore holds, and the verdict is the one a
+// check of every condition returns. A condition that is searched and
+// holds gets the search's evidence as its new certificate (see renew).
+// The certificates stay sound whatever happens to the flip afterwards:
+// an accepted flip that touches none leaves each a superset or an
+// active path, and one that a later condition rejects is undone to a
+// state where each renewed certificate holds too (a reach set found
+// with the edge on contains the one without it; a witness found with
+// the edge off does not use it).
 //
 //flowlint:hotpath
 func (s *Sampler) keepsConds(i int, on uint) bool {
-	conds := s.breakable[on]
-	if len(conds) == 0 {
+	certs := s.certs[on]
+	if len(certs) == 0 {
 		return true
 	}
-	g := s.m.G
-	e := g.Edge(graph.EdgeID(i))
-	uReached, vReaches := s.activeIn[e.From] > 0, s.activeOut[e.To] > 0
-	for _, c := range conds {
-		if (c.Source != e.From && !uReached) || (c.Sink != e.To && !vReaches) {
-			continue
-		}
-		if g.HasPathBits(c.Source, c.Sink, s.x, s.scratch) != c.Require {
+	keys := flipKeys(i, s.m.G.Edge(graph.EdgeID(i)))
+	for k := range certs {
+		c := &certs[k]
+		if c.mark.Test(keys[c.key]) && !s.renew(c) {
 			return false
 		}
 	}
+	return true
+}
+
+// renew searches c's flow in the chain state and reports whether c
+// holds. If it does, the search's evidence becomes c's certificate: the
+// path it found for a required flow, the frontier it exhausted for a
+// forbidden one. A required self-flow gets an empty witness, which no
+// flip touches.
+//
+//flowlint:hotpath
+func (s *Sampler) renew(c *certificate) bool {
+	var via []graph.EdgeID
+	if c.Require {
+		via = s.via
+	}
+	res := s.m.G.SearchPathBits(c.Source, c.Sink, s.x, s.scratch, via, s.path)
+	if res.Found != c.Require {
+		return false
+	}
+	members, key := res.Side, keyTail
+	switch {
+	case c.Require:
+		members, key = res.Path, keyEdge
+	case res.Backward:
+		key = keyHead
+	}
+	for _, id := range c.members {
+		c.mark.Clear(int(id))
+	}
+	c.members = append(c.members[:0], members...)
+	for _, id := range c.members {
+		c.mark.Set(int(id))
+	}
+	c.key = key
 	return true
 }
 

@@ -3,6 +3,8 @@ package serve
 import (
 	"net/http/httptest"
 	"net/url"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -156,4 +158,79 @@ func FuzzParseImpactQuery(f *testing.F) {
 			t.Fatalf("accepted samples %d outside (0, %d]", q.opts.Samples, s.cfg.MaxSamples)
 		}
 	})
+}
+
+// FuzzParseConds checks the canonical condition order: for any cond=
+// value that parses, every ordering of its comma-separated parts
+// canonicalises to the same list and key (or to the same rejection), and
+// the key re-parses to that list. Values of up to five parts try every
+// permutation; longer ones try each rotation, forwards and reversed.
+func FuzzParseConds(f *testing.F) {
+	f.Add("1>2=1")
+	f.Add("3>4=0,1>2=1")
+	f.Add(" 5 > 6 = 0 ,5>6=0,2>2=1,10>3=0")
+	f.Add("1>2=1,4>1=0,1>2=0")
+	f.Add("7>7=0")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, raw string) {
+		conds, err := ParseConds(raw)
+		if err != nil {
+			return
+		}
+		want, key, werr := CanonicalConds(conds)
+		if werr == nil {
+			round, err := ParseConds(key)
+			if err != nil || !slices.Equal(round, want) {
+				t.Fatalf("key %q re-parses to %v (%v), want %v", key, round, err, want)
+			}
+		}
+		orderings(strings.Split(raw, ","), func(parts []string) {
+			joined := strings.Join(parts, ",")
+			perm, err := ParseConds(joined)
+			if err != nil {
+				t.Fatalf("%q parses but its reordering %q does not: %v", raw, joined, err)
+			}
+			got, gkey, gerr := CanonicalConds(perm)
+			if (gerr == nil) != (werr == nil) || (werr != nil && gerr.Error() != werr.Error()) {
+				t.Fatalf("%q canonicalises with error %v, its reordering %q with %v", raw, werr, joined, gerr)
+			}
+			if gkey != key || !slices.Equal(got, want) {
+				t.Fatalf("%q canonicalises to %v %q, its reordering %q to %v %q", raw, want, key, joined, got, gkey)
+			}
+		})
+	})
+}
+
+// orderings calls visit with reorderings of parts (see FuzzParseConds).
+// visit must not retain its argument.
+func orderings(parts []string, visit func([]string)) {
+	n := len(parts)
+	if n <= 5 {
+		// Heap's algorithm.
+		p := slices.Clone(parts)
+		c := make([]int, n)
+		visit(p)
+		for i := 1; i < n; {
+			if c[i] < i {
+				if i%2 == 0 {
+					p[0], p[i] = p[i], p[0]
+				} else {
+					p[c[i]], p[i] = p[i], p[c[i]]
+				}
+				visit(p)
+				c[i]++
+				i = 1
+			} else {
+				c[i] = 0
+				i++
+			}
+		}
+		return
+	}
+	for k := 0; k < n; k++ {
+		p := append(slices.Clone(parts[k:]), parts[:k]...)
+		visit(p)
+		slices.Reverse(p)
+		visit(p)
+	}
 }

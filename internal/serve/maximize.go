@@ -91,15 +91,10 @@ func (s *Server) parseMaximizeQuery(r *http.Request) (*maximizeQuery, *httpError
 		q.targetsKey = sourcesKey(distinct)
 	}
 
-	conds, err := ParseConds(vals.Get("cond"))
-	if err != nil {
-		return nil, badRequest("cond: %v", err)
+	var herr *httpError
+	if q.conds, q.condKey, herr = parseCondParam(vals.Get("cond"), n); herr != nil {
+		return nil, herr
 	}
-	if err := CheckConds(conds, n); err != nil {
-		return nil, badRequest("%v", err)
-	}
-	q.conds = conds
-	q.condKey = condsKey(conds)
 
 	samples := s.cfg.DefaultSketchSamples
 	if raw := vals.Get("samples"); raw != "" {

@@ -150,6 +150,9 @@ func TestServerMaximizeErrors(t *testing.T) {
 		{"model=m&k=2&timeout=-1s", http.StatusBadRequest},               // negative deadline
 		{"model=nope&k=2", http.StatusNotFound},                          // unknown model
 		{"model=certain&k=1&cond=0>1=0", http.StatusUnprocessableEntity}, // p=1 edge, absence required
+
+		// More distinct conditions than a request may carry.
+		{"model=m&k=2&cond=" + condList(maxConds+1, 20), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		var out map[string]any

@@ -275,6 +275,7 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 		}
 		return graph.NodeID(v), nil
 	}
+	var herr *httpError
 	if kind == kindImpact {
 		srcs, err := ParseSources(vals.Get("sources"))
 		if err != nil {
@@ -303,7 +304,6 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 			return nil, badRequest("mode %q: want auto, analytic, or sampled", mode)
 		}
 	} else {
-		var herr *httpError
 		if q.source, herr = node("source"); herr != nil {
 			return nil, herr
 		}
@@ -314,17 +314,12 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 		}
 	}
 
-	conds, err := ParseConds(vals.Get("cond"))
-	if err != nil {
-		return nil, badRequest("cond: %v", err)
+	if q.conds, q.condKey, herr = parseCondParam(vals.Get("cond"), n); herr != nil {
+		return nil, herr
 	}
-	if err := CheckConds(conds, n); err != nil {
-		return nil, badRequest("%v", err)
-	}
-	q.conds = conds
-	q.condKey = condsKey(conds)
 
 	samples := s.cfg.DefaultSamples
+	var err error
 	if raw := vals.Get("samples"); raw != "" {
 		if samples, err = strconv.Atoi(raw); err != nil {
 			return nil, badRequest("samples: %v", err)
@@ -787,21 +782,77 @@ func sourcesKey(sources []graph.NodeID) string {
 	return strings.Join(parts, ",")
 }
 
-// condsKey renders conditions in canonical sorted form, so two requests
-// listing the same conditions in different orders share a batch and a
-// cache line.
-func condsKey(conds []core.FlowCondition) string {
-	if len(conds) == 0 {
-		return ""
+// maxConds bounds the distinct conditions one request may carry. A
+// conditioned chain keeps an O(n) certificate per condition (see
+// mh.Sampler), so without a bound a long cond= list of conditions that
+// always hold would make one request allocate O(conditions × n).
+const maxConds = 64
+
+// parseCondParam parses and validates a cond= value for a model of n
+// nodes and returns its canonical form (see CanonicalConds).
+func parseCondParam(raw string, n int) ([]core.FlowCondition, string, *httpError) {
+	conds, err := ParseConds(raw)
+	if err != nil {
+		return nil, "", badRequest("cond: %v", err)
 	}
-	parts := make([]string, len(conds))
+	if err := CheckConds(conds, n); err != nil {
+		return nil, "", badRequest("%v", err)
+	}
+	conds, key, err := CanonicalConds(conds)
+	if err != nil {
+		return nil, "", &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
+	}
+	if len(conds) > maxConds {
+		return nil, "", badRequest("cond: %d distinct conditions, at most %d allowed", len(conds), maxConds)
+	}
+	return conds, key, nil
+}
+
+// CanonicalConds sorts conditions by their rendered "u>v=r" form, drops
+// exact duplicates, and returns them with the rendered key. Requests
+// listing the same conditions in any order therefore share a batch and
+// a cache line, and the chain — whose initial state depends on the
+// order constructInitialState repairs conditions in — runs on the same
+// list whichever request opened the batch. It rejects sets no state can
+// satisfy on their face: a forbidden self-flow u>u=0, or a pair both
+// required and forbidden. Shared with the flowquery CLI, so both run a
+// condition list in the same order.
+func CanonicalConds(conds []core.FlowCondition) ([]core.FlowCondition, string, error) {
+	if len(conds) == 0 {
+		return nil, "", nil
+	}
+	type rendered struct {
+		c   core.FlowCondition
+		key string
+	}
+	rs := make([]rendered, len(conds))
 	for i, c := range conds {
 		req := 0
 		if c.Require {
 			req = 1
 		}
-		parts[i] = fmt.Sprintf("%d>%d=%d", c.Source, c.Sink, req)
+		rs[i] = rendered{c, fmt.Sprintf("%d>%d=%d", c.Source, c.Sink, req)}
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
+	sort.Slice(rs, func(i, j int) bool { return rs[i].key < rs[j].key })
+	out := make([]core.FlowCondition, 0, len(rs))
+	parts := make([]string, 0, len(rs))
+	for i, r := range rs {
+		if i > 0 && r.key == rs[i-1].key {
+			continue
+		}
+		c := r.c
+		if c.Source == c.Sink && !c.Require {
+			return nil, "", fmt.Errorf("cond %s: a node always reaches itself", r.key)
+		}
+		// u>v=0 and u>v=1 render alike up to their last byte, so they
+		// sort next to each other.
+		if len(out) > 0 {
+			if last := out[len(out)-1]; last.Source == c.Source && last.Sink == c.Sink {
+				return nil, "", fmt.Errorf("cond %d>%d is both required and forbidden", c.Source, c.Sink)
+			}
+		}
+		out = append(out, c)
+		parts = append(parts, r.key)
+	}
+	return out, strings.Join(parts, ","), nil
 }

@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"infoflow/internal/core"
 	"infoflow/internal/graph"
 	"infoflow/internal/mh"
 	"infoflow/internal/rng"
@@ -301,12 +304,74 @@ func TestServerBadRequests(t *testing.T) {
 		{"/flow?source=0&sink=1&timeout=-1s", http.StatusBadRequest},
 		{"/community?top=5", http.StatusBadRequest},           // missing source
 		{"/community?source=0&top=-2", http.StatusBadRequest}, // bad top
+
+		// More distinct conditions than a request may carry.
+		{"/flow?source=0&sink=1&cond=" + condList(maxConds+1, 20), http.StatusBadRequest},
+		{"/community?source=0&cond=" + condList(maxConds+1, 20), http.StatusBadRequest},
+		{"/impact?sources=0&mode=sampled&cond=" + condList(maxConds+1, 20), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		var resp map[string]string
 		if status := getJSON(t, ts.URL+tc.path, &resp); status != tc.want {
 			t.Errorf("GET %s: status %d, want %d (%v)", tc.path, status, tc.want, resp)
 		}
+	}
+}
+
+// condList renders the first k distinct forbidden flows u>v=0 over
+// nodes [0, n), self-flows skipped, in row-major order of (u, v).
+func condList(k, n int) string {
+	parts := make([]string, 0, k)
+	for u := 0; u < n && len(parts) < k; u++ {
+		for v := 0; v < n && len(parts) < k; v++ {
+			if u != v {
+				parts = append(parts, fmt.Sprintf("%d>%d=0", u, v))
+			}
+		}
+	}
+	return strings.Join(parts, ",")
+}
+
+// TestServerCondCountBounded: a request carries at most maxConds
+// distinct conditions. A conditioned chain keeps an O(n) certificate per
+// condition, so a long list of conditions that always hold (here u>v=0
+// from a node with one out-edge, or none) would otherwise make one
+// request allocate O(conditions × n). At the bound the request is
+// served, duplicates not counting; one past it is a 400, and a request
+// with thousands of conditions allocates a small fraction of
+// conditions × n bytes. The server runs on the real clock with a short
+// window, so a request the bound let through would be answered too.
+func TestServerCondCountBounded(t *testing.T) {
+	const n = 4096
+	g := graph.New(n)
+	g.MustAddEdge(0, 1)
+	m := core.MustNewICM(g, []float64{0.5})
+	_, ts, _ := startServer(t, func(c *Config) {
+		c.Models = []Model{{Name: "m", ICM: m}}
+		c.Clock, c.Window = RealClock(), time.Millisecond
+	})
+	url := ts.URL + "/flow?source=0&sink=1&samples=20&seed=3&cond="
+
+	atBound := condList(maxConds, n)
+	var first, again flowResponse
+	if status := getJSON(t, url+atBound, &first); status != http.StatusOK {
+		t.Fatalf("%d conditions: status %d, want 200", maxConds, status)
+	}
+	if status := getJSON(t, url+atBound+","+atBound, &again); status != http.StatusOK || !again.Cached || again.Prob != first.Prob {
+		t.Errorf("%d conditions listed twice: status %d, cached %v, prob %v; want 200 from the cache with %v", maxConds, status, again.Cached, again.Prob, first.Prob)
+	}
+
+	const many = 4000
+	var resp map[string]any
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	status := getJSON(t, url+condList(many, n), &resp)
+	runtime.ReadMemStats(&after)
+	if status != http.StatusBadRequest {
+		t.Errorf("%d conditions: status %d, want 400 (%v)", many, status, resp)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(many*n/4); got > limit {
+		t.Errorf("%d conditions on %d nodes allocated %d bytes, want at most %d", many, n, got, limit)
 	}
 }
 
@@ -332,6 +397,96 @@ func TestServerCondCanonicalisation(t *testing.T) {
 	}
 	if srv.Metrics().CacheHits.Load() != 1 {
 		t.Errorf("CacheHits = %d, want 1", srv.Metrics().CacheHits.Load())
+	}
+}
+
+// condOrderModel is a 6-node model on which the order of two forbidden
+// flows, a~>d and b~>e, changes a chain's initial state: edges a->y,
+// b->y, y->d are near certain (p = 0.9999), so every rejection try
+// fails and NewSampler repairs the conditions one at a time, cutting
+// y->d for a~>d first but d->e for b~>e first. d->e (p = 0.6) and e->f
+// (p = 0.5) keep the conditioned chain's answers off 0 and 1.
+func condOrderModel() *core.ICM {
+	const a, b, y, d, e, f = 0, 1, 2, 3, 4, 5
+	g := graph.New(6)
+	for _, uv := range [][2]graph.NodeID{{a, y}, {b, y}, {y, d}, {d, e}, {e, f}} {
+		g.MustAddEdge(uv[0], uv[1])
+	}
+	return core.MustNewICM(g, []float64{0.9999, 0.9999, 0.9999, 0.6, 0.5})
+}
+
+// TestServerCondOrderLeavesAnswers: a condition list in either order
+// gets the same answer whichever order opened the batch, and that
+// answer is the library's on the canonical (sorted) order. Each arrival
+// order runs on a fresh server; the first request opens the batch, the
+// second reads the cache.
+func TestServerCondOrderLeavesAnswers(t *testing.T) {
+	const canonical, reversed = "0>3=0,1>4=0", "1>4=0,0>3=0"
+	m := condOrderModel()
+	opts := mh.DefaultOptions(m.NumEdges())
+	opts.Samples = 100
+	conds, err := ParseConds(canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mh.FlowProb(m, 4, 5, conds, opts, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arrival := range [][2]string{{canonical, reversed}, {reversed, canonical}} {
+		_, ts, clock := startServer(t, func(c *Config) { c.Models = []Model{{Name: "m", ICM: m}} })
+		var first flowResponse
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			getJSON(t, ts.URL+"/flow?source=4&sink=5&samples=100&seed=1&cond="+arrival[0], &first)
+		}()
+		waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
+		clock.Advance(time.Hour)
+		<-done
+		var second flowResponse
+		if status := getJSON(t, ts.URL+"/flow?source=4&sink=5&samples=100&seed=1&cond="+arrival[1], &second); status != http.StatusOK {
+			t.Fatalf("status %d", status)
+		}
+		for _, got := range []flowResponse{first, second} {
+			if got.Prob != want || got.Cond != canonical {
+				t.Errorf("arrival %q: prob %v cond %q, library on the canonical order %v %q", arrival, got.Prob, got.Cond, want, canonical)
+			}
+		}
+	}
+}
+
+// TestServerCondContradictions: a forbidden self-flow and a pair both
+// required and forbidden are 422 at parse time, on /flow and /maximize
+// alike; duplicates and a required self-flow are accepted.
+func TestServerCondContradictions(t *testing.T) {
+	_, ts, _ := startServer(t, nil)
+	cases := []struct {
+		path string
+		want int
+	}{
+		{"/flow?source=0&sink=1&cond=2>2=0", http.StatusUnprocessableEntity},
+		{"/flow?source=0&sink=1&cond=3>4=1,1>2=1,3>4=0", http.StatusUnprocessableEntity},
+		{"/maximize?k=1&cond=2>2=0", http.StatusUnprocessableEntity},
+		{"/maximize?k=1&cond=3>4=0,3>4=1", http.StatusUnprocessableEntity},
+	}
+	for _, tc := range cases {
+		var resp map[string]string
+		if status := getJSON(t, ts.URL+tc.path, &resp); status != tc.want {
+			t.Errorf("GET %s: status %d, want %d (%v)", tc.path, status, tc.want, resp)
+		}
+	}
+	for raw, key := range map[string]string{
+		"3>4=1,1>2=1,3>4=1": "1>2=1,3>4=1",
+		"2>2=1":             "2>2=1",
+	} {
+		conds, err := ParseConds(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, got, err := CanonicalConds(conds); err != nil || got != key {
+			t.Errorf("CanonicalConds(%q): key %q, error %v; want key %q", raw, got, err, key)
+		}
 	}
 }
 
