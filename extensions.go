@@ -136,20 +136,6 @@ func CommunityFlowProbsBatch(m *ICM, sources []NodeID, conds []FlowCondition, op
 // valid and resumable after an interrupted run.
 var ErrInterrupted = mh.ErrInterrupted
 
-// FlowProbBatchOn is FlowProbBatch on a caller-constructed Sampler,
-// keeping the chain in hand for diagnostics (for example
-// Sampler.PostBurnInAcceptanceRate) — the entry point the flowserve
-// batching layer uses.
-func FlowProbBatchOn(s *Sampler, pairs []FlowPair, opts MHOptions) ([]float64, error) {
-	return mh.FlowProbBatchOn(s, pairs, opts)
-}
-
-// CommunityFlowProbsBatchOn is CommunityFlowProbsBatch on a
-// caller-constructed Sampler; see FlowProbBatchOn.
-func CommunityFlowProbsBatchOn(s *Sampler, sources []NodeID, opts MHOptions) ([][]float64, error) {
-	return mh.CommunityFlowProbsBatchOn(s, sources, opts)
-}
-
 // assertAliases pins the facade types to their internal definitions at
 // compile time (a change in either side fails the build here rather
 // than at a user's call site).

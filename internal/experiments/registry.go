@@ -116,13 +116,6 @@ func Registry() []Runner {
 			},
 		},
 		{
-			Name:        "lanes",
-			Description: "lane-width sweep: fixed query set at mask widths W=1..8, per-query cost (timing)",
-			Run: func(small bool) (fmt.Stringer, error) {
-				return RunLaneSweep(pick(small, LaneSweepSmall, LaneSweepPaper))
-			},
-		},
-		{
 			Name:        "sizedist",
 			Description: "analytic cascade-size law vs sampled MH impact: TV agreement and paired timings",
 			Run: func(small bool) (fmt.Stringer, error) {

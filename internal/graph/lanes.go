@@ -6,7 +6,7 @@ import "infoflow/internal/bitset"
 // active-edge mask is a packed bitset.Set (a pseudo-state slots in
 // directly) and scratch state is caller-owned, so steady-state calls
 // allocate nothing. The multi-query sweeps that answer 64*W flow
-// queries per pass live in lanes_wide.go and lanes_reverse.go. The
+// queries per pass, in either orientation, live in lanes_wide.go. The
 // closure traversals Reachable and HasPath (traverse.go) are the plain
 // BFS reference every kernel is tested against.
 

@@ -10,19 +10,25 @@ import (
 // single-source reachability queries. The sweep has two passes: an
 // iterative Tarjan condensation of the active subgraph, then a
 // topological lane-mask push in which each touched edge ORs W words.
+// Both passes take the orientation as an argument: forward they follow
+// out-edges (u -> v reads v = To), reverse they follow the graph's
+// in-edge adjacency (reads u = From), which is the forward sweep of the
+// transposed graph without materialising it. An SCC is the same set of
+// nodes in either orientation.
 
 // condenseInto runs one iterative Tarjan pass over the subgraph of
-// active edges reachable from seeds, writing the SCC id of each reached
+// active edges reachable from seeds — following in-edges instead of
+// out-edges when reverse is set — writing the SCC id of each reached
 // node into comp (-1 elsewhere), the nodes grouped by SCC in emission
 // order into nodes, and the per-SCC offsets (plus an end sentinel) into
 // starts. Tarjan emits SCCs descendants first, so iterating the starts
-// in reverse visits components in topological order, ancestors before
-// descendants. comp is grown and refilled with -1 here; nodes and
-// starts are appended to from length zero. All three are returned (the
-// caller's buffers, or their replacements).
+// in reverse visits components in topological order of the orientation,
+// ancestors before descendants. comp is grown and refilled with -1
+// here; nodes and starts are appended to from length zero. All three
+// are returned (the caller's buffers, or their replacements).
 //
 //flowlint:hotpath
-func (g *DiGraph) condenseInto(seeds []NodeID, active bitset.Set, sc *Scratch, comp []int32, nodes []NodeID, starts []int32) ([]int32, []NodeID, []int32) {
+func (g *DiGraph) condenseInto(seeds []NodeID, reverse bool, active bitset.Set, sc *Scratch, comp []int32, nodes []NodeID, starts []int32) ([]int32, []NodeID, []int32) {
 	n := g.NumNodes()
 	sc.beginCondense(n)
 	if len(comp) < n {
@@ -33,11 +39,15 @@ func (g *DiGraph) condenseInto(seeds []NodeID, active bitset.Set, sc *Scratch, c
 	for i := range comp {
 		comp[i] = -1
 	}
+	adj := g.out
+	if reverse {
+		adj = g.in
+	}
 	idx, low := sc.dfsIdx, sc.dfsLow
 	onStack := sc.inq
 	tstack := sc.back[:0]  // Tarjan's SCC stack
 	dfsN := sc.queue[:0]   // DFS stack: frame f visits node dfsN[f]
-	dfsE := sc.dfsEdge[:0] // ... with out-edge cursor dfsE[f]
+	dfsE := sc.dfsEdge[:0] // ... with edge cursor dfsE[f] into adj[dfsN[f]]
 	var next int32
 	for _, root := range seeds {
 		if idx[root] != -1 {
@@ -52,13 +62,17 @@ func (g *DiGraph) condenseInto(seeds []NodeID, active bitset.Set, sc *Scratch, c
 		for len(dfsN) > 0 {
 			f := len(dfsN) - 1
 			v := dfsN[f]
-			if ei := dfsE[f]; int(ei) < len(g.out[v]) {
+			if ei := dfsE[f]; int(ei) < len(adj[v]) {
 				dfsE[f]++
-				id := g.out[v][ei]
+				id := adj[v][ei]
 				if !active.Test(int(id)) {
 					continue
 				}
-				w := g.edges[id].To
+				e := g.edges[id]
+				w := e.To
+				if reverse {
+					w = e.From
+				}
 				if idx[w] == -1 {
 					idx[w], low[w] = next, next
 					next++
@@ -101,17 +115,19 @@ func (g *DiGraph) condenseInto(seeds []NodeID, active bitset.Set, sc *Scratch, c
 	return comp, nodes, starts
 }
 
-// pushLanesWide propagates W-word lane masks over a condensation in
-// topological order: compWide (one W-word row per SCC, zeroed by the
-// caller) is seeded from seeds/seedBits, then components are visited
-// ancestors first, each reached node's reach row overwritten with its
-// component's mask and every active out-edge ORing the mask into the
-// target component. Each active edge within the condensed region is
-// touched exactly once here. Rows no lane reaches are never written:
-// the caller hands in a cleared reach matrix.
+// pushLanes propagates W-word lane masks over a condensation in
+// topological order of its orientation: compWide (one W-word row per
+// SCC, zeroed by the caller) is seeded from seeds/seedBits, then
+// components are visited ancestors first, each reached node's reach row
+// overwritten with its component's mask and every active edge leaving
+// it in the orientation (an out-edge forward, an in-edge reverse) ORing
+// the mask into the component at its far end. Each active edge within
+// the condensed region is touched exactly once here. Rows no lane
+// reaches are never written: the caller hands in a cleared reach
+// matrix.
 //
 //flowlint:hotpath
-func (g *DiGraph) pushLanesWide(seeds []NodeID, seedBits *bitset.LaneMatrix, active bitset.Set, comp []int32, nodes []NodeID, starts []int32, compWide []uint64, reach *bitset.LaneMatrix) {
+func (g *DiGraph) pushLanes(seeds []NodeID, seedBits *bitset.LaneMatrix, reverse bool, active bitset.Set, comp []int32, nodes []NodeID, starts []int32, compWide []uint64, reach *bitset.LaneMatrix) {
 	W := seedBits.W
 	for k, v := range seeds {
 		src := seedBits.Row(k)
@@ -119,6 +135,10 @@ func (g *DiGraph) pushLanesWide(seeds []NodeID, seedBits *bitset.LaneMatrix, act
 		for j, w := range src {
 			dst[j] |= w
 		}
+	}
+	adj := g.out
+	if reverse {
+		adj = g.in
 	}
 	for c := len(starts) - 2; c >= 0; c-- {
 		row := compWide[c*W : c*W+W : c*W+W]
@@ -132,11 +152,16 @@ func (g *DiGraph) pushLanesWide(seeds []NodeID, seedBits *bitset.LaneMatrix, act
 		for i := starts[c]; i < starts[c+1]; i++ {
 			v := nodes[i]
 			copy(reach.Row(int(v)), row)
-			for _, id := range g.out[v] {
+			for _, id := range adj[v] {
 				if !active.Test(int(id)) {
 					continue
 				}
-				dst := compWide[int(comp[g.edges[id].To])*W:]
+				e := g.edges[id]
+				far := e.To
+				if reverse {
+					far = e.From
+				}
+				dst := compWide[int(comp[far])*W:]
 				for j, w := range row {
 					dst[j] |= w
 				}
@@ -168,6 +193,31 @@ func growCompWide(buf []uint64, words int) []uint64 {
 	return buf
 }
 
+// reachLanes is the sweep behind ReachLanesWideInto (reverse false) and
+// ReachLanesWideReverseInto (reverse true): condense, then push.
+//
+//flowlint:hotpath
+func (g *DiGraph) reachLanes(seeds []NodeID, seedBits *bitset.LaneMatrix, reverse bool, active bitset.Set, sc *Scratch, reach *bitset.LaneMatrix) {
+	n := g.NumNodes()
+	if sc == nil {
+		sc = tempScratch(n)
+	}
+	W := seedBits.W
+	if reach.Rows != n || reach.W != W {
+		//flowlint:ignore hotpath -- documented cold fallback on first use or shape change; steady-state callers keep the shape
+		reach.Resize(n, W)
+	} else {
+		reach.Reset()
+	}
+	comp, nodes, starts := g.condenseInto(seeds, reverse, active, sc, sc.comp, sc.sccNodes[:0], sc.sccStart[:0])
+	sc.comp = comp
+	compWide := growCompWide(sc.compWide, (len(starts)-1)*W)
+	g.pushLanes(seeds, seedBits, reverse, active, comp, nodes, starts, compWide, reach)
+	sc.sccNodes = nodes[:0]
+	sc.sccStart = starts[:0]
+	sc.compWide = compWide[:0]
+}
+
 // ReachLanesWideInto runs the bit-parallel reachability sweep: seed
 // node seeds[k] is OR-seeded with the W-word lane row seedBits.Row(k),
 // and on return reach.Row(v) has lane bit L set iff v is reachable
@@ -192,24 +242,24 @@ func growCompWide(buf []uint64, words int) []uint64 {
 //
 //flowlint:hotpath
 func (g *DiGraph) ReachLanesWideInto(seeds []NodeID, seedBits *bitset.LaneMatrix, active bitset.Set, sc *Scratch, reach *bitset.LaneMatrix) {
-	n := g.NumNodes()
-	if sc == nil {
-		sc = tempScratch(n)
-	}
-	W := seedBits.W
-	if reach.Rows != n || reach.W != W {
-		//flowlint:ignore hotpath -- documented cold fallback on first use or shape change; steady-state callers keep the shape
-		reach.Resize(n, W)
-	} else {
-		reach.Reset()
-	}
-	comp, nodes, starts := g.condenseInto(seeds, active, sc, sc.comp, sc.sccNodes[:0], sc.sccStart[:0])
-	sc.comp = comp
-	compWide := growCompWide(sc.compWide, (len(starts)-1)*W)
-	g.pushLanesWide(seeds, seedBits, active, comp, nodes, starts, compWide, reach)
-	sc.sccNodes = nodes[:0]
-	sc.sccStart = starts[:0]
-	sc.compWide = compWide[:0]
+	g.reachLanes(seeds, seedBits, false, active, sc, reach)
+}
+
+// ReachLanesWideReverseInto is ReachLanesWideInto with the orientation
+// flipped: root roots[k] is OR-seeded with the W-word lane row
+// rootBits.Row(k), and on return reach.Row(u) has lane bit L set iff u
+// can reach (across edges whose bit in active is set) some node seeded
+// with L — every root counting as reaching itself. Lane L of the result
+// is therefore the reverse-reachability (RR) set of the nodes carrying
+// L, bit for bit what the forward sweep computes on the transposed
+// graph (same node IDs, each edge u->v re-added as v->u under the same
+// EdgeID); this is the kernel of the RIS-style influence-maximization
+// estimator. reach is resized to (NumNodes, rootBits.W) and
+// overwritten. If sc is nil a temporary Scratch is allocated.
+//
+//flowlint:hotpath
+func (g *DiGraph) ReachLanesWideReverseInto(roots []NodeID, rootBits *bitset.LaneMatrix, active bitset.Set, sc *Scratch, reach *bitset.LaneMatrix) {
+	g.reachLanes(roots, rootBits, true, active, sc, reach)
 }
 
 // LaneEngine is kept only because servebench/replay.go, the frozen

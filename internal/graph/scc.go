@@ -1,10 +1,13 @@
 package graph
 
+import "infoflow/internal/bitset"
+
 // StronglyConnectedComponents returns Tarjan's SCC decomposition: a
 // component label per node (labels dense in [0, count), in reverse
 // topological order of the condensation: an edge between components
 // always goes from a higher label to a lower one) and the component
-// count.
+// count. It is the lane sweep's condensation pass run from every node,
+// in node order, over every edge.
 //
 // SCCs matter for flow analysis: within a strongly connected component
 // every pair of nodes can exchange information, so component structure
@@ -12,80 +15,20 @@ package graph
 // condensation is the natural unit for coarse leakage audits.
 func (g *DiGraph) StronglyConnectedComponents() (labels []int, count int) {
 	n := g.NumNodes()
+	roots := make([]NodeID, n)
+	for v := range roots {
+		roots[v] = NodeID(v)
+	}
+	all := bitset.New(g.NumEdges())
+	for i := range all {
+		all[i] = ^uint64(0)
+	}
+	comp, _, starts := g.condenseInto(roots, false, all, NewScratch(n), nil, nil, nil)
 	labels = make([]int, n)
-	for v := range labels {
-		labels[v] = -1
+	for v, c := range comp {
+		labels[v] = int(c)
 	}
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for v := range index {
-		index[v] = -1
-	}
-	next := 0
-	var stack []NodeID
-
-	// Iterative Tarjan: each frame tracks the node and the position in
-	// its out-edge list.
-	type frame struct {
-		v    NodeID
-		edge int
-	}
-	for root := 0; root < n; root++ {
-		if index[root] != -1 {
-			continue
-		}
-		frames := []frame{{v: NodeID(root)}}
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, NodeID(root))
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			out := g.out[f.v]
-			if f.edge < len(out) {
-				w := g.edges[out[f.edge]].To
-				f.edge++
-				if index[w] == -1 {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
-				} else if onStack[w] {
-					if index[w] < low[f.v] {
-						low[f.v] = index[w]
-					}
-				}
-				continue
-			}
-			// Post-order: pop the frame, fold lowlink into the parent,
-			// and emit a component if v is a root.
-			v := f.v
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := frames[len(frames)-1].v
-				if low[v] < low[parent] {
-					low[parent] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					labels[w] = count
-					if w == v {
-						break
-					}
-				}
-				count++
-			}
-		}
-	}
-	return labels, count
+	return labels, len(starts) - 1
 }
 
 // CondensedDAG returns the condensation of the graph: one node per

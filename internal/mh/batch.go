@@ -10,87 +10,6 @@ import (
 	"infoflow/internal/rng"
 )
 
-// LaneWidth is the number of query lanes one machine word carries: the
-// wide sweep packs W = 1..MaxLaneWords such words per node.
-const LaneWidth = 64
-
-// MaxLaneWords bounds the lane-mask width of one sweep; at 16 words a
-// single sweep answers up to MaxLanes queries. Wider masks stop paying:
-// per-edge cost grows linearly with W while the amortised chain cost is
-// already negligible at 1024 lanes.
-const MaxLaneWords = 16
-
-// MaxLanes is the largest query count one sweep can carry.
-const MaxLanes = LaneWidth * MaxLaneWords
-
-// laneWords resolves a requested lane-mask width for k queries: words
-// <= 0 selects the smallest width that fits all k in one sweep (capped
-// at MaxLaneWords, past which the batch chunks); explicit widths must
-// lie in [1, MaxLaneWords].
-func laneWords(words, k int) (int, error) {
-	if words <= 0 {
-		words = (k + LaneWidth - 1) / LaneWidth
-		if words > MaxLaneWords {
-			words = MaxLaneWords
-		}
-		if words < 1 {
-			words = 1
-		}
-		return words, nil
-	}
-	if words > MaxLaneWords {
-		return 0, fmt.Errorf("mh: lane width %d words exceeds MaxLaneWords (%d)", words, MaxLaneWords)
-	}
-	return words, nil
-}
-
-// batchScratch is the sampler-held buffer set of the batched
-// estimators: per-chunk seed tables, seed-bit matrices and reach
-// matrices, plus the shared hit counters. Everything is retained across
-// batches on one sampler, so a repeated batch reuses the memory. Reach
-// matrices are per-chunk because ImpactDistributionBatchOn reads every
-// chunk's lanes after the sample's sweeps.
-type batchScratch struct {
-	seeds    [][]graph.NodeID
-	seedBits []*bitset.LaneMatrix
-	reach    []*bitset.LaneMatrix
-	hits     []int
-}
-
-// prepareLanes shapes the sampler's batch buffers for k queries at the
-// given word width — query q lands in chunk q/(64*words), lane
-// q mod (64*words), seeded at source(q) — and returns the chunk count.
-func (s *Sampler) prepareLanes(k, words int, source func(int) graph.NodeID) int {
-	bs := &s.batch
-	lanesPer := words * LaneWidth
-	nChunks := (k + lanesPer - 1) / lanesPer
-	for len(bs.seeds) < nChunks {
-		bs.seedBits = append(bs.seedBits, &bitset.LaneMatrix{})
-		bs.reach = append(bs.reach, &bitset.LaneMatrix{})
-		bs.seeds = append(bs.seeds, nil)
-	}
-	for c := 0; c < nChunks; c++ {
-		lo := c * lanesPer
-		hi := min(lo+lanesPer, k)
-		seeds := bs.seeds[c][:0]
-		sb := bs.seedBits[c]
-		sb.Resize(hi-lo, words)
-		for q := lo; q < hi; q++ {
-			seeds = append(seeds, source(q))
-			sb.SetBit(q-lo, q-lo)
-		}
-		bs.seeds[c] = seeds
-	}
-	if cap(bs.hits) < k {
-		bs.hits = make([]int, k)
-	}
-	bs.hits = bs.hits[:k]
-	for i := range bs.hits {
-		bs.hits[i] = 0
-	}
-	return nChunks
-}
-
 // FlowProbBatch estimates Pr[source_k ~> sink_k | conds] for every pair
 // from ONE Metropolis-Hastings chain: all queries share the chain's
 // burn-in and thinning steps, and each thinned sample is interrogated
@@ -108,19 +27,11 @@ func (s *Sampler) prepareLanes(k, words int, source func(int) graph.NodeID) int 
 // a batch are correlated (they share samples), but each is individually
 // the same unbiased estimator FlowProb computes.
 func FlowProbBatch(m *core.ICM, pairs []FlowPair, conds []core.FlowCondition, opts Options, r *rng.RNG) ([]float64, error) {
-	return FlowProbBatchWide(m, pairs, conds, opts, 0, r)
-}
-
-// FlowProbBatchWide is FlowProbBatch with an explicit lane-mask width
-// in words (64 lanes per word, up to MaxLaneWords); words <= 0 picks
-// the smallest width covering all pairs. The width only changes how
-// queries chunk onto sweeps, never the estimates.
-func FlowProbBatchWide(m *core.ICM, pairs []FlowPair, conds []core.FlowCondition, opts Options, words int, r *rng.RNG) ([]float64, error) {
 	s, err := NewSampler(m, conds, r)
 	if err != nil {
 		return nil, err
 	}
-	return FlowProbBatchWideOn(s, pairs, opts, words)
+	return FlowProbBatchOn(s, pairs, opts)
 }
 
 // FlowProbBatchOn is FlowProbBatch running on a caller-constructed
@@ -130,47 +41,42 @@ func FlowProbBatchWide(m *core.ICM, pairs []FlowPair, conds []core.FlowCondition
 // constructed (or at a run boundary); opts.Interrupt cancellation is
 // honoured between thinned samples.
 func FlowProbBatchOn(s *Sampler, pairs []FlowPair, opts Options) ([]float64, error) {
-	return FlowProbBatchWideOn(s, pairs, opts, 0)
-}
-
-// FlowProbBatchWideOn is FlowProbBatchWide running on a
-// caller-constructed sampler; see FlowProbBatchOn.
-func FlowProbBatchWideOn(s *Sampler, pairs []FlowPair, opts Options, words int) ([]float64, error) {
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("mh: FlowProbBatch with no pairs")
 	}
-	words, err := laneWords(words, len(pairs))
-	if err != nil {
+	sources := make([]graph.NodeID, len(pairs))
+	for q, p := range pairs {
+		if err := checkNodes(s.m, "sink", p.Sink); err != nil {
+			return nil, err
+		}
+		sources[q] = p.Source
+	}
+	var l laneLayout
+	if err := l.place(s.m, sources, 0); err != nil {
 		return nil, err
 	}
-	nChunks := s.prepareLanes(len(pairs), words, func(q int) graph.NodeID { return pairs[q].Source })
-	err = s.Run(opts, func(core.PseudoState) { s.countFlowHits(pairs, words, nChunks) })
-	if err != nil {
+	hits := make([]int, len(pairs))
+	if err := s.Run(opts, func(x core.PseudoState) { l.countFlows(pairs, x, s.scratch, hits) }); err != nil {
 		return nil, err
 	}
 	probs := make([]float64, len(pairs))
-	for q, h := range s.batch.hits {
+	for q, h := range hits {
 		probs[q] = float64(h) / float64(opts.Samples)
 	}
 	return probs, nil
 }
 
-// countFlowHits is FlowProbBatchWideOn's per-sample body: one wide-lane
-// sweep of the current pseudo-state per chunk prepared by prepareLanes,
-// then a hit for every pair whose source lane reached its sink.
+// countFlows sweeps every chunk of x and counts a hit for each pair
+// whose source lane reached its sink.
 //
 //flowlint:hotpath
-func (s *Sampler) countFlowHits(pairs []FlowPair, words, nChunks int) {
-	bs := &s.batch
-	lanesPer := words * LaneWidth
-	for c := 0; c < nChunks; c++ {
-		reach := bs.reach[c]
-		s.m.G.ReachLanesWideInto(bs.seeds[c], bs.seedBits[c], s.x, s.scratch, reach)
-		lo := c * lanesPer
-		hi := min(lo+lanesPer, len(pairs))
+func (l *laneLayout) countFlows(pairs []FlowPair, x bitset.Set, sc *graph.Scratch, hits []int) {
+	for c := range l.seeds {
+		l.sweep(c, x, sc)
+		lo, hi := l.span(c)
 		for q := lo; q < hi; q++ {
-			if reach.TestBit(int(pairs[q].Sink), q-lo) {
-				bs.hits[q]++
+			if l.reached(pairs[q].Sink, q) {
+				hits[q]++
 			}
 		}
 	}
@@ -201,60 +107,65 @@ func ImpactDistributionBatchOn(s *Sampler, sets [][]graph.NodeID, opts Options) 
 	if len(sets) == 0 {
 		return nil, fmt.Errorf("mh: ImpactDistributionBatch with no source sets")
 	}
-	n := s.m.NumNodes()
-	// Flatten every set's distinct sources onto consecutive lanes; a
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	// Flatten every set's distinct sources onto consecutive queries; a
 	// set's impact only depends on the union of its lanes, so duplicates
 	// within a set would waste lanes without changing the answer.
-	type span struct{ lo, width int }
-	spans := make([]span, len(sets))
+	spans := make([]laneSpan, len(sets))
 	var flat []graph.NodeID
 	for i, set := range sets {
-		for _, src := range set {
-			if int(src) < 0 || int(src) >= n {
-				return nil, fmt.Errorf("mh: ImpactDistributionBatch set %d: source %d out of range [0, %d)", i, src, n)
-			}
+		if err := checkNodes(s.m, "source", set...); err != nil {
+			return nil, fmt.Errorf("%w in set %d", err, i)
 		}
-		distinct, _ := core.DedupSources(n, set)
+		distinct, _ := core.DedupSources(s.m.NumNodes(), set)
 		if len(distinct) == 0 {
 			return nil, fmt.Errorf("mh: ImpactDistributionBatch set %d is empty", i)
 		}
-		spans[i] = span{lo: len(flat), width: len(distinct)}
+		spans[i] = laneSpan{lo: len(flat), hi: len(flat) + len(distinct)}
 		flat = append(flat, distinct...)
 	}
-	words, err := laneWords(0, len(flat))
-	if err != nil {
+	l := laneLayout{perChunk: true}
+	if err := l.place(s.m, flat, 0); err != nil {
 		return nil, err
 	}
-	lanesPer := words * LaneWidth
-	nChunks := s.prepareLanes(len(flat), words, func(q int) graph.NodeID { return flat[q] })
-	bs := &s.batch
 	impacts := make([][]int, len(sets))
 	for i := range impacts {
 		impacts[i] = make([]int, 0, opts.Samples)
 	}
-	err = s.Run(opts, func(core.PseudoState) {
-		for c := 0; c < nChunks; c++ {
-			s.m.G.ReachLanesWideInto(bs.seeds[c], bs.seedBits[c], s.x, s.scratch, bs.reach[c])
-		}
-		for i, sp := range spans {
-			count := 0
-		nodes:
-			for v := 0; v < n; v++ {
-				for j := 0; j < sp.width; j++ {
-					q := sp.lo + j
-					if bs.reach[q/lanesPer].TestBit(v, q%lanesPer) {
-						count++
-						continue nodes
-					}
-				}
-			}
-			impacts[i] = append(impacts[i], count-sp.width)
-		}
-	})
-	if err != nil {
+	if err := s.Run(opts, func(x core.PseudoState) { l.countImpacts(spans, x, s.scratch, impacts) }); err != nil {
 		return nil, err
 	}
 	return impacts, nil
+}
+
+// laneSpan is the run of queries [lo, hi) that one impact set's
+// distinct sources occupy.
+type laneSpan struct{ lo, hi int }
+
+// countImpacts sweeps every chunk of x, then appends to impacts[i] the
+// number of nodes some lane of set i reaches, less the set's size.
+//
+//flowlint:hotpath
+func (l *laneLayout) countImpacts(spans []laneSpan, x bitset.Set, sc *graph.Scratch, impacts [][]int) {
+	for c := range l.seeds {
+		l.sweep(c, x, sc)
+	}
+	n := graph.NodeID(l.g.NumNodes())
+	for i, sp := range spans {
+		count := 0
+	nodes:
+		for v := graph.NodeID(0); v < n; v++ {
+			for q := sp.lo; q < sp.hi; q++ {
+				if l.reached(v, q) {
+					count++
+					continue nodes
+				}
+			}
+		}
+		impacts[i] = append(impacts[i], count-(sp.hi-sp.lo))
+	}
 }
 
 // CommunityFlowProbsBatch estimates Pr[source_k ~> v | conds] for every
@@ -269,63 +180,30 @@ func ImpactDistributionBatchOn(s *Sampler, sets [][]graph.NodeID, opts Options) 
 // goroutines, this one buys throughput by sharing a single chain's
 // samples across all sources on one core.
 func CommunityFlowProbsBatch(m *core.ICM, sources []graph.NodeID, conds []core.FlowCondition, opts Options, r *rng.RNG) ([][]float64, error) {
-	return CommunityFlowProbsBatchWide(m, sources, conds, opts, 0, r)
-}
-
-// CommunityFlowProbsBatchWide is CommunityFlowProbsBatch with an
-// explicit lane-mask width in words; words <= 0 picks the smallest
-// width covering all sources. The width only changes how sources chunk
-// onto sweeps, never the estimates.
-func CommunityFlowProbsBatchWide(m *core.ICM, sources []graph.NodeID, conds []core.FlowCondition, opts Options, words int, r *rng.RNG) ([][]float64, error) {
 	s, err := NewSampler(m, conds, r)
 	if err != nil {
 		return nil, err
 	}
-	return CommunityFlowProbsBatchWideOn(s, sources, opts, words)
+	return CommunityFlowProbsBatchOn(s, sources, opts)
 }
 
 // CommunityFlowProbsBatchOn is CommunityFlowProbsBatch running on a
 // caller-constructed sampler; see FlowProbBatchOn for why the serving
 // layer wants the chain in hand.
 func CommunityFlowProbsBatchOn(s *Sampler, sources []graph.NodeID, opts Options) ([][]float64, error) {
-	return CommunityFlowProbsBatchWideOn(s, sources, opts, 0)
-}
-
-// CommunityFlowProbsBatchWideOn is CommunityFlowProbsBatchWide running
-// on a caller-constructed sampler; see FlowProbBatchOn.
-func CommunityFlowProbsBatchWideOn(s *Sampler, sources []graph.NodeID, opts Options, words int) ([][]float64, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("mh: CommunityFlowProbsBatch with no sources")
 	}
-	words, err := laneWords(words, len(sources))
-	if err != nil {
+	var l laneLayout
+	if err := l.place(s.m, sources, 0); err != nil {
 		return nil, err
 	}
 	n := s.m.NumNodes()
-	lanesPer := words * LaneWidth
-	nChunks := s.prepareLanes(len(sources), words, func(q int) graph.NodeID { return sources[q] })
-	bs := &s.batch
 	counts := make([][]int, len(sources))
 	for k := range counts {
 		counts[k] = make([]int, n)
 	}
-	err = s.Run(opts, func(core.PseudoState) {
-		for c := 0; c < nChunks; c++ {
-			reach := bs.reach[c]
-			s.m.G.ReachLanesWideInto(bs.seeds[c], bs.seedBits[c], s.x, s.scratch, reach)
-			lo := c * lanesPer
-			for v := 0; v < n; v++ {
-				row := reach.Row(v)
-				for j, w := range row {
-					base := lo + j*LaneWidth
-					for ; w != 0; w &= w - 1 {
-						counts[base+bits.TrailingZeros64(w)][v]++
-					}
-				}
-			}
-		}
-	})
-	if err != nil {
+	if err := s.Run(opts, func(x core.PseudoState) { l.countReached(x, s.scratch, counts) }); err != nil {
 		return nil, err
 	}
 	probs := make([][]float64, len(sources))
@@ -336,4 +214,23 @@ func CommunityFlowProbsBatchWideOn(s *Sampler, sources []graph.NodeID, opts Opti
 		}
 	}
 	return probs, nil
+}
+
+// countReached sweeps every chunk of x and increments counts[q][v] for
+// every node v that query q's lane reached.
+//
+//flowlint:hotpath
+func (l *laneLayout) countReached(x bitset.Set, sc *graph.Scratch, counts [][]int) {
+	for c := range l.seeds {
+		reach := l.sweep(c, x, sc)
+		lo, _ := l.span(c)
+		for v := 0; v < reach.Rows; v++ {
+			for j, w := range reach.Row(v) {
+				base := lo + j*LaneWidth
+				for ; w != 0; w &= w - 1 {
+					counts[base+bits.TrailingZeros64(w)][v]++
+				}
+			}
+		}
+	}
 }

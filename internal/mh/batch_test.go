@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"infoflow/internal/bitset"
 	"infoflow/internal/core"
 	"infoflow/internal/graph"
 	"infoflow/internal/rng"
@@ -138,11 +139,42 @@ func TestCommunityFlowProbsBatchMatchesSingle(t *testing.T) {
 	}
 }
 
+// pairSources lists the source of every pair, in order.
+func pairSources(pairs []FlowPair) []graph.NodeID {
+	sources := make([]graph.NodeID, len(pairs))
+	for q, p := range pairs {
+		sources[q] = p.Source
+	}
+	return sources
+}
+
+// runLanes places seeds on l at the given width and runs tally on every
+// thinned state of a fresh unconditioned chain from seed: a batch
+// estimator's body with its width chosen by the caller.
+func runLanes(t *testing.T, m *core.ICM, l *laneLayout, seeds []graph.NodeID, words int, opts Options, seed uint64, tally func(x bitset.Set, sc *graph.Scratch)) {
+	t.Helper()
+	if err := l.place(m, seeds, words); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSampler(m, nil, rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(opts, func(x core.PseudoState) { tally(x, s.scratch) }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// laneWidths are the widths the width-invariance tests place queries
+// at: 70 or 65 queries leave the top word ragged at every width above
+// 1, and split into two chunks at width 1.
+var laneWidths = []int{1, 2, 4, 8}
+
 // TestFlowProbBatchWideMatchesPerPair pins the width-invariance half of
 // the determinism contract: the lane-mask width only changes how
-// queries chunk onto sweeps, so for every explicit W (including widths
-// that leave the top word ragged — 70 pairs at W=2 fills 70 of 128
-// lanes) the batch must still equal per-pair FlowProb bit for bit.
+// queries chunk onto sweeps, so for every width (including widths that
+// leave the top word ragged — 70 pairs at W=2 fills 70 of 128 lanes)
+// FlowProbBatch's tally must still equal per-pair FlowProb bit for bit.
 func TestFlowProbBatchWideMatchesPerPair(t *testing.T) {
 	m := batchTestModel(21, 30, 80)
 	opts := Options{BurnIn: 100, Thin: 20, Samples: 120}
@@ -156,25 +188,23 @@ func TestFlowProbBatchWideMatchesPerPair(t *testing.T) {
 		}
 		single[k] = p
 	}
-	for _, words := range []int{1, 2, 4, 8} {
-		batch, err := FlowProbBatchWide(m, pairs, nil, opts, words, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range pairs {
-			if batch[k] != single[k] {
-				t.Errorf("W=%d pair %d: batch %v != per-pair %v", words, k, batch[k], single[k])
+	for _, words := range laneWidths {
+		var l laneLayout
+		hits := make([]int, len(pairs))
+		runLanes(t, m, &l, pairSources(pairs), words, opts, seed, func(x bitset.Set, sc *graph.Scratch) {
+			l.countFlows(pairs, x, sc, hits)
+		})
+		for k, h := range hits {
+			if got := float64(h) / float64(opts.Samples); got != single[k] {
+				t.Errorf("W=%d pair %d: batch %v != per-pair %v", words, k, got, single[k])
 			}
 		}
-	}
-	if _, err := FlowProbBatchWide(m, pairs, nil, opts, MaxLaneWords+1, rng.New(seed)); err == nil {
-		t.Errorf("FlowProbBatchWide accepted width %d > MaxLaneWords", MaxLaneWords+1)
 	}
 }
 
 // TestCommunityFlowProbsBatchWideWidthInvariance repeats the width
-// sweep for the community estimator: 65 sources at W ∈ {1, 2} (two
-// chunks then one) must agree with the auto-width result everywhere.
+// sweep for the community tally: 65 sources at every width must agree
+// with CommunityFlowProbsBatch's auto-width result everywhere.
 func TestCommunityFlowProbsBatchWideWidthInvariance(t *testing.T) {
 	m := batchTestModel(22, 40, 110)
 	opts := Options{BurnIn: 80, Thin: 15, Samples: 80}
@@ -187,21 +217,64 @@ func TestCommunityFlowProbsBatchWideWidthInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, words := range []int{1, 2} {
-		got, err := CommunityFlowProbsBatchWide(m, sources, nil, opts, words, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
+	for _, words := range laneWidths {
+		var l laneLayout
+		counts := make([][]int, len(sources))
+		for k := range counts {
+			counts[k] = make([]int, m.NumNodes())
 		}
+		runLanes(t, m, &l, sources, words, opts, seed, func(x bitset.Set, sc *graph.Scratch) {
+			l.countReached(x, sc, counts)
+		})
 		for k := range want {
 			for v := range want[k] {
-				if got[k][v] != want[k][v] {
-					t.Fatalf("W=%d source %d node %d: %v != auto-width %v", words, k, v, got[k][v], want[k][v])
+				if got := float64(counts[k][v]) / float64(opts.Samples); got != want[k][v] {
+					t.Fatalf("W=%d source %d node %d: %v != auto-width %v", words, k, v, got, want[k][v])
 				}
 			}
 		}
 	}
-	if _, err := CommunityFlowProbsBatchWide(m, sources, nil, opts, MaxLaneWords+1, rng.New(seed)); err == nil {
-		t.Errorf("CommunityFlowProbsBatchWide accepted width %d > MaxLaneWords", MaxLaneWords+1)
+}
+
+// TestImpactDistributionBatchWidthInvariance repeats the width sweep for
+// the impact tally. Ten sets of seven distinct sources fill 70 lanes,
+// so at W=1 the last set straddles the chunk boundary (lanes 63..69):
+// its impact is the union of lanes from two chunks' reach matrices.
+// Every width must reproduce the scalar ImpactDistribution of each set.
+func TestImpactDistributionBatchWidthInvariance(t *testing.T) {
+	m := batchTestModel(23, 40, 110)
+	opts := Options{BurnIn: 80, Thin: 15, Samples: 60}
+	const seed = 57
+	const sets, width = 10, 7
+	var flat []graph.NodeID
+	spans := make([]laneSpan, sets)
+	for i := range spans {
+		spans[i] = laneSpan{lo: len(flat), hi: len(flat) + width}
+		for j := 0; j < width; j++ {
+			flat = append(flat, graph.NodeID((3*i+j)%m.NumNodes()))
+		}
+	}
+	want := make([][]int, sets)
+	for i, sp := range spans {
+		scalar, err := ImpactDistribution(m, flat[sp.lo:sp.hi], nil, opts, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = scalar
+	}
+	for _, words := range laneWidths {
+		l := laneLayout{perChunk: true}
+		impacts := make([][]int, sets)
+		runLanes(t, m, &l, flat, words, opts, seed, func(x bitset.Set, sc *graph.Scratch) {
+			l.countImpacts(spans, x, sc, impacts)
+		})
+		for i := range want {
+			for k := range want[i] {
+				if impacts[i][k] != want[i][k] {
+					t.Fatalf("W=%d set %d sample %d: batch impact %d != scalar %d", words, i, k, impacts[i][k], want[i][k])
+				}
+			}
+		}
 	}
 }
 
@@ -220,44 +293,89 @@ func TestFlowProbBatchRejectsEmpty(t *testing.T) {
 	}
 }
 
-// TestFlowProbBatchZeroAllocSteadyState asserts the batched hot loop —
-// chain updates plus FlowProbBatchWideOn's per-sample body, one
-// ReachLanesWideInto sweep per chunk of pairs — allocates nothing once
-// warm. 130 pairs at W=1 forces three chunks, so the multi-chunk path
-// is covered too.
+// TestFlowProbBatchZeroAllocSteadyState asserts that every batched hot
+// loop — chain updates plus one estimator's per-sample sweeps and tally
+// — allocates nothing once warm: the flow, community and impact tallies
+// and the RR pool's cover. 130 queries at W=1 force three chunks, so
+// the multi-chunk path is covered too, and one impact set straddles a
+// chunk boundary.
 func TestFlowProbBatchZeroAllocSteadyState(t *testing.T) {
 	m := batchTestModel(16, 300, 900)
-	s, err := NewSampler(m, nil, rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
 	pairs := randomPairs(rng.New(10), m.NumNodes(), 130)
-	sample := batchSample(s, pairs, 1, 10)
-	for warm := 0; warm < 10; warm++ {
-		sample()
+	sources := pairSources(pairs)
+	check := func(name string, l laneLayout, seeds []graph.NodeID, tally func(l *laneLayout, s *Sampler)) {
+		t.Helper()
+		if err := l.place(m, seeds, 1); err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSampler(m, nil, rng.New(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sample := func() {
+			for k := 0; k < 10; k++ {
+				s.Step()
+			}
+			tally(&l, s)
+		}
+		for warm := 0; warm < 10; warm++ {
+			sample()
+		}
+		if allocs := testing.AllocsPerRun(100, sample); allocs != 0 {
+			t.Errorf("%s: steady-state batched sampling allocates %v per run, want 0", name, allocs)
+		}
 	}
-	if allocs := testing.AllocsPerRun(100, sample); allocs != 0 {
-		t.Errorf("steady-state batched sampling allocates %v per run, want 0", allocs)
+
+	hits := make([]int, len(pairs))
+	check("flow", laneLayout{}, sources, func(l *laneLayout, s *Sampler) {
+		l.countFlows(pairs, s.x, s.scratch, hits)
+	})
+	counts := make([][]int, len(sources))
+	for k := range counts {
+		counts[k] = make([]int, m.NumNodes())
 	}
+	check("community", laneLayout{}, sources, func(l *laneLayout, s *Sampler) {
+		l.countReached(s.x, s.scratch, counts)
+	})
+	spans := []laneSpan{{0, 60}, {60, 70}, {70, 130}}
+	impacts := make([][]int, len(spans))
+	for i := range impacts {
+		impacts[i] = make([]int, 0, 1)
+	}
+	check("impact", laneLayout{perChunk: true}, sources, func(l *laneLayout, s *Sampler) {
+		for i := range impacts {
+			impacts[i] = impacts[i][:0]
+		}
+		l.countImpacts(spans, s.x, s.scratch, impacts)
+	})
+	roots := sources[:128]
+	cover := bitset.NewLaneMatrix(m.NumNodes(), len(roots)/LaneWidth)
+	check("rr pool", laneLayout{reverse: true}, roots, func(l *laneLayout, s *Sampler) {
+		l.coverRoots(roots, s.x, s.scratch, cover, 0)
+	})
 }
 
-// batchSample prepares s's lanes for pairs at the given width and
-// returns one steady-state batched output sample: thin chain updates
-// plus FlowProbBatchWideOn's per-sample sweeps and hit counting.
-func batchSample(s *Sampler, pairs []FlowPair, words, thin int) func() {
-	nChunks := s.prepareLanes(len(pairs), words, func(q int) graph.NodeID { return pairs[q].Source })
+// batchSample places pairs on a layout of the given width and returns
+// one steady-state batched output sample: thin chain updates plus
+// FlowProbBatch's per-sample sweeps and hit counting.
+func batchSample(tb testing.TB, s *Sampler, pairs []FlowPair, words, thin int) func() {
+	var l laneLayout
+	if err := l.place(s.m, pairSources(pairs), words); err != nil {
+		tb.Fatal(err)
+	}
+	hits := make([]int, len(pairs))
 	return func() {
 		for k := 0; k < thin; k++ {
 			s.Step()
 		}
-		s.countFlowHits(pairs, words, nChunks)
+		l.countFlows(pairs, s.x, s.scratch, hits)
 	}
 }
 
 // benchBatchSample times batchSample after one warm-up sample;
 // allocs/op must read 0.
 func benchBatchSample(b *testing.B, s *Sampler, pairs []FlowPair, words, thin int) {
-	sample := batchSample(s, pairs, words, thin)
+	sample := batchSample(b, s, pairs, words, thin)
 	sample()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -520,5 +638,14 @@ func TestImpactDistributionBatchRejectsBadSets(t *testing.T) {
 	}
 	if _, err := ImpactDistributionBatch(m, [][]graph.NodeID{{0, 99}}, nil, opts, rng.New(1)); err == nil {
 		t.Error("out-of-range source accepted")
+	}
+	// A negative sample count used to size the result before Run
+	// validated it, and panicked.
+	bad := Options{BurnIn: 10, Thin: 5, Samples: -1}
+	if _, err := ImpactDistributionBatch(m, [][]graph.NodeID{{0}}, nil, bad, rng.New(1)); err == nil {
+		t.Error("ImpactDistributionBatch accepted Samples < 0")
+	}
+	if _, err := ImpactDistribution(m, []graph.NodeID{0}, nil, bad, rng.New(1)); err == nil {
+		t.Error("ImpactDistribution accepted Samples < 0")
 	}
 }

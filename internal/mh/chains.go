@@ -2,7 +2,6 @@ package mh
 
 import (
 	"fmt"
-	"sync"
 
 	"infoflow/internal/core"
 	"infoflow/internal/graph"
@@ -34,46 +33,30 @@ func FlowProbChains(m *core.ICM, source, sink graph.NodeID, conds []core.FlowCon
 	if chains <= 0 {
 		return 0, fmt.Errorf("mh: non-positive chain count")
 	}
-	if chains > opts.Samples {
-		chains = opts.Samples
+	if err := checkFlow(m, source, sink); err != nil {
+		return 0, err
 	}
-	seeder := rng.New(seed)
-	rngs := make([]*rng.RNG, chains)
-	for i := range rngs {
-		rngs[i] = seeder.Fork()
-	}
+	chains = min(chains, opts.Samples)
 	base, extra := opts.Samples/chains, opts.Samples%chains
 	hits := make([]int, chains)
-	errs := make([]error, chains)
-	var wg sync.WaitGroup
-	for c := 0; c < chains; c++ {
-		chainOpts := opts
-		chainOpts.Samples = base
+	c, err := fanOut(chains, chains, seed, func(c int, r *rng.RNG) error {
+		o := opts
+		o.Samples = base
 		if c < extra {
-			chainOpts.Samples++
+			o.Samples++
 		}
-		wg.Add(1)
-		go func(c int, o Options) {
-			defer wg.Done()
-			s, err := NewSampler(m, conds, rngs[c])
-			if err != nil {
-				errs[c] = err
-				return
-			}
-			h := 0
-			errs[c] = s.Run(o, func(x core.PseudoState) {
-				if m.HasFlowScratch(source, sink, x, s.scratch) {
-					h++
-				}
-			})
-			hits[c] = h
-		}(c, chainOpts)
-	}
-	wg.Wait()
-	for c, err := range errs {
+		s, err := NewSampler(m, conds, r)
 		if err != nil {
-			return 0, fmt.Errorf("chain %d: %w", c, err)
+			return err
 		}
+		return s.Run(o, func(x core.PseudoState) {
+			if m.HasFlowScratch(source, sink, x, s.scratch) {
+				hits[c]++
+			}
+		})
+	})
+	if err != nil {
+		return 0, fmt.Errorf("chain %d: %w", c, err)
 	}
 	total := 0
 	for _, h := range hits {

@@ -180,6 +180,9 @@ func DiagnoseFlowProb(m *core.ICM, source, sink graph.NodeID, conds []core.FlowC
 	if numChains < 2 {
 		return nil, fmt.Errorf("mh: DiagnoseFlowProb needs >= 2 chains")
 	}
+	if err := checkFlow(m, source, sink); err != nil {
+		return nil, err
+	}
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}

@@ -14,6 +14,9 @@ import (
 // ICM by Metropolis-Hastings sampling (Equation (5), with conditions via
 // Equations (6)-(8)). Pass nil conds for the unconditional probability.
 func FlowProb(m *core.ICM, source, sink graph.NodeID, conds []core.FlowCondition, opts Options, r *rng.RNG) (float64, error) {
+	if err := checkFlow(m, source, sink); err != nil {
+		return 0, err
+	}
 	s, err := NewSampler(m, conds, r)
 	if err != nil {
 		return 0, err
@@ -36,6 +39,9 @@ func FlowProb(m *core.ICM, source, sink graph.NodeID, conds []core.FlowCondition
 // per-sample cost is O(n+m) regardless of how many sinks are queried.
 // The result is indexed by NodeID; sources trivially report 1.
 func CommunityFlowProbs(m *core.ICM, source graph.NodeID, conds []core.FlowCondition, opts Options, r *rng.RNG) ([]float64, error) {
+	if err := checkNodes(m, "source", source); err != nil {
+		return nil, err
+	}
 	s, err := NewSampler(m, conds, r)
 	if err != nil {
 		return nil, err
@@ -70,6 +76,27 @@ type FlowPair struct {
 	Source, Sink graph.NodeID
 }
 
+// checkNodes returns an error for the first of vs that is not a node of
+// m; what names the argument vs came from. The estimators call it once,
+// at entry, so a bad id is reported instead of panicking mid-chain (or
+// on a worker goroutine, where no caller could recover it).
+func checkNodes(m *core.ICM, what string, vs ...graph.NodeID) error {
+	for _, v := range vs {
+		if int(v) < 0 || int(v) >= m.NumNodes() {
+			return fmt.Errorf("mh: %s %d out of range [0, %d)", what, v, m.NumNodes())
+		}
+	}
+	return nil
+}
+
+// checkFlow is checkNodes over one flow's source and sink.
+func checkFlow(m *core.ICM, source, sink graph.NodeID) error {
+	if err := checkNodes(m, "source", source); err != nil {
+		return err
+	}
+	return checkNodes(m, "sink", sink)
+}
+
 // JointFlowProb estimates Pr[all flows present | conds]: the fraction of
 // sampled pseudo-states carrying every listed flow simultaneously. This
 // is the joint-flow query that graph-walking similarity methods (such as
@@ -77,6 +104,11 @@ type FlowPair struct {
 func JointFlowProb(m *core.ICM, flows []FlowPair, conds []core.FlowCondition, opts Options, r *rng.RNG) (float64, error) {
 	if len(flows) == 0 {
 		return 0, fmt.Errorf("mh: JointFlowProb with no flows")
+	}
+	for _, f := range flows {
+		if err := checkFlow(m, f.Source, f.Sink); err != nil {
+			return 0, err
+		}
 	}
 	s, err := NewSampler(m, conds, r)
 	if err != nil {
@@ -102,6 +134,12 @@ func JointFlowProb(m *core.ICM, flows []FlowPair, conds []core.FlowCondition, op
 // number of users who would retweet. The returned slice has one count
 // per sample.
 func ImpactDistribution(m *core.ICM, sources []graph.NodeID, conds []core.FlowCondition, opts Options, r *rng.RNG) ([]int, error) {
+	if err := checkNodes(m, "source", sources...); err != nil {
+		return nil, err
+	}
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	s, err := NewSampler(m, conds, r)
 	if err != nil {
 		return nil, err

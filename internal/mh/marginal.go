@@ -24,6 +24,12 @@ import (
 // when that count is zero the estimate is unusable and an error is
 // returned.
 func MarginalConditionalFlowProb(m *core.ICM, source, sink graph.NodeID, conds []core.FlowCondition, opts Options, r *rng.RNG) (p float64, satisfied int, err error) {
+	if err := checkFlow(m, source, sink); err != nil {
+		return 0, 0, err
+	}
+	if err := checkConds(m, conds); err != nil {
+		return 0, 0, err
+	}
 	s, err := NewSampler(m, nil, r)
 	if err != nil {
 		return 0, 0, err

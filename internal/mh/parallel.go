@@ -9,6 +9,42 @@ import (
 	"infoflow/internal/rng"
 )
 
+// fanOut runs job(i, r_i) for every i in [0, jobs) on at most workers
+// goroutines and waits for all of them. r_i is the i-th RNG forked from
+// rng.New(seed), every fork drawn in job order before any goroutine
+// starts, so which worker runs a job cannot change what it computes.
+// It returns the lowest failing index and its error, or -1 and nil.
+func fanOut(jobs, workers int, seed uint64, job func(i int, r *rng.RNG) error) (int, error) {
+	seeder := rng.New(seed)
+	rngs := make([]*rng.RNG, jobs)
+	for i := range rngs {
+		rngs[i] = seeder.Fork()
+	}
+	errs := make([]error, jobs)
+	var wg sync.WaitGroup
+	work := make(chan int)
+	for w := 0; w < min(workers, jobs); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				errs[i] = job(i, rngs[i])
+			}
+		}()
+	}
+	for i := 0; i < jobs; i++ {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return i, err
+		}
+	}
+	return -1, nil
+}
+
 // ParallelFlowProbs estimates Pr[source ~> sink] for many queries
 // concurrently, one independent chain per query, using up to workers
 // goroutines. Each query gets its own RNG forked deterministically from
@@ -25,38 +61,13 @@ func ParallelFlowProbs(m *core.ICM, queries []FlowPair, conds []core.FlowConditi
 	if workers <= 0 {
 		return nil, fmt.Errorf("mh: non-positive worker count")
 	}
-	// Pre-fork one RNG per query so assignment to workers cannot change
-	// the result.
-	seeder := rng.New(seed)
-	rngs := make([]*rng.RNG, len(queries))
-	for i := range rngs {
-		rngs[i] = seeder.Fork()
-	}
 	results := make([]float64, len(queries))
-	errs := make([]error, len(queries))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				q := queries[i]
-				p, err := FlowProb(m, q.Source, q.Sink, conds, opts, rngs[i])
-				results[i] = p
-				errs[i] = err
-			}
-		}()
-	}
-	for i := range queries {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("query %d (%d~>%d): %w", i, queries[i].Source, queries[i].Sink, err)
-		}
+	i, err := fanOut(len(queries), workers, seed, func(i int, r *rng.RNG) (err error) {
+		results[i], err = FlowProb(m, queries[i].Source, queries[i].Sink, conds, opts, r)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("query %d (%d~>%d): %w", i, queries[i].Source, queries[i].Sink, err)
 	}
 	return results, nil
 }
@@ -71,33 +82,13 @@ func ParallelCommunityFlows(m *core.ICM, sources []graph.NodeID, opts Options, w
 	if workers <= 0 {
 		return nil, fmt.Errorf("mh: non-positive worker count")
 	}
-	seeder := rng.New(seed)
-	rngs := make([]*rng.RNG, len(sources))
-	for i := range rngs {
-		rngs[i] = seeder.Fork()
-	}
 	results := make([][]float64, len(sources))
-	errs := make([]error, len(sources))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				results[i], errs[i] = CommunityFlowProbs(m, sources[i], nil, opts, rngs[i])
-			}
-		}()
-	}
-	for i := range sources {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("source %d: %w", sources[i], err)
-		}
+	i, err := fanOut(len(sources), workers, seed, func(i int, r *rng.RNG) (err error) {
+		results[i], err = CommunityFlowProbs(m, sources[i], nil, opts, r)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("source %d: %w", sources[i], err)
 	}
 	return results, nil
 }

@@ -59,6 +59,7 @@ func (p *RRPool) SpreadScale() float64 {
 // a positive multiple of 64 (<= 0 selects DefaultRootsPerSample);
 // words is the reverse-sweep lane width in 64-lane words (<= 0
 // auto-sizes, explicit values must lie in [1, MaxLaneWords]).
+// opts.Interrupt cancellation is honoured between thinned samples.
 //
 // Determinism contract: the root stream is forked from r BEFORE the
 // chain consumes anything, so the sampled (root, state) pairs — and
@@ -67,22 +68,7 @@ func (p *RRPool) SpreadScale() float64 {
 // changes only how roots chunk onto sweeps, never which bit of Cover a
 // root occupies, so the pool is bit-identical across words 1..16.
 func BuildRRPool(m *core.ICM, targets []graph.NodeID, conds []core.FlowCondition, rootsPerSample, words int, opts Options, r *rng.RNG) (*RRPool, error) {
-	rootR := r.Fork()
-	s, err := NewSampler(m, conds, r)
-	if err != nil {
-		return nil, err
-	}
-	return BuildRRPoolOn(s, targets, rootsPerSample, words, opts, rootR)
-}
-
-// BuildRRPoolOn is BuildRRPool running on a caller-constructed sampler
-// with an explicit root stream; the serving layer uses it to keep the
-// chain in hand for diagnostics. rootR must be independent of the
-// chain's RNG (fork it before NewSampler) or the determinism contract
-// above does not hold. opts.Interrupt cancellation is honoured between
-// thinned samples.
-func BuildRRPoolOn(s *Sampler, targets []graph.NodeID, rootsPerSample, words int, opts Options, rootR *rng.RNG) (*RRPool, error) {
-	n := s.m.NumNodes()
+	n := m.NumNodes()
 	if n == 0 {
 		return nil, fmt.Errorf("mh: BuildRRPool on an empty graph")
 	}
@@ -92,21 +78,15 @@ func BuildRRPoolOn(s *Sampler, targets []graph.NodeID, rootsPerSample, words int
 	if rootsPerSample%LaneWidth != 0 {
 		return nil, fmt.Errorf("mh: rootsPerSample %d is not a multiple of %d", rootsPerSample, LaneWidth)
 	}
-	words, err := laneWords(words, rootsPerSample)
-	if err != nil {
+	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	if err := opts.validate(); err != nil {
+	if err := checkNodes(m, "target", targets...); err != nil {
 		return nil, err
 	}
 	var universe []graph.NodeID
 	universeSize := n
 	if len(targets) > 0 {
-		for _, v := range targets {
-			if int(v) < 0 || int(v) >= n {
-				return nil, fmt.Errorf("mh: BuildRRPool target %d out of range [0, %d)", v, n)
-			}
-		}
 		universe, _ = core.DedupSources(n, targets)
 		universeSize = len(universe)
 	}
@@ -115,6 +95,7 @@ func BuildRRPoolOn(s *Sampler, targets []graph.NodeID, rootsPerSample, words int
 	// rootR and the sweeps consume no randomness, so the chain's sample
 	// stream is exactly what any other estimator sees under the same
 	// Options.
+	rootR := r.Fork()
 	numSets := opts.Samples * rootsPerSample
 	roots := make([]graph.NodeID, numSets)
 	for i := range roots {
@@ -124,7 +105,16 @@ func BuildRRPoolOn(s *Sampler, targets []graph.NodeID, rootsPerSample, words int
 			roots[i] = universe[rootR.Intn(len(universe))]
 		}
 	}
-
+	// Each sample's roots are placed afresh on the same lanes, so one
+	// reach matrix serves every chunk of every sample.
+	l := laneLayout{reverse: true}
+	if err := l.place(m, roots[:rootsPerSample], words); err != nil {
+		return nil, err
+	}
+	s, err := NewSampler(m, conds, r)
+	if err != nil {
+		return nil, err
+	}
 	pool := &RRPool{
 		Cover:    bitset.NewLaneMatrix(n, numSets/LaneWidth),
 		Roots:    roots,
@@ -132,40 +122,38 @@ func BuildRRPoolOn(s *Sampler, targets []graph.NodeID, rootsPerSample, words int
 		Universe: universeSize,
 		Targets:  universe,
 	}
-	lanesPer := words * LaneWidth
-	// One identity lane assignment serves every chunk: chunk lane l is
-	// root chunk[l], and a ragged final chunk simply leaves the top
-	// lanes unseeded (extra rootBits rows are never read).
-	rootBits := bitset.NewLaneMatrix(lanesPer, words)
-	for l := 0; l < lanesPer; l++ {
-		rootBits.SetBit(l, l)
-	}
-	reach := &bitset.LaneMatrix{}
 	sample := 0
-	err = s.Run(opts, func(core.PseudoState) {
+	err = s.Run(opts, func(x core.PseudoState) {
 		base := sample * rootsPerSample
-		for lo := 0; lo < rootsPerSample; lo += lanesPer {
-			hi := min(lo+lanesPer, rootsPerSample)
-			chunk := roots[base+lo : base+hi]
-			s.m.G.ReachLanesWideReverseInto(chunk, rootBits, s.x, s.scratch, reach)
-			// Chunk boundaries are multiples of 64, so the chunk's lanes
-			// land word-aligned at global set index base+lo: an OR-copy
-			// of whole words places every RR bit at a position
-			// independent of the sweep width.
-			wordOff := (base + lo) / LaneWidth
-			chunkWords := (hi - lo) / LaneWidth
-			for v := 0; v < n; v++ {
-				row := reach.Row(v)
-				dst := pool.Cover.Row(v)[wordOff:]
-				for j := 0; j < chunkWords; j++ {
-					dst[j] |= row[j]
-				}
-			}
-		}
+		l.coverRoots(roots[base:base+rootsPerSample], x, s.scratch, pool.Cover, base/LaneWidth)
 		sample++
 	})
 	if err != nil {
 		return nil, err
 	}
 	return pool, nil
+}
+
+// coverRoots reseeds the layout with one sample's roots, sweeps every
+// chunk of x against edge direction and ORs the lanes into cover from
+// word wordOff on: root b of the sample lands at bit 64*wordOff + b.
+//
+//flowlint:hotpath
+func (l *laneLayout) coverRoots(roots []graph.NodeID, x bitset.Set, sc *graph.Scratch, cover *bitset.LaneMatrix, wordOff int) {
+	l.reseed(roots)
+	for c := range l.seeds {
+		reach := l.sweep(c, x, sc)
+		// Chunk boundaries are multiples of 64, so the chunk's lanes land
+		// word-aligned: an OR-copy of whole words places every RR bit at
+		// a position independent of the sweep width.
+		lo, hi := l.span(c)
+		off, words := wordOff+lo/LaneWidth, (hi-lo)/LaneWidth
+		for v := 0; v < reach.Rows; v++ {
+			src := reach.Row(v)
+			dst := cover.Row(v)[off : off+words]
+			for j := range dst {
+				dst[j] |= src[j]
+			}
+		}
+	}
 }

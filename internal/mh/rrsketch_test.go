@@ -84,6 +84,9 @@ func TestBuildRRPoolWidthInvariant(t *testing.T) {
 			}
 		}
 	}
+	if _, err := BuildRRPool(m, nil, nil, perSample, MaxLaneWords+1, opts, rng.New(11)); err == nil {
+		t.Errorf("BuildRRPool accepted width %d > MaxLaneWords", MaxLaneWords+1)
+	}
 }
 
 // TestBuildRRPoolTargets checks the community-targeted pool: roots come
