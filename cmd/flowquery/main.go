@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"infoflow/internal/core"
@@ -168,23 +167,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		type nodeFlow struct {
-			v graph.NodeID
-			p float64
-		}
-		var nf []nodeFlow
-		for v, p := range flows {
-			if graph.NodeID(v) != src && p > 0 {
-				nf = append(nf, nodeFlow{graph.NodeID(v), p})
-			}
-		}
-		sort.Slice(nf, func(i, j int) bool { return nf[i].p > nf[j].p })
-		if len(nf) > *top {
-			nf = nf[:*top]
-		}
 		fmt.Fprintf(stdout, "top community flows from user %d:\n", src)
-		for _, x := range nf {
-			fmt.Fprintf(stdout, "  -> %6d  %.4f\n", x.v, x.p)
+		for _, v := range serve.TopCommunity(flows, src, *top) {
+			fmt.Fprintf(stdout, "  -> %6d  %.4f\n", v, flows[v])
 		}
 	case *nested > 0:
 		if *sink < 0 {

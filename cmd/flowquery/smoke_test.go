@@ -2,13 +2,19 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
+	"infoflow/internal/core"
 	"infoflow/internal/rng"
+	"infoflow/internal/serve"
 	"infoflow/internal/twitter"
 )
 
@@ -169,5 +175,84 @@ func TestRunCondsCanonicalOrder(t *testing.T) {
 		if _, err := query(cond); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("-cond %s: err = %v, want one saying %q", cond, err, want)
 		}
+	}
+}
+
+// servedModel trains the model flowquery answers from on corpus, the
+// same way run does (censored attributed training).
+func servedModel(t *testing.T, corpus string) *core.ICM {
+	t.Helper()
+	f, err := os.Open(corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	d, err := twitter.Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	real, _, _ := d.Flow.Subgraph(d.RealUsers())
+	res := twitter.ExtractAttributed(real, d.Tweets)
+	bm := core.NewBetaICM(real)
+	if err := bm.TrainAttributedCensored(&res.Evidence); err != nil {
+		t.Fatal(err)
+	}
+	return bm.ExpectedICM()
+}
+
+var communityLine = regexp.MustCompile(`(?m)^  -> +(\d+)  ([01]\.\d{4})$`)
+
+// TestRunCommunityMatchesServe: flowquery -community lists a community
+// in /community's order for the same corpus, seed and sample count. At
+// 20 samples many nodes share a probability, and the case must hold a
+// tie, so the order among equals is checked too.
+func TestRunCommunityMatchesServe(t *testing.T) {
+	corpus := tinyCorpus(t)
+	const source, samples, seed, top = 2, 20, 3, 30
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-data", corpus, "-source", fmt.Sprint(source), "-community",
+		"-top", fmt.Sprint(top), "-samples", fmt.Sprint(samples), "-seed", fmt.Sprint(seed)}, &stdout, &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cli []string
+	tie := false
+	for i, m := range communityLine.FindAllStringSubmatch(stdout.String(), -1) {
+		cli = append(cli, m[1]+" "+m[2])
+		if i > 0 && strings.HasSuffix(cli[i-1], " "+m[2]) {
+			tie = true
+		}
+	}
+	if !tie {
+		t.Fatalf("no tied probabilities in the community list, so the tie order goes unchecked:\n%s", stdout.String())
+	}
+
+	srv, err := serve.NewServer(serve.Config{Models: []serve.Model{{Name: "m", ICM: servedModel(t, corpus)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer srv.Drain()
+	defer ts.Close()
+	resp, err := http.Get(fmt.Sprintf("%s/community?source=%d&top=%d&samples=%d&seed=%d", ts.URL, source, top, samples, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Top []struct {
+			Node int     `json:"node"`
+			Prob float64 `json:"prob"`
+		} `json:"top"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	var served []string
+	for _, e := range body.Top {
+		served = append(served, fmt.Sprintf("%d %.4f", e.Node, e.Prob))
+	}
+	if strings.Join(cli, "\n") != strings.Join(served, "\n") {
+		t.Errorf("flowquery -community lists\n%s\n/community lists\n%s", strings.Join(cli, "\n"), strings.Join(served, "\n"))
 	}
 }

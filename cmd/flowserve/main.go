@@ -1,14 +1,18 @@
-// Command flowserve serves flow-probability queries over HTTP: it loads
-// a corpus written by flowgen, trains a betaICM on the recovered
-// retweet chains, and answers /flow and /community queries against the
-// trained model's expected ICM, coalescing concurrent requests into
-// wide-lane batched Metropolis-Hastings sweeps of up to -lanes queries
-// (default 512) per chain.
+// Command flowserve serves flow queries over HTTP: it loads a corpus
+// written by flowgen, trains a betaICM on the recovered retweet chains,
+// and answers /flow, /community, /impact and /maximize queries against
+// the trained model's expected ICM. Concurrent /flow, /community and
+// sampled /impact requests coalesce into batches of up to -lanes
+// distinct queries (default 512) that share one Metropolis-Hastings
+// chain; /impact serves the exact analytic cascade-size law when the
+// model admits one, and /maximize selects seed users by RIS sketch.
 //
 //	flowserve -data corpus.json -addr 127.0.0.1:8080
 //	curl 'http://127.0.0.1:8080/flow?source=3&sink=42'
 //	curl 'http://127.0.0.1:8080/community?source=3&top=10'
 //	curl 'http://127.0.0.1:8080/flow?source=3&sink=42&cond=3>7=1&samples=5000&seed=9'
+//	curl 'http://127.0.0.1:8080/impact?sources=3,7'
+//	curl 'http://127.0.0.1:8080/maximize?k=5'
 //	curl 'http://127.0.0.1:8080/metrics'
 //
 // Responses are deterministic in (model, query, options, seed): batching
@@ -67,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	name := fs.String("name", "default", "model name served under ?model=")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	window := fs.Duration("window", 5*time.Millisecond, "batching window for coalescing concurrent queries")
-	lanes := fs.Int("lanes", 512, "lane budget: distinct queries one batch may coalesce (rounded up to a multiple of 64, capped at 1024)")
+	lanes := fs.Int("lanes", 512, "lane budget: distinct queries one batch may coalesce (capped at 1024)")
 	workers := fs.Int("workers", 2, "concurrent chain sweeps")
 	queue := fs.Int("queue", 64, "flushed batches that may await a worker")
 	cacheSize := fs.Int("cache", 1024, "result cache entries (negative disables)")
@@ -134,8 +138,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		met := srv.Metrics()
 		fmt.Fprintf(stdout,
-			"flowserve: drained: %d flow + %d community requests, %d sweeps (occupancy %.1f), cache hit rate %.2f, %d timeouts\n",
-			met.FlowRequests.Load(), met.CommunityRequests.Load(),
+			"flowserve: drained: %d flow + %d community + %d impact + %d maximize requests, %d batches (occupancy %.1f), cache hit rate %.2f, %d timeouts\n",
+			met.FlowRequests.Load(), met.CommunityRequests.Load(), met.ImpactRequests.Load(), met.MaximizeRequests.Load(),
 			met.Batches.Load(), met.Occupancy(), met.CacheHitRate(), met.Timeouts.Load())
 		return nil
 	}

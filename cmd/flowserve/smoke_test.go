@@ -105,9 +105,8 @@ func TestSmokeServeBurstAndDrain(t *testing.T) {
 		t.Fatalf("healthz = %v", health)
 	}
 
-	// Query burst: concurrent flow queries (varying seeds) plus a
-	// community query, all of which must come back 200 with a parseable
-	// probability.
+	// Query burst: concurrent flow queries (varying seeds), all of which
+	// must come back 200 with a parseable probability.
 	const burst = 24
 	var wg sync.WaitGroup
 	errs := make([]error, burst)
@@ -140,13 +139,16 @@ func TestSmokeServeBurstAndDrain(t *testing.T) {
 			t.Errorf("burst request %d: %v", i, err)
 		}
 	}
-	resp, err = http.Get(base + "/community?source=0&top=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("community status %d", resp.StatusCode)
+	// One query per other endpoint, for the drain summary to count.
+	for _, path := range []string{"/community?source=0&top=5", "/impact?sources=0", "/maximize?k=1&samples=2&roots=64"} {
+		resp, err = http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s status %d", path, resp.StatusCode)
+		}
 	}
 
 	// SIGTERM → clean drain: run() must return nil and report a summary.
@@ -164,6 +166,9 @@ func TestSmokeServeBurstAndDrain(t *testing.T) {
 	out := stdout.String()
 	if !strings.Contains(out, "draining") || !strings.Contains(out, "drained:") {
 		t.Errorf("drain lines missing from output:\n%s", out)
+	}
+	if want := fmt.Sprintf("%d flow + 1 community + 1 impact + 1 maximize requests", burst); !strings.Contains(out, want) {
+		t.Errorf("drain summary does not count every endpoint (want %q):\n%s", want, out)
 	}
 }
 

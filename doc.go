@@ -31,7 +31,11 @@
 // flows (JointFlowProb), flow conditioned on known flows or non-flows,
 // impact/dispersion distributions (ImpactDistribution), and — by nested
 // sampling over a betaICM — full distributions over any of those
-// quantities (NestedFlowProb).
+// quantities (NestedFlowProb). Many queries against one model can share
+// one chain (FlowProbBatch, CommunityFlowProbsBatch): every thinned
+// sample answers each query with the same early-exit traversal its
+// single-query estimator runs, so a query's batched estimate is
+// bit-identical to its single-query one.
 //
 // # Quick start
 //

@@ -111,9 +111,9 @@ func ParallelCommunityFlows(m *ICM, sources []NodeID, opts MHOptions, workers in
 	return mh.ParallelCommunityFlows(m, sources, opts, workers, seed)
 }
 
-// FlowProbBatch answers many flow queries from ONE shared chain: each
-// thinned sample is interrogated by 64-lane bit-parallel reachability
-// sweeps, so 64 pairs cost about one community sweep per sample. A
+// FlowProbBatch answers many flow queries from ONE shared chain: every
+// pair rides the chain's burn-in and thinning steps, and each thinned
+// sample answers every pair with FlowProb's early-exit search. A
 // single-pair batch is bit-identical to FlowProb on the same RNG; the
 // estimates within a batch share samples and are therefore correlated.
 // Contrast ParallelFlowProbs, which buys wall-clock with one
@@ -123,9 +123,9 @@ func FlowProbBatch(m *ICM, pairs []FlowPair, conds []FlowCondition, opts MHOptio
 }
 
 // CommunityFlowProbsBatch estimates every listed source's
-// source-to-community flow probabilities from one shared chain, 64
-// sources per lane sweep. A single-source batch is bit-identical to
-// CommunityFlowProbs on the same RNG.
+// source-to-community flow probabilities from one shared chain, one
+// reachability traversal per source per thinned sample. A single-source
+// batch is bit-identical to CommunityFlowProbs on the same RNG.
 func CommunityFlowProbsBatch(m *ICM, sources []NodeID, conds []FlowCondition, opts MHOptions, r *RNG) ([][]float64, error) {
 	return mh.CommunityFlowProbsBatch(m, sources, conds, opts, r)
 }

@@ -4,11 +4,10 @@
 // representation of a pseudo-state (core.PseudoState is a Set):
 // pseudo-states and active-node sets pack 64 edges or nodes per word, so
 // clearing, counting and unioning run word-at-a-time (one instruction
-// per 64 elements) instead of element-at-a-time, and the lane-batched
-// traversals in internal/graph can carry 64 independent queries through
-// a single sweep. A Set is a plain slice: callers on the hot path may
-// range over its words directly (e.g. to extract set bits with
-// math/bits.TrailingZeros64) without any iterator allocation.
+// per 64 elements) instead of element-at-a-time. A Set is a plain
+// slice: callers on the hot path may range over its words directly (e.g.
+// to extract set bits with math/bits.TrailingZeros64) without any
+// iterator allocation.
 //
 // All methods are allocation-free; only New and Grow ever allocate. A
 // Set is not safe for concurrent mutation.

@@ -2,13 +2,12 @@ package bitset
 
 // LaneMatrix is a dense, strided matrix of lane masks: Rows rows of W
 // consecutive uint64 words each, row r occupying Bits[r*W : (r+1)*W].
-// Each row holds one node's lane masks in the reachability sweep, so
-// one sweep can carry up to 64*W independent query lanes (W is capped
-// by callers, not here).
+// Each row holds one node's masks: an RR pool's cover row (one bit per
+// sketch set) or a row of the lane interface graph.ReachLanesWideInto
+// (one bit per query lane).
 //
-// The fields are exported because the wide-lane kernels in
-// internal/graph index the backing slice directly on their hot path;
-// everything else should go through the methods. Within a row, lane L
+// The fields are exported so callers can index the backing slice
+// directly; everything else should go through the methods. Within a row, lane L
 // lives in word L/64, bit L%64 — the same least-significant-bit-first
 // layout as Set, so word-peeling iteration (w &= w-1 with
 // bits.TrailingZeros64) works per word exactly as it does on a Set.

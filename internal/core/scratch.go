@@ -11,8 +11,8 @@ import (
 // Satisfies, but running on caller-owned scratch state so the
 // Metropolis-Hastings hot path performs no allocations per sample. A
 // pseudo-state is already the packed edge mask the engine wants, so
-// these are thin adapters. Multi-query estimators call
-// graph.ReachLanesWideInto directly.
+// these are thin adapters. The batched estimators in internal/mh call
+// the graph kernels directly.
 
 // ActiveNodesInto is ActiveNodes with a packed destination, using sc for
 // traversal state: one word-wise reset plus one BFS per call, no

@@ -14,15 +14,14 @@ import (
 // BatchConfig parameterises the batched-estimator timing comparison: the
 // same flow queries against one ICM answered two ways — one FlowProb
 // chain per pair (how PR 1 experiments ran) versus a single chain whose
-// thinned samples are interrogated by 64-lane reachability sweeps
-// (FlowProbBatch). It is the engineering companion to Fig. 6: not a
+// thinned samples answer every pair (FlowProbBatch). It is the engineering companion to Fig. 6: not a
 // figure from the paper, but the measurement justifying the batched path
 // the drivers now use.
 type BatchConfig struct {
 	Seed  uint64
 	Nodes int // graph size (paper's §IV-C timing scale: 6000)
 	Edges int // paper: 14000
-	Pairs int // flow queries sharing the model (64 = one lane sweep)
+	Pairs int // flow queries sharing the model
 	MH    mh.Options
 	// Clock supplies the timestamps bracketing each measurement; nil
 	// uses time.Now. Injectable so the timing columns are testable and

@@ -30,7 +30,7 @@ type Fig1Config struct {
 	// PairsPerModel is how many random flows are tested per model, all
 	// answered by one batched chain. 1 (the default when zero) is the
 	// paper's protocol; larger values amortise the chain's burn-in and
-	// thinning across up to 64 flows per lane sweep.
+	// thinning across every flow of the model.
 	PairsPerModel int
 	MH            mh.Options
 }

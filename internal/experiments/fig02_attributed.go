@@ -164,7 +164,7 @@ func fig2Cell(cfg Fig2Config, lab *TwitterLab, focuses []twitter.UserID, radius,
 		if known == 0 && len(cascades) > 0 {
 			// Unconditioned cells query one shared sub-model for every
 			// cascade of the focus, so a single batched chain answers them
-			// all — 64 flows per lane sweep instead of one chain per tweet.
+			// all — one chain for every cascade instead of one per tweet.
 			// Conditioned cells stay on the scalar path: each cascade's
 			// observed flows constrain a different posterior, which cannot
 			// share a chain (see DESIGN.md §9).

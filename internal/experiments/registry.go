@@ -103,7 +103,7 @@ func Registry() []Runner {
 		},
 		{
 			Name:        "batch",
-			Description: "batched 64-lane multi-query estimation vs one chain per pair (timing)",
+			Description: "batched multi-query estimation (one chain) vs one chain per pair (timing)",
 			Run: func(small bool) (fmt.Stringer, error) {
 				return RunBatch(pick(small, BatchSmall, BatchPaper))
 			},

@@ -273,9 +273,8 @@ func (m *TagFlowModel) CommunityFlow(p []float64, opts mh.Options, r *rng.RNG) (
 }
 
 // CommunityFlows is the multi-source form: one chain on the sub-graph
-// ICM answers every listed source's community flows, 64 sources per
-// lane sweep. Sources are sub-graph node IDs; the result is indexed
-// [source][subNode].
+// ICM answers every listed source's community flows. Sources are
+// sub-graph node IDs; the result is indexed [source][subNode].
 func (m *TagFlowModel) CommunityFlows(sources []graph.NodeID, p []float64, opts mh.Options, r *rng.RNG) ([][]float64, error) {
 	icm, err := core.NewICM(m.Sub, p)
 	if err != nil {

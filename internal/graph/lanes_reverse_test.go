@@ -144,22 +144,36 @@ func TestReachLanesWideReverseZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkReachLanesWideReverse measures one 8-word (512-root)
-// reverse sweep on the §IV-C-scale graph — the per-sample cost of
-// materialising 512 RR sets for the sketch pool. Directly comparable
-// to BenchmarkReachLanesWide: same graph, same width, opposite
-// orientation.
-func BenchmarkReachLanesWideReverse(b *testing.B) {
-	r := rng.New(2)
-	g := Random(r, 6000, 14000)
-	packed := randomMask(r, g.NumEdges(), 0.5)
-	sc := NewScratch(g.NumNodes())
-	roots, rootBits := wideSeeding(r, g.NumNodes(), 512)
-	reach := &bitset.LaneMatrix{}
-	g.ReachLanesWideReverseInto(roots, rootBits, packed, sc, reach)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.ReachLanesWideReverseInto(roots, rootBits, packed, sc, reach)
+// TestReachableBitsReverseMatchesTransposed pins the packed reverse BFS
+// to the closure Reachable on the explicitly transposed graph: node u
+// is in the result iff u reaches one of the sinks across active edges
+// in g. It also checks that the forward call on the transpose, which
+// the reverse call avoids building, gives the same words.
+func TestReachableBitsReverseMatchesTransposed(t *testing.T) {
+	r := rng.New(57)
+	sc := NewScratch(0)
+	var got, fwd bitset.Set
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + r.Intn(59)
+		g := randomTestGraph(r, n, r.Intn(3*n))
+		gt := transposed(t, g)
+		packed := randomMask(r, g.NumEdges(), r.Float64())
+		sinks := make([]NodeID, 1+r.Intn(3))
+		for i := range sinks {
+			sinks[i] = NodeID(r.Intn(n))
+		}
+		want := gt.Reachable(sinks, maskPred(packed))
+		got = g.ReachableBitsReverseInto(sinks, packed, sc, got)
+		for v := 0; v < n; v++ {
+			if got.Test(v) != want[v] {
+				t.Fatalf("trial %d: node %d reverse=%v transposed Reachable=%v (sinks %v)", trial, v, got.Test(v), want[v], sinks)
+			}
+		}
+		fwd = gt.ReachableBitsInto(sinks, packed, sc, fwd)
+		for i := range got {
+			if got[i] != fwd[i] {
+				t.Fatalf("trial %d: word %d reverse %#x != transposed forward %#x", trial, i, got[i], fwd[i])
+			}
+		}
 	}
 }

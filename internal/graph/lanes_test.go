@@ -192,24 +192,6 @@ func TestLaneKernelsZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkReachLanes64 measures one 64-lane (W = 1) sweep on the
-// §IV-C-scale graph — the per-sample cost of answering 64 batched flow
-// queries.
-func BenchmarkReachLanes64(b *testing.B) {
-	r := rng.New(2)
-	g := Random(r, 6000, 14000)
-	packed := randomMask(r, g.NumEdges(), 0.5)
-	sc := NewScratch(g.NumNodes())
-	seeds, seedBits := wideSeeding(r, g.NumNodes(), 64)
-	reach := &bitset.LaneMatrix{}
-	g.ReachLanesWideInto(seeds, seedBits, packed, sc, reach)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.ReachLanesWideInto(seeds, seedBits, packed, sc, reach)
-	}
-}
-
 // BenchmarkReachableBits measures the packed single-source sweep.
 func BenchmarkReachableBits(b *testing.B) {
 	r := rng.New(2)
@@ -223,5 +205,22 @@ func BenchmarkReachableBits(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = g.ReachableBitsInto(sources, packed, sc, dst)
+	}
+}
+
+// BenchmarkReachableBitsReverse is BenchmarkReachableBits against edge
+// direction: the packed reverse BFS an RR root costs.
+func BenchmarkReachableBitsReverse(b *testing.B) {
+	r := rng.New(2)
+	g := Random(r, 6000, 14000)
+	packed := randomMask(r, g.NumEdges(), 0.5)
+	sc := NewScratch(g.NumNodes())
+	dst := bitset.New(g.NumNodes())
+	sinks := []NodeID{0}
+	dst = g.ReachableBitsReverseInto(sinks, packed, sc, dst)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = g.ReachableBitsReverseInto(sinks, packed, sc, dst)
 	}
 }

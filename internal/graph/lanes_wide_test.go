@@ -62,8 +62,8 @@ func TestReachLanesWideMatchesScalar(t *testing.T) {
 // TestReachLanesWideMatches64Lane pins every wider sweep to the 64-lane
 // (W = 1) sweep on the same seeding: with the lanes moved into the top
 // word of a W-word row, that word must equal the one-word result bit for
-// bit and every other word must stay zero. Same Tarjan, same push, so
-// the words must be equal, not merely equivalent.
+// bit and every other word must stay zero. Both runs do the same
+// traversals, so the words must be equal, not merely equivalent.
 func TestReachLanesWideMatches64Lane(t *testing.T) {
 	r := rng.New(42)
 	sc := NewScratch(0)
@@ -127,24 +127,5 @@ func TestLaneEngineMatchesFullSweep(t *testing.T) {
 				active.Flip(r.Intn(m))
 			}
 		}
-	}
-}
-
-// BenchmarkReachLanesWide measures one 8-word (512-lane) from-scratch
-// sweep on the §IV-C-scale graph — the per-sample cost of answering 512
-// batched flow queries. Compare ns/op against 8× BenchmarkReachLanes64
-// for the width win.
-func BenchmarkReachLanesWide(b *testing.B) {
-	r := rng.New(2)
-	g := Random(r, 6000, 14000)
-	packed := randomMask(r, g.NumEdges(), 0.5)
-	sc := NewScratch(g.NumNodes())
-	seeds, seedBits := wideSeeding(r, g.NumNodes(), 512)
-	reach := &bitset.LaneMatrix{}
-	g.ReachLanesWideInto(seeds, seedBits, packed, sc, reach)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.ReachLanesWideInto(seeds, seedBits, packed, sc, reach)
 	}
 }

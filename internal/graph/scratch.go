@@ -3,14 +3,14 @@ package graph
 import "infoflow/internal/bitset"
 
 // Scratch is reusable traversal state for the packed-mask kernels
-// (ReachableBitsInto, HasPathBits and the wide-lane sweeps). It exists so
-// the Metropolis-Hastings hot path — which runs one traversal per
-// condition check and per thinned output sample — performs zero
-// allocations in steady state.
+// (ReachableBitsInto and its reverse, HasPathBits, SearchPathBits and
+// the lane wrappers). It exists so the Metropolis-Hastings hot path —
+// which runs one traversal per condition check and per query of every
+// thinned output sample — performs zero allocations in steady state.
 //
-// The visited set is an epoch-stamped array: stamp[v] records the epoch
-// of the last traversal that visited v, so "reset" is a single epoch
-// increment instead of an O(n) clear. Queues are retained between
+// The search's visited set is an epoch-stamped array: stamp[v] records
+// the epoch of the last search that visited v, so "reset" is a single
+// epoch increment instead of an O(n) clear. Queues are retained between
 // traversals and only grow (to at most n entries each), so after the
 // first few traversals every call runs entirely in pre-owned memory.
 //
@@ -19,32 +19,15 @@ import "infoflow/internal/bitset"
 // may be shared freely across graphs and traversal kinds — it grows to
 // the largest node count it has seen.
 type Scratch struct {
-	stamp []uint32 // stamp[v] == mark ⇒ v visited in the current traversal
+	stamp []uint32 // stamp[v] == mark ⇒ v visited in the current search
 	epoch uint32   // even; forward mark = epoch, backward mark = epoch+1
-	queue []NodeID // forward BFS queue, capacity retained across calls
-	back  []NodeID // backward BFS queue for bidirectional search
+	queue []NodeID // forward (or BFS) queue, capacity retained across calls
+	back  []NodeID // backward queue for bidirectional search
 
-	// inq marks nodes currently on the Tarjan stack of the lane sweeps
-	// (ReachLanesWideInto and its reverse). Packed, because its
-	// whole-set reset is a word-wise clear.
-	inq bitset.Set
-
-	// Lane-sweep state: the sweep condenses the active subgraph
-	// reachable from the seeds into strongly connected components (all
-	// nodes of an SCC share one reach row) and propagates lane masks
-	// over the condensation in topological order, touching each active
-	// edge exactly twice (once in Tarjan's DFS, once in the propagation
-	// pass). All buffers are retained across calls; dfsIdx/dfsLow/comp
-	// are refilled with -1 per sweep (a memset — cheaper than the
-	// re-queueing a monotone worklist pays when lanes merge inside a
-	// large SCC).
-	dfsIdx   []int32  // Tarjan discovery index, -1 = unvisited
-	dfsLow   []int32  // Tarjan lowlink
-	comp     []int32  // SCC id per node, -1 = unreachable from seeds
-	dfsEdge  []int32  // per-DFS-stack-frame out-edge cursor
-	sccNodes []NodeID // nodes grouped by SCC, in emission order
-	sccStart []int32  // sccNodes offsets per SCC (+ end sentinel)
-	compWide []uint64 // W-word lane masks per SCC
+	// seen is the packed visited set of the lane wrappers' per-seed BFS
+	// (ReachLanesWideInto and its reverse), kept so they allocate
+	// nothing in steady state.
+	seen bitset.Set
 }
 
 // NewScratch returns scratch state sized for graphs of up to n nodes.
@@ -81,24 +64,4 @@ func (sc *Scratch) begin(n int) (fwd, bwd uint32) {
 	}
 	sc.epoch += 2
 	return sc.epoch, sc.epoch + 1
-}
-
-// beginCondense opens a condensation pass over n nodes: it sizes the
-// on-stack marker and the Tarjan index arrays, clears the marker
-// word-wise and refills the discovery indices with -1. Kept separate
-// from begin because lane sweeps never touch the epoch stamps; the
-// component array is sized and filled by the condensation itself.
-func (sc *Scratch) beginCondense(n int) {
-	if sc.inq.Cap() < n {
-		sc.inq = bitset.New(n)
-	} else {
-		sc.inq.Reset()
-	}
-	if len(sc.dfsIdx) < n {
-		sc.dfsIdx = make([]int32, n)
-		sc.dfsLow = make([]int32, n)
-	}
-	for i := 0; i < n; i++ {
-		sc.dfsIdx[i] = -1
-	}
 }

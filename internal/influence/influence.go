@@ -19,8 +19,7 @@
 // Determinism contract: every selection in this package is a pure
 // function of its RNG's state and its inputs AS SETS — fixed seed ⇒
 // bit-identical seed set, invariant under candidate-order permutation,
-// heap layout, GOMAXPROCS, and (for the sketch path) the sweep lane
-// width. Two mechanisms enforce this: the CELF heap orders entries by
+// heap layout and GOMAXPROCS. Two mechanisms enforce this: the CELF heap orders entries by
 // the strict total order (gain desc, round asc, node asc), so with
 // distinct candidates the pop sequence depends only on heap contents,
 // never on insertion order or internal layout; and the Monte-Carlo path

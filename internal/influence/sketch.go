@@ -11,8 +11,8 @@ import (
 )
 
 // SketchOptions configures the RIS sketch pipeline: how the RR pool is
-// drawn (chain schedule, roots per thinned sample, sweep width) and
-// which nodes may be selected.
+// drawn (chain schedule, roots per thinned sample) and which nodes may
+// be selected.
 type SketchOptions struct {
 	// Chain is the MH schedule pseudo-states are drawn with.
 	Chain mh.Options
@@ -21,9 +21,10 @@ type SketchOptions struct {
 	// mh.DefaultRootsPerSample. The pool holds
 	// Chain.Samples × RootsPerSample sketch sets.
 	RootsPerSample int
-	// Words is the reverse-sweep lane width in 64-lane words
-	// (<= 0 auto-sizes, at most mh.MaxLaneWords). Width changes
-	// wall-clock only, never the pool or the selection.
+	// Words is ignored: it set the width of a retired reverse lane
+	// sweep, and stays so existing callers compile.
+	//
+	// Deprecated: the pool build has no width to set.
 	Words int
 	// Candidates restricts the selectable seeds; nil means all nodes.
 	// Duplicates are ignored; order never affects the result.
@@ -46,7 +47,7 @@ func DefaultSketchOptions(numEdges int) SketchOptions {
 // Fixed RNG state ⇒ bit-identical pool and seed set; see
 // mh.BuildRRPool and SketchGreedy for the two halves of the contract.
 func Maximize(m *core.ICM, k int, targets []graph.NodeID, conds []core.FlowCondition, opts SketchOptions, r *rng.RNG) (*Result, *mh.RRPool, error) {
-	pool, err := mh.BuildRRPool(m, targets, conds, opts.RootsPerSample, opts.Words, opts.Chain, r)
+	pool, err := mh.BuildRRPool(m, targets, conds, opts.RootsPerSample, 0, opts.Chain, r)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -60,10 +60,9 @@ func TestSketchGreedyDeterministic(t *testing.T) {
 	}
 }
 
-// TestMaximizeWidthInvariant: the sweep width is a throughput knob, not
-// a semantic one — every words setting must produce the identical seed
-// set, gains, and estimate, including widths that force ragged chunks
-// of the 192-root samples.
+// TestMaximizeWidthInvariant: the deprecated Words option is ignored —
+// every setting must produce the identical seed set, gains, and
+// estimate.
 func TestMaximizeWidthInvariant(t *testing.T) {
 	r := rng.New(82)
 	g := graph.PreferentialAttachment(r, 40, 2, 0.25)

@@ -46,9 +46,8 @@ func servedSchedule(m *core.ICM, samples int) Options {
 // TestFlowProbBatchMatchesPerPair is the determinism gate: because the
 // chain's randomness does not depend on the queries, FlowProbBatch over
 // k pairs must produce exactly the per-pair FlowProb estimates of the
-// same seed — hit count for hit count. The 70-pair batch crosses the
-// 64-lane chunk boundary, so both chunks are exercised, at a short
-// thinning interval and at the served one.
+// same seed — hit count for hit count — at a short thinning interval
+// and at the served one.
 func TestFlowProbBatchMatchesPerPair(t *testing.T) {
 	m := batchTestModel(11, 30, 80)
 	const seed = 99
@@ -110,8 +109,8 @@ func TestFlowProbBatchConditioned(t *testing.T) {
 }
 
 // TestCommunityFlowProbsBatchMatchesSingle checks the multi-source
-// community variant against CommunityFlowProbs source by source, across
-// the chunk boundary (65 sources).
+// community variant against CommunityFlowProbs source by source, over
+// 65 sources with one duplicated.
 func TestCommunityFlowProbsBatchMatchesSingle(t *testing.T) {
 	m := batchTestModel(13, 70, 200)
 	opts := Options{BurnIn: 80, Thin: 15, Samples: 100}
@@ -148,131 +147,137 @@ func pairSources(pairs []FlowPair) []graph.NodeID {
 	return sources
 }
 
-// runLanes places seeds on l at the given width and runs tally on every
-// thinned state of a fresh unconditioned chain from seed: a batch
-// estimator's body with its width chosen by the caller.
-func runLanes(t *testing.T, m *core.ICM, l *laneLayout, seeds []graph.NodeID, words int, opts Options, seed uint64, tally func(x bitset.Set, sc *graph.Scratch)) {
+// tallyModel draws a 60-node, 150-edge random model whose edge
+// probabilities are uniform in [lo, hi).
+func tallyModel(seed uint64, lo, hi float64) *core.ICM {
+	r := rng.New(seed)
+	g := graph.Random(r, 60, 150)
+	p := make([]float64, g.NumEdges())
+	for i := range p {
+		p[i] = r.Uniform(lo, hi)
+	}
+	return core.MustNewICM(g, p)
+}
+
+// transposed rebuilds g with every edge u->v re-added as v->u, in
+// EdgeID order, so one packed mask describes the same pseudo-state in
+// both graphs.
+func transposed(t *testing.T, g *graph.DiGraph) *graph.DiGraph {
 	t.Helper()
-	if err := l.place(m, seeds, words); err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSampler(m, nil, rng.New(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(opts, func(x core.PseudoState) { tally(x, s.scratch) }); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// laneWidths are the widths the width-invariance tests place queries
-// at: 70 or 65 queries leave the top word ragged at every width above
-// 1, and split into two chunks at width 1.
-var laneWidths = []int{1, 2, 4, 8}
-
-// TestFlowProbBatchWideMatchesPerPair pins the width-invariance half of
-// the determinism contract: the lane-mask width only changes how
-// queries chunk onto sweeps, so for every width (including widths that
-// leave the top word ragged — 70 pairs at W=2 fills 70 of 128 lanes)
-// FlowProbBatch's tally must still equal per-pair FlowProb bit for bit.
-func TestFlowProbBatchWideMatchesPerPair(t *testing.T) {
-	m := batchTestModel(21, 30, 80)
-	opts := Options{BurnIn: 100, Thin: 20, Samples: 120}
-	const seed = 77
-	pairs := randomPairs(rng.New(7), m.NumNodes(), 70)
-	single := make([]float64, len(pairs))
-	for k, pair := range pairs {
-		p, err := FlowProb(m, pair.Source, pair.Sink, nil, opts, rng.New(seed))
-		if err != nil {
+	gt := graph.New(g.NumNodes())
+	for _, e := range g.Edges() {
+		if _, err := gt.AddEdge(e.To, e.From); err != nil {
 			t.Fatal(err)
 		}
-		single[k] = p
 	}
-	for _, words := range laneWidths {
-		var l laneLayout
-		hits := make([]int, len(pairs))
-		runLanes(t, m, &l, pairSources(pairs), words, opts, seed, func(x bitset.Set, sc *graph.Scratch) {
-			l.countFlows(pairs, x, sc, hits)
-		})
-		for k, h := range hits {
-			if got := float64(h) / float64(opts.Samples); got != single[k] {
-				t.Errorf("W=%d pair %d: batch %v != per-pair %v", words, k, got, single[k])
-			}
-		}
-	}
+	return gt
 }
 
-// TestCommunityFlowProbsBatchWideWidthInvariance repeats the width
-// sweep for the community tally: 65 sources at every width must agree
-// with CommunityFlowProbsBatch's auto-width result everywhere.
-func TestCommunityFlowProbsBatchWideWidthInvariance(t *testing.T) {
-	m := batchTestModel(22, 40, 110)
-	opts := Options{BurnIn: 80, Thin: 15, Samples: 80}
-	const seed = 55
-	sources := make([]graph.NodeID, 65)
-	for i := range sources {
-		sources[i] = graph.NodeID(i % m.NumNodes())
-	}
-	want, err := CommunityFlowProbsBatch(m, sources, nil, opts, rng.New(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, words := range laneWidths {
-		var l laneLayout
-		counts := make([][]int, len(sources))
-		for k := range counts {
-			counts[k] = make([]int, m.NumNodes())
+// TestTalliesMatchClosure checks every estimator tally, state by state,
+// against the closure traversals: countFlows against HasPath,
+// countReached and countImpacts against Reachable, and coverRoots
+// against Reachable on the transposed graph. The states are the thinned
+// samples of chains on a near-critical and a supercritical model, with
+// and without a required flow, and every batch holds more than 64
+// queries.
+func TestTalliesMatchClosure(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    *core.ICM
+	}{
+		{name: "near-critical", m: tallyModel(81, 0.3, 0.5)},
+		{name: "supercritical", m: tallyModel(82, 0.5, 1)},
+	} {
+		m, g := tc.m, tc.m.G
+		n := m.NumNodes()
+		gt := transposed(t, g)
+		r := rng.New(83)
+		pairs := randomPairs(r, n, 70)
+		sources := pairSources(pairs)
+		sets := make([][]graph.NodeID, 20)
+		for i := range sets {
+			sets[i], _ = core.DedupSources(n, sources[i:i+1+i%5])
 		}
-		runLanes(t, m, &l, sources, words, opts, seed, func(x bitset.Set, sc *graph.Scratch) {
-			l.countReached(x, sc, counts)
-		})
-		for k := range want {
-			for v := range want[k] {
-				if got := float64(counts[k][v]) / float64(opts.Samples); got != want[k][v] {
-					t.Fatalf("W=%d source %d node %d: %v != auto-width %v", words, k, v, got, want[k][v])
-				}
+		const base = 30 // the roots' bits straddle a cover word
+		roots := sources
+		var required []core.FlowCondition
+		for v := graph.NodeID(1); int(v) < n && required == nil; v++ {
+			if m.HasFlow(0, v, maximalState(m)) {
+				required = []core.FlowCondition{{Source: 0, Sink: v, Require: true}}
 			}
 		}
-	}
-}
+		for _, conds := range [][]core.FlowCondition{nil, required} {
+			s, err := NewSampler(m, conds, rng.New(84))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reached := bitset.New(n)
+			hits := make([]int, len(pairs))
+			counts := make([][]int, len(sources))
+			for k := range counts {
+				counts[k] = make([]int, n)
+			}
+			impacts := make([][]int, len(sets))
+			cover := bitset.NewLaneMatrix(n, (base+len(roots)+63)/64)
+			sample := 0
+			err = s.Run(Options{BurnIn: 200, Thin: 30, Samples: 40}, func(x core.PseudoState) {
+				active := func(id graph.EdgeID) bool { return x.Test(int(id)) }
+				where := fmt.Sprintf("%s conds=%d sample %d", tc.name, len(conds), sample)
+				sample++
 
-// TestImpactDistributionBatchWidthInvariance repeats the width sweep for
-// the impact tally. Ten sets of seven distinct sources fill 70 lanes,
-// so at W=1 the last set straddles the chunk boundary (lanes 63..69):
-// its impact is the union of lanes from two chunks' reach matrices.
-// Every width must reproduce the scalar ImpactDistribution of each set.
-func TestImpactDistributionBatchWidthInvariance(t *testing.T) {
-	m := batchTestModel(23, 40, 110)
-	opts := Options{BurnIn: 80, Thin: 15, Samples: 60}
-	const seed = 57
-	const sets, width = 10, 7
-	var flat []graph.NodeID
-	spans := make([]laneSpan, sets)
-	for i := range spans {
-		spans[i] = laneSpan{lo: len(flat), hi: len(flat) + width}
-		for j := 0; j < width; j++ {
-			flat = append(flat, graph.NodeID((3*i+j)%m.NumNodes()))
-		}
-	}
-	want := make([][]int, sets)
-	for i, sp := range spans {
-		scalar, err := ImpactDistribution(m, flat[sp.lo:sp.hi], nil, opts, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = scalar
-	}
-	for _, words := range laneWidths {
-		l := laneLayout{perChunk: true}
-		impacts := make([][]int, sets)
-		runLanes(t, m, &l, flat, words, opts, seed, func(x bitset.Set, sc *graph.Scratch) {
-			l.countImpacts(spans, x, sc, impacts)
-		})
-		for i := range want {
-			for k := range want[i] {
-				if impacts[i][k] != want[i][k] {
-					t.Fatalf("W=%d set %d sample %d: batch impact %d != scalar %d", words, i, k, impacts[i][k], want[i][k])
+				clear(hits)
+				countFlows(g, pairs, x, s.scratch, hits)
+				for q, p := range pairs {
+					if want := g.HasPath(p.Source, p.Sink, active); (hits[q] == 1) != want {
+						t.Fatalf("%s: pair %d (%d~>%d) counted %d, HasPath %v", where, q, p.Source, p.Sink, hits[q], want)
+					}
 				}
+
+				for _, c := range counts {
+					clear(c)
+				}
+				countReached(g, sources, x, s.scratch, reached, counts)
+				for k, src := range sources {
+					want := g.Reachable([]graph.NodeID{src}, active)
+					for v := range want {
+						if (counts[k][v] == 1) != want[v] {
+							t.Fatalf("%s: source %d node %d counted %d, Reachable %v", where, src, v, counts[k][v], want[v])
+						}
+					}
+				}
+
+				for i := range impacts {
+					impacts[i] = impacts[i][:0]
+				}
+				countImpacts(g, sets, x, s.scratch, reached, impacts)
+				for i, set := range sets {
+					want := -len(set)
+					for _, ok := range g.Reachable(set, active) {
+						if ok {
+							want++
+						}
+					}
+					if impacts[i][0] != want {
+						t.Fatalf("%s: set %v impact %d, Reachable %d", where, set, impacts[i][0], want)
+					}
+				}
+
+				cover.Reset()
+				coverRoots(g, roots, x, s.scratch, reached, cover, base)
+				for b := 0; b < cover.Lanes(); b++ {
+					var want []bool
+					if b >= base && b < base+len(roots) {
+						want = gt.Reachable([]graph.NodeID{roots[b-base]}, active)
+					}
+					for u := 0; u < n; u++ {
+						if got := cover.TestBit(u, b); got != (want != nil && want[u]) {
+							t.Fatalf("%s: cover bit %d node %d is %v, transposed Reachable %v", where, b, u, got, !got)
+						}
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -294,20 +299,17 @@ func TestFlowProbBatchRejectsEmpty(t *testing.T) {
 }
 
 // TestFlowProbBatchZeroAllocSteadyState asserts that every batched hot
-// loop — chain updates plus one estimator's per-sample sweeps and tally
-// — allocates nothing once warm: the flow, community and impact tallies
-// and the RR pool's cover. 130 queries at W=1 force three chunks, so
-// the multi-chunk path is covered too, and one impact set straddles a
-// chunk boundary.
+// loop — chain updates plus one estimator's per-sample tally — allocates
+// nothing once warm: the flow, community and impact tallies and the RR
+// pool's cover, each over 130 queries.
 func TestFlowProbBatchZeroAllocSteadyState(t *testing.T) {
 	m := batchTestModel(16, 300, 900)
-	pairs := randomPairs(rng.New(10), m.NumNodes(), 130)
+	n := m.NumNodes()
+	pairs := randomPairs(rng.New(10), n, 130)
 	sources := pairSources(pairs)
-	check := func(name string, l laneLayout, seeds []graph.NodeID, tally func(l *laneLayout, s *Sampler)) {
+	reached := bitset.New(n)
+	check := func(name string, tally func(s *Sampler)) {
 		t.Helper()
-		if err := l.place(m, seeds, 1); err != nil {
-			t.Fatal(err)
-		}
 		s, err := NewSampler(m, nil, rng.New(9))
 		if err != nil {
 			t.Fatal(err)
@@ -316,7 +318,7 @@ func TestFlowProbBatchZeroAllocSteadyState(t *testing.T) {
 			for k := 0; k < 10; k++ {
 				s.Step()
 			}
-			tally(&l, s)
+			tally(s)
 		}
 		for warm := 0; warm < 10; warm++ {
 			sample()
@@ -327,55 +329,47 @@ func TestFlowProbBatchZeroAllocSteadyState(t *testing.T) {
 	}
 
 	hits := make([]int, len(pairs))
-	check("flow", laneLayout{}, sources, func(l *laneLayout, s *Sampler) {
-		l.countFlows(pairs, s.x, s.scratch, hits)
-	})
+	check("flow", func(s *Sampler) { countFlows(m.G, pairs, s.x, s.scratch, hits) })
 	counts := make([][]int, len(sources))
 	for k := range counts {
-		counts[k] = make([]int, m.NumNodes())
+		counts[k] = make([]int, n)
 	}
-	check("community", laneLayout{}, sources, func(l *laneLayout, s *Sampler) {
-		l.countReached(s.x, s.scratch, counts)
-	})
-	spans := []laneSpan{{0, 60}, {60, 70}, {70, 130}}
-	impacts := make([][]int, len(spans))
+	check("community", func(s *Sampler) { countReached(m.G, sources, s.x, s.scratch, reached, counts) })
+	sets := [][]graph.NodeID{sources[:60], sources[60:70], sources[70:]}
+	for i, set := range sets {
+		sets[i], _ = core.DedupSources(n, set)
+	}
+	impacts := make([][]int, len(sets))
 	for i := range impacts {
 		impacts[i] = make([]int, 0, 1)
 	}
-	check("impact", laneLayout{perChunk: true}, sources, func(l *laneLayout, s *Sampler) {
+	check("impact", func(s *Sampler) {
 		for i := range impacts {
 			impacts[i] = impacts[i][:0]
 		}
-		l.countImpacts(spans, s.x, s.scratch, impacts)
+		countImpacts(m.G, sets, s.x, s.scratch, reached, impacts)
 	})
 	roots := sources[:128]
-	cover := bitset.NewLaneMatrix(m.NumNodes(), len(roots)/LaneWidth)
-	check("rr pool", laneLayout{reverse: true}, roots, func(l *laneLayout, s *Sampler) {
-		l.coverRoots(roots, s.x, s.scratch, cover, 0)
-	})
+	cover := bitset.NewLaneMatrix(n, len(roots)/LaneWidth)
+	check("rr pool", func(s *Sampler) { coverRoots(m.G, roots, s.x, s.scratch, reached, cover, 0) })
 }
 
-// batchSample places pairs on a layout of the given width and returns
-// one steady-state batched output sample: thin chain updates plus
-// FlowProbBatch's per-sample sweeps and hit counting.
-func batchSample(tb testing.TB, s *Sampler, pairs []FlowPair, words, thin int) func() {
-	var l laneLayout
-	if err := l.place(s.m, pairSources(pairs), words); err != nil {
-		tb.Fatal(err)
-	}
+// batchSample returns one steady-state batched output sample: thin
+// chain updates plus FlowProbBatch's per-sample tally over pairs.
+func batchSample(s *Sampler, pairs []FlowPair, thin int) func() {
 	hits := make([]int, len(pairs))
 	return func() {
 		for k := 0; k < thin; k++ {
 			s.Step()
 		}
-		l.countFlows(pairs, s.x, s.scratch, hits)
+		countFlows(s.m.G, pairs, s.x, s.scratch, hits)
 	}
 }
 
 // benchBatchSample times batchSample after one warm-up sample;
 // allocs/op must read 0.
-func benchBatchSample(b *testing.B, s *Sampler, pairs []FlowPair, words, thin int) {
-	sample := batchSample(b, s, pairs, words, thin)
+func benchBatchSample(b *testing.B, s *Sampler, pairs []FlowPair, thin int) {
+	sample := batchSample(s, pairs, thin)
 	sample()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -391,43 +385,84 @@ func benchPairs64(m *core.ICM) []FlowPair {
 
 // BenchmarkFlowProbBatch64 measures one steady-state batched output
 // sample on the §IV-C 6K-node/14K-edge graph: thin chain updates plus
-// ONE 64-lane (W = 1) sweep answering all 64 pairs. Compare per-op time
+// one early-exit search per pair for 64 pairs. Compare per-op time
 // against BenchmarkFlowProbSequential64 (the same work done by 64
 // independent chains) for the batching speedup; allocs/op must read 0.
 func BenchmarkFlowProbBatch64(b *testing.B) {
 	m, s := paperScaleSampler(b)
-	benchBatchSample(b, s, benchPairs64(m), 1, 200)
+	benchBatchSample(b, s, benchPairs64(m), 200)
 }
 
 // BenchmarkFlowProbBatch512 measures one steady-state batched output
-// sample for 512 pairs on the §IV-C graph: thin chain updates plus ONE
-// 8-word wide-lane sweep answering all 512 pairs. Divide ns/op by 512
-// for the per-query figure; compare against
-// BenchmarkFlowProbBatch512Chunks64, which serves the same 512 pairs as
-// eight 64-lane sweeps per sample. allocs/op must read 0.
+// sample for 512 pairs on the §IV-C graph: thin chain updates plus 512
+// early-exit searches. Divide ns/op by 512 for the per-query figure.
+// allocs/op must read 0.
 func BenchmarkFlowProbBatch512(b *testing.B) {
 	m, s := paperScaleSampler(b)
-	benchBatchSample(b, s, randomPairs(rng.New(17), m.NumNodes(), 512), 8, 200)
-}
-
-// BenchmarkFlowProbBatch512Chunks64 is the narrow baseline for the same
-// workload: 512 pairs served by EIGHT chunked 64-lane (W = 1) sweeps per
-// thinned sample, each paying its own Tarjan pass, sharing one chain.
-func BenchmarkFlowProbBatch512Chunks64(b *testing.B) {
-	m, s := paperScaleSampler(b)
-	benchBatchSample(b, s, randomPairs(rng.New(17), m.NumNodes(), 512), 1, 200)
+	benchBatchSample(b, s, randomPairs(rng.New(17), m.NumNodes(), 512), 200)
 }
 
 // BenchmarkFlowProbBatch256Served measures one batched output sample at
 // the schedule the server runs, in the shape of a served /flow batch:
-// 256 pairs in one 4-word sweep, Thin = NumEdges chain updates between
-// sweeps, on the §IV-C model the serving benchmark uses (graph.Random
-// 6000/14000 from seed 2, p = 0.2 + 0.4U). The chain is burnt in first
-// (BurnIn = 4*Thin, as DefaultOptions sets it). allocs/op must read 0.
+// 256 pairs, Thin = NumEdges chain updates between tallies, on the
+// §IV-C model the serving benchmark uses (graph.Random 6000/14000 from
+// seed 2, p = 0.2 + 0.4U). The chain is burnt in first (BurnIn =
+// 4*Thin, as DefaultOptions sets it). allocs/op must read 0.
 func BenchmarkFlowProbBatch256Served(b *testing.B) {
 	m := servedModel()
 	s := servedSampler(b, m, nil)
-	benchBatchSample(b, s, randomPairs(rng.New(17), m.NumNodes(), 256), 4, DefaultOptions(m.NumEdges()).Thin)
+	benchBatchSample(b, s, randomPairs(rng.New(17), m.NumNodes(), 256), DefaultOptions(m.NumEdges()).Thin)
+}
+
+// supercriticalModel is servedModel's graph with p = 0.5 + 0.5U: past
+// the percolation threshold, where a source reaches thousands of nodes
+// and a per-query traversal pays for every one of them.
+func supercriticalModel() *core.ICM {
+	r := rng.New(2)
+	g := graph.Random(r, 6000, 14000)
+	p := make([]float64, g.NumEdges())
+	for i := range p {
+		p[i] = 0.5 + 0.5*r.Float64()
+	}
+	return core.MustNewICM(g, p)
+}
+
+// benchTally times tally on one burnt-in state of a chain on m, with no
+// chain steps between iterations: the per-thinned-state traversal cost
+// of one batch. allocs/op must read 0.
+func benchTally(b *testing.B, m *core.ICM, tally func(s *Sampler)) {
+	s := servedSampler(b, m, nil)
+	tally(s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tally(s)
+	}
+}
+
+// BenchmarkCommunity32Supercritical times the community tally of a
+// 32-source batch on one state of supercriticalModel: 32 packed BFS
+// runs that each reach most of the giant component.
+func BenchmarkCommunity32Supercritical(b *testing.B) {
+	m := supercriticalModel()
+	sources := pairSources(randomPairs(rng.New(17), m.NumNodes(), 32))
+	counts := make([][]int, len(sources))
+	for k := range counts {
+		counts[k] = make([]int, m.NumNodes())
+	}
+	reached := bitset.New(m.NumNodes())
+	benchTally(b, m, func(s *Sampler) { countReached(m.G, sources, s.x, s.scratch, reached, counts) })
+}
+
+// BenchmarkRRRoots256Supercritical times the RR cover tally of one
+// /maximize pool sample (256 roots) on one state of supercriticalModel:
+// 256 reverse packed BFS runs.
+func BenchmarkRRRoots256Supercritical(b *testing.B) {
+	m := supercriticalModel()
+	roots := pairSources(randomPairs(rng.New(17), m.NumNodes(), DefaultRootsPerSample))
+	cover := bitset.NewLaneMatrix(m.NumNodes(), len(roots)/LaneWidth)
+	reached := bitset.New(m.NumNodes())
+	benchTally(b, m, func(s *Sampler) { coverRoots(m.G, roots, s.x, s.scratch, reached, cover, 0) })
 }
 
 // BenchmarkChainUpdateConditioned measures one chain update on the
@@ -582,11 +617,10 @@ func BenchmarkFlowProbSequential64(b *testing.B) {
 	}
 }
 
-// TestImpactDistributionBatchMatchesScalar: a set's lane-union popcount
-// per thinned sample must reproduce the scalar ImpactDistribution of the
-// same seed exactly, sample for sample, for every co-batched set — and
-// regardless of how many other sets share the sweep. 12 sets of up to 8
-// sources push the flattened lane count past one 64-lane word.
+// TestImpactDistributionBatchMatchesScalar: a set's impact per thinned
+// sample must reproduce the scalar ImpactDistribution of the same seed
+// exactly, sample for sample, for every co-batched set — and regardless
+// of how many other sets share the chain.
 func TestImpactDistributionBatchMatchesScalar(t *testing.T) {
 	m := batchTestModel(21, 30, 80)
 	opts := Options{BurnIn: 100, Thin: 20, Samples: 120}

@@ -2,9 +2,7 @@ package mh
 
 import (
 	"fmt"
-	"math/bits"
 
-	"infoflow/internal/bitset"
 	"infoflow/internal/core"
 	"infoflow/internal/graph"
 	"infoflow/internal/rng"
@@ -13,62 +11,28 @@ import (
 // FlowProb estimates Pr[source ~> sink | conds] for a point-probability
 // ICM by Metropolis-Hastings sampling (Equation (5), with conditions via
 // Equations (6)-(8)). Pass nil conds for the unconditional probability.
+// It is the one-pair FlowProbBatch: each thinned sample runs one
+// bidirectional early-exit search.
 func FlowProb(m *core.ICM, source, sink graph.NodeID, conds []core.FlowCondition, opts Options, r *rng.RNG) (float64, error) {
-	if err := checkFlow(m, source, sink); err != nil {
-		return 0, err
-	}
-	s, err := NewSampler(m, conds, r)
+	probs, err := FlowProbBatch(m, []FlowPair{{Source: source, Sink: sink}}, conds, opts, r)
 	if err != nil {
 		return 0, err
 	}
-	hits := 0
-	err = s.Run(opts, func(x core.PseudoState) {
-		if m.HasFlowScratch(source, sink, x, s.scratch) {
-			hits++
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	return float64(hits) / float64(opts.Samples), nil
+	return probs[0], nil
 }
 
 // CommunityFlowProbs estimates the source-to-community flow
 // probabilities Pr[source ~> v | conds] for every node v in a single
 // chain: each thinned sample contributes one reachability sweep, so the
 // per-sample cost is O(n+m) regardless of how many sinks are queried.
-// The result is indexed by NodeID; sources trivially report 1.
+// The result is indexed by NodeID; sources trivially report 1. It is
+// the one-source CommunityFlowProbsBatch.
 func CommunityFlowProbs(m *core.ICM, source graph.NodeID, conds []core.FlowCondition, opts Options, r *rng.RNG) ([]float64, error) {
-	if err := checkNodes(m, "source", source); err != nil {
-		return nil, err
-	}
-	s, err := NewSampler(m, conds, r)
+	probs, err := CommunityFlowProbsBatch(m, []graph.NodeID{source}, conds, opts, r)
 	if err != nil {
 		return nil, err
 	}
-	counts := make([]int, m.NumNodes())
-	srcs := []graph.NodeID{source}
-	active := bitset.New(m.NumNodes())
-	err = s.Run(opts, func(core.PseudoState) {
-		// The sweep reads the chain's packed state as its edge mask, and
-		// the count update walks words, touching only nodes that are
-		// actually active (zero words cost one compare per 64 nodes).
-		active = m.ActiveNodesInto(srcs, s.x, s.scratch, active)
-		for wi, w := range active {
-			base := wi * 64
-			for ; w != 0; w &= w - 1 {
-				counts[base+bits.TrailingZeros64(w)]++
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	probs := make([]float64, m.NumNodes())
-	for v, c := range counts {
-		probs[v] = float64(c) / float64(opts.Samples)
-	}
-	return probs, nil
+	return probs[0], nil
 }
 
 // FlowPair names one end-to-end flow for joint queries.
@@ -97,6 +61,16 @@ func checkFlow(m *core.ICM, source, sink graph.NodeID) error {
 	return checkNodes(m, "sink", sink)
 }
 
+// checkPairs is checkFlow over every pair, in order.
+func checkPairs(m *core.ICM, pairs []FlowPair) error {
+	for _, p := range pairs {
+		if err := checkFlow(m, p.Source, p.Sink); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // JointFlowProb estimates Pr[all flows present | conds]: the fraction of
 // sampled pseudo-states carrying every listed flow simultaneously. This
 // is the joint-flow query that graph-walking similarity methods (such as
@@ -105,10 +79,8 @@ func JointFlowProb(m *core.ICM, flows []FlowPair, conds []core.FlowCondition, op
 	if len(flows) == 0 {
 		return 0, fmt.Errorf("mh: JointFlowProb with no flows")
 	}
-	for _, f := range flows {
-		if err := checkFlow(m, f.Source, f.Sink); err != nil {
-			return 0, err
-		}
+	if err := checkPairs(m, flows); err != nil {
+		return 0, err
 	}
 	s, err := NewSampler(m, conds, r)
 	if err != nil {
@@ -132,7 +104,8 @@ func JointFlowProb(m *core.ICM, flows []FlowPair, conds []core.FlowCondition, op
 // ImpactDistribution estimates the dispersion of §IV-D: for each thinned
 // sample it records how many non-source nodes the sources reach — the
 // number of users who would retweet. The returned slice has one count
-// per sample.
+// per sample. It runs ImpactDistributionBatch's tally for one set, but
+// accepts an empty source list (every impact is then 0).
 func ImpactDistribution(m *core.ICM, sources []graph.NodeID, conds []core.FlowCondition, opts Options, r *rng.RNG) ([]int, error) {
 	if err := checkNodes(m, "source", sources...); err != nil {
 		return nil, err
@@ -144,26 +117,12 @@ func ImpactDistribution(m *core.ICM, sources []graph.NodeID, conds []core.FlowCo
 	if err != nil {
 		return nil, err
 	}
-	isSource := make([]bool, m.NumNodes())
-	nSources := 0
-	for _, src := range sources {
-		if !isSource[src] {
-			isSource[src] = true
-			nSources++
-		}
-	}
-	impacts := make([]int, 0, opts.Samples)
-	active := bitset.New(m.NumNodes())
-	err = s.Run(opts, func(core.PseudoState) {
-		// Popcount over the packed active set: one OnesCount64 per 64
-		// nodes instead of an element-wise bool scan.
-		active = m.ActiveNodesInto(sources, s.x, s.scratch, active)
-		impacts = append(impacts, active.Count()-nSources)
-	})
+	distinct, _ := core.DedupSources(m.NumNodes(), sources)
+	impacts, err := impactsOn(s, [][]graph.NodeID{distinct}, opts)
 	if err != nil {
 		return nil, err
 	}
-	return impacts, nil
+	return impacts[0], nil
 }
 
 // DirectFlowProb estimates Pr[source ~> sink] by naive independent

@@ -2,6 +2,7 @@ package mh
 
 import (
 	"fmt"
+	"math/bits"
 
 	"infoflow/internal/bitset"
 	"infoflow/internal/core"
@@ -10,10 +11,10 @@ import (
 )
 
 // DefaultRootsPerSample is the number of RR roots drawn per thinned
-// chain sample when the caller does not say otherwise: four 64-lane
-// words, enough that the sweep cost dominates the per-root bookkeeping
-// while one chain sample still contributes many near-independent
-// sketch sets.
+// chain sample when the caller does not say otherwise: enough that one
+// chain sample contributes many near-independent sketch sets, while
+// their traversals stay cheap next to the Thin chain steps between
+// samples.
 const DefaultRootsPerSample = 256
 
 // RRPool is a pool of reverse-reachability (RR) sketch sets over one
@@ -56,17 +57,17 @@ func (p *RRPool) SpreadScale() float64 {
 // BuildRRPool draws a fresh MH chain over model m under conds and
 // builds an RR pool of opts.Samples × rootsPerSample sketch sets
 // targeting targets (nil or empty = every node). rootsPerSample must be
-// a positive multiple of 64 (<= 0 selects DefaultRootsPerSample);
-// words is the reverse-sweep lane width in 64-lane words (<= 0
-// auto-sizes, explicit values must lie in [1, MaxLaneWords]).
-// opts.Interrupt cancellation is honoured between thinned samples.
+// a positive multiple of 64 (<= 0 selects DefaultRootsPerSample). Each
+// thinned sample grows every one of its roots' RR sets with one packed
+// BFS against edge direction (coverRoots). The words argument is
+// deprecated and ignored: it set the width of a retired lane sweep, and
+// stays so existing callers compile. opts.Interrupt cancellation is
+// honoured between thinned samples.
 //
 // Determinism contract: the root stream is forked from r BEFORE the
 // chain consumes anything, so the sampled (root, state) pairs — and
 // therefore the pool, bit for bit — depend only on r's state, the
-// model, conds, targets, rootsPerSample and opts. The sweep width
-// changes only how roots chunk onto sweeps, never which bit of Cover a
-// root occupies, so the pool is bit-identical across words 1..16.
+// model, conds, targets, rootsPerSample and opts.
 func BuildRRPool(m *core.ICM, targets []graph.NodeID, conds []core.FlowCondition, rootsPerSample, words int, opts Options, r *rng.RNG) (*RRPool, error) {
 	n := m.NumNodes()
 	if n == 0 {
@@ -92,9 +93,9 @@ func BuildRRPool(m *core.ICM, targets []graph.NodeID, conds []core.FlowCondition
 	}
 
 	// Pre-draw every root from the root stream: the chain never touches
-	// rootR and the sweeps consume no randomness, so the chain's sample
-	// stream is exactly what any other estimator sees under the same
-	// Options.
+	// rootR and the traversals consume no randomness, so the chain's
+	// sample stream is exactly what any other estimator sees under the
+	// same Options.
 	rootR := r.Fork()
 	numSets := opts.Samples * rootsPerSample
 	roots := make([]graph.NodeID, numSets)
@@ -104,12 +105,6 @@ func BuildRRPool(m *core.ICM, targets []graph.NodeID, conds []core.FlowCondition
 		} else {
 			roots[i] = universe[rootR.Intn(len(universe))]
 		}
-	}
-	// Each sample's roots are placed afresh on the same lanes, so one
-	// reach matrix serves every chunk of every sample.
-	l := laneLayout{reverse: true}
-	if err := l.place(m, roots[:rootsPerSample], words); err != nil {
-		return nil, err
 	}
 	s, err := NewSampler(m, conds, r)
 	if err != nil {
@@ -122,10 +117,11 @@ func BuildRRPool(m *core.ICM, targets []graph.NodeID, conds []core.FlowCondition
 		Universe: universeSize,
 		Targets:  universe,
 	}
+	reached := bitset.New(n)
 	sample := 0
 	err = s.Run(opts, func(x core.PseudoState) {
 		base := sample * rootsPerSample
-		l.coverRoots(roots[base:base+rootsPerSample], x, s.scratch, pool.Cover, base/LaneWidth)
+		coverRoots(m.G, roots[base:base+rootsPerSample], x, s.scratch, reached, pool.Cover, base)
 		sample++
 	})
 	if err != nil {
@@ -134,25 +130,18 @@ func BuildRRPool(m *core.ICM, targets []graph.NodeID, conds []core.FlowCondition
 	return pool, nil
 }
 
-// coverRoots reseeds the layout with one sample's roots, sweeps every
-// chunk of x against edge direction and ORs the lanes into cover from
-// word wordOff on: root b of the sample lands at bit 64*wordOff + b.
+// coverRoots sets bit base+b of cover's row u for every root b of one
+// thinned state x and every node u that reaches roots[b] across x: one
+// packed BFS against edge direction per root into reached (which must
+// hold NumNodes bits), whose words are then peeled.
 //
 //flowlint:hotpath
-func (l *laneLayout) coverRoots(roots []graph.NodeID, x bitset.Set, sc *graph.Scratch, cover *bitset.LaneMatrix, wordOff int) {
-	l.reseed(roots)
-	for c := range l.seeds {
-		reach := l.sweep(c, x, sc)
-		// Chunk boundaries are multiples of 64, so the chunk's lanes land
-		// word-aligned: an OR-copy of whole words places every RR bit at
-		// a position independent of the sweep width.
-		lo, hi := l.span(c)
-		off, words := wordOff+lo/LaneWidth, (hi-lo)/LaneWidth
-		for v := 0; v < reach.Rows; v++ {
-			src := reach.Row(v)
-			dst := cover.Row(v)[off : off+words]
-			for j := range dst {
-				dst[j] |= src[j]
+func coverRoots(g *graph.DiGraph, roots []graph.NodeID, x bitset.Set, sc *graph.Scratch, reached bitset.Set, cover *bitset.LaneMatrix, base int) {
+	for b := range roots {
+		reached = g.ReachableBitsReverseInto(roots[b:b+1], x, sc, reached)
+		for wi, w := range reached {
+			for ; w != 0; w &= w - 1 {
+				cover.SetBit(wi*64+bits.TrailingZeros64(w), base+b)
 			}
 		}
 	}

@@ -22,9 +22,9 @@ var (
 	ErrOverloaded = errors.New("serve: worker queue saturated")
 )
 
-// queryKind separates end-to-end flow queries, community sweeps, and
+// queryKind separates end-to-end flow queries, community queries, and
 // impact (cascade-size) queries; the three use different estimators and
-// cannot share lanes.
+// cannot share a batch.
 type queryKind int8
 
 const (
@@ -34,7 +34,7 @@ const (
 )
 
 // batchKey identifies the chain a query must run on. Two requests
-// coalesce into one sweep exactly when every field matches: same model,
+// coalesce into one batch exactly when every field matches: same model,
 // same conditioning (canonical string), same chain schedule, same seed.
 // Anything else would change the answer, so it gets its own chain.
 type batchKey struct {
@@ -52,13 +52,13 @@ type flowResult struct {
 	Prob       float64   // kindFlow: Pr[source ~> sink | conds]
 	Community  []float64 // kindCommunity: Pr[source ~> v] per node
 	Impact     []float64 // kindImpact: normalized cascade-size histogram
-	BatchSize  int       // requests served by the sweep
-	Lanes      int       // distinct lanes the sweep carried
+	BatchSize  int       // requests served by the batch
+	Lanes      int       // distinct queries (lanes) the batch carried
 	Acceptance float64   // chain's post-burn-in acceptance rate
 	Err        error
 }
 
-// member is one request waiting on a batch: its lane in the sweep, its
+// member is one request waiting on a batch: its lane (query slot), its
 // cancellation context, the cache key to fill on success, and a
 // 1-buffered channel the batch delivers on (the single send never
 // blocks, even if the requester has already given up).
@@ -70,10 +70,11 @@ type member struct {
 	done     chan flowResult
 }
 
-// pendingBatch accumulates members during the batching window. Lanes
-// are deduplicated: two identical queries share a lane (or, for impact,
-// a lane span), so a budget's worth of identical requests still fits one
-// sweep with one lane occupied. Flow and community queries occupy one
+// pendingBatch accumulates members during the batching window. A lane
+// is one distinct query of the batch, and lanes are deduplicated: two
+// identical queries share a lane (or, for impact, a lane span), so a
+// budget's worth of identical requests still fits one batch with one
+// lane occupied. Flow and community queries occupy one
 // lane each (pairs/laneIndex); impact queries occupy one lane per
 // distinct source of their canonical source set (sets/setIndex), and
 // lanes tracks the running total either way.
@@ -91,11 +92,11 @@ type pendingBatch struct {
 	full      chan struct{} // closed on flush; wakes the window collector
 }
 
-// batcher coalesces concurrent same-chain queries into wide-lane
-// sweeps of up to laneBudget distinct queries. A batch flushes when its
-// lane set fills the budget or when the batching window expires,
-// whichever comes first; flushed batches run on a bounded worker pool,
-// each as one W-word lane sweep per thinned sample. The window timer
+// batcher coalesces concurrent same-chain queries into batches of up to
+// laneBudget distinct queries. A batch flushes when its lane set fills
+// the budget or when the batching window expires, whichever comes
+// first; flushed batches run on a bounded worker pool, each as one chain
+// whose thinned samples answer every query with its own traversal. The window timer
 // comes from the injected Clock, so tests drive flushes
 // deterministically.
 type batcher struct {
@@ -226,11 +227,9 @@ func (b *batcher) worker() {
 }
 
 // execute runs one flushed batch: a fresh chain seeded from the batch
-// key, one wide-lane sweep per thinned sample (the auto-width batch
-// estimators size the lane mask to cover every pair in a single
-// sweep, since the lane budget never exceeds mh.MaxLanes), cooperative
-// abort once every member has cancelled, cache fill, then per-member
-// delivery.
+// key, one batched estimator call (every query answered on every
+// thinned sample), cooperative abort once every member has cancelled,
+// cache fill, then per-member delivery.
 func (b *batcher) execute(pb *pendingBatch) {
 	b.metrics.Batches.Add(1)
 	b.metrics.BatchedLanes.Add(int64(pb.lanes))
@@ -238,7 +237,7 @@ func (b *batcher) execute(pb *pendingBatch) {
 
 	// The chain keeps running while at least one member still wants the
 	// answer; when the last one cancels, the Interrupt hook stops the
-	// sweep between thinned samples. The hook consumes no randomness, so
+	// chain between thinned samples. The hook consumes no randomness, so
 	// surviving members' estimates are unaffected by co-batched
 	// cancellations.
 	live := new(atomic.Int64)

@@ -10,7 +10,7 @@ import (
 // the seed), so a hit is exactly the value a fresh chain would
 // recompute — the estimators are deterministic in (model, query, opts,
 // seed) — and serving from cache is indistinguishable from serving from
-// a sweep.
+// a fresh chain.
 type lruCache struct {
 	mu    sync.Mutex
 	cap   int

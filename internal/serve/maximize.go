@@ -185,8 +185,9 @@ type maximizeResponse struct {
 // target set when given, conditioned by cond=), then select k seeds by
 // deterministic lazy-greedy maximum coverage. The pipeline runs
 // synchronously — its chain polls the request context, so a client
-// deadline interrupts the sweep — and results are LRU-cached under the
-// full parameter identity.
+// deadline interrupts the pool build — and results are LRU-cached under
+// the full parameter identity. While the server drains it computes
+// nothing new (503).
 func (s *Server) handleMaximize(w http.ResponseWriter, r *http.Request) {
 	s.metrics.MaximizeRequests.Add(1)
 	q, herr := s.parseMaximizeQuery(r)
@@ -207,6 +208,9 @@ func (s *Server) handleMaximize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.CacheMisses.Add(1)
+	if s.refuseDraining(w) {
+		return
+	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), q.timeout)
 	defer cancel()

@@ -37,7 +37,7 @@ type Metrics struct {
 	// Batches executed, the lane count they carried, and the request
 	// count they served. BatchedRequests / Batches is the coalescing
 	// ("batch occupancy") figure: how many concurrent requests one chain
-	// sweep amortised.
+	// amortised.
 	Batches         atomic.Int64
 	BatchedLanes    atomic.Int64
 	BatchedRequests atomic.Int64
@@ -54,7 +54,7 @@ type Metrics struct {
 	// always read 0. They are kept only because servebench/drive.go, the
 	// frozen serving benchmark, reads them.
 	//
-	// Deprecated: every lane sweep is a plain full sweep.
+	// Deprecated: no batch reuses traversal state across samples.
 	LaneReplays  atomic.Int64
 	LaneRepairs  atomic.Int64
 	LaneRebuilds atomic.Int64
@@ -63,8 +63,9 @@ type Metrics struct {
 	// post-burn-in Metropolis-Hastings acceptance rate.
 	acceptanceBits atomic.Uint64
 
-	// laneBudget mirrors Config.LaneBudget (after rounding); installed
-	// by NewServer so utilization can be derived from BatchedLanes.
+	// laneBudget mirrors Config.LaneBudget (after defaults and the
+	// cap); installed by NewServer so utilization can be derived from
+	// BatchedLanes.
 	laneBudget atomic.Int64
 
 	// queueDepth reports the number of flushed batches waiting for a
@@ -102,8 +103,8 @@ func (m *Metrics) Occupancy() float64 {
 	return float64(m.BatchedRequests.Load()) / float64(b)
 }
 
-// LaneBudget returns the server's configured (rounded) lane budget —
-// the most distinct queries one batch may coalesce.
+// LaneBudget returns the server's configured lane budget (defaulted and
+// capped): the most distinct queries one batch may coalesce.
 func (m *Metrics) LaneBudget() int {
 	return int(m.laneBudget.Load())
 }

@@ -1,11 +1,15 @@
 // Package serve is the flowserve inference service: an HTTP layer that
-// answers flow-probability, community, and impact (cascade-size) queries
-// against trained ICMs by coalescing concurrent same-chain requests into
-// wide-lane batched Metropolis-Hastings sweeps (mh.FlowProbBatch) of up
-// to LaneBudget queries (default 512, one W-word sweep per thinned
-// sample). Requests that share a (model, conditions, chain schedule,
-// seed) tuple arriving within the batching window ride one chain; an LRU
-// cache short-circuits repeats.
+// answers flow-probability (/flow), community (/community), impact
+// (cascade-size, /impact) and influence-maximization (/maximize) queries
+// against trained ICMs. Concurrent same-chain /flow, /community and
+// sampled /impact requests coalesce into batched Metropolis-Hastings
+// estimators (mh.FlowProbBatch and its siblings) of up to LaneBudget
+// queries (default 512): the batch shares one chain's burn-in and
+// thinning, and each thinned sample answers every query with its own
+// early-exit traversal. Requests that share a (model, conditions, chain
+// schedule, seed) tuple arriving within the batching window ride one
+// chain; an LRU cache short-circuits repeats. /maximize runs its own
+// chain synchronously (see handleMaximize).
 //
 // /impact additionally fronts the sampled path with the analytic
 // sizedist engine: when the cascade-size law is exactly computable
@@ -60,10 +64,9 @@ type Config struct {
 	// lanes fill flushes immediately.
 	Window time.Duration
 	// LaneBudget is how many distinct queries one batch may coalesce
-	// before it flushes (default 512). Rounded up to a multiple of 64
-	// (the sweep packs 64 lanes per mask word) and capped at
-	// mh.MaxLanes; a full budget still runs as ONE wide-lane sweep per
-	// thinned sample.
+	// before it flushes (default 512), capped at mh.MaxLanes. Each query
+	// costs its own traversal per thinned sample, so the cap bounds a
+	// batch's tally memory.
 	LaneBudget int
 	// Workers bounds concurrent chain sweeps (default 2).
 	Workers int
@@ -101,9 +104,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.LaneBudget <= 0 {
 		c.LaneBudget = 512
-	}
-	if r := c.LaneBudget % mh.LaneWidth; r != 0 {
-		c.LaneBudget += mh.LaneWidth - r
 	}
 	if c.LaneBudget > mh.MaxLanes {
 		c.LaneBudget = mh.MaxLanes
@@ -205,12 +205,25 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics returns the server's live counter set.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Drain stops admitting queries (healthz flips to draining, joins are
-// refused) and blocks until every in-flight and pending batch has been
-// executed and delivered. Call once, on shutdown.
+// Drain stops admitting queries and blocks until every in-flight and
+// pending batch has been executed and delivered. From the call on,
+// healthz reports draining and every request that would compute — a
+// batch join, a /maximize selection, an analytic /impact law — gets 503;
+// cached answers are still served. Call once, on shutdown.
 func (s *Server) Drain() {
 	s.draining.Store(true)
 	s.batcher.drain()
+}
+
+// refuseDraining writes a 503 and reports true once Drain has begun. The
+// handlers that compute synchronously call it before computing, as the
+// batcher refuses joins.
+func (s *Server) refuseDraining(w http.ResponseWriter) bool {
+	if !s.draining.Load() {
+		return false
+	}
+	writeError(w, &httpError{status: http.StatusServiceUnavailable, msg: ErrDraining.Error()})
+	return true
 }
 
 // query carries one parsed, validated request.
@@ -528,23 +541,36 @@ func (s *Server) handleCommunity(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// topFlows ranks the community vector, dropping the source itself and
-// zero-probability nodes, ties broken by node id for a deterministic
-// response body. top is client input with no upper bound, so it sizes
-// nothing beyond the vector's length.
+// topFlows renders TopCommunity's ranking of a community vector as
+// response entries.
 func topFlows(probs []float64, source graph.NodeID, top int) []communityEntry {
-	out := make([]communityEntry, 0, min(top, len(probs)))
+	nodes := TopCommunity(probs, source, top)
+	out := make([]communityEntry, len(nodes))
+	for i, v := range nodes {
+		out[i] = communityEntry{Node: int(v), Prob: probs[v]}
+	}
+	return out
+}
+
+// TopCommunity ranks a community vector (Pr[source ~> v] per node v):
+// every node but the source with a positive probability, most probable
+// first, ties broken by node id, cut to the first top. Shared with the
+// flowquery CLI, so both list a community in the same order. top is
+// client input with no upper bound, so it sizes nothing beyond the
+// vector's length.
+func TopCommunity(probs []float64, source graph.NodeID, top int) []graph.NodeID {
+	out := make([]graph.NodeID, 0, min(top, len(probs)))
 	for v, p := range probs {
 		if graph.NodeID(v) != source && p > 0 {
-			out = append(out, communityEntry{Node: v, Prob: p})
+			out = append(out, graph.NodeID(v))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		//flowlint:ignore floatcmp -- sort tiebreak: both probabilities are k/Samples quotients from the same sweep, equal iff their hit counts are; no rounding tolerance is meaningful here
-		if out[i].Prob != out[j].Prob {
-			return out[i].Prob > out[j].Prob
+		//flowlint:ignore floatcmp -- sort tiebreak: both probabilities are k/Samples quotients from the same chain, equal iff their hit counts are; no rounding tolerance is meaningful here
+		if pi, pj := probs[out[i]], probs[out[j]]; pi != pj {
+			return pi > pj
 		}
-		return out[i].Node < out[j].Node
+		return out[i] < out[j]
 	})
 	if len(out) > top {
 		out = out[:top]
@@ -616,6 +642,9 @@ func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		} else {
+			if s.refuseDraining(w) {
+				return
+			}
 			res, err := sizedist.Compute(q.model.ICM, q.sources, sizedist.DefaultOptions())
 			if err == nil {
 				s.cache.Add(q.analyticCacheKey(), impactAnalytic{method: res.Method.String(), exact: res.Exact, dist: res.Dist})

@@ -62,7 +62,7 @@ func getJSON(t *testing.T, url string, out any) (status int) {
 
 // TestServerBurstCoalesces is the headline acceptance check: 64
 // concurrent same-model /flow requests (distinct pairs) against a
-// 64-lane budget must be served by one lane-full sweep — the occupancy
+// 64-lane budget must be served by one lane-full batch — the occupancy
 // metric proves the coalescing. (TestServerLaneBudget covers bursts
 // beyond 64 lanes.)
 func TestServerBurstCoalesces(t *testing.T) {
@@ -277,8 +277,18 @@ func TestServerDrain(t *testing.T) {
 	if status := getJSON(t, ts2.URL+"/healthz", &resp); status != http.StatusServiceUnavailable || resp["status"] != "draining" {
 		t.Errorf("healthz after drain: %d %v, want 503 draining", status, resp)
 	}
-	if status := getJSON(t, ts2.URL+"/flow?source=0&sink=1", &resp); status != http.StatusServiceUnavailable {
-		t.Errorf("flow after drain: %d, want 503", status)
+	for _, path := range []string{
+		"/flow?source=0&sink=1",
+		"/community?source=0",
+		"/impact?sources=0&mode=sampled",
+		"/impact?sources=0&mode=analytic",
+		"/impact?sources=0",
+		"/maximize?k=1&samples=1&roots=64",
+	} {
+		var body map[string]any
+		if status := getJSON(t, ts2.URL+path, &body); status != http.StatusServiceUnavailable {
+			t.Errorf("%s after drain: %d, want 503", path, status)
+		}
 	}
 }
 
@@ -519,13 +529,14 @@ func TestServerMetricsEndpoint(t *testing.T) {
 }
 
 // TestServerLaneBudgetRounding pins the Config.LaneBudget normalisation:
-// default 512, round up to a multiple of 64, cap at mh.MaxLanes.
+// default 512, no rounding (a batch holds any number of queries up to
+// the budget), cap at mh.MaxLanes.
 func TestServerLaneBudgetRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 512},
 		{-3, 512},
 		{64, 64},
-		{100, 128},
+		{100, 100},
 		{512, 512},
 		{mh.MaxLanes + 1, mh.MaxLanes},
 		{1 << 20, mh.MaxLanes},
@@ -549,7 +560,7 @@ func TestServerLaneBudgetRounding(t *testing.T) {
 
 // TestServerLaneBudgetBurst: a burst wider than one 64-lane word (130
 // distinct pairs against a 128-lane budget) coalesces into at most two
-// wide sweeps — one lane-full flush at the budget plus the drain-time
+// batches — one lane-full flush at the budget plus the drain-time
 // remainder — and lane utilization reflects the fill against the
 // budget, not against 64.
 func TestServerLaneBudgetBurst(t *testing.T) {

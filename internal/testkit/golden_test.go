@@ -1,6 +1,9 @@
 package testkit
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
 	"testing"
 
 	"infoflow/internal/core"
@@ -152,4 +155,177 @@ func TestGoldenUnattribPosterior(t *testing.T) {
 		StdDev:         RoundSlice(post.StdDev, goldenDigits),
 		AcceptanceRate: Round(post.AcceptanceRate, goldenDigits),
 	})
+}
+
+type goldenBatch struct {
+	Name string `json:"name"`
+	// Flow holds FlowProbBatch's estimate for every pair, in pair order.
+	Flow []float64 `json:"flow"`
+	// CommunityFirst is CommunityFlowProbsBatch's row for the first
+	// source; CommunityDigest hashes every row.
+	CommunityFirst  []float64 `json:"community_first"`
+	CommunityDigest string    `json:"community_digest"`
+	// ImpactMeans is each set's mean impact; ImpactDigest hashes every
+	// sample of every set.
+	ImpactMeans  []float64 `json:"impact_means"`
+	ImpactDigest string    `json:"impact_digest"`
+	// RRSets and RRCovered describe the BuildRRPool pool: its set count
+	// and how many (node, set) memberships its cover holds. RRDigest
+	// hashes the cover, row by row, and the roots.
+	RRSets    int    `json:"rr_sets"`
+	RRCovered int    `json:"rr_covered"`
+	RRDigest  string `json:"rr_digest"`
+}
+
+// goldenBatchModel draws a 40-node, 100-edge random model whose edge
+// probabilities are uniform in [lo, hi): [0.3, 0.5) is near the
+// percolation threshold (mean out-degree 2.5), [0.5, 1) well past it.
+func goldenBatchModel(seed uint64, lo, hi float64) *core.ICM {
+	r := rng.New(seed)
+	g := graph.Random(r, 40, 100)
+	p := make([]float64, g.NumEdges())
+	for i := range p {
+		p[i] = r.Uniform(lo, hi)
+	}
+	return core.MustNewICM(g, p)
+}
+
+// goldenEvidence draws one required and one forbidden flow over four
+// distinct nodes, each pair connected in the full graph, redrawing
+// until a sampler can satisfy the set.
+func goldenEvidence(t *testing.T, m *core.ICM, seed uint64) []core.FlowCondition {
+	t.Helper()
+	r := rng.New(seed)
+	for try := 0; try < 1000; try++ {
+		used := map[graph.NodeID]bool{}
+		var conds []core.FlowCondition
+		for len(conds) < 2 {
+			u, v := graph.NodeID(r.Intn(m.NumNodes())), graph.NodeID(r.Intn(m.NumNodes()))
+			if u == v || used[u] || used[v] || !m.G.HasPath(u, v, graph.AllEdges) {
+				continue
+			}
+			used[u], used[v] = true, true
+			conds = append(conds, core.FlowCondition{Source: u, Sink: v, Require: len(conds) == 0})
+		}
+		if _, err := mh.NewSampler(m, conds, rng.New(1)); err == nil {
+			return conds
+		}
+	}
+	t.Fatal("no satisfiable evidence drawn")
+	return nil
+}
+
+// fnvWords folds 64-bit words into an FNV-1a hash, printed as hex.
+type fnvWords uint64
+
+func newFNVWords() fnvWords { return 14695981039346656037 }
+
+func (h *fnvWords) add(w uint64) {
+	for i := 0; i < 8; i++ {
+		*h ^= fnvWords(w >> (8 * i) & 0xff)
+		*h *= 1099511628211
+	}
+}
+
+func (h fnvWords) String() string { return fmt.Sprintf("%016x", uint64(h)) }
+
+// TestGoldenBatchEstimators pins the batched estimators — FlowProbBatch,
+// CommunityFlowProbsBatch, ImpactDistributionBatch and BuildRRPool's
+// cover — on a near-critical and a supercritical model, each with and
+// without evidence. The batch shapes cross 64 queries (70 pairs, 66
+// sources, 10 impact sets over 70 sources, 128 roots per state), so the
+// corpus holds whatever traversal answers each query.
+func TestGoldenBatchEstimators(t *testing.T) {
+	models := []struct {
+		name   string
+		m      *core.ICM
+		evSeed uint64
+	}{
+		{"near_critical", goldenBatchModel(61, 0.3, 0.5), 62},
+		{"supercritical", goldenBatchModel(63, 0.5, 1), 64},
+	}
+	var out []goldenBatch
+	for _, mc := range models {
+		m := mc.m
+		n := m.NumNodes()
+		r := rng.New(65)
+		pairs := make([]mh.FlowPair, 70)
+		for i := range pairs {
+			pairs[i] = mh.FlowPair{Source: graph.NodeID(r.Intn(n)), Sink: graph.NodeID(r.Intn(n))}
+		}
+		sources := make([]graph.NodeID, 66)
+		for i := range sources {
+			sources[i] = graph.NodeID(r.Intn(n))
+		}
+		sets := make([][]graph.NodeID, 10)
+		for i := range sets {
+			sets[i] = make([]graph.NodeID, 7)
+			for j := range sets[i] {
+				sets[i][j] = graph.NodeID(r.Intn(n))
+			}
+		}
+		targets := []graph.NodeID{0, 3, 5, 7, 11, 13, 17, 19, 23, 29}
+		for _, conditioned := range []bool{false, true} {
+			name := mc.name
+			var conds []core.FlowCondition
+			var rrTargets []graph.NodeID
+			if conditioned {
+				name += "_conditioned"
+				conds = goldenEvidence(t, m, mc.evSeed)
+				rrTargets = targets
+			}
+			opts := mh.Options{BurnIn: 4 * m.NumEdges(), Thin: m.NumEdges(), Samples: 200}
+			flow, err := mh.FlowProbBatch(m, pairs, conds, opts, rng.New(71))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			comm, err := mh.CommunityFlowProbsBatch(m, sources, conds, opts, rng.New(72))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			impacts, err := mh.ImpactDistributionBatch(m, sets, conds, opts, rng.New(73))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			poolOpts := opts
+			poolOpts.Samples = 50
+			pool, err := mh.BuildRRPool(m, rrTargets, conds, 128, 0, poolOpts, rng.New(74))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+
+			g := goldenBatch{Name: name, Flow: RoundSlice(flow, goldenDigits), CommunityFirst: RoundSlice(comm[0], goldenDigits)}
+			h := newFNVWords()
+			for _, row := range comm {
+				for _, p := range row {
+					h.add(math.Float64bits(p))
+				}
+			}
+			g.CommunityDigest = h.String()
+			h = newFNVWords()
+			for _, series := range impacts {
+				sum := 0
+				for _, k := range series {
+					sum += k
+					h.add(uint64(k))
+				}
+				g.ImpactMeans = append(g.ImpactMeans, Round(float64(sum)/float64(len(series)), goldenDigits))
+			}
+			g.ImpactDigest = h.String()
+			g.RRSets = pool.NumSets
+			h = newFNVWords()
+			for v := 0; v < n; v++ {
+				for _, w := range pool.Cover.Row(v) {
+					g.RRCovered += bits.OnesCount64(w)
+					h.add(w)
+				}
+			}
+			for _, root := range pool.Roots {
+				h.add(uint64(root))
+			}
+			g.RRDigest = h.String()
+			out = append(out, g)
+		}
+	}
+	Golden(t, "batch_estimates", out)
 }
