@@ -101,7 +101,7 @@ func (s Set) OrInto(dst Set) {
 
 // AndNotCount returns the popcount of s &^ other — the number of bits
 // set in s but not in other — without materialising the difference.
-// This is the hot read of the CELF max-coverage selector: a candidate's
+// This is the hot read of the lazy max-coverage ranking: a candidate's
 // marginal gain over a covered mask is one AndNotCount. The sets must
 // have the same length; mismatched lengths are a caller bug.
 //

@@ -129,8 +129,8 @@ func TestGreedySpreadEstimateReproducible(t *testing.T) {
 // bookkeeping: with a warm selector and preallocated Result backing, a
 // full selection — initial pass, stale-gain re-evaluations, heap churn
 // — must allocate nothing. The spread function injected here is
-// deliberately cheap and deterministic; the Monte-Carlo and sketch
-// backends layer their own estimator cost on top of this loop.
+// deliberately cheap and deterministic; the Monte-Carlo backend layers
+// its own estimator cost on top of this loop.
 func TestSelectorReevaluationAllocs(t *testing.T) {
 	const n, k = 200, 8
 	candidates := make([]graph.NodeID, n)
@@ -152,7 +152,7 @@ func TestSelectorReevaluationAllocs(t *testing.T) {
 		res.Seeds = res.Seeds[:0]
 		res.MarginalGains = res.MarginalGains[:0]
 		res.Evaluations = 0
-		sel.run(candidates, k, res, spreadOf, nil)
+		sel.run(candidates, k, res, spreadOf)
 	}
 	run() // warm the heap and the seed buffer
 	if res.Evaluations <= n {

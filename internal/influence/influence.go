@@ -15,17 +15,18 @@
 //     mh.BuildRRPool — seed selection becomes exact lazy-greedy maximum
 //     coverage over a bitmap pool, orders of magnitude cheaper per
 //     evaluation (one popcount loop instead of hundreds of cascades).
+//     Its selections are prefixes of one Ranking per pool (RankSketch).
 //
 // Determinism contract: every selection in this package is a pure
 // function of its RNG's state and its inputs AS SETS — fixed seed ⇒
 // bit-identical seed set, invariant under candidate-order permutation,
-// heap layout and GOMAXPROCS. Two mechanisms enforce this: the CELF heap orders entries by
-// the strict total order (gain desc, round asc, node asc), so with
-// distinct candidates the pop sequence depends only on heap contents,
-// never on insertion order or internal layout; and the Monte-Carlo path
-// evaluates candidate v at round t on its own derived RNG stream
-// (Reseed(base, v<<32|t)), so a gain never depends on which
-// evaluations preceded it.
+// heap layout and GOMAXPROCS. Both heaps order their entries strictly:
+// the CELF heap by (gain desc, round asc, node asc), the sketch
+// ranking's by (gain desc, node asc), so with distinct candidates the
+// pop sequence depends only on heap contents, never on insertion order
+// or internal layout. The Monte-Carlo path also evaluates candidate v
+// at round t on its own derived RNG stream (Reseed(base, v<<32|t)), so
+// a gain never depends on which evaluations preceded it.
 package influence
 
 import (
@@ -132,7 +133,7 @@ func Greedy(m *core.ICM, k int, opts Options, r *rng.RNG) (*Result, error) {
 	sel.run(candidates, k, res, func(with []graph.NodeID, node graph.NodeID, round int) float64 {
 		evalR.Reseed(base, uint64(node)<<32|uint64(round))
 		return Spread(m, with, opts.Samples, evalR)
-	}, nil)
+	})
 	evalR.Reseed(base, estimateStream)
 	res.SpreadEstimate = Spread(m, res.Seeds, opts.Samples, evalR)
 	res.Evaluations++
@@ -152,16 +153,14 @@ type selector struct {
 // run executes CELF lazy-greedy selection over distinct candidates:
 // spreadOf(with, node, round) must return the estimated spread of the
 // seed set `with` (the current seeds extended by node; round = current
-// seed count), and onSelect, when non-nil, is told each node the moment
-// it is selected (the sketch backend advances its covered mask there).
-// res.Seeds and res.MarginalGains are rebuilt in place (reusing their
-// backing arrays when capacity allows); res.Evaluations accumulates.
+// seed count). res.Seeds and res.MarginalGains are rebuilt in place
+// (reusing their backing arrays when capacity allows);
+// res.Evaluations accumulates.
 //
 // The `with` slice passed to spreadOf is selector-owned scratch, valid
 // only for that call.
 func (sel *selector) run(candidates []graph.NodeID, k int, res *Result,
-	spreadOf func(with []graph.NodeID, node graph.NodeID, round int) float64,
-	onSelect func(node graph.NodeID)) {
+	spreadOf func(with []graph.NodeID, node graph.NodeID, round int) float64) {
 	pq := sel.pq[:0]
 	for _, v := range candidates {
 		buf := append(sel.seedBuf[:0], v)
@@ -181,9 +180,6 @@ func (sel *selector) run(candidates []graph.NodeID, k int, res *Result,
 			seeds = append(seeds, top.node)
 			gains = append(gains, top.gain)
 			current += top.gain
-			if onSelect != nil {
-				onSelect(top.node)
-			}
 			continue
 		}
 		// Stale: re-evaluate against the current seed set and push back.
@@ -208,8 +204,8 @@ type gainEntry struct {
 }
 
 // gainQueue is a max-heap under a STRICT total order: gain descending,
-// then round ascending (an older evaluation is an upper bound — popping
-// it first re-evaluates rather than selecting on a stale tie), then
+// then round ascending (a sampled gain may rise on re-evaluation, so a
+// stale tie is re-evaluated before a fresh entry is selected), then
 // node ID ascending. The strictness is load-bearing for determinism:
 // with all-distinct entries, the sequence of heap pops depends only on
 // the multiset of entries present at each pop, never on insertion order
@@ -220,7 +216,7 @@ type gainQueue []gainEntry
 
 func (q gainQueue) less(i, j int) bool {
 	a, b := q[i], q[j]
-	//flowlint:ignore floatcmp -- heap tiebreak: a total order needs exact equality (both backends produce gains that are equal iff their underlying counts are — sketch gains are integers, MC gains are k/Samples quotients from per-(node,round) streams); a tolerance would break transitivity
+	//flowlint:ignore floatcmp -- heap tiebreak: a total order needs exact equality (MC gains are k/Samples quotients from per-(node,round) streams, equal iff their counts are); a tolerance would break transitivity
 	if a.gain != b.gain {
 		return a.gain > b.gain
 	}

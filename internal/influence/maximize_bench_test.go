@@ -138,9 +138,9 @@ func BenchmarkSketchBuild(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sets), "ns/rr-set")
 }
 
-// BenchmarkSketchSelect measures CELF max-coverage selection of k=50
-// seeds from a prebuilt paper-scale pool; ns/seed is the selection cost
-// BENCH_maximize.json tracks.
+// BenchmarkSketchSelect measures the lazy max-coverage ranking of a
+// prebuilt paper-scale pool up to k=50 seeds; ns/seed is the selection
+// cost BENCH_maximize.json tracks.
 func BenchmarkSketchSelect(b *testing.B) {
 	m := paperScaleModel()
 	opts := gateSketchOptions(m, nil)
@@ -157,6 +157,39 @@ func BenchmarkSketchSelect(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k), "ns/seed")
+}
+
+// BenchmarkSketchRank ranks the pool flowserve's /maximize builds by
+// default (64 thinned states × 256 roots under the scalar chain
+// schedule) up to saturation, on the whole paper-scale graph and on a
+// fixed 500-node community: the cost a lone budget pays on top of
+// the pool build, after which every other budget is a prefix.
+func BenchmarkSketchRank(b *testing.B) {
+	m := paperScaleModel()
+	opts := DefaultSketchOptions(m.NumEdges())
+	idx := rng.New(5).Sample(m.NumNodes(), 500)
+	community := make([]graph.NodeID, len(idx))
+	for i, v := range idx {
+		community[i] = graph.NodeID(v)
+	}
+	for _, bc := range []struct {
+		name    string
+		targets []graph.NodeID
+	}{{"all", nil}, {"community", community}} {
+		b.Run(bc.name, func(b *testing.B) {
+			pool, err := mh.BuildRRPool(m, bc.targets, nil, opts.RootsPerSample, opts.Words, opts.Chain, rng.New(41))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RankSketch(pool, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkMaximizeSpeedup runs both backends once per iteration under

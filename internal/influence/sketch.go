@@ -58,13 +58,14 @@ func Maximize(m *core.ICM, k int, targets []graph.NodeID, conds []core.FlowCondi
 	return res, pool, nil
 }
 
-// SketchGreedy selects k seeds by exact lazy-greedy maximum coverage
-// over an RR pool: a candidate's marginal gain is the number of
-// not-yet-covered sketch sets its cover row would add (an integer, so
-// CELF ties are exact, broken by the heap's (gain, round, node) order).
-// It returns fewer than k seeds only if there are fewer distinct
-// candidates. The selection is a deterministic function of the pool and
-// the candidate SET — no RNG, no order sensitivity.
+// SketchGreedy selects k seeds by exact greedy maximum coverage over an
+// RR pool: the k-prefix of the pool's Ranking (see RankSketch), ranked
+// only as far as k needs. A candidate's marginal gain is the number of
+// not-yet-covered sketch sets its cover row would add, and the largest
+// gain wins, ties to the lowest node id. It returns fewer than k seeds
+// only if there are fewer distinct candidates. The selection is a
+// deterministic function of the pool and the candidate SET — no RNG, no
+// order sensitivity.
 //
 // Result.MarginalGains are the per-seed gains scaled to spread units
 // (pool.SpreadScale() × newly covered sets) and Result.SpreadEstimate
@@ -74,42 +75,13 @@ func SketchGreedy(pool *mh.RRPool, k int, candidates []graph.NodeID) (*Result, e
 	if k <= 0 {
 		return nil, fmt.Errorf("influence: non-positive k")
 	}
-	n := pool.Cover.Rows
-	if candidates == nil {
-		candidates = make([]graph.NodeID, n)
-		for v := range candidates {
-			candidates[v] = graph.NodeID(v)
-		}
-	} else {
-		for _, c := range candidates {
-			if c < 0 || int(c) >= n {
-				return nil, fmt.Errorf("influence: candidate %d out of range", c)
-			}
-		}
-		candidates, _ = core.DedupSources(n, candidates)
+	rk, err := newRanker(pool, candidates)
+	if err != nil {
+		return nil, err
 	}
-	covered := bitset.New(pool.NumSets)
-	coveredCount := 0
-	res := &Result{}
-	sel := &selector{}
-	// The selector's spreadOf contract wants TOTAL spread of the
-	// extended set; returning coveredCount + the candidate's fresh sets
-	// keeps every quantity an exact small integer (float64-exact far
-	// past any realistic pool size), so the selector's gain subtraction
-	// reproduces the marginal count without rounding.
-	sel.run(candidates, k, res, func(_ []graph.NodeID, node graph.NodeID, _ int) float64 {
-		return float64(coveredCount + bitset.Set(pool.Cover.Row(int(node))).AndNotCount(covered))
-	}, func(node graph.NodeID) {
-		bitset.Set(pool.Cover.Row(int(node))).OrInto(covered)
-		coveredCount = covered.Count()
-	})
-	scale := pool.SpreadScale()
-	total := 0.0
-	for i := range res.MarginalGains {
-		res.MarginalGains[i] *= scale
-		total += res.MarginalGains[i]
-	}
-	res.SpreadEstimate = total
+	rk.extend(k)
+	res := rk.out.Prefix(k)
+	res.Evaluations = rk.evaluations
 	return res, nil
 }
 

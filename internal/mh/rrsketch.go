@@ -21,7 +21,7 @@ const DefaultRootsPerSample = 256
 // model: set b was built by drawing root_b uniformly from the target
 // universe and a pseudo-state x_b from the MH chain, and contains every
 // node that reaches root_b across the active edges of x_b. Cover is the
-// node-major transpose the CELF selector wants: bit b of Cover.Row(u)
+// node-major transpose the greedy ranking wants: bit b of Cover.Row(u)
 // is set iff u belongs to set b, so a seed set's estimated spread is
 //
 //	spread(S) = (Universe / NumSets) × |⋃_{u∈S} Cover.Row(u)|

@@ -307,7 +307,7 @@ func (b *batcher) execute(pb *pendingBatch) {
 			b.cache.Add(m.cacheKey, r.Community)
 		case kindImpact:
 			r.Impact = hists[m.lane]
-			b.cache.Add(m.cacheKey, r.Impact)
+			b.cache.Add(m.cacheKey, newSizeLaw(r.Impact))
 		}
 		m.done <- r
 	}

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -285,5 +288,110 @@ func TestServerImpactBadRequests(t *testing.T) {
 		if status := getJSON(t, ts.URL+tc.query, &resp); status != tc.status {
 			t.Errorf("%s: status %d, want %d (error %q)", tc.name, status, tc.status, resp["error"])
 		}
+	}
+}
+
+// serveStar is a forest whose size laws have a zero tail: hub 0 feeds
+// 1..3 at p = 0.5 and nodes 4..11 are isolated, so the law of {0} spans
+// 12 impacts with support on the first 4.
+func serveStar() *core.ICM {
+	g := graph.New(12)
+	for v := 1; v <= 3; v++ {
+		g.MustAddEdge(0, graph.NodeID(v))
+	}
+	return core.MustNewICM(g, []float64{0.5, 0.5, 0.5})
+}
+
+// serveDirect runs one request through the server's handler in the
+// calling goroutine and returns the recorded response.
+func serveDirect(s *Server, url string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+	return rec
+}
+
+// serveBatched runs a request that joins a batch: it waits for the
+// window collector to arm, then fires the window.
+func serveBatched(t *testing.T, s *Server, clock *fakeClock, url string) *httptest.ResponseRecorder {
+	t.Helper()
+	var rec *httptest.ResponseRecorder
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rec = serveDirect(s, url)
+	}()
+	waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
+	clock.Advance(time.Hour)
+	<-done
+	return rec
+}
+
+// sameImpactBodies fails t unless a cache hit's /impact body matches
+// the miss's byte for byte in every field but cached and the batch
+// fields, which describe a batch the hit did not run.
+func sameImpactBodies(t *testing.T, label string, miss, hit []byte) {
+	t.Helper()
+	var a, b map[string]json.RawMessage
+	if err := json.Unmarshal(miss, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(hit, &b); err != nil {
+		t.Fatal(err)
+	}
+	if string(b["cached"]) != "true" {
+		t.Fatalf("%s: repeat is not a cache hit: %s", label, hit)
+	}
+	for _, k := range []string{"cached", "batch_size", "lanes", "acceptance_rate"} {
+		delete(a, k)
+		delete(b, k)
+	}
+	if len(a) != len(b) {
+		t.Fatalf("%s: fields differ:\nmiss %s\nhit  %s", label, miss, hit)
+	}
+	for k, v := range a {
+		if !bytes.Equal(v, b[k]) {
+			t.Errorf("%s: %s differs:\nmiss %s\nhit  %s", label, k, v, b[k])
+		}
+	}
+}
+
+// TestServerImpactCachedBodyIdentical: cached /impact laws keep only
+// their support, and a hit pads it back to the body the miss returned,
+// for analytic and sampled entries alike.
+func TestServerImpactCachedBodyIdentical(t *testing.T) {
+	srv, _, clock := startServer(t, func(c *Config) {
+		c.Models = []Model{{Name: "m", ICM: serveStar()}}
+	})
+	const analytic, sampled = "/impact?sources=0", "/impact?sources=0&mode=sampled&samples=200&seed=3"
+	miss := serveDirect(srv, analytic)
+	if miss.Code != http.StatusOK {
+		t.Fatalf("analytic status %d: %s", miss.Code, miss.Body)
+	}
+	sameImpactBodies(t, "analytic", miss.Body.Bytes(), serveDirect(srv, analytic).Body.Bytes())
+	miss = serveBatched(t, srv, clock, sampled)
+	if miss.Code != http.StatusOK {
+		t.Fatalf("sampled status %d: %s", miss.Code, miss.Body)
+	}
+	sameImpactBodies(t, "sampled", miss.Body.Bytes(), serveDirect(srv, sampled).Body.Bytes())
+
+	laws := 0
+	srv.cache.mu.Lock()
+	defer srv.cache.mu.Unlock()
+	for key, el := range srv.cache.items {
+		law, ok := el.Value.(*lruEntry).val.(sizeLaw)
+		if a, isAnalytic := el.Value.(*lruEntry).val.(impactAnalytic); isAnalytic {
+			law, ok = a.law, true
+		}
+		if !ok {
+			continue
+		}
+		laws++
+		if law.length != 12 || len(law.support) != 4 || cap(law.support) != 4 {
+			t.Errorf("%s: cached support %d (cap %d) of %d entries, want the 4 nonzero of 12",
+				key, len(law.support), cap(law.support), law.length)
+		}
+	}
+	if laws != 2 {
+		t.Errorf("%d cached laws, want the analytic and the sampled one", laws)
 	}
 }

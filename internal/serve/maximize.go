@@ -143,19 +143,21 @@ func (s *Server) parseMaximizeQuery(r *http.Request) (*maximizeQuery, *httpError
 	return q, nil
 }
 
-// cacheKey is the canonical /maximize identity: model digest plus every
-// input the selection is a deterministic function of.
+// cacheKey is the identity of the RR pool a /maximize request selects
+// from: model digest plus every input the pool is a deterministic
+// function of. The budget k is not part of it, because every budget's
+// selection is a prefix of the pool's one greedy ranking.
 func (q *maximizeQuery) cacheKey() string {
-	return fmt.Sprintf("%s|maximize|%d|%s|%s|%d|%d|%d|%d|%d",
-		q.model.Digest, q.k, q.targetsKey, q.condKey,
+	return fmt.Sprintf("%s|maximize|%s|%s|%d|%d|%d|%d|%d",
+		q.model.Digest, q.targetsKey, q.condKey,
 		q.chain.BurnIn, q.chain.Thin, q.chain.Samples, q.roots, q.seed)
 }
 
-// maximizeAnswer is the cached form of a computed selection.
+// maximizeAnswer is the cached form of a pool: its greedy ranking up to
+// saturation, which answers every budget, and the pool's shape. The
+// pool itself is not kept.
 type maximizeAnswer struct {
-	seeds    []int
-	gains    []float64
-	estimate float64
+	ranking  *influence.Ranking
 	universe int
 	rrSets   int
 }
@@ -182,12 +184,13 @@ type maximizeResponse struct {
 
 // handleMaximize serves RIS-sketch influence maximization: build a
 // reverse-reachability pool over the model (restricted to the community
-// target set when given, conditioned by cond=), then select k seeds by
-// deterministic lazy-greedy maximum coverage. The pipeline runs
-// synchronously — its chain polls the request context, so a client
-// deadline interrupts the pool build — and results are LRU-cached under
-// the full parameter identity. While the server drains it computes
-// nothing new (503).
+// target set when given, conditioned by cond=), rank its nodes by
+// deterministic lazy-greedy maximum coverage up to saturation, and
+// answer k with the ranking's k-prefix. The pipeline runs synchronously
+// — its chain polls the request context, so a client deadline
+// interrupts the pool build — and the ranking is LRU-cached under the
+// pool identity, so every other budget on the same pool is a cache hit.
+// While the server drains it computes nothing new (503).
 func (s *Server) handleMaximize(w http.ResponseWriter, r *http.Request) {
 	s.metrics.MaximizeRequests.Add(1)
 	q, herr := s.parseMaximizeQuery(r)
@@ -201,9 +204,8 @@ func (s *Server) handleMaximize(w http.ResponseWriter, r *http.Request) {
 	}
 	if v, ok := s.cache.Get(q.cacheKey()); ok {
 		s.metrics.CacheHits.Add(1)
-		ans := v.(maximizeAnswer)
-		resp.Seeds, resp.MarginalGains, resp.SpreadEstimate = ans.seeds, ans.gains, ans.estimate
-		resp.Universe, resp.RRSets, resp.Cached = ans.universe, ans.rrSets, true
+		resp.Cached = true
+		resp.answer(v.(maximizeAnswer), q.k)
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
@@ -214,23 +216,33 @@ func (s *Server) handleMaximize(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), q.timeout)
 	defer cancel()
-	opts := influence.SketchOptions{Chain: q.chain, RootsPerSample: q.roots}
-	opts.Chain.Interrupt = func() bool { return ctx.Err() != nil }
-	res, pool, err := influence.Maximize(q.model.ICM, q.k, q.targets, q.conds, opts, rng.New(q.seed))
+	chain := q.chain
+	chain.Interrupt = func() bool { return ctx.Err() != nil }
+	pool, err := mh.BuildRRPool(q.model.ICM, q.targets, q.conds, q.roots, 0, chain, rng.New(q.seed))
 	if err != nil {
 		writeError(w, s.mapMaximizeError(ctx, q, err))
 		return
 	}
-	s.metrics.MaximizeSeeds.Add(int64(len(res.Seeds)))
-	s.metrics.MaximizeSketchSets.Add(int64(pool.NumSets))
-	ans := maximizeAnswer{
-		seeds: nodeInts(res.Seeds), gains: res.MarginalGains, estimate: res.SpreadEstimate,
-		universe: pool.Universe, rrSets: pool.NumSets,
+	ranking, err := influence.RankSketch(pool, nil)
+	if err != nil {
+		writeError(w, s.mapMaximizeError(ctx, q, err))
+		return
 	}
+	ans := maximizeAnswer{ranking: ranking, universe: pool.Universe, rrSets: pool.NumSets}
 	s.cache.Add(q.cacheKey(), ans)
-	resp.Seeds, resp.MarginalGains, resp.SpreadEstimate = ans.seeds, ans.gains, ans.estimate
-	resp.Universe, resp.RRSets = ans.universe, ans.rrSets
+	resp.answer(ans, q.k)
+	s.metrics.MaximizeSeeds.Add(int64(len(resp.Seeds)))
+	s.metrics.MaximizeSketchSets.Add(int64(pool.NumSets))
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// answer fills the selection fields with the k-prefix of a cached
+// ranking: the seeds and gains influence.Maximize returns for k on the
+// same pool, bit for bit.
+func (resp *maximizeResponse) answer(ans maximizeAnswer, k int) {
+	res := ans.ranking.Prefix(k)
+	resp.Seeds, resp.MarginalGains, resp.SpreadEstimate = nodeInts(res.Seeds), res.MarginalGains, res.SpreadEstimate
+	resp.Universe, resp.RRSets = ans.universe, ans.rrSets
 }
 
 func (s *Server) mapMaximizeError(ctx context.Context, q *maximizeQuery, err error) *httpError {

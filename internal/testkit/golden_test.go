@@ -10,6 +10,7 @@ import (
 	"infoflow/internal/ctic"
 	"infoflow/internal/dist"
 	"infoflow/internal/graph"
+	"infoflow/internal/influence"
 	"infoflow/internal/mh"
 	"infoflow/internal/rng"
 	"infoflow/internal/unattrib"
@@ -190,6 +191,32 @@ func goldenBatchModel(seed uint64, lo, hi float64) *core.ICM {
 	return core.MustNewICM(g, p)
 }
 
+// goldenModel is one model of the batched corpus, with the seed its
+// evidence set is drawn from.
+type goldenModel struct {
+	name   string
+	m      *core.ICM
+	evSeed uint64
+}
+
+func goldenBatchModels() []goldenModel {
+	return []goldenModel{
+		{"near_critical", goldenBatchModel(61, 0.3, 0.5), 62},
+		{"supercritical", goldenBatchModel(63, 0.5, 1), 64},
+	}
+}
+
+// goldenRRTargets is the community the conditioned RR pools draw their
+// roots from.
+var goldenRRTargets = []graph.NodeID{0, 3, 5, 7, 11, 13, 17, 19, 23, 29}
+
+// goldenRRPool builds the corpus's RR pool on m: 50 thinned states of
+// the batched estimators' schedule, 128 roots each.
+func goldenRRPool(m *core.ICM, targets []graph.NodeID, conds []core.FlowCondition) (*mh.RRPool, error) {
+	opts := mh.Options{BurnIn: 4 * m.NumEdges(), Thin: m.NumEdges(), Samples: 50}
+	return mh.BuildRRPool(m, targets, conds, 128, 0, opts, rng.New(74))
+}
+
 // goldenEvidence draws one required and one forbidden flow over four
 // distinct nodes, each pair connected in the full graph, redrawing
 // until a sampler can satisfy the set.
@@ -236,16 +263,8 @@ func (h fnvWords) String() string { return fmt.Sprintf("%016x", uint64(h)) }
 // sources, 10 impact sets over 70 sources, 128 roots per state), so the
 // corpus holds whatever traversal answers each query.
 func TestGoldenBatchEstimators(t *testing.T) {
-	models := []struct {
-		name   string
-		m      *core.ICM
-		evSeed uint64
-	}{
-		{"near_critical", goldenBatchModel(61, 0.3, 0.5), 62},
-		{"supercritical", goldenBatchModel(63, 0.5, 1), 64},
-	}
 	var out []goldenBatch
-	for _, mc := range models {
+	for _, mc := range goldenBatchModels() {
 		m := mc.m
 		n := m.NumNodes()
 		r := rng.New(65)
@@ -264,7 +283,6 @@ func TestGoldenBatchEstimators(t *testing.T) {
 				sets[i][j] = graph.NodeID(r.Intn(n))
 			}
 		}
-		targets := []graph.NodeID{0, 3, 5, 7, 11, 13, 17, 19, 23, 29}
 		for _, conditioned := range []bool{false, true} {
 			name := mc.name
 			var conds []core.FlowCondition
@@ -272,7 +290,7 @@ func TestGoldenBatchEstimators(t *testing.T) {
 			if conditioned {
 				name += "_conditioned"
 				conds = goldenEvidence(t, m, mc.evSeed)
-				rrTargets = targets
+				rrTargets = goldenRRTargets
 			}
 			opts := mh.Options{BurnIn: 4 * m.NumEdges(), Thin: m.NumEdges(), Samples: 200}
 			flow, err := mh.FlowProbBatch(m, pairs, conds, opts, rng.New(71))
@@ -287,9 +305,7 @@ func TestGoldenBatchEstimators(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			poolOpts := opts
-			poolOpts.Samples = 50
-			pool, err := mh.BuildRRPool(m, rrTargets, conds, 128, 0, poolOpts, rng.New(74))
+			pool, err := goldenRRPool(m, rrTargets, conds)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -328,4 +344,71 @@ func TestGoldenBatchEstimators(t *testing.T) {
 		}
 	}
 	Golden(t, "batch_estimates", out)
+}
+
+type goldenSketchRanking struct {
+	Name string `json:"name"`
+	// Seeds, Gains and Estimate are SketchGreedy with k = n and no
+	// candidate list: the full ranking, past saturation.
+	Seeds    []graph.NodeID `json:"seeds"`
+	Gains    []float64      `json:"gains"`
+	Estimate float64        `json:"estimate"`
+	// The Restricted fields rank a shuffled 30-node candidate list that
+	// repeats 8 of its nodes.
+	RestrictedSeeds    []graph.NodeID `json:"restricted_seeds"`
+	RestrictedGains    []float64      `json:"restricted_gains"`
+	RestrictedEstimate float64        `json:"restricted_estimate"`
+}
+
+// TestGoldenSketchGreedy pins influence.SketchGreedy's whole order on
+// the batched corpus's four RR pools: every seed, gain and estimate at
+// k = n, with all nodes as candidates and with a shuffled, duplicated
+// subset. The ranking runs to saturation and past it, so the corpus
+// holds the tie-breaks among equal gains and the order of the nodes
+// that cover nothing new.
+func TestGoldenSketchGreedy(t *testing.T) {
+	var out []goldenSketchRanking
+	for _, mc := range goldenBatchModels() {
+		m := mc.m
+		n := m.NumNodes()
+		perm := rng.New(75)
+		restricted := make([]graph.NodeID, n)
+		for v := range restricted {
+			restricted[v] = graph.NodeID(v)
+		}
+		perm.Shuffle(n, func(i, j int) { restricted[i], restricted[j] = restricted[j], restricted[i] })
+		restricted = append(restricted[:30], restricted[:8]...)
+		for _, conditioned := range []bool{false, true} {
+			name := mc.name
+			var conds []core.FlowCondition
+			var rrTargets []graph.NodeID
+			if conditioned {
+				name += "_conditioned"
+				conds = goldenEvidence(t, m, mc.evSeed)
+				rrTargets = goldenRRTargets
+			}
+			pool, err := goldenRRPool(m, rrTargets, conds)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			all, err := influence.SketchGreedy(pool, n, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sub, err := influence.SketchGreedy(pool, n, restricted)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			out = append(out, goldenSketchRanking{
+				Name:               name,
+				Seeds:              all.Seeds,
+				Gains:              RoundSlice(all.MarginalGains, goldenDigits),
+				Estimate:           Round(all.SpreadEstimate, goldenDigits),
+				RestrictedSeeds:    sub.Seeds,
+				RestrictedGains:    RoundSlice(sub.MarginalGains, goldenDigits),
+				RestrictedEstimate: Round(sub.SpreadEstimate, goldenDigits),
+			})
+		}
+	}
+	Golden(t, "sketch_greedy", out)
 }
