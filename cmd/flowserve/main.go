@@ -16,8 +16,8 @@
 //	curl 'http://127.0.0.1:8080/metrics'
 //
 // Responses are deterministic in (model, query, options, seed): batching
-// with co-arriving queries, the result cache, and other clients'
-// cancellations never change an answer. SIGTERM/SIGINT drains in-flight
+// with co-arriving queries, the result cache, the kept burned-in chain
+// starts, and other clients' cancellations never change an answer. SIGTERM/SIGINT drains in-flight
 // batches before exiting.
 package main
 
@@ -72,9 +72,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	window := fs.Duration("window", 5*time.Millisecond, "batching window for coalescing concurrent queries")
 	lanes := fs.Int("lanes", 512, "lane budget: distinct queries one batch may coalesce (capped at 1024)")
-	workers := fs.Int("workers", 2, "concurrent chain sweeps")
+	workers := fs.Int("workers", 2, "batch chains that may run at once")
 	queue := fs.Int("queue", 64, "flushed batches that may await a worker")
-	cacheSize := fs.Int("cache", 1024, "result cache entries (negative disables)")
+	cacheSize := fs.Int("cache", 1024, "result cache entries, also the most burned-in chain starts kept (negative disables both)")
 	samples := fs.Int("samples", 2000, "default MH output samples per query")
 	maxSamples := fs.Int("max-samples", 50000, "upper bound for the ?samples= parameter")
 	seed := fs.Uint64("seed", 1, "default chain seed")
@@ -138,9 +138,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		met := srv.Metrics()
 		fmt.Fprintf(stdout,
-			"flowserve: drained: %d flow + %d community + %d impact + %d maximize requests, %d batches (occupancy %.1f), cache hit rate %.2f, %d timeouts\n",
+			"flowserve: drained: %d flow + %d community + %d impact + %d maximize requests, %d batches (occupancy %.1f; chain starts %d reused, %d built), cache hit rate %.2f, %d timeouts\n",
 			met.FlowRequests.Load(), met.CommunityRequests.Load(), met.ImpactRequests.Load(), met.MaximizeRequests.Load(),
-			met.Batches.Load(), met.Occupancy(), met.CacheHitRate(), met.Timeouts.Load())
+			met.Batches.Load(), met.Occupancy(), met.StartHits.Load(), met.StartMisses.Load(), met.CacheHitRate(), met.Timeouts.Load())
 		return nil
 	}
 }

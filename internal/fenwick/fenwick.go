@@ -34,10 +34,7 @@ type Tree struct {
 // New builds a tree over the given weights. Weights must be finite and
 // non-negative; the slice is copied.
 func New(weights []float64) *Tree {
-	top := 1
-	for top<<1 <= len(weights) {
-		top <<= 1
-	}
+	top := topBit(len(weights))
 	t := &Tree{
 		n:       len(weights),
 		top:     top,
@@ -62,10 +59,66 @@ func New(weights []float64) *Tree {
 			t.sums[j] += t.sums[i]
 		}
 	}
+	t.pad()
+	return t
+}
+
+// pad fills the partial sums past n with +Inf (see Tree.sums).
+func (t *Tree) pad() {
 	for i := t.n + 1; i < len(t.sums); i++ {
 		t.sums[i] = math.Inf(1)
 	}
+}
+
+// Sums is a copy of a tree's partial sums and total. Set maintains both
+// incrementally, so they carry the rounding of every update since New,
+// and New over the same weights may build different ones: Restore, not
+// New, rebuilds the tree they were taken from.
+type Sums struct {
+	sums  []float64 // Tree.sums without its +Inf padding
+	total float64
+}
+
+// Sums returns a copy of t's partial sums and total.
+func (t *Tree) Sums() Sums {
+	return Sums{sums: append([]float64(nil), t.sums[:t.n+1]...), total: t.total}
+}
+
+// Bytes returns the size of the copied partial sums.
+func (s Sums) Bytes() int { return 8 * len(s.sums) }
+
+// Restore rebuilds the tree s was taken from, given the weights that tree
+// held when s was taken: every later Find, Sample and Set on the result
+// returns what it would have on that tree. The tree keeps weights rather
+// than copying it.
+func Restore(weights []float64, s Sums) *Tree {
+	if len(weights) != len(s.sums)-1 {
+		//flowlint:invariant documented contract: the weights are those of the tree the sums were taken from
+		panic(fmt.Sprintf("fenwick: %d weights for sums over %d", len(weights), len(s.sums)-1))
+	}
+	top := topBit(len(weights))
+	t := &Tree{n: len(weights), top: top, sums: make([]float64, 2*top), weights: weights, total: s.total}
+	for i, w := range weights {
+		if !validWeight(w) {
+			//flowlint:invariant documented contract: weights must be finite and non-negative
+			panic(fmt.Sprintf("fenwick: invalid weight %v at %d", w, i))
+		}
+		if w > 0 {
+			t.npos++
+		}
+	}
+	copy(t.sums, s.sums)
+	t.pad()
 	return t
+}
+
+// topBit returns the largest power of two <= max(n, 1).
+func topBit(n int) int {
+	top := 1
+	for top<<1 <= n {
+		top <<= 1
+	}
+	return top
 }
 
 // validWeight reports whether w is a finite, non-negative weight; both

@@ -489,3 +489,58 @@ func BenchmarkSampleAndSet(b *testing.B) {
 		tr.Set(j, 1-tr.Weight(j))
 	}
 }
+
+// TestRestoreResumesTree: a tree restored from a Sums copy and its
+// weights, taken after many incremental Sets, keeps sampling, finding
+// and updating exactly as the original does, while New over the same
+// weights (exact sums, no Set roundoff) need not. Set on the copy does
+// not touch the Sums it came from.
+func TestRestoreResumesTree(t *testing.T) {
+	for _, n := range []int{0, 1, 5, 64, 1000, 14000} {
+		r := rng.New(uint64(n) + 1)
+		weights := make([]float64, n)
+		for i := range weights {
+			weights[i] = r.Float64()
+		}
+		orig := New(weights)
+		for k := 0; k < 20*n; k++ {
+			j := orig.Sample(r)
+			orig.Set(j, 1-orig.Weight(j))
+		}
+		sums := orig.Sums()
+		if got, want := sums.Bytes(), 8*(n+1); got != want {
+			t.Errorf("n=%d: Sums holds %d bytes, want %d", n, got, want)
+		}
+		current := make([]float64, n)
+		for i := range current {
+			current[i] = orig.Weight(i)
+		}
+		restored := Restore(current, sums)
+		if math.Float64bits(restored.Total()) != math.Float64bits(orig.Total()) {
+			t.Fatalf("n=%d: restored total %v, original %v", n, restored.Total(), orig.Total())
+		}
+		if n == 0 {
+			continue
+		}
+		ra, rb := rng.New(9), rng.New(9)
+		for k := 0; k < 5000; k++ {
+			i, j := orig.Sample(ra), restored.Sample(rb)
+			if i != j {
+				t.Fatalf("n=%d step %d: restored samples %d, original %d", n, k, j, i)
+			}
+			w := ra.Float64()
+			rb.Float64()
+			orig.Set(i, w)
+			restored.Set(j, w)
+		}
+		for i := 0; i < n; i++ {
+			if math.Float64bits(orig.PrefixSum(i)) != math.Float64bits(restored.PrefixSum(i)) {
+				t.Fatalf("n=%d: prefix sum %d differs after further Sets", n, i)
+			}
+		}
+		again := Restore(append([]float64(nil), current...), sums)
+		if math.Float64bits(again.Total()) != math.Float64bits(sums.total) {
+			t.Errorf("n=%d: Set on a restored tree changed its Sums", n)
+		}
+	}
+}

@@ -55,7 +55,9 @@ func BenchmarkFlowProbSteadyState(b *testing.B) {
 // TestFlowProbSteadyStateZeroAlloc asserts the zero-alloc claim the
 // benchmark reports: once warm, chain updates plus flow tests allocate
 // nothing, with and without flow conditions gating acceptance, including
-// the certificate renewals of a required and two forbidden flows.
+// the certificate renewals of a required and two forbidden flows, and
+// on a clone of the warm chain (what a served batch on a kept start
+// runs).
 func TestFlowProbSteadyStateZeroAlloc(t *testing.T) {
 	r := rng.New(77)
 	g := graph.Random(r, 300, 900)
@@ -73,14 +75,16 @@ func TestFlowProbSteadyStateZeroAlloc(t *testing.T) {
 		for k := 0; k < 100; k++ { // warm scratch and queues
 			s.Step()
 		}
-		m.HasFlowScratch(0, 299, s.State(), s.scratch)
-		if allocs := testing.AllocsPerRun(100, func() {
-			for k := 0; k < 10; k++ {
-				s.Step()
+		for i, c := range []*Sampler{s, s.Clone()} {
+			m.HasFlowScratch(0, 299, c.State(), c.scratch)
+			if allocs := testing.AllocsPerRun(100, func() {
+				for k := 0; k < 10; k++ {
+					c.Step()
+				}
+				m.HasFlowScratch(0, 299, c.State(), c.scratch)
+			}); allocs != 0 {
+				t.Errorf("%s (clone %v): steady-state sampling allocates %v per run, want 0", name, i == 1, allocs)
 			}
-			m.HasFlowScratch(0, 299, s.State(), s.scratch)
-		}); allocs != 0 {
-			t.Errorf("%s: steady-state sampling allocates %v per run, want 0", name, allocs)
 		}
 	}
 

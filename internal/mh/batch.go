@@ -53,9 +53,10 @@ func FlowProbBatch(m *core.ICM, pairs []FlowPair, conds []core.FlowCondition, op
 // FlowProbBatchOn is FlowProbBatch running on a caller-constructed
 // sampler: the serving layer uses it to keep hold of the chain for
 // post-run diagnostics (PostBurnInAcceptanceRate) while coalescing
-// concurrent queries into one batch. The sampler must be freshly
-// constructed (or at a run boundary); opts.Interrupt cancellation is
-// honoured between thinned samples.
+// concurrent queries into one batch, and to start a batch from a kept
+// burned-in chain (a Start's Clone, run with opts.BurnIn 0). The sampler
+// must be freshly constructed (or at a run boundary); opts.Interrupt
+// cancellation is honoured between thinned samples.
 func FlowProbBatchOn(s *Sampler, pairs []FlowPair, opts Options) ([]float64, error) {
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("mh: FlowProbBatch with no pairs")

@@ -529,6 +529,25 @@ func BenchmarkNewSamplerConditioned(b *testing.B) {
 	}
 }
 
+// BenchmarkSamplerClone measures what a served batch that begins from a
+// kept chain start pays for its chain: a runnable clone of a burned-in
+// chain on the served fixture under servedEvidence (fresh scratch,
+// recomputed proposal weights, restored tree). A batch that misses pays
+// BenchmarkNewSamplerConditioned and 4*NumEdges burn-in steps instead.
+func BenchmarkSamplerClone(b *testing.B) {
+	m := servedModel()
+	kept := servedSampler(b, m, servedEvidence(m)).Keep()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cloneSink = kept.Clone()
+	}
+}
+
+// cloneSink keeps BenchmarkSamplerClone's clones live, so the compiler
+// cannot drop the call.
+var cloneSink *Sampler
+
 // servedModel is the §IV-C model the serving benchmark builds:
 // graph.Random 6000/14000 from seed 2, p = 0.2 + 0.4U.
 func servedModel() *core.ICM {

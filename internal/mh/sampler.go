@@ -213,12 +213,19 @@ func NewSampler(m *core.ICM, conds []core.FlowCondition, r *rng.RNG) (*Sampler, 
 			}
 		}
 	}
-	weights := make([]float64, m.NumEdges())
-	for i := range weights {
-		weights[i] = flipWeights(m.P[i])[x.Bit(i)]
-	}
-	s.tree = fenwick.New(weights)
+	s.tree = fenwick.New(s.weights())
 	return s, nil
+}
+
+// weights returns the §III-C proposal weight of every edge in the chain
+// state: flipWeights by the edge's bit. The tree holds exactly these
+// values after every step, so they are recomputed rather than kept.
+func (s *Sampler) weights() []float64 {
+	w := make([]float64, s.m.NumEdges())
+	for i := range w {
+		w[i] = flipWeights(s.m.P[i])[s.x.Bit(i)]
+	}
+	return w
 }
 
 // checkConds is checkFlow over every condition's endpoints.
@@ -597,6 +604,33 @@ func (s *Sampler) run(ctx context.Context, opts Options, visit func(core.PseudoS
 	if err := opts.validate(); err != nil {
 		return err
 	}
+	if err := s.BurnIn(ctx, opts); err != nil {
+		return err
+	}
+	for n := 0; n < opts.Samples; n++ {
+		for i := 0; i < opts.Thin; i++ {
+			s.Step()
+		}
+		if err := s.interrupted(ctx, opts); err != nil {
+			return fmt.Errorf("after %d of %d samples: %w", n, opts.Samples, err)
+		}
+		visit(s.x)
+	}
+	return nil
+}
+
+// BurnIn takes the opts.BurnIn steps Run and RunCtx discard before their
+// first sample (the paper's delta), then resets the post-burn-in
+// counters; Run and RunCtx begin with it. It polls opts.Interrupt and
+// ctx (which may be nil) every opts.Thin steps, as they do, and an
+// interrupted burn-in returns an error wrapping ErrInterrupted with the
+// chain resumable. The state it leaves depends only on the steps taken,
+// never on Thin or Samples, so a chain burned in here and then run with
+// BurnIn 0 emits exactly the samples one run with the full BurnIn would.
+func (s *Sampler) BurnIn(ctx context.Context, opts Options) error {
+	if opts.BurnIn < 0 || opts.Thin <= 0 {
+		return fmt.Errorf("mh: invalid burn-in options %+v", opts)
+	}
 	for done := 0; done < opts.BurnIn; {
 		chunk := opts.Thin
 		if rest := opts.BurnIn - done; chunk > rest {
@@ -611,15 +645,6 @@ func (s *Sampler) run(ctx context.Context, opts Options, visit func(core.PseudoS
 		}
 	}
 	s.ResetCounters()
-	for n := 0; n < opts.Samples; n++ {
-		for i := 0; i < opts.Thin; i++ {
-			s.Step()
-		}
-		if err := s.interrupted(ctx, opts); err != nil {
-			return fmt.Errorf("after %d of %d samples: %w", n, opts.Samples, err)
-		}
-		visit(s.x)
-	}
 	return nil
 }
 

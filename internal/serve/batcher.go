@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,6 +46,15 @@ type batchKey struct {
 	thin    int
 	samples int
 	seed    uint64
+}
+
+// startKey names the burned-in chain start a batch on k begins from.
+// Burn-in reads the model, the conditions, BurnIn and the seed. It never
+// reads the query kind or Samples, nor Thin, which only spaces its
+// interrupt polls and draws no randomness. So every batch under one
+// evidence set and seed shares a start, whatever its kind or page size.
+func (k batchKey) startKey() string {
+	return fmt.Sprintf("%s|%s|%d|%d", k.digest, k.conds, k.burnIn, k.seed)
 }
 
 // flowResult is what a batch delivers to each member request.
@@ -96,7 +106,10 @@ type pendingBatch struct {
 // laneBudget distinct queries. A batch flushes when its lane set fills
 // the budget or when the batching window expires, whichever comes
 // first; flushed batches run on a bounded worker pool, each as one chain
-// whose thinned samples answer every query with its own traversal. The window timer
+// whose thinned samples answer every query with its own traversal. A
+// chain begins from the burned-in start its batch key names (see
+// startKey): starts keeps a compact copy of each, so only the first
+// batch on a start pays for NewSampler and burn-in. The window timer
 // comes from the injected Clock, so tests drive flushes
 // deterministically.
 type batcher struct {
@@ -105,6 +118,7 @@ type batcher struct {
 	clock      Clock
 	metrics    *Metrics
 	cache      *lruCache
+	starts     *lruCache
 
 	mu      sync.Mutex
 	pending map[batchKey]*pendingBatch
@@ -116,17 +130,19 @@ type batcher struct {
 	drainOnce  sync.Once
 }
 
-func newBatcher(window time.Duration, workers, queueCap, laneBudget int, clock Clock, m *Metrics, cache *lruCache) *batcher {
+func newBatcher(window time.Duration, workers, queueCap, laneBudget int, clock Clock, m *Metrics, cache, starts *lruCache) *batcher {
 	b := &batcher{
 		window:     window,
 		laneBudget: laneBudget,
 		clock:      clock,
 		metrics:    m,
 		cache:      cache,
+		starts:     starts,
 		pending:    make(map[batchKey]*pendingBatch),
 		jobs:       make(chan *pendingBatch, queueCap),
 	}
 	m.queueDepth.Store(func() int { return len(b.jobs) })
+	m.startBytes.Store(starts.Bytes)
 	for i := 0; i < workers; i++ {
 		b.workers.Add(1)
 		go b.worker()
@@ -226,10 +242,10 @@ func (b *batcher) worker() {
 	}
 }
 
-// execute runs one flushed batch: a fresh chain seeded from the batch
-// key, one batched estimator call (every query answered on every
-// thinned sample), cooperative abort once every member has cancelled,
-// cache fill, then per-member delivery.
+// execute runs one flushed batch: a chain from the batch's burned-in
+// start (see chain), one batched estimator call over its thinned samples
+// (every query answered on every sample), cooperative abort once every
+// member has cancelled, cache fill, then per-member delivery.
 func (b *batcher) execute(pb *pendingBatch) {
 	b.metrics.Batches.Add(1)
 	b.metrics.BatchedLanes.Add(int64(pb.lanes))
@@ -258,34 +274,42 @@ func (b *batcher) execute(pb *pendingBatch) {
 		Samples:   pb.key.samples,
 		Interrupt: func() bool { return live.Load() <= 0 },
 	}
-	s, err := mh.NewSampler(pb.model, pb.conds, rng.New(pb.key.seed))
+	s, err := b.chain(pb, opts)
 	if err != nil {
 		b.deliverError(pb, err)
 		return
 	}
+	opts.BurnIn = 0
 
+	// entries holds each lane's answer in the compact form the cache
+	// keeps, converted once per lane however many members share it.
 	var probs []float64
 	var comms [][]float64
 	var hists [][]float64
+	var entries []any
 	switch pb.key.kind {
 	case kindFlow:
 		probs, err = mh.FlowProbBatchOn(s, pb.pairs, opts)
+		for _, p := range probs {
+			entries = append(entries, p)
+		}
 	case kindCommunity:
 		sources := make([]graph.NodeID, len(pb.pairs))
 		for i, p := range pb.pairs {
 			sources[i] = p.Source
 		}
 		comms, err = mh.CommunityFlowProbsBatchOn(s, sources, opts)
+		for _, c := range comms {
+			entries = append(entries, newCommunityLaw(c))
+		}
 	case kindImpact:
 		var impacts [][]int
 		impacts, err = mh.ImpactDistributionBatchOn(s, pb.sets, opts)
-		if err == nil {
-			hists = make([][]float64, len(pb.sets))
-			for i, samples := range impacts {
-				// Sets arrive deduplicated, so the largest possible impact
-				// is NumNodes - len(set).
-				hists[i] = impactHist(samples, pb.model.NumNodes()-len(pb.sets[i])+1)
-			}
+		for i, samples := range impacts {
+			// Sets arrive deduplicated, so the largest possible impact
+			// is NumNodes - len(set).
+			hists = append(hists, impactHist(samples, pb.model.NumNodes()-len(pb.sets[i])+1))
+			entries = append(entries, newSizeLaw(hists[i]))
 		}
 	}
 	if err != nil {
@@ -301,16 +325,40 @@ func (b *batcher) execute(pb *pendingBatch) {
 		switch pb.key.kind {
 		case kindFlow:
 			r.Prob = probs[m.lane]
-			b.cache.Add(m.cacheKey, r.Prob)
 		case kindCommunity:
 			r.Community = comms[m.lane]
-			b.cache.Add(m.cacheKey, r.Community)
 		case kindImpact:
 			r.Impact = hists[m.lane]
-			b.cache.Add(m.cacheKey, newSizeLaw(r.Impact))
 		}
+		b.cache.Add(m.cacheKey, entries[m.lane])
 		m.done <- r
 	}
+}
+
+// chain returns the batch's chain, burned in. On a start hit it is a
+// clone of the kept start; on a miss it is a fresh sampler seeded from
+// the batch key and burned in here, and a compact copy of it is kept.
+// Either way it is bit for bit the chain NewSampler and a full burn-in
+// leave. A miss whose members all cancel during burn-in keeps nothing.
+// Two batches that miss on one cold key at once both build the start;
+// the second Add replaces the first with an equal copy.
+func (b *batcher) chain(pb *pendingBatch, opts mh.Options) (*mh.Sampler, error) {
+	key := pb.key.startKey()
+	if v, ok := b.starts.Get(key); ok {
+		b.metrics.StartHits.Add(1)
+		return v.(*mh.Start).Clone(), nil
+	}
+	b.metrics.StartMisses.Add(1)
+	s, err := mh.NewSampler(pb.model, pb.conds, rng.New(pb.key.seed))
+	if err != nil {
+		return nil, err
+	}
+	if err := s.BurnIn(context.Background(), opts); err != nil {
+		return nil, err
+	}
+	st := s.Keep()
+	b.starts.AddSized(key, st, st.Bytes())
+	return s, nil
 }
 
 // impactHist folds per-sample impact counts into a normalized histogram

@@ -3,7 +3,7 @@ package serve
 import "testing"
 
 func TestLRUCacheEvictsOldest(t *testing.T) {
-	c := newLRUCache(2)
+	c := newLRUCache(2, 0)
 	c.Add("a", 1)
 	c.Add("b", 2)
 	if _, ok := c.Get("a"); !ok {
@@ -26,7 +26,7 @@ func TestLRUCacheEvictsOldest(t *testing.T) {
 }
 
 func TestLRUCacheRefreshOnAdd(t *testing.T) {
-	c := newLRUCache(2)
+	c := newLRUCache(2, 0)
 	c.Add("a", 1)
 	c.Add("b", 2)
 	c.Add("a", 10) // refresh both value and recency
@@ -40,12 +40,48 @@ func TestLRUCacheRefreshOnAdd(t *testing.T) {
 }
 
 func TestLRUCacheDisabled(t *testing.T) {
-	c := newLRUCache(0)
+	c := newLRUCache(0, 0)
 	c.Add("a", 1)
 	if _, ok := c.Get("a"); ok {
 		t.Error("zero-capacity cache returned a hit")
 	}
 	if c.Len() != 0 {
 		t.Errorf("Len = %d, want 0", c.Len())
+	}
+}
+
+// TestLRUCacheByteBound: past its byte bound the cache evicts least
+// recently used entries until the sizes fit, a refresh re-counts an
+// entry's size, an entry larger than the bound is not kept, and Bytes
+// never reads above the bound.
+func TestLRUCacheByteBound(t *testing.T) {
+	c := newLRUCache(100, 10)
+	check := func(step string, bytes int, keys ...string) {
+		t.Helper()
+		if got := c.Bytes(); got != bytes {
+			t.Errorf("%s: Bytes = %d, want %d", step, got, bytes)
+		}
+		if c.Len() != len(keys) {
+			t.Errorf("%s: Len = %d, want %d", step, c.Len(), len(keys))
+		}
+		for _, k := range keys {
+			if _, ok := c.Get(k); !ok {
+				t.Errorf("%s: %s evicted", step, k)
+			}
+		}
+	}
+	c.AddSized("a", 1, 4)
+	c.AddSized("b", 2, 4)
+	check("two entries", 8, "b", "a") // a is now the most recently used
+	c.AddSized("c", 3, 4)
+	check("over by one entry", 8, "a", "c")
+	c.AddSized("d", 4, 5)
+	check("a larger entry", 9, "c", "d")
+	c.AddSized("c", 30, 7)
+	check("a refresh that grows", 7, "c")
+	c.AddSized("e", 5, 11)
+	check("an entry past the bound", 0)
+	if _, ok := c.Get("e"); ok {
+		t.Error("an entry larger than the byte bound was kept")
 	}
 }

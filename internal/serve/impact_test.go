@@ -326,10 +326,10 @@ func serveBatched(t *testing.T, s *Server, clock *fakeClock, url string) *httpte
 	return rec
 }
 
-// sameImpactBodies fails t unless a cache hit's /impact body matches
-// the miss's byte for byte in every field but cached and the batch
+// sameCachedBodies fails t unless a cache hit's body matches the miss's
+// byte for byte in every field but cached and the batch
 // fields, which describe a batch the hit did not run.
-func sameImpactBodies(t *testing.T, label string, miss, hit []byte) {
+func sameCachedBodies(t *testing.T, label string, miss, hit []byte) {
 	t.Helper()
 	var a, b map[string]json.RawMessage
 	if err := json.Unmarshal(miss, &a); err != nil {
@@ -367,12 +367,12 @@ func TestServerImpactCachedBodyIdentical(t *testing.T) {
 	if miss.Code != http.StatusOK {
 		t.Fatalf("analytic status %d: %s", miss.Code, miss.Body)
 	}
-	sameImpactBodies(t, "analytic", miss.Body.Bytes(), serveDirect(srv, analytic).Body.Bytes())
+	sameCachedBodies(t, "analytic", miss.Body.Bytes(), serveDirect(srv, analytic).Body.Bytes())
 	miss = serveBatched(t, srv, clock, sampled)
 	if miss.Code != http.StatusOK {
 		t.Fatalf("sampled status %d: %s", miss.Code, miss.Body)
 	}
-	sameImpactBodies(t, "sampled", miss.Body.Bytes(), serveDirect(srv, sampled).Body.Bytes())
+	sameCachedBodies(t, "sampled", miss.Body.Bytes(), serveDirect(srv, sampled).Body.Bytes())
 
 	laws := 0
 	srv.cache.mu.Lock()

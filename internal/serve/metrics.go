@@ -34,6 +34,12 @@ type Metrics struct {
 	CacheHits   atomic.Int64
 	CacheMisses atomic.Int64
 
+	// Batches that began from a kept burned-in chain start (hits) and
+	// batches that built and burned in their own chain (misses); see
+	// batcher.chain. StartBytes is what the kept starts hold.
+	StartHits   atomic.Int64
+	StartMisses atomic.Int64
+
 	// Batches executed, the lane count they carried, and the request
 	// count they served. BatchedRequests / Batches is the coalescing
 	// ("batch occupancy") figure: how many concurrent requests one chain
@@ -71,6 +77,10 @@ type Metrics struct {
 	// queueDepth reports the number of flushed batches waiting for a
 	// worker; installed by the batcher.
 	queueDepth atomic.Value // func() int
+
+	// startBytes reports the bytes the kept chain starts hold; installed
+	// by the batcher.
+	startBytes atomic.Value // func() int
 }
 
 // setAcceptance records the most recent chain's post-burn-in acceptance
@@ -88,6 +98,15 @@ func (m *Metrics) Acceptance() float64 {
 // QueueDepth returns the number of flushed batches waiting for a worker.
 func (m *Metrics) QueueDepth() int {
 	if f, ok := m.queueDepth.Load().(func() int); ok {
+		return f()
+	}
+	return 0
+}
+
+// StartBytes returns the bytes the kept chain starts hold, within the
+// server's fixed start budget.
+func (m *Metrics) StartBytes() int {
+	if f, ok := m.startBytes.Load().(func() int); ok {
 		return f()
 	}
 	return 0
@@ -148,6 +167,9 @@ func (m *Metrics) Snapshot() map[string]any {
 		"cache_hits":         m.CacheHits.Load(),
 		"cache_misses":       m.CacheMisses.Load(),
 		"cache_hit_rate":     m.CacheHitRate(),
+		"start_hits":         m.StartHits.Load(),
+		"start_misses":       m.StartMisses.Load(),
+		"start_bytes":        m.StartBytes(),
 		"batches":            m.Batches.Load(),
 		"batched_lanes":      m.BatchedLanes.Load(),
 		"batched_requests":   m.BatchedRequests.Load(),

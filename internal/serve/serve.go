@@ -8,8 +8,11 @@
 // thinning, and each thinned sample answers every query with its own
 // early-exit traversal. Requests that share a (model, conditions, chain
 // schedule, seed) tuple arriving within the batching window ride one
-// chain; an LRU cache short-circuits repeats. /maximize runs its own
-// chain synchronously (see handleMaximize).
+// chain; an LRU cache short-circuits repeats. A batch's chain begins from
+// a burned-in start kept per (model, conditions, BurnIn, seed), so
+// batches of every kind and sample count under one evidence set pay for
+// construction and burn-in once. /maximize runs its own chain
+// synchronously (see handleMaximize).
 //
 // /impact additionally fronts the sampled path with the analytic
 // sizedist engine: when the cascade-size law is exactly computable
@@ -18,11 +21,12 @@
 // chain at all, and mode=auto falls back to the batched MH estimator
 // only when the analytic engine cannot be exact.
 //
-// Determinism contract: batching, caching, and co-batched cancellation
-// never change a query's answer. The chain's randomness is independent
-// of the lane set, so a request's estimate is a pure function of
-// (model digest, query, conditions, BurnIn, Thin, Samples, seed) — a
-// single-request batch is bit-identical to scalar mh.FlowProb.
+// Determinism contract: batching, caching, kept chain starts and
+// co-batched cancellation never change a query's answer. The chain's
+// randomness is independent of the lane set, so a request's estimate is
+// a pure function of (model digest, query, conditions, BurnIn, Thin,
+// Samples, seed) — a single-request batch is bit-identical to scalar
+// mh.FlowProb.
 package serve
 
 import (
@@ -69,13 +73,15 @@ type Config struct {
 	// costs its own traversal per thinned sample, so the cap bounds a
 	// batch's tally memory.
 	LaneBudget int
-	// Workers bounds concurrent chain sweeps (default 2).
+	// Workers bounds the batch chains that run at once (default 2).
 	Workers int
 	// QueueCap bounds flushed batches awaiting a worker (default 64);
 	// past it, requests are refused with 503 rather than queued.
 	QueueCap int
-	// CacheSize is the LRU result-cache capacity in entries
-	// (default 1024; negative disables caching).
+	// CacheSize is the LRU result-cache capacity in entries (default
+	// 1024; negative disables caching). It also caps the kept burned-in
+	// chain starts, which startBudget bounds in bytes as well; negative
+	// keeps none.
 	CacheSize int
 	// DefaultSamples / MaxSamples bound the ?samples= parameter
 	// (defaults 2000 / 50000).
@@ -141,6 +147,12 @@ func (c *Config) applyDefaults() {
 	}
 }
 
+// startBudget bounds the bytes the kept burned-in chain starts hold
+// (mh.Start.Bytes). A start at §IV-C scale (14,000 edges) holds about
+// 115 KB, almost all of it the proposal tree's partial sums, so the
+// budget keeps about 140 starts.
+const startBudget = 16 << 20
+
 // Server routes flow queries into the batcher. Build with NewServer,
 // mount via Handler, stop with Drain.
 type Server struct {
@@ -180,8 +192,9 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.metrics = &Metrics{}
 	s.metrics.laneBudget.Store(int64(cfg.LaneBudget))
-	s.cache = newLRUCache(cfg.CacheSize)
-	s.batcher = newBatcher(cfg.Window, cfg.Workers, cfg.QueueCap, cfg.LaneBudget, cfg.Clock, s.metrics, s.cache)
+	s.cache = newLRUCache(cfg.CacheSize, 0)
+	starts := newLRUCache(cfg.CacheSize, startBudget)
+	s.batcher = newBatcher(cfg.Window, cfg.Workers, cfg.QueueCap, cfg.LaneBudget, cfg.Clock, s.metrics, s.cache, starts)
 	publishExpvar(s.metrics)
 
 	mux := http.NewServeMux()
@@ -522,12 +535,12 @@ func (s *Server) handleCommunity(w http.ResponseWriter, r *http.Request) {
 		Model: q.model.Name, Source: int(q.source),
 		Cond: q.condKey, Samples: q.opts.Samples, Seed: q.seed,
 	}
-	// The cache stores the full per-node vector so ?top= never splits
-	// cache entries.
+	// The cache stores the whole community (its support) so ?top= never
+	// splits cache entries.
 	if v, ok := s.cache.Get(q.cacheKey()); ok {
 		s.metrics.CacheHits.Add(1)
 		resp.Cached = true
-		resp.Top = topFlows(v.([]float64), q.source, top)
+		resp.Top = topFlows(v.(communityLaw).dist(), q.source, top)
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
@@ -540,6 +553,43 @@ func (s *Server) handleCommunity(w http.ResponseWriter, r *http.Request) {
 	resp.Top = topFlows(res.Community, q.source, top)
 	resp.BatchSize, resp.Lanes, resp.Acceptance = res.BatchSize, res.Lanes, res.Acceptance
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// communityLaw is a cached /community vector without its zeros: the
+// nodes the source reached in some sample, their probabilities, and the
+// vector's length. The vector holds a probability per node, 48 KB at
+// §IV-C scale, but a source reaches a small share of the graph there.
+type communityLaw struct {
+	nodes []graph.NodeID
+	probs []float64
+	n     int
+}
+
+func newCommunityLaw(probs []float64) communityLaw {
+	k := 0
+	for _, p := range probs {
+		if p > 0 {
+			k++
+		}
+	}
+	c := communityLaw{nodes: make([]graph.NodeID, 0, k), probs: make([]float64, 0, k), n: len(probs)}
+	for v, p := range probs {
+		if p > 0 {
+			c.nodes = append(c.nodes, graph.NodeID(v))
+			c.probs = append(c.probs, p)
+		}
+	}
+	return c
+}
+
+// dist pads the support back to the full vector: the one the estimator
+// returned, bit for bit, since every other entry was +0.
+func (c communityLaw) dist() []float64 {
+	out := make([]float64, c.n)
+	for i, v := range c.nodes {
+		out[v] = c.probs[i]
+	}
+	return out
 }
 
 // topFlows renders TopCommunity's ranking of a community vector as

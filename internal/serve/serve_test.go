@@ -215,6 +215,77 @@ func TestServerCommunity(t *testing.T) {
 	}
 }
 
+// TestServerCommunityCachedBodyIdentical: a cached /community answer
+// keeps only its support, and a hit pads it back to the body the miss
+// returned, for top 1, 10, the support's size and n, with and without
+// a condition. Each (top, cond) asks its own seed, so its first request
+// is the miss.
+func TestServerCommunityCachedBodyIdentical(t *testing.T) {
+	srv, _, clock := startServer(t, nil)
+	m := srv.models["m"].ICM
+	n := m.NumNodes()
+	const source = 4
+	for ci, cond := range []string{"", "0>5=1"} {
+		conds, err := ParseConds(cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ti, top := range []func(support int) int{
+			func(int) int { return 1 },
+			func(int) int { return 10 },
+			func(support int) int { return support },
+			func(int) int { return n },
+		} {
+			seed := uint64(10*ci + ti + 1)
+			opts := mh.DefaultOptions(m.NumEdges())
+			opts.Samples = 90
+			probs, err := mh.CommunityFlowProbs(m, source, conds, opts, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			support := 0
+			for _, p := range probs {
+				if p > 0 {
+					support++
+				}
+			}
+			url := fmt.Sprintf("/community?source=%d&samples=90&seed=%d&top=%d&cond=%s", source, seed, top(support), cond)
+			miss := serveBatched(t, srv, clock, url)
+			if miss.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", url, miss.Code, miss.Body)
+			}
+			sameCachedBodies(t, url, miss.Body.Bytes(), serveDirect(srv, url).Body.Bytes())
+
+			q := query{model: srv.models["m"], kind: kindCommunity, source: source, opts: opts, seed: seed}
+			q.conds, q.condKey, _ = parseCondParam(cond, n)
+			v, ok := srv.cache.Get(q.cacheKey())
+			if !ok {
+				t.Fatalf("%s: no cache entry", url)
+			}
+			if law := v.(communityLaw); len(law.nodes) != support || cap(law.probs) != support || law.n != n {
+				t.Errorf("%s: cached %d nodes (cap %d) of %d, want the %d in the support of %d",
+					url, len(law.nodes), cap(law.probs), law.n, support, n)
+			}
+		}
+	}
+}
+
+// TestServerNoCacheKeepsNoStart: CacheSize < 0 turns chain starts off
+// along with the result cache, so every batch builds its own chain.
+func TestServerNoCacheKeepsNoStart(t *testing.T) {
+	srv, _, clock := startServer(t, func(c *Config) { c.CacheSize = -1 })
+	const url = "/flow?source=0&sink=5&samples=30&seed=4"
+	first := serveBatched(t, srv, clock, url)
+	second := serveBatched(t, srv, clock, url)
+	if first.Code != http.StatusOK || second.Code != http.StatusOK {
+		t.Fatalf("status %d, %d", first.Code, second.Code)
+	}
+	met := srv.Metrics()
+	if h, m, b := met.StartHits.Load(), met.StartMisses.Load(), met.StartBytes(); h != 0 || m != 2 || b != 0 {
+		t.Errorf("start hits/misses/bytes = %d/%d/%d, want 0/2/0", h, m, b)
+	}
+}
+
 // TestServerCommunityHugeTop: a ?top= far beyond the node count is
 // answered, uncached and then from the cache, with at most n-1 entries
 // (every node but the source) instead of sizing a buffer by top, which
@@ -521,7 +592,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"batch_occupancy", "cache_hit_rate", "queue_depth", "acceptance_rate", "lane_budget", "lane_utilization"} {
+	for _, k := range []string{"batch_occupancy", "cache_hit_rate", "queue_depth", "acceptance_rate", "lane_budget", "lane_utilization", "start_hits", "start_misses", "start_bytes"} {
 		if _, ok := snap[k]; !ok {
 			t.Errorf("flowserve expvar missing %q", k)
 		}
