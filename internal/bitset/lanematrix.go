@@ -2,9 +2,9 @@ package bitset
 
 // LaneMatrix is a dense, strided matrix of lane masks: Rows rows of W
 // consecutive uint64 words each, row r occupying Bits[r*W : (r+1)*W].
-// Each row holds one node's masks: an RR pool's cover row (one bit per
-// sketch set) or a row of the lane interface graph.ReachLanesWideInto
-// (one bit per query lane).
+// Each row holds one node's masks in the lane interface
+// graph.ReachLanesWideInto keeps for the serving benchmark (one bit per
+// query lane). An RR pool's cover is a SparseRows.
 //
 // The fields are exported so callers can index the backing slice
 // directly; everything else should go through the methods. Within a row, lane L

@@ -159,6 +159,49 @@ func BenchmarkSketchSelect(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k), "ns/seed")
 }
 
+// targetCase is one target set a served-pool benchmark runs on.
+type targetCase struct {
+	name    string
+	targets []graph.NodeID
+}
+
+// servedTargets returns the two target sets of the served-pool
+// benchmarks: the whole paper-scale graph, and a fixed 500-node
+// community.
+func servedTargets(m *core.ICM) []targetCase {
+	idx := rng.New(5).Sample(m.NumNodes(), 500)
+	community := make([]graph.NodeID, len(idx))
+	for i, v := range idx {
+		community[i] = graph.NodeID(v)
+	}
+	return []targetCase{{"all", nil}, {"community", community}}
+}
+
+// BenchmarkSketchBuildServed times what a /maximize miss computes on
+// the pool flowserve builds by default (64 thinned states × 256 roots
+// under the scalar chain schedule, Thin = NumEdges): BuildRRPool, then
+// RankSketch to saturation, on the whole paper-scale graph and on a
+// fixed 500-node community. B/op is what one miss allocates, most of it
+// the pool's cover.
+func BenchmarkSketchBuildServed(b *testing.B) {
+	m := paperScaleModel()
+	opts := DefaultSketchOptions(m.NumEdges())
+	for _, bc := range servedTargets(m) {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pool, err := mh.BuildRRPool(m, bc.targets, nil, opts.RootsPerSample, opts.Words, opts.Chain, rng.New(41))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := RankSketch(pool, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSketchRank ranks the pool flowserve's /maximize builds by
 // default (64 thinned states × 256 roots under the scalar chain
 // schedule) up to saturation, on the whole paper-scale graph and on a
@@ -167,15 +210,7 @@ func BenchmarkSketchSelect(b *testing.B) {
 func BenchmarkSketchRank(b *testing.B) {
 	m := paperScaleModel()
 	opts := DefaultSketchOptions(m.NumEdges())
-	idx := rng.New(5).Sample(m.NumNodes(), 500)
-	community := make([]graph.NodeID, len(idx))
-	for i, v := range idx {
-		community[i] = graph.NodeID(v)
-	}
-	for _, bc := range []struct {
-		name    string
-		targets []graph.NodeID
-	}{{"all", nil}, {"community", community}} {
+	for _, bc := range servedTargets(m) {
 		b.Run(bc.name, func(b *testing.B) {
 			pool, err := mh.BuildRRPool(m, bc.targets, nil, opts.RootsPerSample, opts.Words, opts.Chain, rng.New(41))
 			if err != nil {

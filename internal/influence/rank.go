@@ -87,7 +87,7 @@ type ranker struct {
 }
 
 func newRanker(pool *mh.RRPool, candidates []graph.NodeID) (*ranker, error) {
-	n := pool.Cover.Rows
+	n := pool.Cover.Rows()
 	if uint64(pool.NumSets) > math.MaxUint32 {
 		return nil, fmt.Errorf("influence: %d RR sets overflow a 32-bit gain", pool.NumSets)
 	}
@@ -103,7 +103,7 @@ func newRanker(pool *mh.RRPool, candidates []graph.NodeID) (*ranker, error) {
 	}
 	for v := 0; v < n; v++ {
 		if rk.out.isCandidate(v) {
-			rk.pq = append(rk.pq, rankEntry{node: graph.NodeID(v), gain: uint32(bitset.Set(pool.Cover.Row(v)).Count())})
+			rk.pq = append(rk.pq, rankEntry{node: graph.NodeID(v), gain: uint32(pool.Cover.RowCount(v))})
 		}
 	}
 	rk.evaluations = len(rk.pq)
@@ -118,17 +118,16 @@ func newRanker(pool *mh.RRPool, candidates []graph.NodeID) (*ranker, error) {
 func (rk *ranker) extend(k int) {
 	for len(rk.out.seeds) < k && len(rk.pq) > 0 && rk.pq[0].gain > 0 {
 		top := &rk.pq[0]
-		row := bitset.Set(rk.pool.Cover.Row(int(top.node)))
 		if round := int32(len(rk.out.seeds)); top.round != round {
 			// Stale: refresh the gain against the current cover in place.
-			top.gain, top.round = uint32(row.AndNotCount(rk.covered)), round
+			top.gain, top.round = uint32(rk.pool.Cover.AndNotCount(int(top.node), rk.covered)), round
 			rk.evaluations++
 			rk.pq.down(0)
 			continue
 		}
 		rk.out.seeds = append(rk.out.seeds, top.node)
 		rk.out.counts = append(rk.out.counts, top.gain)
-		row.OrInto(rk.covered)
+		rk.pool.Cover.OrInto(int(top.node), rk.covered)
 		rk.pq = rk.pq.pop()
 	}
 }

@@ -35,7 +35,7 @@ func randomPool(t testing.TB, seed uint64, n, m int, lo, hi float64, targets []g
 // breaks ties to the lowest id, until every distinct candidate is
 // ranked. Its k-prefix is its answer for budget k.
 func naiveGreedy(pool *mh.RRPool, candidates []graph.NodeID) *Result {
-	n := pool.Cover.Rows
+	n := pool.Cover.Rows()
 	_, in := core.DedupSources(n, candidates)
 	if candidates == nil {
 		for v := range in {
@@ -174,7 +174,7 @@ func TestRankSketchIsCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ranking.seeds) == 0 || len(ranking.seeds) > min(pool.Cover.Rows, pool.NumSets) {
+	if len(ranking.seeds) == 0 || len(ranking.seeds) > min(pool.Cover.Rows(), pool.NumSets) {
 		t.Fatalf("%d ranked seeds, want 1..min(nodes, sets)", len(ranking.seeds))
 	}
 	if cap(ranking.seeds) != len(ranking.seeds) || cap(ranking.counts) != len(ranking.counts) {

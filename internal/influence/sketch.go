@@ -92,10 +92,10 @@ func SketchGreedy(pool *mh.RRPool, k int, candidates []graph.NodeID) (*Result, e
 func SketchSpread(pool *mh.RRPool, seeds []graph.NodeID) float64 {
 	covered := bitset.New(pool.NumSets)
 	for _, v := range seeds {
-		if v < 0 || int(v) >= pool.Cover.Rows {
+		if v < 0 || int(v) >= pool.Cover.Rows() {
 			continue
 		}
-		bitset.Set(pool.Cover.Row(int(v))).OrInto(covered)
+		pool.Cover.OrInto(int(v), covered)
 	}
 	return pool.SpreadScale() * float64(covered.Count())
 }

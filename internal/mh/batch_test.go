@@ -218,7 +218,7 @@ func TestTalliesMatchClosure(t *testing.T) {
 				counts[k] = make([]int, n)
 			}
 			impacts := make([][]int, len(sets))
-			cover := bitset.NewLaneMatrix(n, (base+len(roots)+63)/64)
+			cover := bitset.NewSparseRows(n, base+len(roots))
 			sample := 0
 			err = s.Run(Options{BurnIn: 200, Thin: 30, Samples: 40}, func(x core.PseudoState) {
 				active := func(id graph.EdgeID) bool { return x.Test(int(id)) }
@@ -264,7 +264,7 @@ func TestTalliesMatchClosure(t *testing.T) {
 
 				cover.Reset()
 				coverRoots(g, roots, x, s.scratch, reached, cover, base)
-				for b := 0; b < cover.Lanes(); b++ {
+				for b := 0; b < cover.Cols(); b++ {
 					var want []bool
 					if b >= base && b < base+len(roots) {
 						want = gt.Reachable([]graph.NodeID{roots[b-base]}, active)
@@ -300,8 +300,8 @@ func TestFlowProbBatchRejectsEmpty(t *testing.T) {
 
 // TestFlowProbBatchZeroAllocSteadyState asserts that every batched hot
 // loop — chain updates plus one estimator's per-sample tally — allocates
-// nothing once warm: the flow, community and impact tallies and the RR
-// pool's cover, each over 130 queries.
+// nothing once warm: the flow, community and impact tallies, each over
+// 130 queries, and a refill of the RR pool's cover for 128 roots.
 func TestFlowProbBatchZeroAllocSteadyState(t *testing.T) {
 	m := batchTestModel(16, 300, 900)
 	n := m.NumNodes()
@@ -349,9 +349,27 @@ func TestFlowProbBatchZeroAllocSteadyState(t *testing.T) {
 		}
 		countImpacts(m.G, sets, s.x, s.scratch, reached, impacts)
 	})
+
+	// An RR cover's rows grow as sets arrive (SparseRows.Append), so its
+	// steady state is a refill: covering one state again after a Reset
+	// finds every row's storage in place and allocates nothing.
+	s, err := NewSampler(m, nil, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 100; k++ {
+		s.Step()
+	}
 	roots := sources[:128]
-	cover := bitset.NewLaneMatrix(n, len(roots)/LaneWidth)
-	check("rr pool", func(s *Sampler) { coverRoots(m.G, roots, s.x, s.scratch, reached, cover, 0) })
+	cover := bitset.NewSparseRows(n, len(roots))
+	refill := func() {
+		cover.Reset()
+		coverRoots(m.G, roots, s.x, s.scratch, reached, cover, 0)
+	}
+	refill()
+	if allocs := testing.AllocsPerRun(100, refill); allocs != 0 {
+		t.Errorf("rr pool: refilling the cover allocates %v per run, want 0", allocs)
+	}
 }
 
 // batchSample returns one steady-state batched output sample: thin
@@ -456,13 +474,19 @@ func BenchmarkCommunity32Supercritical(b *testing.B) {
 
 // BenchmarkRRRoots256Supercritical times the RR cover tally of one
 // /maximize pool sample (256 roots) on one state of supercriticalModel:
-// 256 reverse packed BFS runs.
+// 256 reverse packed BFS runs, each appending its set to the rows of
+// the nodes it reaches, after a Reset of the 256-set cover. A node here
+// belongs to about half the sets, so the warm-up tally switches most
+// rows to dense words and the timed ones append on the dense side.
 func BenchmarkRRRoots256Supercritical(b *testing.B) {
 	m := supercriticalModel()
 	roots := pairSources(randomPairs(rng.New(17), m.NumNodes(), DefaultRootsPerSample))
-	cover := bitset.NewLaneMatrix(m.NumNodes(), len(roots)/LaneWidth)
+	cover := bitset.NewSparseRows(m.NumNodes(), len(roots))
 	reached := bitset.New(m.NumNodes())
-	benchTally(b, m, func(s *Sampler) { coverRoots(m.G, roots, s.x, s.scratch, reached, cover, 0) })
+	benchTally(b, m, func(s *Sampler) {
+		cover.Reset()
+		coverRoots(m.G, roots, s.x, s.scratch, reached, cover, 0)
+	})
 }
 
 // BenchmarkChainUpdateConditioned measures one chain update on the

@@ -2,7 +2,7 @@ package mh
 
 import (
 	"fmt"
-	"math/bits"
+	"math"
 
 	"infoflow/internal/bitset"
 	"infoflow/internal/core"
@@ -21,8 +21,8 @@ const DefaultRootsPerSample = 256
 // model: set b was built by drawing root_b uniformly from the target
 // universe and a pseudo-state x_b from the MH chain, and contains every
 // node that reaches root_b across the active edges of x_b. Cover is the
-// node-major transpose the greedy ranking wants: bit b of Cover.Row(u)
-// is set iff u belongs to set b, so a seed set's estimated spread is
+// node-major transpose the greedy ranking wants: row u holds b iff u
+// belongs to set b, so a seed set's estimated spread is
 //
 //	spread(S) = (Universe / NumSets) × |⋃_{u∈S} Cover.Row(u)|
 //
@@ -31,9 +31,10 @@ const DefaultRootsPerSample = 256
 // counts activated targets INCLUDING seeds that are themselves targets
 // (a root always belongs to its own RR set), matching influence.Spread.
 type RRPool struct {
-	// Cover is the node-major cover matrix: NumNodes rows of
-	// NumSets/64 words.
-	Cover *bitset.LaneMatrix
+	// Cover is the node-major cover: NumNodes rows over NumSets
+	// columns, row u listing the ids of the sets u belongs to, or
+	// holding them as NumSets/64 dense words once that is smaller.
+	Cover *bitset.SparseRows
 	// Roots[b] is the target node RR set b was grown from.
 	Roots []graph.NodeID
 	// NumSets is the number of RR sets in the pool (Samples ×
@@ -57,12 +58,13 @@ func (p *RRPool) SpreadScale() float64 {
 // BuildRRPool draws a fresh MH chain over model m under conds and
 // builds an RR pool of opts.Samples × rootsPerSample sketch sets
 // targeting targets (nil or empty = every node). rootsPerSample must be
-// a positive multiple of 64 (<= 0 selects DefaultRootsPerSample). Each
-// thinned sample grows every one of its roots' RR sets with one packed
-// BFS against edge direction (coverRoots). The words argument is
-// deprecated and ignored: it set the width of a retired lane sweep, and
-// stays so existing callers compile. opts.Interrupt cancellation is
-// honoured between thinned samples.
+// a positive multiple of 64 (<= 0 selects DefaultRootsPerSample), and
+// the pool may hold at most MaxUint32 sets, since the cover stores set
+// ids as uint32. Each thinned sample grows every one of its roots' RR
+// sets with one packed BFS against edge direction (coverRoots). The
+// words argument is deprecated and ignored: it set the width of a
+// retired lane sweep, and stays so existing callers compile.
+// opts.Interrupt cancellation is honoured between thinned samples.
 //
 // Determinism contract: the root stream is forked from r BEFORE the
 // chain consumes anything, so the sampled (root, state) pairs — and
@@ -81,6 +83,9 @@ func BuildRRPool(m *core.ICM, targets []graph.NodeID, conds []core.FlowCondition
 	}
 	if err := opts.validate(); err != nil {
 		return nil, err
+	}
+	if uint64(opts.Samples) > math.MaxUint32/uint64(rootsPerSample) {
+		return nil, fmt.Errorf("mh: %d samples × %d roots overflow a 32-bit RR set id", opts.Samples, rootsPerSample)
 	}
 	if err := checkNodes(m, "target", targets...); err != nil {
 		return nil, err
@@ -111,7 +116,7 @@ func BuildRRPool(m *core.ICM, targets []graph.NodeID, conds []core.FlowCondition
 		return nil, err
 	}
 	pool := &RRPool{
-		Cover:    bitset.NewLaneMatrix(n, numSets/LaneWidth),
+		Cover:    bitset.NewSparseRows(n, numSets),
 		Roots:    roots,
 		NumSets:  numSets,
 		Universe: universeSize,
@@ -130,19 +135,19 @@ func BuildRRPool(m *core.ICM, targets []graph.NodeID, conds []core.FlowCondition
 	return pool, nil
 }
 
-// coverRoots sets bit base+b of cover's row u for every root b of one
-// thinned state x and every node u that reaches roots[b] across x: one
-// packed BFS against edge direction per root into reached (which must
-// hold NumNodes bits), whose words are then peeled.
+// coverRoots appends set base+b to cover's row u for every root b of
+// one thinned state x and every node u that reaches roots[b] across x:
+// one packed BFS against edge direction per root into reached (which
+// must hold NumNodes bits), whose nodes then gain the set. Sets arrive
+// in ascending id order, as SparseRows.AppendColumn requires. The loop
+// itself allocates nothing; a row allocates only when its list
+// outgrows its capacity (amortised doubling, at most O(log NumSets)
+// times per row before it switches to dense words).
 //
 //flowlint:hotpath
-func coverRoots(g *graph.DiGraph, roots []graph.NodeID, x bitset.Set, sc *graph.Scratch, reached bitset.Set, cover *bitset.LaneMatrix, base int) {
+func coverRoots(g *graph.DiGraph, roots []graph.NodeID, x bitset.Set, sc *graph.Scratch, reached bitset.Set, cover *bitset.SparseRows, base int) {
 	for b := range roots {
 		reached = g.ReachableBitsReverseInto(roots[b:b+1], x, sc, reached)
-		for wi, w := range reached {
-			for ; w != 0; w &= w - 1 {
-				cover.SetBit(wi*64+bits.TrailingZeros64(w), base+b)
-			}
-		}
+		cover.AppendColumn(base+b, reached)
 	}
 }

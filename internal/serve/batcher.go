@@ -245,8 +245,14 @@ func (b *batcher) worker() {
 // execute runs one flushed batch: a chain from the batch's burned-in
 // start (see chain), one batched estimator call over its thinned samples
 // (every query answered on every sample), cooperative abort once every
-// member has cancelled, cache fill, then per-member delivery.
+// member has cancelled, cache fill, then per-member delivery. A batch
+// whose members have all cancelled by the time a worker takes it runs
+// nothing: no sampler, no burn-in, no kept start.
 func (b *batcher) execute(pb *pendingBatch) {
+	if !anyWaiting(pb.members) {
+		b.deliverError(pb, fmt.Errorf("%w: every member cancelled before the batch ran", mh.ErrInterrupted))
+		return
+	}
 	b.metrics.Batches.Add(1)
 	b.metrics.BatchedLanes.Add(int64(pb.lanes))
 	b.metrics.BatchedRequests.Add(int64(len(pb.members)))
@@ -333,6 +339,19 @@ func (b *batcher) execute(pb *pendingBatch) {
 		b.cache.Add(m.cacheKey, entries[m.lane])
 		m.done <- r
 	}
+}
+
+// anyWaiting reports whether some member's context is still live. The
+// AfterFunc hooks execute registers cannot tell: AfterFunc runs its
+// function on a new goroutine even for a context cancelled before the
+// call, so the chain would step until that goroutine ran.
+func anyWaiting(members []*member) bool {
+	for _, m := range members {
+		if m.ctx.Err() == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // chain returns the batch's chain, burned in. On a start hit it is a

@@ -199,8 +199,8 @@ func TestBatcherDrain(t *testing.T) {
 	}
 }
 
-// TestBatcherAllMembersCancelled: when every member of a batch cancels,
-// the sweep aborts via the Interrupt hook instead of running to
+// TestBatcherAllMembersCancelled: when every member of a batch has
+// cancelled, the batch ends with ErrInterrupted instead of running to
 // completion, and the abort is not counted as a server error.
 func TestBatcherAllMembersCancelled(t *testing.T) {
 	m := serveICM(3, 20, 60)
@@ -451,23 +451,53 @@ func TestBatcherConcurrentColdStart(t *testing.T) {
 	}
 }
 
-// TestBatcherCancelledBurnInKeepsNoStart: a batch whose members have
-// all cancelled stops during burn-in and keeps no start. The burn-in is
-// long enough (10^8 steps) that the cancellation, which reaches the
-// batch asynchronously, lands inside it.
+// TestBatcherCancelledBurnInKeepsNoStart: a batch whose last member
+// cancels once the batch has begun stops during burn-in and keeps no
+// start. The burn-in is long enough (10^8 steps) that the cancellation,
+// which reaches the batch asynchronously, lands inside it.
 func TestBatcherCancelledBurnInKeepsNoStart(t *testing.T) {
 	st := newStartTest(t, 1, startBudget)
 	key := st.key(kindFlow, 50, 5)
 	key.burnIn = 100_000_000
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mem := st.join(ctx, key, 2)
+	waitUntil(t, "window collector to arm", func() bool { return st.clock.Waiters() > 0 })
+	st.clock.Advance(time.Millisecond)
+	waitUntil(t, "the batch to begin its burn-in", func() bool { return st.met.StartMisses.Load() == 1 })
 	cancel()
-	r := st.run(1, st.join(ctx, key, 2))[0]
+	r := <-mem.done
 	if !errors.Is(r.Err, mh.ErrInterrupted) || !strings.Contains(r.Err.Error(), "burn-in") {
 		t.Fatalf("err = %v, want ErrInterrupted during burn-in", r.Err)
 	}
 	st.counts(0, 1)
 	if st.starts.Len() != 0 || st.met.StartBytes() != 0 {
 		t.Errorf("an interrupted burn-in kept %d starts (%d bytes)", st.starts.Len(), st.met.StartBytes())
+	}
+}
+
+// TestBatcherSkipsBatchNobodyWaitsFor: a batch whose members all
+// cancelled before a worker took it builds no sampler, runs no burn-in
+// and keeps no start, even when the burn-in is short enough to finish
+// before the cancellation could reach the chain's interrupt hook. It
+// counts as neither an executed batch nor a server error.
+func TestBatcherSkipsBatchNobodyWaitsFor(t *testing.T) {
+	st := newStartTest(t, 1, startBudget)
+	key := st.key(kindFlow, 50, 5)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	a, b := st.join(ctx, key, 2), st.join(ctx, key, 3)
+	for i, r := range st.run(1, a, b) {
+		if !errors.Is(r.Err, mh.ErrInterrupted) {
+			t.Fatalf("member %d: err = %v, want ErrInterrupted", i, r.Err)
+		}
+	}
+	st.counts(0, 0)
+	if st.starts.Len() != 0 {
+		t.Errorf("a batch nobody waited for kept %d starts", st.starts.Len())
+	}
+	if got, errs := st.met.Batches.Load(), st.met.Errors.Load(); got != 0 || errs != 0 {
+		t.Errorf("batches = %d, errors = %d, want 0 and 0", got, errs)
 	}
 }
 

@@ -233,6 +233,7 @@ func (s *Server) handleMaximize(w http.ResponseWriter, r *http.Request) {
 	resp.answer(ans, q.k)
 	s.metrics.MaximizeSeeds.Add(int64(len(resp.Seeds)))
 	s.metrics.MaximizeSketchSets.Add(int64(pool.NumSets))
+	s.metrics.MaximizeSketchMembers.Add(int64(pool.Cover.Count()))
 	writeJSON(w, http.StatusOK, resp)
 }
 

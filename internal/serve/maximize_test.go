@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"net/http"
 	"testing"
 
@@ -93,6 +94,52 @@ func TestServerMaximize(t *testing.T) {
 	}
 	if _, ok := mm.Snapshot()["maximize_requests"]; !ok {
 		t.Error("maximize_requests missing from the metrics snapshot")
+	}
+}
+
+// TestServerMaximizeMembersMetric: after one miss, /metrics reports as
+// maximize_rr_members the (node, set) memberships of the pool the miss
+// built, the sum of the library pool's row sizes, next to its
+// maximize_rr_sets; a cache hit adds nothing to either.
+func TestServerMaximizeMembersMetric(t *testing.T) {
+	srv, ts, _ := startServer(t, nil)
+	m := srv.models["m"].ICM
+	for i := 0; i < 2; i++ {
+		var resp maximizeResponse
+		if status := getJSON(t, ts.URL+"/maximize?k=2&seed=9&community=1,4,6,9,12", &resp); status != http.StatusOK {
+			t.Fatalf("status %d: %+v", status, resp)
+		}
+	}
+	chain := mh.DefaultOptions(m.NumEdges())
+	chain.Samples = srv.cfg.DefaultSketchSamples
+	pool, err := mh.BuildRRPool(m, []graph.NodeID{1, 4, 6, 9, 12}, nil, mh.DefaultRootsPerSample, 0, chain, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := 0
+	for v := 0; v < pool.Cover.Rows(); v++ {
+		for _, w := range pool.Cover.Row(v) {
+			members += bits.OnesCount64(w)
+		}
+	}
+	if members == 0 {
+		t.Fatal("the reference pool has no memberships")
+	}
+
+	var payload struct {
+		Flowserve map[string]float64 `json:"flowserve"`
+	}
+	if status := getJSON(t, ts.URL+"/metrics", &payload); status != http.StatusOK {
+		t.Fatalf("/metrics status %d", status)
+	}
+	if got := payload.Flowserve["maximize_rr_members"]; got != float64(members) {
+		t.Errorf("/metrics maximize_rr_members = %v, want %d", got, members)
+	}
+	if got := payload.Flowserve["maximize_rr_sets"]; got != float64(pool.NumSets) {
+		t.Errorf("/metrics maximize_rr_sets = %v, want %d", got, pool.NumSets)
+	}
+	if got := srv.Metrics().Snapshot()["maximize_rr_members"]; got != int64(members) {
+		t.Errorf("snapshot maximize_rr_members = %v, want %d", got, members)
 	}
 }
 

@@ -25,11 +25,14 @@ type Metrics struct {
 
 	// /maximize traffic: requests admitted (cache hits included), seeds
 	// selected by computed (non-cached) selections, and RR sketch sets
-	// built for them. MaximizeSketchSets / computed selections is the
-	// mean pool size actually served.
-	MaximizeRequests   atomic.Int64
-	MaximizeSeeds      atomic.Int64
-	MaximizeSketchSets atomic.Int64
+	// built for them and their (node, set) memberships.
+	// MaximizeSketchSets / computed selections is the mean pool size
+	// actually served; MaximizeSketchMembers / MaximizeSketchSets is the
+	// mean RR set size, which sets a pool's memory.
+	MaximizeRequests      atomic.Int64
+	MaximizeSeeds         atomic.Int64
+	MaximizeSketchSets    atomic.Int64
+	MaximizeSketchMembers atomic.Int64
 
 	CacheHits   atomic.Int64
 	CacheMisses atomic.Int64
@@ -156,31 +159,32 @@ func (m *Metrics) CacheHitRate() float64 {
 // payload served under the "flowserve" expvar and handy for tests.
 func (m *Metrics) Snapshot() map[string]any {
 	return map[string]any{
-		"flow_requests":      m.FlowRequests.Load(),
-		"community_requests": m.CommunityRequests.Load(),
-		"impact_requests":    m.ImpactRequests.Load(),
-		"impact_analytic":    m.ImpactAnalytic.Load(),
-		"impact_sampled":     m.ImpactSampled.Load(),
-		"maximize_requests":  m.MaximizeRequests.Load(),
-		"maximize_seeds":     m.MaximizeSeeds.Load(),
-		"maximize_rr_sets":   m.MaximizeSketchSets.Load(),
-		"cache_hits":         m.CacheHits.Load(),
-		"cache_misses":       m.CacheMisses.Load(),
-		"cache_hit_rate":     m.CacheHitRate(),
-		"start_hits":         m.StartHits.Load(),
-		"start_misses":       m.StartMisses.Load(),
-		"start_bytes":        m.StartBytes(),
-		"batches":            m.Batches.Load(),
-		"batched_lanes":      m.BatchedLanes.Load(),
-		"batched_requests":   m.BatchedRequests.Load(),
-		"batch_occupancy":    m.Occupancy(),
-		"lane_budget":        m.LaneBudget(),
-		"lane_utilization":   m.LaneUtilization(),
-		"queue_depth":        m.QueueDepth(),
-		"rejected":           m.Rejected.Load(),
-		"timeouts":           m.Timeouts.Load(),
-		"errors":             m.Errors.Load(),
-		"acceptance_rate":    m.Acceptance(),
+		"flow_requests":       m.FlowRequests.Load(),
+		"community_requests":  m.CommunityRequests.Load(),
+		"impact_requests":     m.ImpactRequests.Load(),
+		"impact_analytic":     m.ImpactAnalytic.Load(),
+		"impact_sampled":      m.ImpactSampled.Load(),
+		"maximize_requests":   m.MaximizeRequests.Load(),
+		"maximize_seeds":      m.MaximizeSeeds.Load(),
+		"maximize_rr_sets":    m.MaximizeSketchSets.Load(),
+		"maximize_rr_members": m.MaximizeSketchMembers.Load(),
+		"cache_hits":          m.CacheHits.Load(),
+		"cache_misses":        m.CacheMisses.Load(),
+		"cache_hit_rate":      m.CacheHitRate(),
+		"start_hits":          m.StartHits.Load(),
+		"start_misses":        m.StartMisses.Load(),
+		"start_bytes":         m.StartBytes(),
+		"batches":             m.Batches.Load(),
+		"batched_lanes":       m.BatchedLanes.Load(),
+		"batched_requests":    m.BatchedRequests.Load(),
+		"batch_occupancy":     m.Occupancy(),
+		"lane_budget":         m.LaneBudget(),
+		"lane_utilization":    m.LaneUtilization(),
+		"queue_depth":         m.QueueDepth(),
+		"rejected":            m.Rejected.Load(),
+		"timeouts":            m.Timeouts.Load(),
+		"errors":              m.Errors.Load(),
+		"acceptance_rate":     m.Acceptance(),
 	}
 }
 

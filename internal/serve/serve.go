@@ -93,8 +93,9 @@ type Config struct {
 	// point estimate wants).
 	DefaultSketchSamples int
 	// MaxSketchSets bounds the /maximize pool size: ?samples= times
-	// ?roots= may not exceed it (default 65536; the pool holds one bit
-	// per (node, set) pair).
+	// ?roots= may not exceed it (default 65536). A pool's cover holds
+	// 4 bytes per (node, set) membership, and never more than one bit
+	// per (node, set) pair plus a fixed header per node.
 	MaxSketchSets int
 	// DefaultSeed is the chain seed when ?seed= is absent (default 1).
 	DefaultSeed uint64

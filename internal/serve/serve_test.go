@@ -592,7 +592,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"batch_occupancy", "cache_hit_rate", "queue_depth", "acceptance_rate", "lane_budget", "lane_utilization", "start_hits", "start_misses", "start_bytes"} {
+	for _, k := range []string{"batch_occupancy", "cache_hit_rate", "queue_depth", "acceptance_rate", "lane_budget", "lane_utilization", "start_hits", "start_misses", "start_bytes", "maximize_rr_sets", "maximize_rr_members"} {
 		if _, ok := snap[k]; !ok {
 			t.Errorf("flowserve expvar missing %q", k)
 		}
