@@ -201,8 +201,9 @@ func NestedImpact(bm *BetaICM, sources []NodeID, nModels int, opts MHOptions, r 
 }
 
 // DirectFlowProb estimates a flow probability by naive independent
-// sampling — the expensive baseline MH replaces.
-func DirectFlowProb(m *ICM, source, sink NodeID, samples int, r *RNG) float64 {
+// sampling — the expensive baseline MH replaces. An out-of-range node or
+// a non-positive sample count is an error.
+func DirectFlowProb(m *ICM, source, sink NodeID, samples int, r *RNG) (float64, error) {
 	return mh.DirectFlowProb(m, source, sink, samples, r)
 }
 

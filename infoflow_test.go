@@ -47,7 +47,10 @@ func TestTrainAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	actual := infoflow.DirectFlowProb(truth, 0, 19, 30000, r)
+	actual, err := infoflow.DirectFlowProb(truth, 0, 19, 30000, r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(trained-actual) > 0.1 {
 		t.Fatalf("trained flow %v vs actual %v", trained, actual)
 	}

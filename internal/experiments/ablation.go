@@ -111,7 +111,10 @@ func proposalAblation(cfg AblationConfig, res *AblationResult) error {
 		for v == u {
 			v = graph.NodeID(r.Intn(cfg.Nodes))
 		}
-		ref := mh.DirectFlowProb(m, u, v, 40000, r)
+		ref, err := mh.DirectFlowProb(m, u, v, 40000, r)
+		if err != nil {
+			return err
+		}
 		run := func(uniform bool) (float64, float64, error) {
 			s, err := mh.NewSampler(m, nil, r.Fork())
 			if err != nil {

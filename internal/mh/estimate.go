@@ -129,11 +129,15 @@ func ImpactDistribution(m *core.ICM, sources []graph.NodeID, conds []core.FlowCo
 // pseudo-state sampling — each sample costs O(m) draws plus an O(n+m)
 // reachability test. It exists as the "conventional sampling" reference
 // the paper compares Metropolis-Hastings against, and as a validation
-// oracle: unconditioned MH and direct estimates must agree.
-func DirectFlowProb(m *core.ICM, source, sink graph.NodeID, samples int, r *rng.RNG) float64 {
+// oracle: unconditioned MH and direct estimates must agree. An
+// out-of-range node or a non-positive sample count is an error, found
+// before any draw.
+func DirectFlowProb(m *core.ICM, source, sink graph.NodeID, samples int, r *rng.RNG) (float64, error) {
+	if err := checkFlow(m, source, sink); err != nil {
+		return 0, err
+	}
 	if samples <= 0 {
-		//flowlint:invariant documented contract: the sample count must be positive
-		panic("mh: DirectFlowProb with non-positive samples")
+		return 0, fmt.Errorf("mh: DirectFlowProb needs a positive sample count, got %d", samples)
 	}
 	hits := 0
 	for i := 0; i < samples; i++ {
@@ -141,15 +145,26 @@ func DirectFlowProb(m *core.ICM, source, sink graph.NodeID, samples int, r *rng.
 			hits++
 		}
 	}
-	return float64(hits) / float64(samples)
+	return float64(hits) / float64(samples), nil
 }
 
 // DirectConditionalFlowProb estimates Pr[source ~> sink | conds] by
 // rejection sampling from the marginal: exact but potentially very
 // expensive when Pr[C] is small, which is precisely why the paper uses
 // Metropolis-Hastings. It returns the estimate and the number of
-// accepted samples (0 if the conditions were never satisfied).
-func DirectConditionalFlowProb(m *core.ICM, source, sink graph.NodeID, conds []core.FlowCondition, attempts int, r *rng.RNG) (p float64, accepted int) {
+// accepted samples (0 if the conditions were never satisfied). An
+// out-of-range node, in the flow or in a condition, or a non-positive
+// attempt count is an error, found before any draw.
+func DirectConditionalFlowProb(m *core.ICM, source, sink graph.NodeID, conds []core.FlowCondition, attempts int, r *rng.RNG) (p float64, accepted int, err error) {
+	if err := checkFlow(m, source, sink); err != nil {
+		return 0, 0, err
+	}
+	if err := checkConds(m, conds); err != nil {
+		return 0, 0, err
+	}
+	if attempts <= 0 {
+		return 0, 0, fmt.Errorf("mh: DirectConditionalFlowProb needs a positive attempt count, got %d", attempts)
+	}
 	hits := 0
 	for i := 0; i < attempts; i++ {
 		x := m.SamplePseudoState(r)
@@ -162,7 +177,7 @@ func DirectConditionalFlowProb(m *core.ICM, source, sink graph.NodeID, conds []c
 		}
 	}
 	if accepted == 0 {
-		return 0, 0
+		return 0, 0, nil
 	}
-	return float64(hits) / float64(accepted), accepted
+	return float64(hits) / float64(accepted), accepted, nil
 }

@@ -116,9 +116,36 @@ func TestDirectFlowProbAgainstEnum(t *testing.T) {
 	u := graph.NodeID(0)
 	v := graph.NodeID(m.NumNodes() - 1)
 	exact := m.EnumFlowProb([]graph.NodeID{u}, v)
-	got := DirectFlowProb(m, u, v, 100000, r)
+	got, err := DirectFlowProb(m, u, v, 100000, r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(got-exact) > 0.01 {
 		t.Errorf("direct %v vs exact %v", got, exact)
+	}
+}
+
+// TestDirectEstimatorsKeepTheirDraws pins a valid call of each direct
+// estimator: the estimate, and the RNG draw after the call, are the ones
+// the estimators gave before they checked their arguments, so the checks
+// draw nothing. A non-positive sample or attempt count is an error.
+func TestDirectEstimatorsKeepTheirDraws(t *testing.T) {
+	m := batchTestModel(31, 12, 30)
+	r := rng.New(9)
+	p, err := DirectFlowProb(m, 0, 8, 500, r)
+	if next := r.Uint64(); err != nil || p != 0.288 || next != 17782140677650955751 {
+		t.Errorf("DirectFlowProb = %v, %v; next draw %d", p, err, next)
+	}
+	r = rng.New(9)
+	p, accepted, err := DirectConditionalFlowProb(m, 0, 8, []core.FlowCondition{{Source: 0, Sink: 11}}, 500, r)
+	if next := r.Uint64(); err != nil || p != 0.22566371681415928 || accepted != 226 || next != 5396663099700630486 {
+		t.Errorf("DirectConditionalFlowProb = %v, %d, %v; next draw %d", p, accepted, err, next)
+	}
+	if _, err := DirectFlowProb(m, 0, 8, 0, rng.New(1)); err == nil {
+		t.Error("DirectFlowProb accepted 0 samples")
+	}
+	if _, _, err := DirectConditionalFlowProb(m, 0, 8, nil, -1, rng.New(1)); err == nil {
+		t.Error("DirectConditionalFlowProb accepted -1 attempts")
 	}
 }
 

@@ -101,6 +101,20 @@ func TestEstimatorsRejectOutOfRangeNodes(t *testing.T) {
 			{"ExpectedFlowProb source", func() error { _, err := ExpectedFlowProb(bm, bad, 1, nil, opts, r()); return err }},
 			{"NestedFlowProb condition", func() error { _, err := NestedFlowProb(bm, 0, 1, cond, 2, opts, r()); return err }},
 			{"NestedImpact member", func() error { _, err := NestedImpact(bm, []graph.NodeID{bad}, 2, opts, r()); return err }},
+			{"DirectFlowProb source", func() error { _, err := DirectFlowProb(m, bad, 1, 10, r()); return err }},
+			{"DirectFlowProb sink", func() error { _, err := DirectFlowProb(m, 0, bad, 10, r()); return err }},
+			{"DirectConditionalFlowProb source", func() error {
+				_, _, err := DirectConditionalFlowProb(m, bad, 1, nil, 10, r())
+				return err
+			}},
+			{"DirectConditionalFlowProb sink", func() error {
+				_, _, err := DirectConditionalFlowProb(m, 0, bad, nil, 10, r())
+				return err
+			}},
+			{"DirectConditionalFlowProb condition", func() error {
+				_, _, err := DirectConditionalFlowProb(m, 0, 1, cond, 10, r())
+				return err
+			}},
 		}
 		for _, c := range cases {
 			if err := c.run(); err == nil {

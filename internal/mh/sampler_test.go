@@ -172,7 +172,10 @@ func TestConditionalMatchesRejectionSampling(t *testing.T) {
 		v := graph.NodeID(r.Intn(n))
 		w := graph.NodeID(r.Intn(n))
 		conds := []core.FlowCondition{{Source: u, Sink: w, Require: r.Bernoulli(0.5)}}
-		direct, accepted := DirectConditionalFlowProb(m, u, v, conds, 200000, r)
+		direct, accepted, err := DirectConditionalFlowProb(m, u, v, conds, 200000, r)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if accepted < 20000 {
 			continue // condition too rare for a tight reference
 		}

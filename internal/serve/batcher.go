@@ -23,15 +23,17 @@ var (
 	ErrOverloaded = errors.New("serve: worker queue saturated")
 )
 
-// queryKind separates end-to-end flow queries, community queries, and
-// impact (cascade-size) queries; the three use different estimators and
-// cannot share a batch.
+// queryKind separates end-to-end flow queries, community queries,
+// impact (cascade-size) queries and influence-maximization queries. The
+// first three use different estimators and cannot share a batch;
+// /maximize never joins one.
 type queryKind int8
 
 const (
 	kindFlow queryKind = iota
 	kindCommunity
 	kindImpact
+	kindMaximize
 )
 
 // batchKey identifies the chain a query must run on. Two requests
@@ -57,15 +59,17 @@ func (k batchKey) startKey() string {
 	return fmt.Sprintf("%s|%s|%d|%d", k.digest, k.conds, k.burnIn, k.seed)
 }
 
-// flowResult is what a batch delivers to each member request.
+// flowResult is one answer in the one form the cache keeps it, whether
+// it came from the cache or not: a float64 (kindFlow: Pr[source ~> sink
+// | conds]), a communityLaw (kindCommunity), a sizeLaw (sampled
+// kindImpact), an impactAnalytic (analytic kindImpact) or a
+// maximizeAnswer (kindMaximize). A batch delivers one to each member,
+// with its stats; every handler renders hits and misses from it.
 type flowResult struct {
-	Prob       float64   // kindFlow: Pr[source ~> sink | conds]
-	Community  []float64 // kindCommunity: Pr[source ~> v] per node
-	Impact     []float64 // kindImpact: normalized cascade-size histogram
-	BatchSize  int       // requests served by the batch
-	Lanes      int       // distinct queries (lanes) the batch carried
-	Acceptance float64   // chain's post-burn-in acceptance rate
-	Err        error
+	Answer any
+	Cached bool
+	batchStats
+	Err error
 }
 
 // member is one request waiting on a batch: its lane (query slot), its
@@ -287,26 +291,25 @@ func (b *batcher) execute(pb *pendingBatch) {
 	}
 	opts.BurnIn = 0
 
-	// entries holds each lane's answer in the compact form the cache
+	// answers holds each lane's answer in the compact form the cache
 	// keeps, converted once per lane however many members share it.
-	var probs []float64
-	var comms [][]float64
-	var hists [][]float64
-	var entries []any
+	var answers []any
 	switch pb.key.kind {
 	case kindFlow:
+		var probs []float64
 		probs, err = mh.FlowProbBatchOn(s, pb.pairs, opts)
 		for _, p := range probs {
-			entries = append(entries, p)
+			answers = append(answers, p)
 		}
 	case kindCommunity:
 		sources := make([]graph.NodeID, len(pb.pairs))
 		for i, p := range pb.pairs {
 			sources[i] = p.Source
 		}
+		var comms [][]float64
 		comms, err = mh.CommunityFlowProbsBatchOn(s, sources, opts)
 		for _, c := range comms {
-			entries = append(entries, newCommunityLaw(c))
+			answers = append(answers, newCommunityLaw(c))
 		}
 	case kindImpact:
 		var impacts [][]int
@@ -314,8 +317,7 @@ func (b *batcher) execute(pb *pendingBatch) {
 		for i, samples := range impacts {
 			// Sets arrive deduplicated, so the largest possible impact
 			// is NumNodes - len(set).
-			hists = append(hists, impactHist(samples, pb.model.NumNodes()-len(pb.sets[i])+1))
-			entries = append(entries, newSizeLaw(hists[i]))
+			answers = append(answers, newSizeLaw(impactHist(samples, pb.model.NumNodes()-len(pb.sets[i])+1)))
 		}
 	}
 	if err != nil {
@@ -325,19 +327,11 @@ func (b *batcher) execute(pb *pendingBatch) {
 	acc := s.PostBurnInAcceptanceRate()
 	b.metrics.setAcceptance(acc)
 
-	res := flowResult{BatchSize: len(pb.members), Lanes: pb.lanes, Acceptance: acc}
+	res := flowResult{batchStats: batchStats{BatchSize: len(pb.members), Lanes: pb.lanes, Acceptance: acc}}
 	for _, m := range pb.members {
-		r := res
-		switch pb.key.kind {
-		case kindFlow:
-			r.Prob = probs[m.lane]
-		case kindCommunity:
-			r.Community = comms[m.lane]
-		case kindImpact:
-			r.Impact = hists[m.lane]
-		}
-		b.cache.Add(m.cacheKey, entries[m.lane])
-		m.done <- r
+		res.Answer = answers[m.lane]
+		b.cache.Add(m.cacheKey, res.Answer)
+		m.done <- res
 	}
 }
 

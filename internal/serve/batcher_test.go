@@ -64,8 +64,8 @@ func TestBatcherWindowFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Prob != want {
-		t.Errorf("batched prob %v != scalar FlowProb %v (must be bit-identical)", res.Prob, want)
+	if res.Answer != want {
+		t.Errorf("batched prob %v != scalar FlowProb %v (must be bit-identical)", res.Answer, want)
 	}
 	if res.BatchSize != 1 || res.Lanes != 1 {
 		t.Errorf("BatchSize/Lanes = %d/%d, want 1/1", res.BatchSize, res.Lanes)
@@ -103,8 +103,8 @@ func TestBatcherLaneDedupe(t *testing.T) {
 	if r1.Err != nil || r2.Err != nil {
 		t.Fatal(r1.Err, r2.Err)
 	}
-	if r1.Prob != r2.Prob {
-		t.Errorf("co-laned members disagree: %v vs %v", r1.Prob, r2.Prob)
+	if r1.Answer != r2.Answer {
+		t.Errorf("co-laned members disagree: %v vs %v", r1.Answer, r2.Answer)
 	}
 	if r1.Lanes != 1 || r1.BatchSize != 2 {
 		t.Errorf("Lanes/BatchSize = %d/%d, want 1/2", r1.Lanes, r1.BatchSize)
@@ -257,8 +257,8 @@ func TestBatcherSurvivorUnaffectedByCancelledCobatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Prob != want {
-		t.Errorf("survivor prob %v != scalar FlowProb %v: co-batched cancellation changed an answer", res.Prob, want)
+	if res.Answer != want {
+		t.Errorf("survivor prob %v != scalar FlowProb %v: co-batched cancellation changed an answer", res.Answer, want)
 	}
 }
 
@@ -379,8 +379,8 @@ func TestBatcherStartSharedAcrossKinds(t *testing.T) {
 		probs, err = mh.FlowProbBatchOn(s, []mh.FlowPair{{Source: 2, Sink: 9}}, opts)
 		return err
 	})
-	if math.Float64bits(flow.Prob) != math.Float64bits(probs[0]) || flow.Acceptance != acc {
-		t.Errorf("flow: prob %v acceptance %v, library %v %v", flow.Prob, flow.Acceptance, probs[0], acc)
+	if math.Float64bits(flow.Answer.(float64)) != math.Float64bits(probs[0]) || flow.Acceptance != acc {
+		t.Errorf("flow: prob %v acceptance %v, library %v %v", flow.Answer, flow.Acceptance, probs[0], acc)
 	}
 	var comms [][]float64
 	acc = st.fresh(commKey, func(s *mh.Sampler, opts mh.Options) (err error) {
@@ -390,9 +390,9 @@ func TestBatcherStartSharedAcrossKinds(t *testing.T) {
 	if comm.Acceptance != acc {
 		t.Errorf("community: acceptance %v, library %v", comm.Acceptance, acc)
 	}
-	for v := range comms[0] {
-		if math.Float64bits(comm.Community[v]) != math.Float64bits(comms[0][v]) {
-			t.Fatalf("community: node %d prob %v, library %v", v, comm.Community[v], comms[0][v])
+	for v, p := range comm.Answer.(communityLaw).dist() {
+		if math.Float64bits(p) != math.Float64bits(comms[0][v]) {
+			t.Fatalf("community: node %d prob %v, library %v", v, p, comms[0][v])
 		}
 	}
 	var impacts [][]int
@@ -404,9 +404,9 @@ func TestBatcherStartSharedAcrossKinds(t *testing.T) {
 		t.Errorf("impact: acceptance %v, library %v", imp.Acceptance, acc)
 	}
 	want := impactHist(impacts[0], n-1)
-	for k := range want {
-		if math.Float64bits(imp.Impact[k]) != math.Float64bits(want[k]) {
-			t.Fatalf("impact: bin %d %v, library %v", k, imp.Impact[k], want[k])
+	for k, p := range imp.Answer.(sizeLaw).dist() {
+		if math.Float64bits(p) != math.Float64bits(want[k]) {
+			t.Fatalf("impact: bin %d %v, library %v", k, p, want[k])
 		}
 	}
 }
@@ -436,17 +436,17 @@ func TestBatcherConcurrentColdStart(t *testing.T) {
 		probs, err = mh.FlowProbBatchOn(s, []mh.FlowPair{{Source: 3, Sink: 9}}, opts)
 		return err
 	})
-	if res[0].Prob != probs[0] {
-		t.Errorf("flow prob %v, library %v", res[0].Prob, probs[0])
+	if res[0].Answer != probs[0] {
+		t.Errorf("flow prob %v, library %v", res[0].Answer, probs[0])
 	}
 	var comms [][]float64
 	st.fresh(commKey, func(s *mh.Sampler, opts mh.Options) (err error) {
 		comms, err = mh.CommunityFlowProbsBatchOn(s, []graph.NodeID{3}, opts)
 		return err
 	})
-	for v := range comms[0] {
-		if res[1].Community[v] != comms[0][v] {
-			t.Fatalf("community node %d: %v, library %v", v, res[1].Community[v], comms[0][v])
+	for v, p := range res[1].Answer.(communityLaw).dist() {
+		if p != comms[0][v] {
+			t.Fatalf("community node %d: %v, library %v", v, p, comms[0][v])
 		}
 	}
 }

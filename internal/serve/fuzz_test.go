@@ -8,153 +8,125 @@ import (
 	"testing"
 )
 
-// FuzzParseMaximizeQuery hammers the /maximize query parser: for
-// arbitrary k/community/cond/samples/roots/seed strings,
-// parseMaximizeQuery must either reject with a 4xx *httpError or return
-// a canonical query — budget in range, community strictly sorted,
-// distinct, in range, with a targetsKey ParseSources round-trips, pool
-// size within the sketch budget — and must never panic.
-func FuzzParseMaximizeQuery(f *testing.F) {
+// FuzzParseQuery hammers the one query parser over all four endpoints.
+// kind picks the endpoint (mod 4: /flow, /community, /impact,
+// /maximize); first and second fill its own two parameters (source and
+// sink; source and top; sources and mode; k and community), and roots
+// reaches /maximize only. For arbitrary strings parseQuery must either
+// reject with a 4xx *httpError or return a query of the asked kind that
+// holds every bound it promises — nodes in range; a node set strictly
+// sorted, distinct and keyed by a string ParseSources round-trips; a
+// budget, top, mode, sample count and pool within their limits; at most
+// maxConds in-range conditions, none under mode=analytic; a positive
+// timeout — and must never panic.
+func FuzzParseQuery(f *testing.F) {
 	s, err := NewServer(Config{Models: []Model{{Name: "m", ICM: serveDAG(5, 12, 25)}}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	defer s.Drain()
-	f.Add("1", "", "", "", "", "")
-	f.Add("3", "2,0,2", "1>2=1", "64", "256", "9")
-	f.Add(" 5 ", " 1 , 4 ", "", "", "64", "")
-	f.Add("12", "0,1,2,3", "0>1=0,2>3=1", "256", "256", "18446744073709551615")
-	f.Add("-1", "-3", "x", "-5", "100", "boom")
-	f.Add("9999999999999999999999", "", "", "1000000", "1024", "")
-	f.Fuzz(func(t *testing.T, k, community, cond, samples, roots, seed string) {
+	f.Add(uint8(kindImpact), "0", "", "", "", "", "", "")
+	f.Add(uint8(kindImpact), "3,1,3", "auto", "1>2=1", "500", "", "9", "")
+	f.Add(uint8(kindImpact), " 2 , 5 ", "analytic", "", "", "", "", "")
+	f.Add(uint8(kindImpact), "1,2,4", "sampled", "0>1=0,2>3=1", "50000", "", "18446744073709551615", "")
+	f.Add(uint8(kindImpact), "-1", "psychic", "x", "-5", "", "boom", "")
+	f.Add(uint8(kindImpact), "9999999999999999999999", "", "", "", "", "", "")
+	f.Add(uint8(kindMaximize), "1", "", "", "", "", "", "")
+	f.Add(uint8(kindMaximize), "3", "2,0,2", "1>2=1", "64", "256", "9", "")
+	f.Add(uint8(kindMaximize), " 5 ", " 1 , 4 ", "", "", "64", "", "")
+	f.Add(uint8(kindMaximize), "12", "0,1,2,3", "0>1=0,2>3=1", "256", "256", "18446744073709551615", "")
+	f.Add(uint8(kindMaximize), "-1", "-3", "x", "-5", "100", "boom", "")
+	f.Add(uint8(kindMaximize), "9999999999999999999999", "", "", "1000000", "1024", "", "")
+	f.Add(uint8(kindFlow), "0", "11", "3>4=1", "100", "", "7", "2s")
+	f.Add(uint8(kindFlow), "12", "-1", "", "0", "", "", "-1s")
+	f.Add(uint8(kindCommunity), "4", "3", "2>2=0", "", "", "", "")
+	f.Add(uint8(kindCommunity), " 4", "99999999999999999999", "", "60000", "64", "", "1h")
+	f.Fuzz(func(t *testing.T, kindByte uint8, first, second, cond, samples, roots, seed, timeout string) {
+		kind := queryKind(kindByte % 4)
+		params := [...][2]string{
+			kindFlow:      {"source", "sink"},
+			kindCommunity: {"source", "top"},
+			kindImpact:    {"sources", "mode"},
+			kindMaximize:  {"k", "community"},
+		}[kind]
 		vals := url.Values{}
-		vals.Set("k", k)
-		if community != "" {
-			vals.Set("community", community)
+		for name, v := range map[string]string{
+			params[0]: first, params[1]: second,
+			"cond": cond, "samples": samples, "roots": roots, "seed": seed, "timeout": timeout,
+		} {
+			if v != "" {
+				vals.Set(name, v)
+			}
 		}
-		if cond != "" {
-			vals.Set("cond", cond)
-		}
-		if samples != "" {
-			vals.Set("samples", samples)
-		}
-		if roots != "" {
-			vals.Set("roots", roots)
-		}
-		if seed != "" {
-			vals.Set("seed", seed)
-		}
-		req := httptest.NewRequest("GET", "/maximize?"+vals.Encode(), nil)
-		q, herr := s.parseMaximizeQuery(req)
+		paths := [...]string{kindFlow: "/flow", kindCommunity: "/community", kindImpact: "/impact", kindMaximize: "/maximize"}
+		req := httptest.NewRequest("GET", paths[kind]+"?"+vals.Encode(), nil)
+		q, herr := s.parseQuery(req, kind)
 		if herr != nil {
 			if herr.status < 400 || herr.status > 499 {
 				t.Fatalf("parse error with non-4xx status %d: %s", herr.status, herr.msg)
 			}
 			return
 		}
-		n := q.model.ICM.NumNodes()
-		if q.k <= 0 || q.k > n {
-			t.Fatalf("accepted k %d outside [1, %d]", q.k, n)
+		if q.kind != kind {
+			t.Fatalf("parsed a %d request as kind %d", kind, q.kind)
 		}
-		for i, v := range q.targets {
+		n := q.model.ICM.NumNodes()
+		if int(q.source) < 0 || int(q.source) >= n || int(q.sink) < 0 || int(q.sink) >= n {
+			t.Fatalf("accepted source %d / sink %d out of range [0, %d)", q.source, q.sink, n)
+		}
+		for i, v := range q.nodes {
 			if int(v) < 0 || int(v) >= n {
-				t.Fatalf("accepted target %d out of range [0, %d)", v, n)
+				t.Fatalf("accepted node %d out of range [0, %d)", v, n)
 			}
-			if i > 0 && q.targets[i-1] >= v {
-				t.Fatalf("targets not strictly sorted: %v", q.targets)
-			}
-		}
-		if (q.targetsKey == "") != (q.targets == nil) {
-			t.Fatalf("targetsKey %q inconsistent with targets %v", q.targetsKey, q.targets)
-		}
-		if q.targetsKey != "" {
-			round, err := ParseSources(q.targetsKey)
-			if err != nil || len(round) != len(q.targets) {
-				t.Fatalf("targetsKey %q does not round-trip (%v, %v)", q.targetsKey, round, err)
-			}
-			for i := range round {
-				if round[i] != q.targets[i] {
-					t.Fatalf("targetsKey %q round-trips to %v, want %v", q.targetsKey, round, q.targets)
-				}
+			if i > 0 && q.nodes[i-1] >= v {
+				t.Fatalf("nodes not strictly sorted: %v", q.nodes)
 			}
 		}
-		if q.roots <= 0 || q.roots%64 != 0 {
-			t.Fatalf("accepted roots %d (want a positive multiple of 64)", q.roots)
+		if (q.nodesKey == "") != (q.nodes == nil) {
+			t.Fatalf("nodesKey %q inconsistent with nodes %v", q.nodesKey, q.nodes)
 		}
-		if q.chain.Samples <= 0 || q.chain.Samples*q.roots > s.cfg.MaxSketchSets {
-			t.Fatalf("accepted pool %d x %d past the %d-set budget", q.chain.Samples, q.roots, s.cfg.MaxSketchSets)
-		}
-	})
-}
-
-// FuzzParseImpactQuery hammers the /impact query parser: for arbitrary
-// sources/mode/cond/samples/seed strings, parseQuery must either reject
-// with an *httpError or return a canonical query — sources strictly
-// sorted, distinct, in range, with a sourcesKey that ParseSources
-// round-trips to the same set — and must never panic.
-func FuzzParseImpactQuery(f *testing.F) {
-	s, err := NewServer(Config{Models: []Model{{Name: "m", ICM: serveDAG(5, 12, 25)}}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	defer s.Drain()
-	f.Add("0", "", "", "", "")
-	f.Add("3,1,3", "auto", "1>2=1", "500", "9")
-	f.Add(" 2 , 5 ", "analytic", "", "", "")
-	f.Add("1,2,4", "sampled", "0>1=0,2>3=1", "50000", "18446744073709551615")
-	f.Add("-1", "psychic", "x", "-5", "boom")
-	f.Add("9999999999999999999999", "", "", "", "")
-	f.Fuzz(func(t *testing.T, sources, mode, cond, samples, seed string) {
-		vals := url.Values{}
-		vals.Set("sources", sources)
-		if mode != "" {
-			vals.Set("mode", mode)
-		}
-		if cond != "" {
-			vals.Set("cond", cond)
-		}
-		if samples != "" {
-			vals.Set("samples", samples)
-		}
-		if seed != "" {
-			vals.Set("seed", seed)
-		}
-		req := httptest.NewRequest("GET", "/impact?"+vals.Encode(), nil)
-		q, herr := s.parseQuery(req, kindImpact)
-		if herr != nil {
-			if herr.status < 400 || herr.status > 499 {
-				t.Fatalf("parse error with non-4xx status %d: %s", herr.status, herr.msg)
-			}
-			return
-		}
-		n := q.model.ICM.NumNodes()
-		if len(q.sources) == 0 {
-			t.Fatal("accepted query has no sources")
-		}
-		for i, src := range q.sources {
-			if int(src) < 0 || int(src) >= n {
-				t.Fatalf("accepted source %d out of range [0, %d)", src, n)
-			}
-			if i > 0 && q.sources[i-1] >= src {
-				t.Fatalf("sources not strictly sorted: %v", q.sources)
+		if q.nodesKey != "" {
+			round, err := ParseSources(q.nodesKey)
+			if err != nil || !slices.Equal(round, q.nodes) {
+				t.Fatalf("nodesKey %q round-trips to %v (%v), want %v", q.nodesKey, round, err, q.nodes)
 			}
 		}
-		if q.mode != "auto" && q.mode != "analytic" && q.mode != "sampled" {
-			t.Fatalf("accepted mode %q", q.mode)
+		if len(q.conds) > maxConds || CheckConds(q.conds, n) != nil {
+			t.Fatalf("accepted conditions %v", q.conds)
 		}
-		round, err := ParseSources(q.sourcesKey)
-		if err != nil {
-			t.Fatalf("sourcesKey %q does not re-parse: %v", q.sourcesKey, err)
+		if q.timeout <= 0 {
+			t.Fatalf("accepted timeout %v", q.timeout)
 		}
-		if len(round) != len(q.sources) {
-			t.Fatalf("sourcesKey %q round-trips to %d sources, want %d", q.sourcesKey, len(round), len(q.sources))
-		}
-		for i := range round {
-			if round[i] != q.sources[i] {
-				t.Fatalf("sourcesKey %q round-trips to %v, want %v", q.sourcesKey, round, q.sources)
+		switch kind {
+		case kindFlow, kindCommunity:
+			if q.nodes != nil {
+				t.Fatalf("a %s query carries nodes %v", paths[kind], q.nodes)
+			}
+			if kind == kindCommunity && q.top <= 0 {
+				t.Fatalf("accepted top %d", q.top)
+			}
+		case kindImpact:
+			if len(q.nodes) == 0 {
+				t.Fatal("accepted query has no sources")
+			}
+			if q.mode != "auto" && q.mode != "analytic" && q.mode != "sampled" {
+				t.Fatalf("accepted mode %q", q.mode)
+			}
+			if q.mode == "analytic" && len(q.conds) > 0 {
+				t.Fatalf("accepted cond %q under mode=analytic", q.condKey)
+			}
+		case kindMaximize:
+			if q.k <= 0 || q.k > n {
+				t.Fatalf("accepted k %d outside [1, %d]", q.k, n)
+			}
+			if q.roots <= 0 || q.roots%64 != 0 {
+				t.Fatalf("accepted roots %d (want a positive multiple of 64)", q.roots)
+			}
+			if q.opts.Samples <= 0 || q.opts.Samples*q.roots > maxSketchSets {
+				t.Fatalf("accepted pool %d x %d past the %d-set budget", q.opts.Samples, q.roots, maxSketchSets)
 			}
 		}
-		if q.opts.Samples <= 0 || q.opts.Samples > s.cfg.MaxSamples {
+		if kind != kindMaximize && (q.opts.Samples <= 0 || q.opts.Samples > s.cfg.MaxSamples) {
 			t.Fatalf("accepted samples %d outside (0, %d]", q.opts.Samples, s.cfg.MaxSamples)
 		}
 	})

@@ -395,3 +395,62 @@ func TestServerImpactCachedBodyIdentical(t *testing.T) {
 		t.Errorf("%d cached laws, want the analytic and the sampled one", laws)
 	}
 }
+
+// TestServerImpactDrain pins /impact during a drain. A cached exact law
+// and, under mode=analytic, a cached inexact one are still served, as is
+// a cached sampled law that mode=auto falls through to. Work that would
+// compute gets 503: mode=auto on a cached inexact law with no sampled
+// answer cached joins the refused batcher, and an uncached or
+// intractable source set would run the analytic engine.
+func TestServerImpactDrain(t *testing.T) {
+	srv, _, _ := startServer(t, func(c *Config) {
+		c.Models = []Model{
+			{Name: "dag", ICM: serveDAG(7, 20, 40)},
+			{Name: "cyclic", ICM: serveICM(3, 20, 60)},
+			{Name: "wide", ICM: serveWideDAG(20)},
+		}
+		c.Clock, c.Window = RealClock(), time.Millisecond
+	})
+	before := []string{
+		"/impact?model=dag&sources=2,5",
+		"/impact?model=cyclic&sources=1&mode=analytic",
+		"/impact?model=cyclic&sources=0&samples=40&seed=3",
+	}
+	bodies := make(map[string][]byte)
+	for _, url := range before {
+		rec := serveDirect(srv, url)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s before the drain: status %d: %s", url, rec.Code, rec.Body)
+		}
+		bodies[url] = rec.Body.Bytes()
+	}
+	srv.Drain()
+	for _, url := range before {
+		rec := serveDirect(srv, url)
+		if rec.Code != http.StatusOK {
+			t.Errorf("%s after the drain: status %d, want 200 from the cache: %s", url, rec.Code, rec.Body)
+			continue
+		}
+		sameCachedBodies(t, url, bodies[url], rec.Body.Bytes())
+	}
+	analytic := srv.Metrics().ImpactAnalytic.Load()
+	for _, url := range []string{
+		"/impact?model=cyclic&sources=1",
+		"/impact?model=dag&sources=3",
+		"/impact?model=dag&sources=3&mode=analytic",
+		"/impact?model=wide&sources=0&mode=analytic",
+		"/impact?model=wide&sources=0",
+	} {
+		rec := serveDirect(srv, url)
+		var body map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusServiceUnavailable || body["error"] != ErrDraining.Error() {
+			t.Errorf("%s after the drain: status %d %q, want 503 %q", url, rec.Code, body["error"], ErrDraining)
+		}
+	}
+	if got := srv.Metrics().ImpactAnalytic.Load(); got != analytic {
+		t.Errorf("refused requests counted %d analytic answers", got-analytic)
+	}
+}

@@ -47,8 +47,7 @@ func TestServerMaximize(t *testing.T) {
 	if resp.Cached || resp.K != 3 || resp.Seed != 5 {
 		t.Fatalf("k/seed/cached = %d/%d/%v, want 3/5/false", resp.K, resp.Seed, resp.Cached)
 	}
-	chain := mh.DefaultOptions(m.NumEdges())
-	chain.Samples = srv.cfg.DefaultSketchSamples
+	chain := influence.DefaultSketchOptions(m.NumEdges()).Chain
 	want, pool, err := influence.Maximize(m, 3, nil, nil,
 		influence.SketchOptions{Chain: chain, RootsPerSample: mh.DefaultRootsPerSample}, rng.New(5))
 	if err != nil {
@@ -110,8 +109,7 @@ func TestServerMaximizeMembersMetric(t *testing.T) {
 			t.Fatalf("status %d: %+v", status, resp)
 		}
 	}
-	chain := mh.DefaultOptions(m.NumEdges())
-	chain.Samples = srv.cfg.DefaultSketchSamples
+	chain := influence.DefaultSketchOptions(m.NumEdges()).Chain
 	pool, err := mh.BuildRRPool(m, []graph.NodeID{1, 4, 6, 9, 12}, nil, mh.DefaultRootsPerSample, 0, chain, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +190,7 @@ func TestServerMaximizeErrors(t *testing.T) {
 		{"model=m&k=2&community=+", http.StatusBadRequest},               // malformed target list
 		{"model=m&k=2&roots=100", http.StatusBadRequest},                 // roots not a multiple of 64
 		{"model=m&k=2&samples=0", http.StatusBadRequest},                 // non-positive samples
-		{"model=m&k=2&samples=1000000", http.StatusBadRequest},           // pool over MaxSketchSets
+		{"model=m&k=2&samples=1000000", http.StatusBadRequest},           // pool over maxSketchSets
 		{"model=m&k=2&cond=0>99=1", http.StatusBadRequest},               // cond node out of range
 		{"model=m&k=2&cond=4294967296>1=1", http.StatusBadRequest},       // cond id past int32
 		{"model=m&k=2&timeout=-1s", http.StatusBadRequest},               // negative deadline
@@ -237,9 +235,9 @@ func TestServerMaximizeSeedSensitivity(t *testing.T) {
 // TestMaximizeCacheKeyIsThePool guards the key itself: it names the RR
 // pool, so every pool input is part of it and the budget k is not.
 func TestMaximizeCacheKeyIsThePool(t *testing.T) {
-	base := maximizeQuery{
-		model: Model{Name: "m", Digest: "d"}, k: 2, targetsKey: "1,2", condKey: "0>1=1",
-		chain: mh.Options{BurnIn: 1, Thin: 2, Samples: 3}, roots: 64, seed: 1,
+	base := query{
+		model: Model{Name: "m", Digest: "d"}, kind: kindMaximize, k: 2, nodesKey: "1,2", condKey: "0>1=1",
+		opts: mh.Options{BurnIn: 1, Thin: 2, Samples: 3}, roots: 64, seed: 1,
 	}
 	key := base.cacheKey()
 	otherK := base
@@ -247,15 +245,15 @@ func TestMaximizeCacheKeyIsThePool(t *testing.T) {
 	if otherK.cacheKey() != key {
 		t.Errorf("the budget changes the pool key: %q vs %q", otherK.cacheKey(), key)
 	}
-	for name, vary := range map[string]func(q *maximizeQuery){
-		"model":     func(q *maximizeQuery) { q.model.Digest = "e" },
-		"community": func(q *maximizeQuery) { q.targetsKey = "1,3" },
-		"cond":      func(q *maximizeQuery) { q.condKey = "0>1=0" },
-		"burn-in":   func(q *maximizeQuery) { q.chain.BurnIn++ },
-		"thin":      func(q *maximizeQuery) { q.chain.Thin++ },
-		"samples":   func(q *maximizeQuery) { q.chain.Samples++ },
-		"roots":     func(q *maximizeQuery) { q.roots += 64 },
-		"seed":      func(q *maximizeQuery) { q.seed++ },
+	for name, vary := range map[string]func(q *query){
+		"model":     func(q *query) { q.model.Digest = "e" },
+		"community": func(q *query) { q.nodesKey = "1,3" },
+		"cond":      func(q *query) { q.condKey = "0>1=0" },
+		"burn-in":   func(q *query) { q.opts.BurnIn++ },
+		"thin":      func(q *query) { q.opts.Thin++ },
+		"samples":   func(q *query) { q.opts.Samples++ },
+		"roots":     func(q *query) { q.roots += 64 },
+		"seed":      func(q *query) { q.seed++ },
 	} {
 		q := base
 		vary(&q)
@@ -291,8 +289,7 @@ func TestServerMaximizeBudgetsShareOnePool(t *testing.T) {
 		c.Models = []Model{{Name: "m", ICM: serveDAG(7, 20, 40)}}
 	})
 	m := srv.models["m"].ICM
-	chain := mh.DefaultOptions(m.NumEdges())
-	chain.Samples = srv.cfg.DefaultSketchSamples
+	chain := influence.DefaultSketchOptions(m.NumEdges()).Chain
 	opts := influence.SketchOptions{Chain: chain, RootsPerSample: mh.DefaultRootsPerSample}
 	for i, tc := range []struct {
 		seed    uint64
@@ -338,8 +335,7 @@ func TestServerMaximizeEveryBudget(t *testing.T) {
 		{"hub", "&community=1,2,3,4,6", []graph.NodeID{1, 2, 3, 4, 6}, nil},
 	} {
 		m := srv.models[tc.model].ICM
-		chain := mh.DefaultOptions(m.NumEdges())
-		chain.Samples = srv.cfg.DefaultSketchSamples
+		chain := influence.DefaultSketchOptions(m.NumEdges()).Chain
 		opts := influence.SketchOptions{Chain: chain, RootsPerSample: mh.DefaultRootsPerSample}
 		for k := 1; k <= m.NumNodes(); k++ {
 			var resp maximizeResponse

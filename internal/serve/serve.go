@@ -21,6 +21,11 @@
 // chain at all, and mode=auto falls back to the batched MH estimator
 // only when the analytic engine cannot be exact.
 //
+// Every endpoint takes one request path (serveQuery): parseQuery reads
+// its parameters in one order into one query type, the answer comes from
+// the cache or from its computation in the one form the cache keeps
+// (flowResult), and the handler renders hits and misses alike from it.
+//
 // Determinism contract: batching, caching, kept chain starts and
 // co-batched cancellation never change a query's answer. The chain's
 // randomness is independent of the lane set, so a request's estimate is
@@ -46,6 +51,7 @@ import (
 
 	"infoflow/internal/core"
 	"infoflow/internal/graph"
+	"infoflow/internal/influence"
 	"infoflow/internal/mh"
 	"infoflow/internal/sizedist"
 )
@@ -83,20 +89,13 @@ type Config struct {
 	// chain starts, which startBudget bounds in bytes as well; negative
 	// keeps none.
 	CacheSize int
-	// DefaultSamples / MaxSamples bound the ?samples= parameter
-	// (defaults 2000 / 50000).
+	// DefaultSamples / MaxSamples bound the ?samples= parameter of the
+	// batched endpoints (defaults 2000 / 50000). /maximize defaults to
+	// influence.DefaultSketchOptions instead, bounded by maxSketchSets:
+	// RR roots average over states, so far fewer chain samples are
+	// needed than a point estimate wants.
 	DefaultSamples int
 	MaxSamples     int
-	// DefaultSketchSamples is the thinned chain sample count /maximize
-	// draws RR roots from when ?samples= is absent (default 64; RR roots
-	// average over states, so far fewer chain samples are needed than a
-	// point estimate wants).
-	DefaultSketchSamples int
-	// MaxSketchSets bounds the /maximize pool size: ?samples= times
-	// ?roots= may not exceed it (default 65536). A pool's cover holds
-	// 4 bytes per (node, set) membership, and never more than one bit
-	// per (node, set) pair plus a fixed header per node.
-	MaxSketchSets int
 	// DefaultSeed is the chain seed when ?seed= is absent (default 1).
 	DefaultSeed uint64
 	// DefaultTimeout is the per-request deadline when ?timeout= is
@@ -131,12 +130,6 @@ func (c *Config) applyDefaults() {
 	if c.MaxSamples <= 0 {
 		c.MaxSamples = 50000
 	}
-	if c.DefaultSketchSamples <= 0 {
-		c.DefaultSketchSamples = 64
-	}
-	if c.MaxSketchSets <= 0 {
-		c.MaxSketchSets = 65536
-	}
 	if c.DefaultSeed == 0 {
 		c.DefaultSeed = 1
 	}
@@ -153,6 +146,12 @@ func (c *Config) applyDefaults() {
 // 115 KB, almost all of it the proposal tree's partial sums, so the
 // budget keeps about 140 starts.
 const startBudget = 16 << 20
+
+// maxSketchSets bounds the /maximize pool size: ?samples= times ?roots=
+// may not exceed it. A pool's cover holds 4 bytes per (node, set)
+// membership, and never more than one bit per (node, set) pair plus a
+// fixed header per node.
+const maxSketchSets = 65536
 
 // Server routes flow queries into the batcher. Build with NewServer,
 // mount via Handler, stop with Drain.
@@ -230,31 +229,35 @@ func (s *Server) Drain() {
 	s.batcher.drain()
 }
 
-// refuseDraining writes a 503 and reports true once Drain has begun. The
-// handlers that compute synchronously call it before computing, as the
-// batcher refuses joins.
-func (s *Server) refuseDraining(w http.ResponseWriter) bool {
+// refuseDraining returns the 503 a request that would compute gets once
+// Drain has begun, and nil before. The analytic /impact front and
+// /maximize, which compute in the handler, call it before computing, as
+// the batcher refuses joins.
+func (s *Server) refuseDraining() *httpError {
 	if !s.draining.Load() {
-		return false
+		return nil
 	}
-	writeError(w, &httpError{status: http.StatusServiceUnavailable, msg: ErrDraining.Error()})
-	return true
+	return &httpError{status: http.StatusServiceUnavailable, msg: ErrDraining.Error()}
 }
 
-// query carries one parsed, validated request.
+// query carries one parsed, validated request of any kind. A kind reads
+// only its own fields and leaves the others zero.
 type query struct {
-	model      Model
-	kind       queryKind
-	source     graph.NodeID
-	sink       graph.NodeID // kindFlow only
-	sources    []graph.NodeID
-	sourcesKey string // kindImpact: canonical (sorted distinct) source set
-	mode       string // kindImpact: "auto" | "analytic" | "sampled"
-	conds      []core.FlowCondition
-	condKey    string
-	opts       mh.Options
-	seed       uint64
-	timeout    time.Duration
+	model    Model
+	kind     queryKind
+	source   graph.NodeID   // kindFlow, kindCommunity
+	sink     graph.NodeID   // kindFlow
+	nodes    []graph.NodeID // kindImpact: the source set; kindMaximize: the community, nil for every node
+	nodesKey string         // canonical (sorted distinct) form of nodes
+	mode     string         // kindImpact: "auto" | "analytic" | "sampled"
+	top      int            // kindCommunity: how many nodes to list
+	k        int            // kindMaximize: the seed budget
+	roots    int            // kindMaximize: RR roots per thinned sample
+	conds    []core.FlowCondition
+	condKey  string
+	opts     mh.Options
+	seed     uint64
+	timeout  time.Duration
 }
 
 // httpError is a client-side parse/validation failure with its status.
@@ -269,8 +272,13 @@ func badRequest(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// parseQuery extracts and validates the parameters shared by /flow and
-// /community.
+// parseQuery extracts and validates a request of the given kind. Every
+// endpoint reads its parameters in one order, so of several bad
+// parameters the first in it decides the error: model; the endpoint's
+// own query (source and sink; source; sources and mode; or k and
+// community); cond; samples, and roots for /maximize; seed; timeout;
+// then /community's top and /impact's refusal to condition an analytic
+// law.
 func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError) {
 	q := &query{kind: kind}
 	vals := r.URL.Query()
@@ -304,34 +312,9 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 		return graph.NodeID(v), nil
 	}
 	var herr *httpError
-	if kind == kindImpact {
-		srcs, err := ParseSources(vals.Get("sources"))
-		if err != nil {
-			return nil, badRequest("sources: %v", err)
-		}
-		if len(srcs) == 0 {
-			return nil, badRequest("sources parameter required")
-		}
-		for _, src := range srcs {
-			if int(src) < 0 || int(src) >= n {
-				return nil, badRequest("sources: node %d out of range [0, %d)", src, n)
-			}
-		}
-		// Canonical sorted-distinct form: the impact law depends only on
-		// the SET, so "3,1,3" and "1,3" share a lane and a cache line.
-		distinct, _ := core.DedupSources(n, srcs)
-		sort.Slice(distinct, func(i, j int) bool { return distinct[i] < distinct[j] })
-		q.sources = distinct
-		q.sourcesKey = sourcesKey(distinct)
-		switch mode := vals.Get("mode"); mode {
-		case "", "auto":
-			q.mode = "auto"
-		case "analytic", "sampled":
-			q.mode = mode
-		default:
-			return nil, badRequest("mode %q: want auto, analytic, or sampled", mode)
-		}
-	} else {
+	var err error
+	switch kind {
+	case kindFlow, kindCommunity:
 		if q.source, herr = node("source"); herr != nil {
 			return nil, herr
 		}
@@ -340,20 +323,79 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 				return nil, herr
 			}
 		}
+	case kindImpact:
+		if q.nodes, q.nodesKey, herr = parseNodeSet(vals.Get("sources"), "sources", n); herr != nil {
+			return nil, herr
+		}
+		if len(q.nodes) == 0 {
+			return nil, badRequest("sources parameter required")
+		}
+		switch mode := vals.Get("mode"); mode {
+		case "", "auto":
+			q.mode = "auto"
+		case "analytic", "sampled":
+			q.mode = mode
+		default:
+			return nil, badRequest("mode %q: want auto, analytic, or sampled", mode)
+		}
+	case kindMaximize:
+		raw := vals.Get("k")
+		if raw == "" {
+			return nil, badRequest("k parameter required")
+		}
+		if q.k, err = strconv.Atoi(raw); err != nil {
+			return nil, badRequest("k: %v", err)
+		}
+		if q.k <= 0 || q.k > n {
+			return nil, badRequest("k %d out of range [1, %d]", q.k, n)
+		}
+		if raw := vals.Get("community"); raw != "" {
+			if q.nodes, q.nodesKey, herr = parseNodeSet(raw, "community", n); herr != nil {
+				return nil, herr
+			}
+			if len(q.nodes) == 0 {
+				return nil, badRequest("community parameter must name at least one node")
+			}
+		}
 	}
 
 	if q.conds, q.condKey, herr = parseCondParam(vals.Get("cond"), n); herr != nil {
 		return nil, herr
 	}
 
-	samples := s.cfg.DefaultSamples
-	var err error
+	// The chain schedule is the one a library caller would use for this
+	// model, so a single-request batch is bit-identical to scalar
+	// mh.FlowProb, and a /maximize selection to influence.Maximize with
+	// the same schedule and seed.
+	q.opts = mh.DefaultOptions(m.ICM.NumEdges())
+	q.opts.Samples = s.cfg.DefaultSamples
+	if kind == kindMaximize {
+		sketch := influence.DefaultSketchOptions(m.ICM.NumEdges())
+		q.opts, q.roots = sketch.Chain, sketch.RootsPerSample
+	}
 	if raw := vals.Get("samples"); raw != "" {
-		if samples, err = strconv.Atoi(raw); err != nil {
+		if q.opts.Samples, err = strconv.Atoi(raw); err != nil {
 			return nil, badRequest("samples: %v", err)
 		}
-		if samples <= 0 || samples > s.cfg.MaxSamples {
+		switch samples := q.opts.Samples; {
+		case kind == kindMaximize && samples <= 0:
+			return nil, badRequest("samples %d must be positive", samples)
+		case kind != kindMaximize && (samples <= 0 || samples > s.cfg.MaxSamples):
 			return nil, badRequest("samples %d out of range [1, %d]", samples, s.cfg.MaxSamples)
+		}
+	}
+	if kind == kindMaximize {
+		if raw := vals.Get("roots"); raw != "" {
+			if q.roots, err = strconv.Atoi(raw); err != nil {
+				return nil, badRequest("roots: %v", err)
+			}
+			if q.roots <= 0 || q.roots%mh.LaneWidth != 0 {
+				return nil, badRequest("roots %d must be a positive multiple of %d", q.roots, mh.LaneWidth)
+			}
+		}
+		if sets := q.opts.Samples * q.roots; sets > maxSketchSets || sets/q.roots != q.opts.Samples {
+			return nil, badRequest("samples %d x roots %d exceeds the sketch budget of %d RR sets",
+				q.opts.Samples, q.roots, maxSketchSets)
 		}
 	}
 	q.seed = s.cfg.DefaultSeed
@@ -372,12 +414,38 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 		}
 	}
 
-	// Chain schedule matches what a scalar mh.FlowProb caller would use
-	// for this model, so single-request batches are bit-identical to the
-	// library answer.
-	q.opts = mh.DefaultOptions(m.ICM.NumEdges())
-	q.opts.Samples = samples
+	if kind == kindCommunity {
+		q.top = 10
+		if raw := vals.Get("top"); raw != "" {
+			if q.top, err = strconv.Atoi(raw); err != nil || q.top <= 0 {
+				return nil, badRequest("top must be a positive integer")
+			}
+		}
+	}
+	if q.mode == "analytic" && len(q.conds) > 0 {
+		return nil, badRequest("mode=analytic does not support cond: the analytic engine computes the unconditional law")
+	}
 	return q, nil
+}
+
+// parseNodeSet parses the node list named param for a model of n nodes
+// into canonical sorted-distinct form and its key. The answers that read
+// a set depend on the SET, so "3,1,3" and "1,3" share a lane and a cache
+// line. An empty list parses to an empty set; whether it is allowed is
+// the caller's call.
+func parseNodeSet(raw, param string, n int) ([]graph.NodeID, string, *httpError) {
+	nodes, err := ParseSources(raw)
+	if err != nil {
+		return nil, "", badRequest("%s: %v", param, err)
+	}
+	for _, v := range nodes {
+		if int(v) < 0 || int(v) >= n {
+			return nil, "", badRequest("%s: node %d out of range [0, %d)", param, v, n)
+		}
+	}
+	distinct, _ := core.DedupSources(n, nodes)
+	sort.Slice(distinct, func(i, j int) bool { return distinct[i] < distinct[j] })
+	return distinct, sourcesKey(distinct), nil
 }
 
 func (q *query) batchKey() batchKey {
@@ -392,47 +460,82 @@ func (q *query) batchKey() batchKey {
 	}
 }
 
+// cacheKey names q's cached answer, in one layout for every endpoint:
+// the model digest, the kind, the query's nodes, its conditions and
+// every chain input the answer is a function of. A kind leaves the
+// fields it does not read at zero. It leaves out what only shapes the
+// rendering: /community's top, and /maximize's k, since every budget's
+// selection is a prefix of the pool's one greedy ranking.
 func (q *query) cacheKey() string {
-	switch q.kind {
-	case kindCommunity:
-		return fmt.Sprintf("%s|community|%d|%d|%s|%d|%d|%d|%d",
-			q.model.Digest, q.source, q.sink, q.condKey,
-			q.opts.BurnIn, q.opts.Thin, q.opts.Samples, q.seed)
-	case kindImpact:
-		return fmt.Sprintf("%s|impact|%s|%s|%d|%d|%d|%d",
-			q.model.Digest, q.sourcesKey, q.condKey,
-			q.opts.BurnIn, q.opts.Thin, q.opts.Samples, q.seed)
-	default:
-		return fmt.Sprintf("%s|flow|%d|%d|%s|%d|%d|%d|%d",
-			q.model.Digest, q.source, q.sink, q.condKey,
-			q.opts.BurnIn, q.opts.Thin, q.opts.Samples, q.seed)
-	}
+	return fmt.Sprintf("%s|%d|%d|%d|%s|%s|%d|%d|%d|%d|%d",
+		q.model.Digest, q.kind, q.source, q.sink, q.nodesKey, q.condKey,
+		q.opts.BurnIn, q.opts.Thin, q.opts.Samples, q.roots, q.seed)
 }
 
 // analyticCacheKey keys the analytic /impact path: the exact law depends
 // only on the model and the source set — no chain schedule, seed, or
-// sample count — so analytic entries are shared across all of them.
+// sample count — so analytic entries are shared across all of them. It
+// is cacheKey with every chain field zero, which no sampled key is: a
+// parsed query draws at least one sample.
 func (q *query) analyticCacheKey() string {
-	return fmt.Sprintf("%s|impact-analytic|%s", q.model.Digest, q.sourcesKey)
+	law := query{model: q.model, kind: kindImpact, nodesKey: q.nodesKey}
+	return law.cacheKey()
+}
+
+// serveQuery is every endpoint's request path: it parses a request of
+// the given kind and answers it — /impact from the analytic engine when
+// its verdict applies (see analyticImpact), anything else from the cache
+// or its computation (see answer). On failure it writes the error and
+// reports false; on success the handler renders the answer.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind queryKind) (*query, flowResult, bool) {
+	q, herr := s.parseQuery(r, kind)
+	var res flowResult
+	if herr == nil && kind == kindImpact {
+		res, herr = s.analyticImpact(q)
+	}
+	if herr == nil && res.Answer == nil {
+		res, herr = s.answer(r, q)
+	}
+	if herr != nil {
+		writeError(w, herr)
+		return nil, flowResult{}, false
+	}
+	return q, res, true
+}
+
+// answer returns q's answer in the form the cache keeps: the cached one
+// on a hit, else one computed under q's deadline — by q's batch, or for
+// /maximize by building and ranking its pool in the handler.
+func (s *Server) answer(r *http.Request, q *query) (flowResult, *httpError) {
+	key := q.cacheKey()
+	if v, ok := s.cache.Get(key); ok {
+		s.metrics.CacheHits.Add(1)
+		return flowResult{Answer: v, Cached: true}, nil
+	}
+	s.metrics.CacheMisses.Add(1)
+	ctx, cancel := context.WithTimeout(r.Context(), q.timeout)
+	defer cancel()
+	if q.kind == kindMaximize {
+		return s.maximize(ctx, q, key)
+	}
+	return s.dispatch(ctx, q, key)
 }
 
 // dispatch joins the query's batch and waits for its result or the
 // request deadline; returned *httpError is ready to write.
-func (s *Server) dispatch(r *http.Request, q *query) (flowResult, *httpError) {
-	ctx, cancel := context.WithTimeout(r.Context(), q.timeout)
-	defer cancel()
+func (s *Server) dispatch(ctx context.Context, q *query, key string) (flowResult, *httpError) {
 	pair := mh.FlowPair{Source: q.source, Sink: q.sink}
 	if q.kind == kindCommunity {
 		pair.Sink = q.source
 	}
-	m, err := s.batcher.join(ctx, q.batchKey(), q.model.ICM, q.conds, pair, q.sources, q.sourcesKey, q.cacheKey())
+	m, err := s.batcher.join(ctx, q.batchKey(), q.model.ICM, q.conds, pair, q.nodes, q.nodesKey, key)
 	if err != nil {
 		return flowResult{}, &httpError{status: http.StatusServiceUnavailable, msg: err.Error()}
 	}
 	select {
 	case res := <-m.done:
 		if res.Err != nil {
-			return flowResult{}, s.mapBatchError(ctx, res.Err)
+			return flowResult{}, s.mapError(ctx, res.Err)
 		}
 		return res, nil
 	case <-ctx.Done():
@@ -442,7 +545,9 @@ func (s *Server) dispatch(r *http.Request, q *query) (flowResult, *httpError) {
 	}
 }
 
-func (s *Server) mapBatchError(ctx context.Context, err error) *httpError {
+// mapError maps a failed computation, batched or run in the handler,
+// to its status; ctx is the request's.
+func (s *Server) mapError(ctx context.Context, err error) *httpError {
 	switch {
 	case errors.Is(err, mh.ErrInterrupted) && ctx.Err() != nil:
 		s.metrics.Timeouts.Add(1)
@@ -456,46 +561,38 @@ func (s *Server) mapBatchError(ctx context.Context, err error) *httpError {
 	}
 }
 
+// batchStats describes the batch that computed an answer. A cache hit,
+// an analytic /impact law and a /maximize selection ran no batch and
+// leave it zero, so its fields drop out of their bodies.
+type batchStats struct {
+	BatchSize  int     `json:"batch_size,omitempty"`      // requests served by the batch
+	Lanes      int     `json:"lanes,omitempty"`           // distinct queries (lanes) the batch carried
+	Acceptance float64 `json:"acceptance_rate,omitempty"` // chain's post-burn-in acceptance rate
+}
+
 type flowResponse struct {
-	Model      string  `json:"model"`
-	Source     int     `json:"source"`
-	Sink       int     `json:"sink"`
-	Cond       string  `json:"cond,omitempty"`
-	Prob       float64 `json:"prob"`
-	Samples    int     `json:"samples"`
-	Seed       uint64  `json:"seed"`
-	Cached     bool    `json:"cached"`
-	BatchSize  int     `json:"batch_size,omitempty"`
-	Lanes      int     `json:"lanes,omitempty"`
-	Acceptance float64 `json:"acceptance_rate,omitempty"`
+	Model   string  `json:"model"`
+	Source  int     `json:"source"`
+	Sink    int     `json:"sink"`
+	Cond    string  `json:"cond,omitempty"`
+	Prob    float64 `json:"prob"`
+	Samples int     `json:"samples"`
+	Seed    uint64  `json:"seed"`
+	Cached  bool    `json:"cached"`
+	batchStats
 }
 
 func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 	s.metrics.FlowRequests.Add(1)
-	q, herr := s.parseQuery(r, kindFlow)
-	if herr != nil {
-		writeError(w, herr)
+	q, res, ok := s.serveQuery(w, r, kindFlow)
+	if !ok {
 		return
 	}
-	resp := flowResponse{
-		Model: q.model.Name, Source: int(q.source), Sink: int(q.sink),
-		Cond: q.condKey, Samples: q.opts.Samples, Seed: q.seed,
-	}
-	if v, ok := s.cache.Get(q.cacheKey()); ok {
-		s.metrics.CacheHits.Add(1)
-		resp.Prob, resp.Cached = v.(float64), true
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	s.metrics.CacheMisses.Add(1)
-	res, herr := s.dispatch(r, q)
-	if herr != nil {
-		writeError(w, herr)
-		return
-	}
-	resp.Prob = res.Prob
-	resp.BatchSize, resp.Lanes, resp.Acceptance = res.BatchSize, res.Lanes, res.Acceptance
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, flowResponse{
+		Model: q.model.Name, Source: int(q.source), Sink: int(q.sink), Cond: q.condKey,
+		Prob: res.Answer.(float64), Samples: q.opts.Samples, Seed: q.seed,
+		Cached: res.Cached, batchStats: res.batchStats,
+	})
 }
 
 type communityEntry struct {
@@ -504,56 +601,30 @@ type communityEntry struct {
 }
 
 type communityResponse struct {
-	Model      string           `json:"model"`
-	Source     int              `json:"source"`
-	Cond       string           `json:"cond,omitempty"`
-	Samples    int              `json:"samples"`
-	Seed       uint64           `json:"seed"`
-	Cached     bool             `json:"cached"`
-	Top        []communityEntry `json:"top"`
-	BatchSize  int              `json:"batch_size,omitempty"`
-	Lanes      int              `json:"lanes,omitempty"`
-	Acceptance float64          `json:"acceptance_rate,omitempty"`
+	Model   string           `json:"model"`
+	Source  int              `json:"source"`
+	Cond    string           `json:"cond,omitempty"`
+	Samples int              `json:"samples"`
+	Seed    uint64           `json:"seed"`
+	Cached  bool             `json:"cached"`
+	Top     []communityEntry `json:"top"`
+	batchStats
 }
 
+// handleCommunity serves the community vector's ranking. The cache
+// stores the whole community (its support) so ?top= never splits cache
+// entries.
 func (s *Server) handleCommunity(w http.ResponseWriter, r *http.Request) {
 	s.metrics.CommunityRequests.Add(1)
-	q, herr := s.parseQuery(r, kindCommunity)
-	if herr != nil {
-		writeError(w, herr)
+	q, res, ok := s.serveQuery(w, r, kindCommunity)
+	if !ok {
 		return
 	}
-	top := 10
-	if raw := r.URL.Query().Get("top"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v <= 0 {
-			writeError(w, badRequest("top must be a positive integer"))
-			return
-		}
-		top = v
-	}
-	resp := communityResponse{
-		Model: q.model.Name, Source: int(q.source),
-		Cond: q.condKey, Samples: q.opts.Samples, Seed: q.seed,
-	}
-	// The cache stores the whole community (its support) so ?top= never
-	// splits cache entries.
-	if v, ok := s.cache.Get(q.cacheKey()); ok {
-		s.metrics.CacheHits.Add(1)
-		resp.Cached = true
-		resp.Top = topFlows(v.(communityLaw).dist(), q.source, top)
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	s.metrics.CacheMisses.Add(1)
-	res, herr := s.dispatch(r, q)
-	if herr != nil {
-		writeError(w, herr)
-		return
-	}
-	resp.Top = topFlows(res.Community, q.source, top)
-	resp.BatchSize, resp.Lanes, resp.Acceptance = res.BatchSize, res.Lanes, res.Acceptance
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, communityResponse{
+		Model: q.model.Name, Source: int(q.source), Cond: q.condKey, Samples: q.opts.Samples, Seed: q.seed,
+		Cached: res.Cached, Top: topFlows(res.Answer.(communityLaw).dist(), q.source, q.top),
+		batchStats: res.batchStats,
+	})
 }
 
 // communityLaw is a cached /community vector without its zeros: the
@@ -635,27 +706,31 @@ func TopCommunity(probs []float64, source graph.NodeID, top int) []graph.NodeID 
 // "mh-sampled" for the batched chain — and Exact reports whether Dist is
 // the exact law (sampled and bounded-analytic answers are not).
 type impactResponse struct {
-	Model      string    `json:"model"`
-	Sources    []int     `json:"sources"`
-	Cond       string    `json:"cond,omitempty"`
-	Mode       string    `json:"mode"`
-	Method     string    `json:"method"`
-	Exact      bool      `json:"exact"`
-	Mean       float64   `json:"mean"`
-	Dist       []float64 `json:"dist"`
-	Samples    int       `json:"samples,omitempty"`
-	Seed       uint64    `json:"seed,omitempty"`
-	Cached     bool      `json:"cached"`
-	BatchSize  int       `json:"batch_size,omitempty"`
-	Lanes      int       `json:"lanes,omitempty"`
-	Acceptance float64   `json:"acceptance_rate,omitempty"`
+	Model   string    `json:"model"`
+	Sources []int     `json:"sources"`
+	Cond    string    `json:"cond,omitempty"`
+	Mode    string    `json:"mode"`
+	Method  string    `json:"method"`
+	Exact   bool      `json:"exact"`
+	Mean    float64   `json:"mean"`
+	Dist    []float64 `json:"dist"`
+	Samples int       `json:"samples,omitempty"`
+	Seed    uint64    `json:"seed,omitempty"`
+	Cached  bool      `json:"cached"`
+	batchStats
 }
 
-// impactAnalytic is the cached form of an analytic /impact answer.
+// impactAnalytic is the analytic engine's verdict on a source set: its
+// law, with the method that derived it and whether the law is exact, or
+// the error saying no analytic law applies. Laws are cached, inexact
+// ones too, so auto-mode repeats on a loop-heavy model skip straight to
+// sampling instead of re-deriving the condensation bound every request.
+// An error is not cached.
 type impactAnalytic struct {
 	method string
 	exact  bool
 	law    sizeLaw
+	err    error
 }
 
 // sizeLaw is a cached /impact distribution without its zero tail: the
@@ -694,79 +769,65 @@ func (l sizeLaw) dist() []float64 {
 // cache entries ignore the chain schedule entirely.
 func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ImpactRequests.Add(1)
-	q, herr := s.parseQuery(r, kindImpact)
-	if herr != nil {
-		writeError(w, herr)
-		return
-	}
-	if q.mode == "analytic" && len(q.conds) > 0 {
-		writeError(w, badRequest("mode=analytic does not support cond: the analytic engine computes the unconditional law"))
+	q, res, ok := s.serveQuery(w, r, kindImpact)
+	if !ok {
 		return
 	}
 	resp := impactResponse{
-		Model: q.model.Name, Sources: nodeInts(q.sources), Cond: q.condKey,
+		Model: q.model.Name, Sources: nodeInts(q.nodes), Cond: q.condKey,
+		Cached: res.Cached, batchStats: res.batchStats,
 	}
-	if q.mode != "sampled" && len(q.conds) == 0 {
-		if v, ok := s.cache.Get(q.analyticCacheKey()); ok {
-			// Inexact entries are cached too, so auto-mode repeats on a
-			// loop-heavy model skip straight to sampling instead of
-			// re-deriving the condensation bound every request.
-			entry := v.(impactAnalytic)
-			if entry.exact || q.mode == "analytic" {
-				s.metrics.CacheHits.Add(1)
-				s.metrics.ImpactAnalytic.Add(1)
-				resp.Mode, resp.Method, resp.Exact, resp.Cached = "analytic", entry.method, entry.exact, true
-				resp.Dist = entry.law.dist()
-				resp.Mean = distMean(resp.Dist)
-				writeJSON(w, http.StatusOK, resp)
-				return
-			}
-		} else {
-			if s.refuseDraining(w) {
-				return
-			}
-			res, err := sizedist.Compute(q.model.ICM, q.sources, sizedist.DefaultOptions())
-			if err == nil {
-				s.cache.Add(q.analyticCacheKey(), impactAnalytic{method: res.Method.String(), exact: res.Exact, law: newSizeLaw(res.Dist)})
-			}
-			switch {
-			case err == nil && (res.Exact || q.mode == "analytic"):
-				s.metrics.CacheMisses.Add(1)
-				s.metrics.ImpactAnalytic.Add(1)
-				resp.Mode, resp.Method, resp.Exact = "analytic", res.Method.String(), res.Exact
-				resp.Dist, resp.Mean = res.Dist, res.Mean()
-				writeJSON(w, http.StatusOK, resp)
-				return
-			case q.mode == "analytic":
-				writeError(w, &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()})
-				return
-			}
-		}
-		// mode=auto with an inexact (or intractable) analytic answer:
-		// fall through to the sampled estimator.
-	}
-	resp.Mode, resp.Method = "sampled", "mh-sampled"
-	resp.Samples, resp.Seed = q.opts.Samples, q.seed
-	if v, ok := s.cache.Get(q.cacheKey()); ok {
-		s.metrics.CacheHits.Add(1)
+	var law sizeLaw
+	switch a := res.Answer.(type) {
+	case impactAnalytic:
+		s.metrics.ImpactAnalytic.Add(1)
+		resp.Mode, resp.Method, resp.Exact, law = "analytic", a.method, a.exact, a.law
+	case sizeLaw:
 		s.metrics.ImpactSampled.Add(1)
-		resp.Cached = true
-		resp.Dist = v.(sizeLaw).dist()
-		resp.Mean = distMean(resp.Dist)
-		writeJSON(w, http.StatusOK, resp)
-		return
+		resp.Mode, resp.Method, resp.Samples, resp.Seed, law = "sampled", "mh-sampled", q.opts.Samples, q.seed, a
 	}
-	s.metrics.CacheMisses.Add(1)
-	res, herr := s.dispatch(r, q)
-	if herr != nil {
-		writeError(w, herr)
-		return
-	}
-	s.metrics.ImpactSampled.Add(1)
-	resp.Dist = res.Impact
+	resp.Dist = law.dist()
 	resp.Mean = distMean(resp.Dist)
-	resp.BatchSize, resp.Lanes, resp.Acceptance = res.BatchSize, res.Lanes, res.Acceptance
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// analyticImpact is /impact's analytic front. Unless q asks for sampling
+// or carries conditions, it reads the source set's verdict from the
+// cache or, while the server is not draining, from sizedist, and answers
+// with the law when it is exact or mode=analytic asks for it; mode=analytic
+// gets the verdict's 422 when no law applies. Otherwise — mode=auto with
+// an inexact or no law — it returns no answer and no error, and the
+// sampled estimator answers.
+func (s *Server) analyticImpact(q *query) (flowResult, *httpError) {
+	if q.mode == "sampled" || len(q.conds) > 0 {
+		return flowResult{}, nil
+	}
+	key := q.analyticCacheKey()
+	v, cached := s.cache.Get(key)
+	if !cached {
+		if herr := s.refuseDraining(); herr != nil {
+			return flowResult{}, herr
+		}
+		res, err := sizedist.Compute(q.model.ICM, q.nodes, sizedist.DefaultOptions())
+		verdict := impactAnalytic{err: err}
+		if err == nil {
+			verdict = impactAnalytic{method: res.Method.String(), exact: res.Exact, law: newSizeLaw(res.Dist)}
+			s.cache.Add(key, verdict)
+		}
+		v = verdict
+	}
+	switch a := v.(impactAnalytic); {
+	case a.err == nil && (a.exact || q.mode == "analytic"):
+		if cached {
+			s.metrics.CacheHits.Add(1)
+		} else {
+			s.metrics.CacheMisses.Add(1)
+		}
+		return flowResult{Answer: a, Cached: cached}, nil
+	case q.mode == "analytic":
+		return flowResult{}, &httpError{status: http.StatusUnprocessableEntity, msg: a.err.Error()}
+	}
+	return flowResult{}, nil
 }
 
 // nodeInts renders a node slice for a JSON payload.
