@@ -17,23 +17,49 @@ import (
 // (Chambi, Lemire, Kaser and Godin, "Better bitmap performance with
 // Roaring bitmaps", 2016).
 //
-// Rows grow by AppendColumn, one column at a time in ascending order;
-// a row never switches back. The read methods take a row index and
-// answer in O(min(count, W)); they allocate nothing except Row, and
-// are safe for concurrent use once the matrix is built. A SparseRows
-// is not safe for concurrent mutation.
+// Rows grow by AppendColumn, one column at a time in ascending order,
+// and Seal lays the appended columns out: every list row's ids sit,
+// row after row, in one backing array cut to their counts, so a
+// matrix's lists cost one allocation and hold no spare capacity. A
+// row switches to its words as it reaches 2·W columns and never
+// switches back. The read methods take a row index and see the columns
+// appended up to the last Seal; they answer in O(min(count, W)),
+// allocate nothing except Row, and are safe for concurrent use once the
+// matrix is sealed. A SparseRows is not safe for concurrent mutation.
 type SparseRows struct {
 	rows  []sparseRow
+	ids   []uint32 // every list row's ids, row after row (see Seal)
 	cols  int
 	words int // WordsFor(cols): the length of a dense row
+
+	stage *columnStage // the columns appended since the last Seal; nil when none
 }
 
 // sparseRow is one row: ids while it is a list, words once it is
-// dense (ids is then nil on a row that grew into the dense form).
+// dense (ids is then nil).
 type sparseRow struct {
 	ids   []uint32
 	words []uint64
 }
+
+// columnStage holds the columns appended since the last Seal: the list
+// rows each column gained, column after column, in fixed-size chunks
+// that never move, the end of each column's entries, and how many
+// entries each row has staged. A row that turns dense takes its later
+// columns straight into its words, so a row stages fewer than 2·W
+// entries and the staged entries never take more than the dense
+// matrix's bytes.
+type columnStage struct {
+	chunks [][]uint32 // row indices, stageChunk to a chunk
+	size   int        // entries staged
+	ends   []int      // ends[c]: the end of column c's entries, for c <= last
+	last   int        // the last column appended, -1 before the first
+	counts []uint32   // entries staged per row
+}
+
+// stageChunk is the number of row indices in one chunk of a
+// columnStage: 64 KB.
+const stageChunk = 1 << 14
 
 // NewSparseRows returns an empty matrix of rows rows over cols columns.
 // cols must not exceed 1<<32, the range of a uint32 id.
@@ -48,46 +74,110 @@ func (m *SparseRows) Rows() int { return len(m.rows) }
 func (m *SparseRows) Cols() int { return m.cols }
 
 // AppendColumn sets column c in every row whose bit is set in rows,
-// which must hold Rows() bits. c must exceed every column already set
-// in those rows, which keeps list rows sorted. Filling a list row's
-// spare capacity allocates nothing; a full list grows in growRow,
-// doubling up to the dense break-even, so a row allocates O(log W)
-// times before it switches to its words.
+// which must hold Rows() bits; reads see it after the next Seal. c must
+// exceed every column appended before it since the last Reset, which
+// keeps list rows sorted. A list row stages c; a dense row, or a list
+// row that c brings to 2·W columns, takes it into its words at once.
+// The first append after a Seal allocates the stage, and staging then
+// allocates only a 64 KB chunk every stageChunk entries; Reset keeps
+// the stage, so restaging a reset matrix allocates nothing.
 //
 //flowlint:hotpath
 func (m *SparseRows) AppendColumn(c int, rows Set) {
+	st := m.stage
+	if st == nil {
+		//flowlint:ignore hotpath -- once per Seal: the stage is kept across Resets
+		st = &columnStage{ends: make([]int, m.cols), last: -1, counts: make([]uint32, len(m.rows))}
+		m.stage = st
+	}
+	for ; st.last < c-1; st.last++ {
+		st.ends[st.last+1] = st.size // a column skipped since the last: empty
+	}
 	word, bit := c>>wordShift, uint64(1)<<(uint(c)&wordMask)
+	full := 2*m.words - 1 // the most ids a list holds
 	for wi, w := range rows {
 		for ; w != 0; w &= w - 1 {
-			row := &m.rows[wi<<wordShift+bits.TrailingZeros64(w)]
+			r := wi<<wordShift + bits.TrailingZeros64(w)
+			row := &m.rows[r]
+			if row.words == nil && len(row.ids)+int(st.counts[r]) == full {
+				m.densify(row)
+			}
 			if row.words != nil {
 				row.words[word] |= bit
-			} else if n := len(row.ids); n < cap(row.ids) {
-				row.ids = row.ids[:n+1]
-				row.ids[n] = uint32(c)
-			} else {
-				m.growRow(row, c)
+				continue
 			}
+			st.counts[r]++
+			st.push(uint32(r))
 		}
 	}
+	st.ends[c], st.last = st.size, c
 }
 
-// growRow appends c to a list row whose capacity is full: into a list
-// of twice the capacity (at least 4), never longer than 2·W−1 ids, or,
-// once the list would reach 2·W ids, into W dense words that replace
-// it.
-func (m *SparseRows) growRow(row *sparseRow, c int) {
-	limit := 2 * m.words
-	if n := len(row.ids); n+1 < limit {
-		ids := make([]uint32, n, min(max(2*n, 4), limit-1))
-		copy(ids, row.ids)
-		row.ids = append(ids, uint32(c))
-		return
+// push stages row index r.
+func (st *columnStage) push(r uint32) {
+	chunk := st.size / stageChunk
+	if chunk == len(st.chunks) {
+		st.chunks = append(st.chunks, make([]uint32, stageChunk))
 	}
+	st.chunks[chunk][st.size%stageChunk] = r
+	st.size++
+}
+
+// densify switches a list row to W dense words holding its ids. The
+// columns it has staged stay staged; Seal sets their bits.
+func (m *SparseRows) densify(row *sparseRow) {
 	words := New(m.cols)
 	orIDs(row.ids, words)
-	words.Set(c)
 	row.ids, row.words = nil, words
+}
+
+// Seal lays out the columns appended since the last Seal, after which
+// the reads see them. Every list row keeps its ids and gains its staged
+// ones, ascending, in one backing array holding exactly the lists' ids:
+// the array kept from before is reused when every list is empty (as
+// after Reset) and it is long enough, and a new one is allocated
+// otherwise. Every dense row gains its staged columns' bits. Seal then
+// drops the stage, so a sealed matrix holds only its rows.
+func (m *SparseRows) Seal() {
+	st := m.stage
+	if st == nil {
+		return
+	}
+	m.stage = nil
+	total, empty := 0, true
+	for r := range m.rows {
+		if row := &m.rows[r]; row.words == nil {
+			total += len(row.ids) + int(st.counts[r])
+			empty = empty && len(row.ids) == 0
+		}
+	}
+	ids := m.ids
+	if !empty || cap(ids) < total {
+		ids = make([]uint32, total)
+	}
+	off := 0
+	for r := range m.rows {
+		if row := &m.rows[r]; row.words == nil {
+			n := len(row.ids) + int(st.counts[r])
+			row.ids = append(ids[off:off:off+n], row.ids...)
+			off += n
+		}
+	}
+	m.ids = ids
+	// Columns arrive in ascending order, so appending each list row's
+	// columns in staging order keeps it sorted.
+	start := 0
+	for c, end := range st.ends[:st.last+1] {
+		for i := start; i < end; i++ {
+			row := &m.rows[st.chunks[i/stageChunk][i%stageChunk]]
+			if row.words != nil {
+				row.words[c>>wordShift] |= 1 << (uint(c) & wordMask)
+			} else {
+				row.ids = append(row.ids, uint32(c))
+			}
+		}
+		start = end
+	}
 }
 
 // orIDs sets bit id of dst for every id of a list row.
@@ -170,23 +260,29 @@ func (m *SparseRows) Count() int {
 	return n
 }
 
-// Bytes returns the bytes the matrix holds: every row's list capacity
-// and dense words, and its per-row header.
+// Bytes returns the bytes a sealed matrix holds: the lists' backing
+// array, every dense row's words, and a header per row.
 func (m *SparseRows) Bytes() int {
-	n := len(m.rows) * int(unsafe.Sizeof(sparseRow{}))
+	n := len(m.rows)*int(unsafe.Sizeof(sparseRow{})) + 4*cap(m.ids)
 	for _, row := range m.rows {
-		n += 4*cap(row.ids) + 8*len(row.words)
+		n += 8 * len(row.words)
 	}
 	return n
 }
 
-// Reset clears every row but keeps its form and storage, so refilling
-// a matrix with the same rows allocates nothing. Only a row that grows
-// past its kept list capacity allocates, and a dense row stays dense.
+// Reset clears every row but keeps its form and storage: a dense row
+// stays dense, and the lists' backing array and the stage of unsealed
+// columns are kept. So restaging a matrix that has not been sealed since
+// it last staged allocates nothing, and sealing allocates nothing while
+// the kept array is long enough.
 func (m *SparseRows) Reset() {
 	for r := range m.rows {
 		row := &m.rows[r]
 		row.ids = row.ids[:0]
 		clear(row.words)
+	}
+	if st := m.stage; st != nil {
+		st.size, st.last = 0, -1
+		clear(st.counts)
 	}
 }

@@ -3,14 +3,16 @@ package bitset
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"infoflow/internal/rng"
 )
 
 // fillSparse appends to every row of a rows × cols matrix the columns a
-// per-row coin keeps, ascending, and returns the matrix with a dense
-// reference. Row r keeps a column with probability ((r+1)/rows)², so
-// low rows stay lists and high ones switch to dense words.
+// per-row coin keeps, ascending, seals it, and returns the matrix with
+// a dense reference. Row r keeps a column with probability
+// ((r+1)/rows)², so low rows stay lists and high ones switch to dense
+// words.
 func fillSparse(r *rng.RNG, rows, cols int) (*SparseRows, []Set) {
 	m := NewSparseRows(rows, cols)
 	ref := make([]Set, rows)
@@ -28,6 +30,7 @@ func fillSparse(r *rng.RNG, rows, cols int) (*SparseRows, []Set) {
 		}
 		m.AppendColumn(c, kept)
 	}
+	m.Seal()
 	return m, ref
 }
 
@@ -117,37 +120,72 @@ func TestSparseRowsAgainstDense(t *testing.T) {
 				ref[row].Set(c)
 			}
 		}
+		m.Seal()
 		check("refill")
 	}
 }
 
-// TestSparseRowsBreakEven: a list row never holds capacity past 2·W−1
-// ids, and the append that would make it 2·W ids switches it to W dense
-// words.
+// TestSparseRowsBreakEven: a sealed list row holds exactly its ids,
+// never more than 2·W−1 of them, and the append that would make it 2·W
+// ids switches it to W dense words, whether its earlier ids were sealed
+// or are still staged.
 func TestSparseRowsBreakEven(t *testing.T) {
 	const cols = 256 // W = 4: lists hold up to 7 ids
-	m := NewSparseRows(1, cols)
-	row0 := New(1)
+	header := int(unsafe.Sizeof(sparseRow{}))
+	m := NewSparseRows(2, cols)
+	row0, row1, both := New(2), New(2), New(2)
 	row0.Set(0)
+	row1.Set(1)
+	both.Set(0)
+	both.Set(1)
 	for c := 0; c < 7; c++ {
-		m.AppendColumn(10*c, row0)
-		if m.IsDense(0) || cap(m.rows[0].ids) > 7 {
-			t.Fatalf("after %d appends: dense %v, list capacity %d", c+1, m.IsDense(0), cap(m.rows[0].ids))
+		m.AppendColumn(10*c, both)
+		m.Seal()
+		for r := 0; r < 2; r++ {
+			if m.IsDense(r) || len(m.rows[r].ids) != c+1 || cap(m.rows[r].ids) != c+1 {
+				t.Fatalf("after %d sealed appends: row %d dense %v, %d ids, list capacity %d",
+					c+1, r, m.IsDense(r), len(m.rows[r].ids), cap(m.rows[r].ids))
+			}
+		}
+		if got, want := m.Bytes(), 2*header+4*2*(c+1); got != want {
+			t.Fatalf("after %d sealed appends: %d bytes, want %d", c+1, got, want)
 		}
 	}
 	m.AppendColumn(70, row0)
-	if !m.IsDense(0) || m.rows[0].ids != nil || len(m.rows[0].words) != 4 {
-		t.Fatalf("the 8th append left dense %v, %d ids, %d words", m.IsDense(0), len(m.rows[0].ids), len(m.rows[0].words))
+	m.Seal()
+	if !m.IsDense(0) || m.rows[0].ids != nil || len(m.rows[0].words) != 4 || m.IsDense(1) {
+		t.Fatalf("the 8th append left dense %v, %d ids, %d words; row 1 dense %v",
+			m.IsDense(0), len(m.rows[0].ids), len(m.rows[0].words), m.IsDense(1))
 	}
 	for c := 0; c <= 70; c++ {
 		if m.TestBit(0, c) != (c%10 == 0) {
 			t.Fatalf("column %d after the switch: %v", c, m.TestBit(0, c))
 		}
 	}
+
+	// Row 1 reaches 2·W columns before any Seal, past empty and skipped
+	// columns; row 0 stays dense through the Reset.
+	m.Reset()
+	for c := 0; c < 7; c++ {
+		m.AppendColumn(10*c, row1)
+		m.AppendColumn(10*c+1, New(2))
+	}
+	m.AppendColumn(75, both)
+	m.Seal()
+	if !m.IsDense(0) || !m.IsDense(1) || m.rows[1].ids != nil {
+		t.Fatalf("staged switch: rows dense %v %v, row 1 keeps %d ids", m.IsDense(0), m.IsDense(1), len(m.rows[1].ids))
+	}
+	for c := 0; c < cols; c++ {
+		if m.TestBit(0, c) != (c == 75) || m.TestBit(1, c) != (c == 75 || c < 70 && c%10 == 0) {
+			t.Fatalf("staged switch: column %d reads %v %v", c, m.TestBit(0, c), m.TestBit(1, c))
+		}
+	}
 }
 
 // TestSparseRowsZeroAlloc: the reads the ranking runs allocate nothing,
-// and neither does refilling a reset matrix with what it held.
+// and neither does refilling a reset matrix with what it held: staging
+// the columns again allocates nothing, and sealing them lays them out
+// in the backing array the matrix already holds.
 func TestSparseRowsZeroAlloc(t *testing.T) {
 	m, _ := fillSparse(rng.New(6), 20, 320)
 	mask := New(320)
@@ -165,6 +203,7 @@ func TestSparseRowsZeroAlloc(t *testing.T) {
 		}
 	}
 	refill()
+	m.Seal()
 	if allocs := testing.AllocsPerRun(50, func() {
 		for row := 0; row < 20; row++ {
 			_ = m.RowCount(row)
@@ -172,8 +211,15 @@ func TestSparseRowsZeroAlloc(t *testing.T) {
 			_ = m.TestBit(row, 100)
 			m.OrInto(row, mask)
 		}
-		refill()
 	}); allocs != 0 {
-		t.Errorf("reads and refill allocate %v per run, want 0", allocs)
+		t.Errorf("reads allocate %v per run, want 0", allocs)
+	}
+	backing := unsafe.SliceData(m.ids)
+	if allocs := testing.AllocsPerRun(50, refill); allocs != 0 {
+		t.Errorf("restaging a reset matrix allocates %v per run, want 0", allocs)
+	}
+	m.Seal()
+	if unsafe.SliceData(m.ids) != backing {
+		t.Error("sealing a refill allocated a new backing array")
 	}
 }

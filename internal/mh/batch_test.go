@@ -264,6 +264,7 @@ func TestTalliesMatchClosure(t *testing.T) {
 
 				cover.Reset()
 				coverRoots(g, roots, x, s.scratch, reached, cover, base)
+				cover.Seal()
 				for b := 0; b < cover.Cols(); b++ {
 					var want []bool
 					if b >= base && b < base+len(roots) {
@@ -350,9 +351,10 @@ func TestFlowProbBatchZeroAllocSteadyState(t *testing.T) {
 		countImpacts(m.G, sets, s.x, s.scratch, reached, impacts)
 	})
 
-	// An RR cover's rows grow as sets arrive (SparseRows.Append), so its
-	// steady state is a refill: covering one state again after a Reset
-	// finds every row's storage in place and allocates nothing.
+	// An RR cover stages sets as they arrive (SparseRows.AppendColumn),
+	// so its steady state is a refill: covering one state again after a
+	// Reset finds the staging and every dense row's words in place and
+	// allocates nothing.
 	s, err := NewSampler(m, nil, rng.New(9))
 	if err != nil {
 		t.Fatal(err)

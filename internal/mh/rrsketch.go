@@ -132,6 +132,7 @@ func BuildRRPool(m *core.ICM, targets []graph.NodeID, conds []core.FlowCondition
 	if err != nil {
 		return nil, err
 	}
+	pool.Cover.Seal()
 	return pool, nil
 }
 
@@ -139,10 +140,11 @@ func BuildRRPool(m *core.ICM, targets []graph.NodeID, conds []core.FlowCondition
 // one thinned state x and every node u that reaches roots[b] across x:
 // one packed BFS against edge direction per root into reached (which
 // must hold NumNodes bits), whose nodes then gain the set. Sets arrive
-// in ascending id order, as SparseRows.AppendColumn requires. The loop
-// itself allocates nothing; a row allocates only when its list
-// outgrows its capacity (amortised doubling, at most O(log NumSets)
-// times per row before it switches to dense words).
+// in ascending id order, as SparseRows.AppendColumn requires, and the
+// rows read them once the cover is sealed. The loop itself allocates
+// nothing; the cover's staging takes a new chunk every 16,384 list
+// memberships, and a row that switches to dense words allocates them
+// once.
 //
 //flowlint:hotpath
 func coverRoots(g *graph.DiGraph, roots []graph.NodeID, x bitset.Set, sc *graph.Scratch, reached bitset.Set, cover *bitset.SparseRows, base int) {

@@ -25,6 +25,17 @@ func serveICM(seed uint64, nodes, edges int) *core.ICM {
 	return core.MustNewICM(g, p)
 }
 
+// dist pads a cached community's support back to the full vector: the
+// one the estimator returned, bit for bit, since every other entry was
+// +0.
+func (c communityLaw) dist() []float64 {
+	out := make([]float64, c.n)
+	for i, v := range c.nodes {
+		out[v] = c.probs[i]
+	}
+	return out
+}
+
 func testBatchKey(m *core.ICM, samples int, seed uint64) batchKey {
 	opts := mh.DefaultOptions(m.NumEdges())
 	return batchKey{

@@ -18,7 +18,12 @@ import (
 // sorted, distinct and keyed by a string ParseSources round-trips; a
 // budget, top, mode, sample count and pool within their limits; at most
 // maxConds in-range conditions, none under mode=analytic; a positive
-// timeout — and must never panic.
+// timeout — and must never panic. The node list of /impact and
+// /maximize must also parse exactly as the pipeline parseNodeSet
+// replaced (see sameAsReference). Seeds #16 on are node lists in the
+// forms that are not their own key (signed, zero-padded, spaced,
+// duplicated, unsorted, with empty tokens or ids past n or 2^31), and
+// one canonical list that is.
 func FuzzParseQuery(f *testing.F) {
 	s, err := NewServer(Config{Models: []Model{{Name: "m", ICM: serveDAG(5, 12, 25)}}})
 	if err != nil {
@@ -41,8 +46,23 @@ func FuzzParseQuery(f *testing.F) {
 	f.Add(uint8(kindFlow), "12", "-1", "", "0", "", "", "-1s")
 	f.Add(uint8(kindCommunity), "4", "3", "2>2=0", "", "", "", "")
 	f.Add(uint8(kindCommunity), " 4", "99999999999999999999", "", "60000", "64", "", "1h")
+	f.Add(uint8(kindImpact), "+3,01, 2", "auto", "", "", "", "", "")
+	f.Add(uint8(kindImpact), "1,,2", "", "", "", "", "", "")
+	f.Add(uint8(kindImpact), "3,", "sampled", "", "", "", "", "")
+	f.Add(uint8(kindImpact), "2147483648,1", "", "", "", "", "", "")
+	f.Add(uint8(kindMaximize), "2", "5,3,5,+1", "", "", "", "", "")
+	f.Add(uint8(kindMaximize), "2", "-1,4", "", "", "", "", "")
+	f.Add(uint8(kindMaximize), "2", "1, 2 ,00", "", "", "", "", "")
+	f.Add(uint8(kindMaximize), "2", "4,12", "", "", "", "", "")
+	f.Add(uint8(kindMaximize), "1", "0,1,2,3,4,5,6,7,8,9,10,11", "", "", "", "", "")
 	f.Fuzz(func(t *testing.T, kindByte uint8, first, second, cond, samples, roots, seed, timeout string) {
 		kind := queryKind(kindByte % 4)
+		switch n := s.models["m"].ICM.NumNodes(); {
+		case kind == kindImpact:
+			sameAsReference(t, first, n)
+		case kind == kindMaximize && second != "":
+			sameAsReference(t, second, n)
+		}
 		params := [...][2]string{
 			kindFlow:      {"source", "sink"},
 			kindCommunity: {"source", "top"},

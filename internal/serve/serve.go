@@ -35,6 +35,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -43,6 +44,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -428,26 +430,6 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 	return q, nil
 }
 
-// parseNodeSet parses the node list named param for a model of n nodes
-// into canonical sorted-distinct form and its key. The answers that read
-// a set depend on the SET, so "3,1,3" and "1,3" share a lane and a cache
-// line. An empty list parses to an empty set; whether it is allowed is
-// the caller's call.
-func parseNodeSet(raw, param string, n int) ([]graph.NodeID, string, *httpError) {
-	nodes, err := ParseSources(raw)
-	if err != nil {
-		return nil, "", badRequest("%s: %v", param, err)
-	}
-	for _, v := range nodes {
-		if int(v) < 0 || int(v) >= n {
-			return nil, "", badRequest("%s: node %d out of range [0, %d)", param, v, n)
-		}
-	}
-	distinct, _ := core.DedupSources(n, nodes)
-	sort.Slice(distinct, func(i, j int) bool { return distinct[i] < distinct[j] })
-	return distinct, sourcesKey(distinct), nil
-}
-
 func (q *query) batchKey() batchKey {
 	return batchKey{
 		digest:  q.model.Digest,
@@ -613,7 +595,7 @@ type communityResponse struct {
 
 // handleCommunity serves the community vector's ranking. The cache
 // stores the whole community (its support) so ?top= never splits cache
-// entries.
+// entries, and the ranking reads that support as it is.
 func (s *Server) handleCommunity(w http.ResponseWriter, r *http.Request) {
 	s.metrics.CommunityRequests.Add(1)
 	q, res, ok := s.serveQuery(w, r, kindCommunity)
@@ -622,15 +604,16 @@ func (s *Server) handleCommunity(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, communityResponse{
 		Model: q.model.Name, Source: int(q.source), Cond: q.condKey, Samples: q.opts.Samples, Seed: q.seed,
-		Cached: res.Cached, Top: topFlows(res.Answer.(communityLaw).dist(), q.source, q.top),
+		Cached: res.Cached, Top: res.Answer.(communityLaw).top(q.source, q.top),
 		batchStats: res.batchStats,
 	})
 }
 
 // communityLaw is a cached /community vector without its zeros: the
-// nodes the source reached in some sample, their probabilities, and the
-// vector's length. The vector holds a probability per node, 48 KB at
-// §IV-C scale, but a source reaches a small share of the graph there.
+// nodes the source reached in some sample, ascending, their
+// probabilities, and the vector's length. The vector holds a probability
+// per node, 48 KB at §IV-C scale, but a source reaches a small share of
+// the graph there.
 type communityLaw struct {
 	nodes []graph.NodeID
 	probs []float64
@@ -654,49 +637,36 @@ func newCommunityLaw(probs []float64) communityLaw {
 	return c
 }
 
-// dist pads the support back to the full vector: the one the estimator
-// returned, bit for bit, since every other entry was +0.
-func (c communityLaw) dist() []float64 {
-	out := make([]float64, c.n)
-	for i, v := range c.nodes {
-		out[v] = c.probs[i]
-	}
-	return out
-}
-
-// topFlows renders TopCommunity's ranking of a community vector as
-// response entries.
-func topFlows(probs []float64, source graph.NodeID, top int) []communityEntry {
-	nodes := TopCommunity(probs, source, top)
-	out := make([]communityEntry, len(nodes))
-	for i, v := range nodes {
-		out[i] = communityEntry{Node: int(v), Prob: probs[v]}
-	}
-	return out
-}
-
-// TopCommunity ranks a community vector (Pr[source ~> v] per node v):
-// every node but the source with a positive probability, most probable
-// first, ties broken by node id, cut to the first top. Shared with the
-// flowquery CLI, so both list a community in the same order. top is
+// top ranks the law's support: every node but the source, most probable
+// first, ties broken by node id, cut to the first top. It is the one
+// community ranking; TopCommunity applies it to a full vector. top is
 // client input with no upper bound, so it sizes nothing beyond the
-// vector's length.
-func TopCommunity(probs []float64, source graph.NodeID, top int) []graph.NodeID {
-	out := make([]graph.NodeID, 0, min(top, len(probs)))
-	for v, p := range probs {
-		if graph.NodeID(v) != source && p > 0 {
-			out = append(out, graph.NodeID(v))
+// support.
+func (c communityLaw) top(source graph.NodeID, top int) []communityEntry {
+	out := make([]communityEntry, 0, len(c.nodes))
+	for i, v := range c.nodes {
+		if v != source {
+			out = append(out, communityEntry{Node: int(v), Prob: c.probs[i]})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		//flowlint:ignore floatcmp -- sort tiebreak: both probabilities are k/Samples quotients from the same chain, equal iff their hit counts are; no rounding tolerance is meaningful here
-		if pi, pj := probs[out[i]], probs[out[j]]; pi != pj {
-			return pi > pj
-		}
-		return out[i] < out[j]
+	// Equal probabilities are equal k/Samples quotients from one chain,
+	// so they tie exactly and fall to the node order.
+	slices.SortFunc(out, func(a, b communityEntry) int {
+		return cmp.Or(cmp.Compare(b.Prob, a.Prob), cmp.Compare(a.Node, b.Node))
 	})
-	if len(out) > top {
-		out = out[:top]
+	return out[:min(top, len(out))]
+}
+
+// TopCommunity ranks a community vector (Pr[source ~> v] per node v) as
+// /community does (see communityLaw.top): every node but the source
+// with a positive probability, most probable first, ties broken by node
+// id, cut to the first top. Shared with the flowquery CLI, so both list
+// a community in the same order.
+func TopCommunity(probs []float64, source graph.NodeID, top int) []graph.NodeID {
+	ranked := newCommunityLaw(probs).top(source, top)
+	out := make([]graph.NodeID, len(ranked))
+	for i, e := range ranked {
+		out[i] = graph.NodeID(e.Node)
 	}
 	return out
 }
@@ -916,40 +886,6 @@ func CheckConds(conds []core.FlowCondition, n int) error {
 		}
 	}
 	return nil
-}
-
-// ParseSources parses a comma-separated node-id list ("3,1,7") into
-// node IDs. Whitespace around entries is tolerated; an empty string is
-// an empty set. Ids are parsed at 32 bits, as in ParseConds; range
-// validation is the caller's job (it needs the model). Shared with the
-// flowquery CLI.
-func ParseSources(s string) ([]graph.NodeID, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]graph.NodeID, 0, len(parts))
-	for _, part := range parts {
-		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("source %q: %w", part, err)
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("source %d: must be non-negative", v)
-		}
-		out = append(out, graph.NodeID(v))
-	}
-	return out, nil
-}
-
-// sourcesKey renders a canonical (already sorted, distinct) source set
-// for batch and cache keys.
-func sourcesKey(sources []graph.NodeID) string {
-	parts := make([]string, len(sources))
-	for i, v := range sources {
-		parts[i] = strconv.Itoa(int(v))
-	}
-	return strings.Join(parts, ",")
 }
 
 // maxConds bounds the distinct conditions one request may carry. A

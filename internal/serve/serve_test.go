@@ -3,9 +3,12 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -204,7 +207,7 @@ func TestServerCommunity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := topFlows(probs, 4, 5)
+	want := newCommunityLaw(probs).top(4, 5)
 	if len(resp.Top) != len(want) {
 		t.Fatalf("top has %d entries, want %d", len(resp.Top), len(want))
 	}
@@ -215,8 +218,70 @@ func TestServerCommunity(t *testing.T) {
 	}
 }
 
+// refTopCommunity is the vector ranking communityLaw.top replaced:
+// scan the whole vector for positive entries, then sort them.
+func refTopCommunity(probs []float64, source graph.NodeID, top int) []graph.NodeID {
+	out := make([]graph.NodeID, 0, min(top, len(probs)))
+	for v, p := range probs {
+		if graph.NodeID(v) != source && p > 0 {
+			out = append(out, graph.NodeID(v))
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		//flowlint:ignore floatcmp -- sort tiebreak: both probabilities are k/Samples quotients from the same chain, equal iff their hit counts are; no rounding tolerance is meaningful here
+		if pi, pj := probs[out[i]], probs[out[j]]; pi != pj {
+			return pi > pj
+		}
+		return out[i] < out[j]
+	})
+	if len(out) > top {
+		out = out[:top]
+	}
+	return out
+}
+
+// TestTopCommunityMatchesVectorRanking: ranking a community from its
+// support (communityLaw.top, and TopCommunity through it) lists the same
+// nodes with the same probabilities as the ranking of the full vector
+// it replaced, on random vectors with many ties and zeros, the source
+// inside and outside the support, and every cut from 1 past the
+// support's size.
+func TestTopCommunityMatchesVectorRanking(t *testing.T) {
+	r := rng.New(31)
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + r.Intn(60)
+		samples := 1 + r.Intn(8) // few distinct quotients: many ties
+		probs := make([]float64, n)
+		for v := range probs {
+			if r.Intn(3) > 0 {
+				probs[v] = float64(r.Intn(samples+1)) / float64(samples)
+			}
+		}
+		source := graph.NodeID(r.Intn(n))
+		if trial%2 == 0 {
+			probs[source] = 1
+		}
+		law := newCommunityLaw(probs)
+		for top := 1; top <= n+1; top++ {
+			want := refTopCommunity(probs, source, top)
+			if got := TopCommunity(probs, source, top); !slices.Equal(got, want) {
+				t.Fatalf("trial %d top %d: TopCommunity %v, vector ranking %v (probs %v, source %d)", trial, top, got, want, probs, source)
+			}
+			entries := law.top(source, top)
+			if len(entries) != len(want) {
+				t.Fatalf("trial %d top %d: %d entries, want %d", trial, top, len(entries), len(want))
+			}
+			for i, e := range entries {
+				if graph.NodeID(e.Node) != want[i] || math.Float64bits(e.Prob) != math.Float64bits(probs[want[i]]) {
+					t.Fatalf("trial %d top %d: entry %d is %+v, want node %d prob %v", trial, top, i, e, want[i], probs[want[i]])
+				}
+			}
+		}
+	}
+}
+
 // TestServerCommunityCachedBodyIdentical: a cached /community answer
-// keeps only its support, and a hit pads it back to the body the miss
+// keeps only its support, and a hit ranks it into the body the miss
 // returned, for top 1, 10, the support's size and n, with and without
 // a condition. Each (top, cond) asks its own seed, so its first request
 // is the miss.
