@@ -131,9 +131,9 @@ func CommunityFlowProbsBatch(m *ICM, sources []NodeID, conds []FlowCondition, op
 }
 
 // ErrInterrupted is the sentinel wrapped by estimator errors when a run
-// is stopped early — by MHOptions.Interrupt returning true or by the
-// context passed to Sampler.RunCtx being cancelled. The chain remains
-// valid and resumable after an interrupted run.
+// is stopped early by MHOptions.Interrupt returning true, the one way
+// to stop a chain. The chain remains valid and resumable after an
+// interrupted run.
 var ErrInterrupted = mh.ErrInterrupted
 
 // assertAliases pins the facade types to their internal definitions at

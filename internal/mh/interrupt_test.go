@@ -1,7 +1,6 @@
 package mh
 
 import (
-	"context"
 	"errors"
 	"testing"
 
@@ -34,10 +33,11 @@ func collectRun(t *testing.T, fn func(visit func(core.PseudoState)) error) ([]co
 	return out, err
 }
 
-// TestRunCtxUncancelledBitIdentical: with a background context, RunCtx
-// must consume exactly the randomness Run does and emit the identical
-// sample stream.
-func TestRunCtxUncancelledBitIdentical(t *testing.T) {
+// TestInterruptUnfiredBitIdentical: an Interrupt hook that never fires
+// is polled every Thin steps of burn-in and after every thinned sample,
+// consumes no randomness, and leaves the sample stream of a run without
+// it.
+func TestInterruptUnfiredBitIdentical(t *testing.T) {
 	m := fixedICM(7)
 	opts := Options{BurnIn: 200, Thin: 13, Samples: 40}
 
@@ -54,14 +54,18 @@ func TestRunCtxUncancelledBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := collectRun(t, func(v func(core.PseudoState)) error {
-		return sB.RunCtx(context.Background(), opts, v)
-	})
+	polls := 0
+	hooked := opts
+	hooked.Interrupt = func() bool { polls++; return false }
+	got, err := collectRun(t, func(v func(core.PseudoState)) error { return sB.Run(hooked, v) })
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := (opts.BurnIn+opts.Thin-1)/opts.Thin + opts.Samples; polls != want {
+		t.Errorf("hook polled %d times, want %d", polls, want)
+	}
 	if len(got) != len(ref) {
-		t.Fatalf("RunCtx emitted %d samples, Run %d", len(got), len(ref))
+		t.Fatalf("hooked run emitted %d samples, plain run %d", len(got), len(ref))
 	}
 	for i := range ref {
 		for e := range ref[i] {
@@ -75,38 +79,27 @@ func TestRunCtxUncancelledBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunCtxCancelledMidBurnIn: a context cancelled partway through
-// burn-in must stop the run with ErrInterrupted wrapping the cause,
-// emit no samples, and leave the chain resumable.
-func TestRunCtxCancelledMidBurnIn(t *testing.T) {
+// TestInterruptMidBurnIn: a hook that fires partway through burn-in
+// stops the run with ErrInterrupted, emits no samples, and leaves the
+// chain resumable.
+func TestInterruptMidBurnIn(t *testing.T) {
 	m := fixedICM(7)
 	opts := Options{BurnIn: 10000, Thin: 10, Samples: 20}
 	s, err := NewSampler(m, nil, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	// Cancel from inside the chain via the Interrupt poll points: use a
-	// deterministic hook instead of a racy timer.
 	polls := 0
 	opts.Interrupt = func() bool {
 		polls++
-		if polls == 5 {
-			cancel()
-		}
-		return false
+		return polls == 5
 	}
-	samples, err := collectRun(t, func(v func(core.PseudoState)) error {
-		return s.RunCtx(ctx, opts, v)
-	})
+	samples, err := collectRun(t, func(v func(core.PseudoState)) error { return s.Run(opts, v) })
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want to wrap context.Canceled", err)
-	}
 	if len(samples) != 0 {
-		t.Fatalf("emitted %d samples despite mid-burn-in cancel", len(samples))
+		t.Fatalf("emitted %d samples despite a mid-burn-in stop", len(samples))
 	}
 	if s.Steps() >= int64(opts.BurnIn) {
 		t.Fatalf("ran %d steps, should have stopped inside burn-in", s.Steps())
@@ -131,10 +124,10 @@ func TestRunCtxCancelledMidBurnIn(t *testing.T) {
 	}
 }
 
-// TestRunCtxCancelledMidThinning: cancellation between thinned samples
-// stops the run partway through the sampling phase; already-emitted
-// samples match the uncancelled stream prefix.
-func TestRunCtxCancelledMidThinning(t *testing.T) {
+// TestInterruptMidThinning: a hook that fires between thinned samples
+// stops the run partway through the sampling phase, and the samples
+// already emitted are the uninterrupted stream's prefix.
+func TestInterruptMidThinning(t *testing.T) {
 	m := fixedICM(11)
 	opts := Options{BurnIn: 100, Thin: 7, Samples: 50}
 
@@ -151,54 +144,49 @@ func TestRunCtxCancelledMidThinning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancelCause(context.Background())
-	cause := errors.New("client went away")
 	emitted := 0
 	cOpts := opts
-	cOpts.Interrupt = func() bool {
-		if emitted == 12 {
-			cancel(cause)
-		}
-		return false
-	}
+	cOpts.Interrupt = func() bool { return emitted == 12 }
 	got, err := collectRun(t, func(v func(core.PseudoState)) error {
-		return s.RunCtx(ctx, cOpts, func(x core.PseudoState) {
+		return s.Run(cOpts, func(x core.PseudoState) {
 			emitted++
 			v(x)
 		})
 	})
-	if !errors.Is(err, ErrInterrupted) || !errors.Is(err, cause) {
-		t.Fatalf("err = %v, want ErrInterrupted wrapping the cancel cause", err)
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
-	if len(got) == 0 || len(got) >= opts.Samples {
-		t.Fatalf("emitted %d samples, want a strict prefix", len(got))
+	if len(got) != 12 {
+		t.Fatalf("emitted %d samples, want the 12 before the hook fired", len(got))
 	}
 	for i := range got {
 		for e := range got[i] {
 			if got[i][e] != ref[i][e] {
-				t.Fatalf("cancelled run diverged from reference at sample %d", i)
+				t.Fatalf("interrupted run diverged from reference at sample %d", i)
 			}
 		}
 	}
 }
 
-// TestRunCtxCancelledPostCompletion: a context cancelled only after the
-// final sample has been emitted must not retroactively fail the run.
-func TestRunCtxCancelledPostCompletion(t *testing.T) {
+// TestInterruptAfterLastSample: a hook that starts firing only after
+// the final sample has been emitted does not retroactively fail the
+// run, and a later run under it stops at its first poll.
+func TestInterruptAfterLastSample(t *testing.T) {
 	m := fixedICM(5)
 	opts := Options{BurnIn: 50, Thin: 5, Samples: 10}
 	s, err := NewSampler(m, nil, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	stop := false
+	opts.Interrupt = func() bool { return stop }
 	n := 0
 	samples, err := collectRun(t, func(v func(core.PseudoState)) error {
-		return s.RunCtx(ctx, opts, func(x core.PseudoState) {
+		return s.Run(opts, func(x core.PseudoState) {
 			n++
 			if n == opts.Samples {
-				// Cancel after the final visit: all poll points are behind us.
-				cancel()
+				// Fire after the final visit: all poll points are behind us.
+				stop = true
 			}
 			v(x)
 		})
@@ -209,9 +197,12 @@ func TestRunCtxCancelledPostCompletion(t *testing.T) {
 	if len(samples) != opts.Samples {
 		t.Fatalf("emitted %d samples, want %d", len(samples), opts.Samples)
 	}
-	// A later run on the now-cancelled context fails immediately.
-	if err := s.RunCtx(ctx, opts, func(core.PseudoState) {}); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("run on cancelled context = %v, want ErrInterrupted", err)
+	steps := s.Steps()
+	if err := s.Run(opts, func(core.PseudoState) {}); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("run under a fired hook = %v, want ErrInterrupted", err)
+	}
+	if got := s.Steps() - steps; got != int64(opts.Thin) {
+		t.Errorf("run under a fired hook took %d steps, want one poll's %d", got, opts.Thin)
 	}
 }
 

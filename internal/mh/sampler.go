@@ -15,7 +15,6 @@
 package mh
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -43,8 +42,9 @@ type Options struct {
 	// randomness, so setting it never changes the sample stream of an
 	// uninterrupted run, and the chain state remains valid after an
 	// interrupted one — a subsequent Run resumes from where it stopped.
-	// This is the cancellation hook the serving layer threads request
-	// deadlines through (see Sampler.RunCtx for the context form).
+	// It is the one way to stop a chain: the serving layer's batches
+	// poll whether any member still waits, and /maximize polls its
+	// request's context.
 	Interrupt func() bool
 }
 
@@ -71,11 +71,8 @@ func (o Options) validate() error {
 // edges of probability zero, or contradictory conditions).
 var ErrUnsatisfiable = errors.New("mh: flow conditions unsatisfiable")
 
-// ErrInterrupted is wrapped by the error Run and RunCtx return when a
-// run stops early because Options.Interrupt fired or the context was
-// cancelled. RunCtx errors additionally wrap the context's cause, so
-// errors.Is(err, context.DeadlineExceeded) distinguishes deadline
-// expiry from explicit cancellation.
+// ErrInterrupted is wrapped by the error Run and BurnIn return when a
+// run stops early because Options.Interrupt fired.
 var ErrInterrupted = errors.New("mh: run interrupted")
 
 // Sampler is a Metropolis-Hastings chain over pseudo-states of one ICM,
@@ -96,7 +93,7 @@ type Sampler struct {
 
 	// winSteps/winAccepted are the post-burn-in window counters: they
 	// advance with steps/accepted but are zeroed by ResetCounters, which
-	// Run and RunCtx invoke when burn-in completes. Diagnostics built on
+	// Run invokes when burn-in completes. Diagnostics built on
 	// them therefore report the sampling phase of the most recent run
 	// only, never blended with burn-in or earlier runs.
 	winSteps    int64
@@ -545,9 +542,9 @@ func (s *Sampler) AcceptanceRate() float64 {
 }
 
 // PostBurnInAcceptanceRate returns the fraction of proposals accepted
-// since the last ResetCounters — for a chain driven by Run or RunCtx,
-// exactly the sampling phase of the most recent run, with burn-in and
-// any earlier runs excluded. Returns 0 before any post-reset step.
+// since the last ResetCounters — for a chain driven by Run, exactly the
+// sampling phase of the most recent run, with burn-in and any earlier
+// runs excluded. Returns 0 before any post-reset step.
 func (s *Sampler) PostBurnInAcceptanceRate() float64 {
 	if s.winSteps == 0 {
 		return 0
@@ -560,8 +557,8 @@ func (s *Sampler) PostBurnInAcceptanceRate() float64 {
 func (s *Sampler) PostBurnInSteps() int64 { return s.winSteps }
 
 // ResetCounters zeroes the post-burn-in window counters backing
-// PostBurnInAcceptanceRate and PostBurnInSteps. Run and RunCtx call it
-// when burn-in completes; drivers stepping the chain manually call it
+// PostBurnInAcceptanceRate and PostBurnInSteps. Run calls it when
+// burn-in completes; drivers stepping the chain manually call it
 // at their own phase boundaries. Lifetime counters (Steps,
 // AcceptanceRate) are unaffected.
 func (s *Sampler) ResetCounters() {
@@ -586,48 +583,33 @@ func (s *Sampler) State() core.PseudoState { return s.x }
 // wrapping ErrInterrupted; the chain state remains valid and a later
 // run resumes from it.
 func (s *Sampler) Run(opts Options, visit func(core.PseudoState)) error {
-	return s.run(nil, opts, visit)
-}
-
-// RunCtx is Run with cooperative cancellation: ctx is polled at the
-// same points as opts.Interrupt (between thinned samples, and every
-// Thin steps of burn-in), and a cancelled run returns an error wrapping
-// both ErrInterrupted and the context's cause. The polls consume no
-// randomness, so an uncancelled RunCtx is bit-identical to Run on the
-// same RNG, and after a cancelled run the chain state is still valid
-// (resumable by a further Run or RunCtx).
-func (s *Sampler) RunCtx(ctx context.Context, opts Options, visit func(core.PseudoState)) error {
-	return s.run(ctx, opts, visit)
-}
-
-func (s *Sampler) run(ctx context.Context, opts Options, visit func(core.PseudoState)) error {
 	if err := opts.validate(); err != nil {
 		return err
 	}
-	if err := s.BurnIn(ctx, opts); err != nil {
+	if err := s.BurnIn(opts); err != nil {
 		return err
 	}
 	for n := 0; n < opts.Samples; n++ {
 		for i := 0; i < opts.Thin; i++ {
 			s.Step()
 		}
-		if err := s.interrupted(ctx, opts); err != nil {
-			return fmt.Errorf("after %d of %d samples: %w", n, opts.Samples, err)
+		if opts.Interrupt != nil && opts.Interrupt() {
+			return fmt.Errorf("after %d of %d samples: %w", n, opts.Samples, ErrInterrupted)
 		}
 		visit(s.x)
 	}
 	return nil
 }
 
-// BurnIn takes the opts.BurnIn steps Run and RunCtx discard before their
-// first sample (the paper's delta), then resets the post-burn-in
-// counters; Run and RunCtx begin with it. It polls opts.Interrupt and
-// ctx (which may be nil) every opts.Thin steps, as they do, and an
-// interrupted burn-in returns an error wrapping ErrInterrupted with the
-// chain resumable. The state it leaves depends only on the steps taken,
-// never on Thin or Samples, so a chain burned in here and then run with
-// BurnIn 0 emits exactly the samples one run with the full BurnIn would.
-func (s *Sampler) BurnIn(ctx context.Context, opts Options) error {
+// BurnIn takes the opts.BurnIn steps Run discards before its first
+// sample (the paper's delta), then resets the post-burn-in counters; Run
+// begins with it. It polls opts.Interrupt every opts.Thin steps, as Run
+// does, and an interrupted burn-in returns an error wrapping
+// ErrInterrupted with the chain resumable. The state it leaves depends
+// only on the steps taken, never on Thin or Samples, so a chain burned
+// in here and then run with BurnIn 0 emits exactly the samples one run
+// with the full BurnIn would.
+func (s *Sampler) BurnIn(opts Options) error {
 	if opts.BurnIn < 0 || opts.Thin <= 0 {
 		return fmt.Errorf("mh: invalid burn-in options %+v", opts)
 	}
@@ -640,22 +622,10 @@ func (s *Sampler) BurnIn(ctx context.Context, opts Options) error {
 			s.Step()
 		}
 		done += chunk
-		if err := s.interrupted(ctx, opts); err != nil {
-			return fmt.Errorf("during burn-in (step %d of %d): %w", done, opts.BurnIn, err)
+		if opts.Interrupt != nil && opts.Interrupt() {
+			return fmt.Errorf("during burn-in (step %d of %d): %w", done, opts.BurnIn, ErrInterrupted)
 		}
 	}
 	s.ResetCounters()
-	return nil
-}
-
-// interrupted reports whether the run should stop: the Options hook
-// first, then the context. It never touches the RNG.
-func (s *Sampler) interrupted(ctx context.Context, opts Options) error {
-	if opts.Interrupt != nil && opts.Interrupt() {
-		return ErrInterrupted
-	}
-	if ctx != nil && ctx.Err() != nil {
-		return fmt.Errorf("%w: %w", ErrInterrupted, context.Cause(ctx))
-	}
 	return nil
 }

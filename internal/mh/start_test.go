@@ -1,7 +1,6 @@
 package mh
 
 import (
-	"context"
 	"errors"
 	"math"
 	"testing"
@@ -103,7 +102,7 @@ func TestCloneResumesBurnedInChain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := base.BurnIn(context.Background(), c.opts); err != nil {
+			if err := base.BurnIn(c.opts); err != nil {
 				t.Fatal(err)
 			}
 			kept := base.Keep()
@@ -191,7 +190,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BurnIn(context.Background(), servedSchedule(m, 1)); err != nil {
+	if err := s.BurnIn(servedSchedule(m, 1)); err != nil {
 		t.Fatal(err)
 	}
 	kept := s.Keep()
@@ -217,11 +216,10 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
-// TestBurnInInterruptResumable: an interrupted BurnIn returns an error
-// wrapping ErrInterrupted (and the context's cause, for a cancelled
-// context), and the chain stays resumable: finishing the remaining
-// burn-in and then running with BurnIn 0 emits the samples of an
-// uninterrupted run.
+// TestBurnInInterruptResumable: a BurnIn interrupted at its first poll
+// or a later one returns an error wrapping ErrInterrupted, and the chain
+// stays resumable: finishing the remaining burn-in and then running
+// with BurnIn 0 emits the samples of an uninterrupted run.
 func TestBurnInInterruptResumable(t *testing.T) {
 	m := fixedICM(7)
 	opts := Options{BurnIn: 200, Thin: 13, Samples: 40}
@@ -237,36 +235,30 @@ func TestBurnInInterruptResumable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel() // the first poll, after one Thin chunk, stops the burn-in
-	polls := 0
-	stopAt3 := opts
-	stopAt3.Interrupt = func() bool { polls++; return polls == 3 }
 	for _, stop := range []struct {
 		name string
-		ctx  context.Context
-		opts Options
+		poll int
 	}{
-		{"interrupt", context.Background(), stopAt3},
-		{"context", cancelled, opts},
+		{"first poll", 1},
+		{"third poll", 3},
 	} {
 		s, err := NewSampler(m, nil, rng.New(99))
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = s.BurnIn(stop.ctx, stop.opts)
+		polls := 0
+		stopped := opts
+		stopped.Interrupt = func() bool { polls++; return polls == stop.poll }
+		err = s.BurnIn(stopped)
 		if !errors.Is(err, ErrInterrupted) {
 			t.Fatalf("%s: BurnIn err = %v, want ErrInterrupted", stop.name, err)
 		}
-		if stop.name == "context" && !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: BurnIn err = %v, want it to wrap context.Canceled", stop.name, err)
+		if got, want := s.Steps(), int64(stop.poll*opts.Thin); got != want {
+			t.Fatalf("%s: stopped after %d steps, want %d", stop.name, got, want)
 		}
 		rest := opts
 		rest.BurnIn -= int(s.Steps())
-		if rest.BurnIn <= 0 || rest.BurnIn >= opts.BurnIn {
-			t.Fatalf("%s: interrupted after %d of %d steps", stop.name, s.Steps(), opts.BurnIn)
-		}
-		if err := s.BurnIn(context.Background(), rest); err != nil {
+		if err := s.BurnIn(rest); err != nil {
 			t.Fatal(err)
 		}
 		got, err := collectRun(t, func(v func(core.PseudoState)) error { return s.Run(warm, v) })
@@ -296,11 +288,11 @@ func TestBurnInRejectsBadOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range []Options{{BurnIn: -1, Thin: 5}, {BurnIn: 10, Thin: 0}} {
-		if err := s.BurnIn(context.Background(), o); err == nil {
+		if err := s.BurnIn(o); err == nil {
 			t.Errorf("BurnIn accepted %+v", o)
 		}
 	}
-	if err := s.BurnIn(context.Background(), Options{BurnIn: 10, Thin: 5}); err != nil {
+	if err := s.BurnIn(Options{BurnIn: 10, Thin: 5}); err != nil {
 		t.Errorf("BurnIn with Samples 0: %v", err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"infoflow/internal/core"
 	"infoflow/internal/graph"
 	"infoflow/internal/mh"
 	"infoflow/internal/rng"
@@ -85,25 +84,22 @@ type member struct {
 }
 
 // pendingBatch accumulates members during the batching window. A lane
-// is one distinct query of the batch, and lanes are deduplicated: two
-// identical queries share a lane (or, for impact, a lane span), so a
-// budget's worth of identical requests still fits one batch with one
-// lane occupied. Flow and community queries occupy one
-// lane each (pairs/laneIndex); impact queries occupy one lane per
-// distinct source of their canonical source set (sets/setIndex), and
-// lanes tracks the running total either way.
+// is one distinct query of the batch, found by its cache key (laneOf),
+// which within one batch key names exactly one query: a flow's (source,
+// sink), a community's source or an impact's source set. Two identical
+// queries therefore share a lane, so a budget's worth of identical
+// requests still fits one batch with one lane occupied. Flow and
+// community queries occupy one lane of the budget each; impact queries
+// one per distinct source of their canonical source set, and lanes
+// tracks the running total either way. stop cancels the window timer.
 type pendingBatch struct {
-	key       batchKey
-	model     *core.ICM
-	conds     []core.FlowCondition
-	pairs     []mh.FlowPair
-	laneIndex map[mh.FlowPair]int
-	sets      [][]graph.NodeID
-	setIndex  map[string]int
-	lanes     int
-	members   []*member
-	flushed   bool
-	full      chan struct{} // closed on flush; wakes the window collector
+	key     batchKey
+	queries []*query
+	laneOf  map[string]int
+	lanes   int
+	members []*member
+	flushed bool
+	stop    func() bool
 }
 
 // batcher coalesces concurrent same-chain queries into batches of up to
@@ -113,9 +109,10 @@ type pendingBatch struct {
 // whose thinned samples answer every query with its own traversal. A
 // chain begins from the burned-in start its batch key names (see
 // startKey): starts keeps a compact copy of each, so only the first
-// batch on a start pays for NewSampler and burn-in. The window timer
-// comes from the injected Clock, so tests drive flushes
-// deterministically.
+// batch on a start pays for NewSampler and burn-in. The window is a
+// timer from the injected Clock, armed when a batch opens and stopped
+// when it flushes, so tests drive flushes deterministically. draining
+// is set under mu, so a join either sees it or is flushed by the drain.
 type batcher struct {
 	window     time.Duration
 	laneBudget int
@@ -124,14 +121,12 @@ type batcher struct {
 	cache      *lruCache
 	starts     *lruCache
 
-	mu      sync.Mutex
-	pending map[batchKey]*pendingBatch
-	jobs    chan *pendingBatch
+	mu       sync.Mutex
+	pending  map[batchKey]*pendingBatch
+	jobs     chan *pendingBatch
+	draining atomic.Bool
 
-	collectors sync.WaitGroup
-	workers    sync.WaitGroup
-	draining   bool
-	drainOnce  sync.Once
+	workers sync.WaitGroup
 }
 
 func newBatcher(window time.Duration, workers, queueCap, laneBudget int, clock Clock, m *Metrics, cache, starts *lruCache) *batcher {
@@ -154,46 +149,38 @@ func newBatcher(window time.Duration, workers, queueCap, laneBudget int, clock C
 	return b
 }
 
-// join registers a query on the batch identified by key, creating the
-// batch (and its window collector) if none is pending, and returns the
-// member whose done channel will deliver the result. pair carries the
-// query for kindFlow ((source, sink)) and kindCommunity ((source,
-// source)); for kindImpact the query is sources — the canonical
-// (deduplicated, sorted) source set — keyed by sourcesKey, and pair is
-// ignored.
-func (b *batcher) join(ctx context.Context, key batchKey, model *core.ICM, conds []core.FlowCondition, pair mh.FlowPair, sources []graph.NodeID, sourcesKey, cacheKey string) (*member, error) {
+// join registers q on its batch, creating the batch and arming its
+// window if none is pending, and returns the member whose done channel
+// will deliver the result, cached under cacheKey. A server that is
+// draining refuses the join.
+func (b *batcher) join(ctx context.Context, q *query, cacheKey string) (*member, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.draining {
+	if b.draining.Load() {
+		b.metrics.Rejected.Add(1)
 		return nil, ErrDraining
 	}
+	key := q.batchKey()
 	pb, ok := b.pending[key]
 	if !ok {
-		pb = &pendingBatch{
-			key:       key,
-			model:     model,
-			conds:     conds,
-			laneIndex: make(map[mh.FlowPair]int),
-			setIndex:  make(map[string]int),
-			full:      make(chan struct{}),
-		}
+		pb = &pendingBatch{key: key, laneOf: make(map[string]int)}
 		b.pending[key] = pb
-		b.collectors.Add(1)
-		go b.collect(pb)
+		pb.stop = b.clock.AfterFunc(b.window, func() {
+			b.mu.Lock()
+			defer b.mu.Unlock()
+			if !pb.flushed {
+				b.flushLocked(pb)
+			}
+		})
 	}
-	var lane int
-	if key.kind == kindImpact {
-		if lane, ok = pb.setIndex[sourcesKey]; !ok {
-			lane = len(pb.sets)
-			pb.setIndex[sourcesKey] = lane
-			pb.sets = append(pb.sets, sources)
-			pb.lanes += len(sources)
-		}
-	} else {
-		if lane, ok = pb.laneIndex[pair]; !ok {
-			lane = len(pb.pairs)
-			pb.laneIndex[pair] = lane
-			pb.pairs = append(pb.pairs, pair)
+	lane, ok := pb.laneOf[cacheKey]
+	if !ok {
+		lane = len(pb.queries)
+		pb.laneOf[cacheKey] = lane
+		pb.queries = append(pb.queries, q)
+		if q.kind == kindImpact {
+			pb.lanes += len(q.nodes)
+		} else {
 			pb.lanes++
 		}
 	}
@@ -205,30 +192,14 @@ func (b *batcher) join(ctx context.Context, key batchKey, model *core.ICM, conds
 	return m, nil
 }
 
-// collect is the per-batch window goroutine: it flushes the batch when
-// the window expires, unless a lane-full (or drain) flush got there
-// first.
-func (b *batcher) collect(pb *pendingBatch) {
-	defer b.collectors.Done()
-	timer := b.clock.After(b.window)
-	select {
-	case <-timer:
-		b.mu.Lock()
-		if !pb.flushed {
-			b.flushLocked(pb)
-		}
-		b.mu.Unlock()
-	case <-pb.full:
-	}
-}
-
-// flushLocked (b.mu held) retires the batch from the pending map and
-// hands it to the worker pool; if the queue is saturated every member
-// is refused with ErrOverloaded rather than blocking the caller.
+// flushLocked (b.mu held) retires the batch from the pending map, stops
+// its window timer and hands it to the worker pool; if the queue is
+// saturated every member is refused with ErrOverloaded rather than
+// blocking the caller. A timer that fires anyway finds flushed set.
 func (b *batcher) flushLocked(pb *pendingBatch) {
 	pb.flushed = true
 	delete(b.pending, pb.key)
-	close(pb.full)
+	pb.stop()
 	select {
 	case b.jobs <- pb:
 	default:
@@ -262,27 +233,14 @@ func (b *batcher) execute(pb *pendingBatch) {
 	b.metrics.BatchedRequests.Add(int64(len(pb.members)))
 
 	// The chain keeps running while at least one member still wants the
-	// answer; when the last one cancels, the Interrupt hook stops the
-	// chain between thinned samples. The hook consumes no randomness, so
-	// surviving members' estimates are unaffected by co-batched
-	// cancellations.
-	live := new(atomic.Int64)
-	live.Store(int64(len(pb.members)))
-	stops := make([]func() bool, len(pb.members))
-	for i, m := range pb.members {
-		stops[i] = context.AfterFunc(m.ctx, func() { live.Add(-1) })
-	}
-	defer func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}()
-
+	// answer; once none does, the Interrupt hook stops the chain between
+	// thinned samples. The hook consumes no randomness, so surviving
+	// members' estimates are unaffected by co-batched cancellations.
 	opts := mh.Options{
 		BurnIn:    pb.key.burnIn,
 		Thin:      pb.key.thin,
 		Samples:   pb.key.samples,
-		Interrupt: func() bool { return live.Load() <= 0 },
+		Interrupt: func() bool { return !anyWaiting(pb.members) },
 	}
 	s, err := b.chain(pb, opts)
 	if err != nil {
@@ -296,15 +254,19 @@ func (b *batcher) execute(pb *pendingBatch) {
 	var answers []any
 	switch pb.key.kind {
 	case kindFlow:
+		pairs := make([]mh.FlowPair, len(pb.queries))
+		for i, q := range pb.queries {
+			pairs[i] = mh.FlowPair{Source: q.source, Sink: q.sink}
+		}
 		var probs []float64
-		probs, err = mh.FlowProbBatchOn(s, pb.pairs, opts)
+		probs, err = mh.FlowProbBatchOn(s, pairs, opts)
 		for _, p := range probs {
 			answers = append(answers, p)
 		}
 	case kindCommunity:
-		sources := make([]graph.NodeID, len(pb.pairs))
-		for i, p := range pb.pairs {
-			sources[i] = p.Source
+		sources := make([]graph.NodeID, len(pb.queries))
+		for i, q := range pb.queries {
+			sources[i] = q.source
 		}
 		var comms [][]float64
 		comms, err = mh.CommunityFlowProbsBatchOn(s, sources, opts)
@@ -312,12 +274,16 @@ func (b *batcher) execute(pb *pendingBatch) {
 			answers = append(answers, newCommunityLaw(c))
 		}
 	case kindImpact:
+		sets := make([][]graph.NodeID, len(pb.queries))
+		for i, q := range pb.queries {
+			sets[i] = q.nodes
+		}
 		var impacts [][]int
-		impacts, err = mh.ImpactDistributionBatchOn(s, pb.sets, opts)
+		impacts, err = mh.ImpactDistributionBatchOn(s, sets, opts)
 		for i, samples := range impacts {
 			// Sets arrive deduplicated, so the largest possible impact
 			// is NumNodes - len(set).
-			answers = append(answers, newSizeLaw(impactHist(samples, pb.model.NumNodes()-len(pb.sets[i])+1)))
+			answers = append(answers, sampledLaw(samples, pb.queries[0].model.ICM.NumNodes()-len(sets[i])+1))
 		}
 	}
 	if err != nil {
@@ -335,10 +301,10 @@ func (b *batcher) execute(pb *pendingBatch) {
 	}
 }
 
-// anyWaiting reports whether some member's context is still live. The
-// AfterFunc hooks execute registers cannot tell: AfterFunc runs its
-// function on a new goroutine even for a context cancelled before the
-// call, so the chain would step until that goroutine ran.
+// anyWaiting reports whether some member's context is still live. It
+// stops at the first live member, so a poll costs one ctx.Err() while
+// that member waits. execute checks it before running a batch, and the
+// chain polls it between thinned samples as its Interrupt hook.
 func anyWaiting(members []*member) bool {
 	for _, m := range members {
 		if m.ctx.Err() == nil {
@@ -348,13 +314,14 @@ func anyWaiting(members []*member) bool {
 	return false
 }
 
-// chain returns the batch's chain, burned in. On a start hit it is a
-// clone of the kept start; on a miss it is a fresh sampler seeded from
-// the batch key and burned in here, and a compact copy of it is kept.
-// Either way it is bit for bit the chain NewSampler and a full burn-in
-// leave. A miss whose members all cancel during burn-in keeps nothing.
-// Two batches that miss on one cold key at once both build the start;
-// the second Add replaces the first with an equal copy.
+// chain returns the batch's chain, burned in, on the model and
+// conditions its queries share. On a start hit it is a clone of the
+// kept start; on a miss it is a fresh sampler seeded from the batch key
+// and burned in here, and a compact copy of it is kept. Either way it is
+// bit for bit the chain NewSampler and a full burn-in leave. A miss
+// whose members all cancel during burn-in keeps nothing. Two batches
+// that miss on one cold key at once both build the start; the second
+// Add replaces the first with an equal copy.
 func (b *batcher) chain(pb *pendingBatch, opts mh.Options) (*mh.Sampler, error) {
 	key := pb.key.startKey()
 	if v, ok := b.starts.Get(key); ok {
@@ -362,11 +329,12 @@ func (b *batcher) chain(pb *pendingBatch, opts mh.Options) (*mh.Sampler, error) 
 		return v.(*mh.Start).Clone(), nil
 	}
 	b.metrics.StartMisses.Add(1)
-	s, err := mh.NewSampler(pb.model, pb.conds, rng.New(pb.key.seed))
+	q := pb.queries[0]
+	s, err := mh.NewSampler(q.model.ICM, q.conds, rng.New(pb.key.seed))
 	if err != nil {
 		return nil, err
 	}
-	if err := s.BurnIn(context.Background(), opts); err != nil {
+	if err := s.BurnIn(opts); err != nil {
 		return nil, err
 	}
 	st := s.Keep()
@@ -374,21 +342,26 @@ func (b *batcher) chain(pb *pendingBatch, opts mh.Options) (*mh.Sampler, error) 
 	return s, nil
 }
 
-// impactHist folds per-sample impact counts into a normalized histogram
-// over 0..length-1 new activations.
-func impactHist(samples []int, length int) []float64 {
-	hist := make([]float64, length)
+// sampledLaw folds a lane's per-sample impact counts into its size law:
+// the normalized histogram over 0..length-1 new activations, kept up to
+// the largest impact sampled, past which every entry is zero.
+func sampledLaw(samples []int, length int) sizeLaw {
+	top := 0
 	for _, imp := range samples {
 		if imp < 0 || imp >= length {
 			//flowlint:invariant the estimator counts activations over a deduplicated source set, so 0 <= impact <= n - |set| by construction
 			panic("serve: impact sample out of range")
 		}
-		hist[imp]++
+		top = max(top, imp)
 	}
-	for i := range hist {
-		hist[i] /= float64(len(samples))
+	support := make([]float64, top+1)
+	for _, imp := range samples {
+		support[imp]++
 	}
-	return hist
+	for i := range support {
+		support[i] /= float64(len(samples))
+	}
+	return sizeLaw{support: support, length: length}
 }
 
 // deliverError fans a batch-level failure out to every member. An
@@ -404,18 +377,19 @@ func (b *batcher) deliverError(pb *pendingBatch, err error) {
 }
 
 // drain stops admission, flushes every pending batch, and blocks until
-// the workers finish the backlog. Idempotent; later calls return once
-// the first drain completes.
+// the workers finish the backlog. Every send on jobs happens under mu,
+// so closing it there ends the workers once the queue empties, and a
+// window timer that fires later finds its batch flushed. Idempotent;
+// later calls return once the workers have finished.
 func (b *batcher) drain() {
-	b.drainOnce.Do(func() {
-		b.mu.Lock()
-		b.draining = true
+	b.mu.Lock()
+	if !b.draining.Load() {
+		b.draining.Store(true)
 		for _, pb := range b.pending {
 			b.flushLocked(pb)
 		}
-		b.mu.Unlock()
-		b.collectors.Wait()
 		close(b.jobs)
-	})
+	}
+	b.mu.Unlock()
 	b.workers.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -36,17 +37,54 @@ func (c communityLaw) dist() []float64 {
 	return out
 }
 
-func testBatchKey(m *core.ICM, samples int, seed uint64) batchKey {
+// dist pads a cached size law's support back to the full vector: the
+// one the estimator returned, bit for bit, since every other entry was
+// +0.
+func (l sizeLaw) dist() []float64 {
+	out := make([]float64, l.length)
+	copy(out, l.support)
+	return out
+}
+
+// impactHist folds per-sample impact counts into a normalized histogram
+// over 0..length-1 new activations: the full vector a sampled law keeps
+// the support of.
+func impactHist(samples []int, length int) []float64 {
+	hist := make([]float64, length)
+	for _, imp := range samples {
+		hist[imp]++
+	}
+	for i := range hist {
+		hist[i] /= float64(len(samples))
+	}
+	return hist
+}
+
+// testQuery is a /flow query from source to sink on m under the served
+// schedule, drawing samples samples from seed.
+func testQuery(m *core.ICM, source, sink graph.NodeID, samples int, seed uint64) *query {
 	opts := mh.DefaultOptions(m.NumEdges())
-	return batchKey{
-		digest: ModelDigest(m), kind: kindFlow,
-		burnIn: opts.BurnIn, thin: opts.Thin, samples: samples, seed: seed,
+	opts.Samples = samples
+	return &query{
+		model: Model{Name: "m", ICM: m, Digest: ModelDigest(m)},
+		kind:  kindFlow, source: source, sink: sink, opts: opts, seed: seed,
 	}
 }
 
-// TestBatcherWindowFlush: a lone request flushes when (and only when)
-// the fake clock crosses the batching window, and its answer is
-// bit-identical to scalar mh.FlowProb with the same seed and options.
+// join joins q to its batch under q's cache key.
+func join(t *testing.T, b *batcher, ctx context.Context, q *query) *member {
+	t.Helper()
+	mem, err := b.join(ctx, q, q.cacheKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mem
+}
+
+// TestBatcherWindowFlush: a lone request arms its batch's window at
+// join and flushes when (and only when) the fake clock crosses it, and
+// its answer is bit-identical to scalar mh.FlowProb with the same seed
+// and options.
 func TestBatcherWindowFlush(t *testing.T) {
 	m := serveICM(3, 20, 60)
 	clock := newFakeClock()
@@ -54,24 +92,23 @@ func TestBatcherWindowFlush(t *testing.T) {
 	b := newBatcher(10*time.Millisecond, 1, 4, mh.LaneWidth, clock, met, newLRUCache(8, 0), newLRUCache(0, 0))
 	defer b.drain()
 
-	key := testBatchKey(m, 200, 7)
-	mem, err := b.join(context.Background(), key, m, nil, mh.FlowPair{Source: 0, Sink: 5}, nil, "", "k1")
-	if err != nil {
-		t.Fatal(err)
+	q := testQuery(m, 0, 5, 200, 7)
+	mem := join(t, b, context.Background(), q)
+	if got := clock.Waiters(); got != 1 {
+		t.Fatalf("%d window timers armed at join, want 1", got)
 	}
+	clock.Advance(9 * time.Millisecond)
 	select {
 	case <-mem.done:
 		t.Fatal("batch flushed before the window expired")
 	case <-time.After(20 * time.Millisecond):
 	}
-	waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
-	clock.Advance(10 * time.Millisecond)
+	clock.Advance(time.Millisecond)
 	res := <-mem.done
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	opts := mh.Options{BurnIn: key.burnIn, Thin: key.thin, Samples: key.samples}
-	want, err := mh.FlowProb(m, 0, 5, nil, opts, rng.New(key.seed))
+	want, err := mh.FlowProb(m, 0, 5, nil, q.opts, rng.New(q.seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,20 +132,11 @@ func TestBatcherLaneDedupe(t *testing.T) {
 	b := newBatcher(time.Millisecond, 1, 4, mh.LaneWidth, clock, met, newLRUCache(8, 0), newLRUCache(0, 0))
 	defer b.drain()
 
-	key := testBatchKey(m, 100, 1)
-	pair := mh.FlowPair{Source: 2, Sink: 9}
-	m1, err := b.join(context.Background(), key, m, nil, pair, nil, "", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := b.join(context.Background(), key, m, nil, pair, nil, "", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1 := join(t, b, context.Background(), testQuery(m, 2, 9, 100, 1))
+	m2 := join(t, b, context.Background(), testQuery(m, 2, 9, 100, 1))
 	if m1.lane != m2.lane {
 		t.Fatalf("identical queries got lanes %d and %d, want shared", m1.lane, m2.lane)
 	}
-	waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
 	clock.Advance(time.Millisecond)
 	r1, r2 := <-m1.done, <-m2.done
 	if r1.Err != nil || r2.Err != nil {
@@ -123,7 +151,8 @@ func TestBatcherLaneDedupe(t *testing.T) {
 }
 
 // TestBatcherFlushOnFull: the lane budget's final distinct lane (here a
-// 64-lane budget) flushes immediately, without the window expiring.
+// 64-lane budget) flushes immediately, without the window expiring, and
+// stops the window's timer.
 func TestBatcherFlushOnFull(t *testing.T) {
 	m := serveICM(5, 70, 200)
 	clock := newFakeClock() // never advanced: only lane-full can flush
@@ -131,15 +160,13 @@ func TestBatcherFlushOnFull(t *testing.T) {
 	b := newBatcher(time.Hour, 2, 4, mh.LaneWidth, clock, met, newLRUCache(0, 0), newLRUCache(0, 0))
 	defer b.drain()
 
-	key := testBatchKey(m, 50, 3)
 	members := make([]*member, 0, mh.LaneWidth)
 	for i := 0; i < mh.LaneWidth; i++ {
-		pair := mh.FlowPair{Source: graph.NodeID(i % 8), Sink: graph.NodeID(10 + i/8)}
-		mem, err := b.join(context.Background(), key, m, nil, pair, nil, "", "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		members = append(members, mem)
+		q := testQuery(m, graph.NodeID(i%8), graph.NodeID(10+i/8), 50, 3)
+		members = append(members, join(t, b, context.Background(), q))
+	}
+	if got := clock.Waiters(); got != 0 {
+		t.Errorf("%d window timers still armed after a lane-full flush, want 0", got)
 	}
 	for i, mem := range members {
 		res := <-mem.done
@@ -156,27 +183,27 @@ func TestBatcherFlushOnFull(t *testing.T) {
 	}
 }
 
-// TestBatcherOverload: with no workers and no queue slack, a flushed
-// batch is refused with ErrOverloaded instead of blocking.
+// TestBatcherOverload: with no workers and no queue slack, a batch the
+// window flushes is refused with ErrOverloaded instead of blocking.
 func TestBatcherOverload(t *testing.T) {
 	m := serveICM(3, 20, 60)
 	clock := newFakeClock()
 	met := &Metrics{}
 	b := &batcher{
-		window:  time.Millisecond,
-		clock:   clock,
-		metrics: met,
-		cache:   newLRUCache(0, 0),
-		pending: make(map[batchKey]*pendingBatch),
-		jobs:    make(chan *pendingBatch), // unbuffered, no workers draining it
+		window:     time.Millisecond,
+		laneBudget: mh.LaneWidth,
+		clock:      clock,
+		metrics:    met,
+		cache:      newLRUCache(0, 0),
+		pending:    make(map[batchKey]*pendingBatch),
+		jobs:       make(chan *pendingBatch), // unbuffered, no workers draining it
 	}
 	met.queueDepth.Store(func() int { return len(b.jobs) })
 
-	mem, err := b.join(context.Background(), testBatchKey(m, 10, 1), m, nil, mh.FlowPair{Source: 0, Sink: 1}, nil, "", "")
-	if err != nil {
-		t.Fatal(err)
+	mem := join(t, b, context.Background(), testQuery(m, 0, 1, 10, 1))
+	if got := clock.Waiters(); got != 1 {
+		t.Fatalf("%d window timers armed, want 1", got)
 	}
-	waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
 	clock.Advance(time.Millisecond)
 	res := <-mem.done
 	if !errors.Is(res.Err, ErrOverloaded) {
@@ -185,7 +212,6 @@ func TestBatcherOverload(t *testing.T) {
 	if got := met.Rejected.Load(); got != 1 {
 		t.Errorf("Rejected = %d, want 1", got)
 	}
-	b.collectors.Wait()
 }
 
 // TestBatcherDrain: drain flushes pending batches (delivering results,
@@ -196,17 +222,59 @@ func TestBatcherDrain(t *testing.T) {
 	met := &Metrics{}
 	b := newBatcher(time.Hour, 1, 4, mh.LaneWidth, clock, met, newLRUCache(0, 0), newLRUCache(0, 0))
 
-	mem, err := b.join(context.Background(), testBatchKey(m, 50, 2), m, nil, mh.FlowPair{Source: 1, Sink: 4}, nil, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	mem := join(t, b, context.Background(), testQuery(m, 1, 4, 50, 2))
 	b.drain()
 	res := <-mem.done
 	if res.Err != nil {
 		t.Fatalf("drained batch returned error %v, want a computed result", res.Err)
 	}
-	if _, err := b.join(context.Background(), testBatchKey(m, 50, 2), m, nil, mh.FlowPair{Source: 1, Sink: 4}, nil, "", ""); !errors.Is(err, ErrDraining) {
+	q := testQuery(m, 1, 4, 50, 2)
+	if _, err := b.join(context.Background(), q, q.cacheKey()); !errors.Is(err, ErrDraining) {
 		t.Errorf("join after drain = %v, want ErrDraining", err)
+	}
+	if got := met.Rejected.Load(); got != 1 {
+		t.Errorf("Rejected = %d, want 1 (the refused join)", got)
+	}
+}
+
+// TestBatcherDrainLeavesNothingRunning: a drain flushes the batches
+// open on several keys and stops their window timers, so a window that
+// expires after it fires nothing: no send on the closed job queue and
+// no armed timer left. Run under -race.
+func TestBatcherDrainLeavesNothingRunning(t *testing.T) {
+	m := serveICM(3, 20, 60)
+	clock := newFakeClock()
+	met := &Metrics{}
+	b := newBatcher(time.Millisecond, 1, 8, mh.LaneWidth, clock, met, newLRUCache(0, 0), newLRUCache(0, 0))
+
+	var members []*member
+	for seed := uint64(1); seed <= 4; seed++ {
+		members = append(members, join(t, b, context.Background(), testQuery(m, 0, 5, 20, seed)))
+	}
+	if got := clock.Waiters(); got != 4 {
+		t.Fatalf("%d window timers armed, want one per open batch (4)", got)
+	}
+	clock.mu.Lock()
+	late := slices.Clone(clock.waiters)
+	clock.mu.Unlock()
+	b.drain()
+	if got := clock.Waiters(); got != 0 {
+		t.Errorf("%d window timers still armed after the drain, want 0", got)
+	}
+	// A real timer can fire after its batch flushed, when Stop loses the
+	// race with it: the callback must find the batch flushed and send
+	// nothing on the closed job queue.
+	for _, w := range late {
+		w.f()
+	}
+	clock.Advance(time.Hour)
+	for i, mem := range members {
+		if res := <-mem.done; res.Err != nil {
+			t.Errorf("member %d: %v", i, res.Err)
+		}
+	}
+	if got := met.Batches.Load(); got != 4 {
+		t.Errorf("Batches = %d, want 4", got)
 	}
 }
 
@@ -222,11 +290,7 @@ func TestBatcherAllMembersCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled at join: the sweep must abort early
-	mem, err := b.join(ctx, testBatchKey(m, 1_000_000, 1), m, nil, mh.FlowPair{Source: 0, Sink: 1}, nil, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
+	mem := join(t, b, ctx, testQuery(m, 0, 1, 1_000_000, 1))
 	clock.Advance(time.Millisecond)
 	res := <-mem.done
 	if !errors.Is(res.Err, mh.ErrInterrupted) {
@@ -247,24 +311,17 @@ func TestBatcherSurvivorUnaffectedByCancelledCobatch(t *testing.T) {
 	b := newBatcher(time.Millisecond, 1, 4, mh.LaneWidth, clock, met, newLRUCache(0, 0), newLRUCache(0, 0))
 	defer b.drain()
 
-	key := testBatchKey(m, 300, 11)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := b.join(ctx, key, m, nil, mh.FlowPair{Source: 0, Sink: 3}, nil, "", ""); err != nil {
-		t.Fatal(err)
-	}
-	surv, err := b.join(context.Background(), key, m, nil, mh.FlowPair{Source: 2, Sink: 8}, nil, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
+	join(t, b, ctx, testQuery(m, 0, 3, 300, 11))
+	q := testQuery(m, 2, 8, 300, 11)
+	surv := join(t, b, context.Background(), q)
 	clock.Advance(time.Millisecond)
 	res := <-surv.done
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	opts := mh.Options{BurnIn: key.burnIn, Thin: key.thin, Samples: key.samples}
-	want, err := mh.FlowProb(m, 2, 8, nil, opts, rng.New(key.seed))
+	want, err := mh.FlowProb(m, 2, 8, nil, q.opts, rng.New(q.seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,36 +358,34 @@ func newStartTest(t *testing.T, workers, budget int) *startTest {
 	return st
 }
 
-func (st *startTest) key(kind queryKind, samples int, seed uint64) batchKey {
-	k := testBatchKey(st.m, samples, seed)
-	k.kind, k.conds = kind, st.condKey
-	return k
+// query is a query of the given kind under the test's evidence; join
+// fills in its nodes.
+func (st *startTest) query(kind queryKind, samples int, seed uint64) query {
+	q := *testQuery(st.m, 0, 0, samples, seed)
+	q.kind, q.conds, q.condKey = kind, st.conds, st.condKey
+	return q
 }
 
-// join adds a query of key's kind on the given source (flow: to sink 9;
-// impact: the set {source, 4}).
-func (st *startTest) join(ctx context.Context, key batchKey, source graph.NodeID) *member {
+// join adds q on the given source (flow: to sink 9; impact: the set
+// {source, 4}).
+func (st *startTest) join(ctx context.Context, q query, source graph.NodeID) *member {
 	st.t.Helper()
-	pair := mh.FlowPair{Source: source, Sink: 9}
-	var sources []graph.NodeID
-	switch key.kind {
+	switch q.kind {
+	case kindFlow:
+		q.source, q.sink = source, 9
 	case kindCommunity:
-		pair.Sink = source
+		q.source = source
 	case kindImpact:
-		sources = []graph.NodeID{source, 4}
+		q.nodes = []graph.NodeID{source, 4}
+		q.nodesKey = sourcesKey(q.nodes)
 	}
-	mem, err := st.b.join(ctx, key, st.m, st.conds, pair, sources, sourcesKey(sources), "")
-	if err != nil {
-		st.t.Fatal(err)
-	}
-	return mem
+	return join(st.t, st.b, ctx, &q)
 }
 
-// run waits until waiters window collectors have armed, fires the
-// window, and returns the members' results in order.
-func (st *startTest) run(waiters int, mems ...*member) []flowResult {
+// run fires the window of every open batch and returns the members'
+// results in order.
+func (st *startTest) run(mems ...*member) []flowResult {
 	st.t.Helper()
-	waitUntil(st.t, "window collectors to arm", func() bool { return st.clock.Waiters() >= waiters })
 	st.clock.Advance(time.Millisecond)
 	out := make([]flowResult, len(mems))
 	for i, mem := range mems {
@@ -339,15 +394,15 @@ func (st *startTest) run(waiters int, mems ...*member) []flowResult {
 	return out
 }
 
-// fresh runs est on a fresh chain for key, as the library does, and
+// fresh runs est on a fresh chain for q, as the library does, and
 // returns its post-burn-in acceptance rate.
-func (st *startTest) fresh(key batchKey, est func(s *mh.Sampler, opts mh.Options) error) float64 {
+func (st *startTest) fresh(q query, est func(s *mh.Sampler, opts mh.Options) error) float64 {
 	st.t.Helper()
-	s, err := mh.NewSampler(st.m, st.conds, rng.New(key.seed))
+	s, err := mh.NewSampler(st.m, st.conds, rng.New(q.seed))
 	if err != nil {
 		st.t.Fatal(err)
 	}
-	if err := est(s, mh.Options{BurnIn: key.burnIn, Thin: key.thin, Samples: key.samples}); err != nil {
+	if err := est(s, q.opts); err != nil {
 		st.t.Fatal(err)
 	}
 	return s.PostBurnInAcceptanceRate()
@@ -369,12 +424,12 @@ func TestBatcherStartSharedAcrossKinds(t *testing.T) {
 	const seed = 13
 	n := st.m.NumNodes()
 
-	flowKey := st.key(kindFlow, 100, seed)
-	flow := st.run(1, st.join(context.Background(), flowKey, 2))[0]
-	commKey := st.key(kindCommunity, 150, seed)
-	comm := st.run(1, st.join(context.Background(), commKey, 2))[0]
-	impKey := st.key(kindImpact, 80, seed)
-	imp := st.run(1, st.join(context.Background(), impKey, 1))[0]
+	flowQ := st.query(kindFlow, 100, seed)
+	flow := st.run(st.join(context.Background(), flowQ, 2))[0]
+	commQ := st.query(kindCommunity, 150, seed)
+	comm := st.run(st.join(context.Background(), commQ, 2))[0]
+	impQ := st.query(kindImpact, 80, seed)
+	imp := st.run(st.join(context.Background(), impQ, 1))[0]
 	for _, r := range []flowResult{flow, comm, imp} {
 		if r.Err != nil {
 			t.Fatal(r.Err)
@@ -386,7 +441,7 @@ func TestBatcherStartSharedAcrossKinds(t *testing.T) {
 	}
 
 	var probs []float64
-	acc := st.fresh(flowKey, func(s *mh.Sampler, opts mh.Options) (err error) {
+	acc := st.fresh(flowQ, func(s *mh.Sampler, opts mh.Options) (err error) {
 		probs, err = mh.FlowProbBatchOn(s, []mh.FlowPair{{Source: 2, Sink: 9}}, opts)
 		return err
 	})
@@ -394,7 +449,7 @@ func TestBatcherStartSharedAcrossKinds(t *testing.T) {
 		t.Errorf("flow: prob %v acceptance %v, library %v %v", flow.Answer, flow.Acceptance, probs[0], acc)
 	}
 	var comms [][]float64
-	acc = st.fresh(commKey, func(s *mh.Sampler, opts mh.Options) (err error) {
+	acc = st.fresh(commQ, func(s *mh.Sampler, opts mh.Options) (err error) {
 		comms, err = mh.CommunityFlowProbsBatchOn(s, []graph.NodeID{2}, opts)
 		return err
 	})
@@ -407,7 +462,7 @@ func TestBatcherStartSharedAcrossKinds(t *testing.T) {
 		}
 	}
 	var impacts [][]int
-	acc = st.fresh(impKey, func(s *mh.Sampler, opts mh.Options) (err error) {
+	acc = st.fresh(impQ, func(s *mh.Sampler, opts mh.Options) (err error) {
 		impacts, err = mh.ImpactDistributionBatchOn(s, [][]graph.NodeID{{1, 4}}, opts)
 		return err
 	})
@@ -429,8 +484,8 @@ func TestBatcherStartSharedAcrossKinds(t *testing.T) {
 func TestBatcherConcurrentColdStart(t *testing.T) {
 	st := newStartTest(t, 2, startBudget)
 	const seed = 21
-	flowKey, commKey := st.key(kindFlow, 60, seed), st.key(kindCommunity, 40, seed)
-	res := st.run(2, st.join(context.Background(), flowKey, 3), st.join(context.Background(), commKey, 3))
+	flowQ, commQ := st.query(kindFlow, 60, seed), st.query(kindCommunity, 40, seed)
+	res := st.run(st.join(context.Background(), flowQ, 3), st.join(context.Background(), commQ, 3))
 	for _, r := range res {
 		if r.Err != nil {
 			t.Fatal(r.Err)
@@ -443,7 +498,7 @@ func TestBatcherConcurrentColdStart(t *testing.T) {
 		t.Errorf("kept %d starts, want 1", st.starts.Len())
 	}
 	var probs []float64
-	st.fresh(flowKey, func(s *mh.Sampler, opts mh.Options) (err error) {
+	st.fresh(flowQ, func(s *mh.Sampler, opts mh.Options) (err error) {
 		probs, err = mh.FlowProbBatchOn(s, []mh.FlowPair{{Source: 3, Sink: 9}}, opts)
 		return err
 	})
@@ -451,7 +506,7 @@ func TestBatcherConcurrentColdStart(t *testing.T) {
 		t.Errorf("flow prob %v, library %v", res[0].Answer, probs[0])
 	}
 	var comms [][]float64
-	st.fresh(commKey, func(s *mh.Sampler, opts mh.Options) (err error) {
+	st.fresh(commQ, func(s *mh.Sampler, opts mh.Options) (err error) {
 		comms, err = mh.CommunityFlowProbsBatchOn(s, []graph.NodeID{3}, opts)
 		return err
 	})
@@ -468,12 +523,11 @@ func TestBatcherConcurrentColdStart(t *testing.T) {
 // which reaches the batch asynchronously, lands inside it.
 func TestBatcherCancelledBurnInKeepsNoStart(t *testing.T) {
 	st := newStartTest(t, 1, startBudget)
-	key := st.key(kindFlow, 50, 5)
-	key.burnIn = 100_000_000
+	q := st.query(kindFlow, 50, 5)
+	q.opts.BurnIn = 100_000_000
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	mem := st.join(ctx, key, 2)
-	waitUntil(t, "window collector to arm", func() bool { return st.clock.Waiters() > 0 })
+	mem := st.join(ctx, q, 2)
 	st.clock.Advance(time.Millisecond)
 	waitUntil(t, "the batch to begin its burn-in", func() bool { return st.met.StartMisses.Load() == 1 })
 	cancel()
@@ -494,11 +548,11 @@ func TestBatcherCancelledBurnInKeepsNoStart(t *testing.T) {
 // counts as neither an executed batch nor a server error.
 func TestBatcherSkipsBatchNobodyWaitsFor(t *testing.T) {
 	st := newStartTest(t, 1, startBudget)
-	key := st.key(kindFlow, 50, 5)
+	q := st.query(kindFlow, 50, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	a, b := st.join(ctx, key, 2), st.join(ctx, key, 3)
-	for i, r := range st.run(1, a, b) {
+	a, b := st.join(ctx, q, 2), st.join(ctx, q, 3)
+	for i, r := range st.run(a, b) {
 		if !errors.Is(r.Err, mh.ErrInterrupted) {
 			t.Fatalf("member %d: err = %v, want ErrInterrupted", i, r.Err)
 		}
@@ -531,7 +585,7 @@ func TestBatcherStartBudgetEvictsLRU(t *testing.T) {
 		seed uint64
 		hit  bool
 	}{{1, false}, {2, false}, {1, true}, {3, false}, {1, true}, {2, false}} {
-		if r := st.run(1, st.join(context.Background(), st.key(kindFlow, 20, step.seed), 2))[0]; r.Err != nil {
+		if r := st.run(st.join(context.Background(), st.query(kindFlow, 20, step.seed), 2))[0]; r.Err != nil {
 			t.Fatal(r.Err)
 		}
 		if step.hit {

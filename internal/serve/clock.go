@@ -2,25 +2,23 @@ package serve
 
 import "time"
 
-// Clock abstracts the two time operations the batcher needs, so the
+// Clock abstracts the one time operation the batcher needs, so the
 // batching window is injectable: production uses the wall clock, tests
 // drive a fake clock deterministically, and the cmd/ tree (where
 // flowlint bans direct wall-clock reads) passes timing concerns down
 // here by construction.
 type Clock interface {
-	// Now returns the current time (used only for logging/metrics
-	// decoration, never for control flow that must be deterministic).
-	Now() time.Time
-	// After returns a channel that delivers once d has elapsed. One
-	// channel per call; the batcher never reuses them.
-	After(d time.Duration) <-chan time.Time
+	// AfterFunc calls f once d has elapsed, outside any lock the caller
+	// holds, and returns a stop function that cancels the call, reporting
+	// whether it did (false once f has been called or stopped), as
+	// time.AfterFunc's Timer.Stop does.
+	AfterFunc(d time.Duration, f func()) (stop func() bool)
 }
 
 // realClock is the production Clock.
 type realClock struct{}
 
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (realClock) AfterFunc(d time.Duration, f func()) func() bool { return time.AfterFunc(d, f).Stop }
 
 // RealClock returns the wall-clock Clock used when Config.Clock is nil.
 func RealClock() Clock { return realClock{} }

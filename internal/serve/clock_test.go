@@ -1,66 +1,72 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
 
-// fakeClock is a manually advanced Clock: After channels fire only when
-// Advance moves the clock past their deadline, so tests control exactly
-// when batching windows expire (never, for flush-on-full tests).
+// fakeClock is a manually advanced Clock: AfterFunc callbacks run only
+// when Advance moves the clock past their deadline, so tests control
+// exactly when batching windows expire (never, for flush-on-full tests).
 type fakeClock struct {
 	mu      sync.Mutex
 	now     time.Time
-	waiters []fakeWaiter
+	waiters []*fakeWaiter
 }
 
 type fakeWaiter struct {
 	at time.Time
-	ch chan time.Time
+	f  func()
 }
 
 func newFakeClock() *fakeClock {
 	return &fakeClock{now: time.Unix(1_700_000_000, 0)}
 }
 
-func (c *fakeClock) Now() time.Time {
+func (c *fakeClock) AfterFunc(d time.Duration, f func()) func() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d <= 0 {
-		ch <- c.now
-		return ch
+	w := &fakeWaiter{at: c.now.Add(d), f: f}
+	c.waiters = append(c.waiters, w)
+	return func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		i := slices.Index(c.waiters, w)
+		if i < 0 {
+			return false
+		}
+		c.waiters = slices.Delete(c.waiters, i, i+1)
+		return true
 	}
-	c.waiters = append(c.waiters, fakeWaiter{at: c.now.Add(d), ch: ch})
-	return ch
 }
 
-// Advance moves the clock forward, firing every waiter whose deadline
-// has passed.
+// Advance moves the clock forward, then calls every callback whose
+// deadline has passed. It calls them after releasing the clock's lock,
+// as time.AfterFunc runs them on a goroutine of its own: the batcher
+// arms and stops its timers while holding its own lock, which a
+// callback takes.
 func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.now = c.now.Add(d)
-	kept := c.waiters[:0]
-	for _, w := range c.waiters {
+	var due []*fakeWaiter
+	c.waiters = slices.DeleteFunc(c.waiters, func(w *fakeWaiter) bool {
 		if w.at.After(c.now) {
-			kept = append(kept, w)
-		} else {
-			w.ch <- c.now
+			return false
 		}
+		due = append(due, w)
+		return true
+	})
+	c.mu.Unlock()
+	for _, w := range due {
+		w.f()
 	}
-	c.waiters = kept
 }
 
-// Waiters reports how many After channels are pending — tests poll it
-// to know a batch collector has armed its window before advancing.
+// Waiters reports how many timers are armed and not yet fired or
+// stopped: one per open batch. Tests poll it to know a request served on
+// another goroutine has joined its batch before advancing.
 func (c *fakeClock) Waiters() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -16,6 +17,13 @@ import (
 	"infoflow/internal/rng"
 	"infoflow/internal/sizedist"
 )
+
+// impactBody is an /impact body as a client decodes it, with its law
+// as the full vector.
+type impactBody struct {
+	impactResponse
+	Dist []float64 `json:"dist"`
+}
 
 // serveDAG builds a deterministic acyclic model so /impact's analytic
 // path is exact.
@@ -53,7 +61,7 @@ func TestServerImpactAnalytic(t *testing.T) {
 	srv, ts, _ := startServer(t, func(c *Config) {
 		c.Models = []Model{{Name: "m", ICM: serveDAG(7, 20, 40)}}
 	})
-	var resp impactResponse
+	var resp impactBody
 	if status := getJSON(t, ts.URL+"/impact?sources=2,5", &resp); status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
@@ -84,7 +92,7 @@ func TestServerImpactAnalytic(t *testing.T) {
 
 	// Repeat with different chain parameters and unsorted duplicate
 	// sources: same set, so it must hit the analytic cache.
-	var second impactResponse
+	var second impactBody
 	if status := getJSON(t, ts.URL+"/impact?sources=5,2,5&samples=999&seed=123", &second); status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
@@ -103,14 +111,14 @@ func TestServerImpactAnalytic(t *testing.T) {
 // must reproduce the scalar library histogram exactly at the same seed.
 func TestServerImpactSampledBitIdentity(t *testing.T) {
 	srv, ts, clock := startServer(t, nil)
-	var resp impactResponse
+	var resp impactBody
 	var status int
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		status = getJSON(t, ts.URL+"/impact?sources=3,1&mode=sampled&samples=150&seed=42", &resp)
 	}()
-	waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
+	waitUntil(t, "the batch window to arm", func() bool { return clock.Waiters() > 0 })
 	clock.Advance(time.Hour)
 	<-done
 	if status != http.StatusOK {
@@ -141,7 +149,7 @@ func TestServerImpactSampledBitIdentity(t *testing.T) {
 
 	// The repeat is a sampled-cache hit: no new batch.
 	batches := srv.Metrics().Batches.Load()
-	var second impactResponse
+	var second impactBody
 	if st := getJSON(t, ts.URL+"/impact?sources=1,3&mode=sampled&samples=150&seed=42", &second); st != http.StatusOK {
 		t.Fatalf("status %d", st)
 	}
@@ -158,14 +166,14 @@ func TestServerImpactSampledBitIdentity(t *testing.T) {
 // the same model mode=analytic still answers, labeled inexact.
 func TestServerImpactAutoFallsBackToSampled(t *testing.T) {
 	srv, ts, clock := startServer(t, nil) // serveICM(3,20,60) is heavily cyclic
-	var resp impactResponse
+	var resp impactBody
 	var status int
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		status = getJSON(t, ts.URL+"/impact?sources=0&samples=80&seed=5", &resp)
 	}()
-	waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
+	waitUntil(t, "the batch window to arm", func() bool { return clock.Waiters() > 0 })
 	clock.Advance(time.Hour)
 	<-done
 	if status != http.StatusOK {
@@ -178,7 +186,7 @@ func TestServerImpactAutoFallsBackToSampled(t *testing.T) {
 		t.Errorf("ImpactSampled = %d, want 1", got)
 	}
 
-	var analytic impactResponse
+	var analytic impactBody
 	if st := getJSON(t, ts.URL+"/impact?sources=0&mode=analytic", &analytic); st != http.StatusOK {
 		t.Fatalf("mode=analytic status %d", st)
 	}
@@ -201,14 +209,14 @@ func TestServerImpactAnalyticIntractable(t *testing.T) {
 	if status := getJSON(t, ts.URL+"/impact?sources=0&mode=analytic", &errResp); status != http.StatusUnprocessableEntity {
 		t.Fatalf("mode=analytic status %d, want 422", status)
 	}
-	var resp impactResponse
+	var resp impactBody
 	var status int
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		status = getJSON(t, ts.URL+"/impact?sources=0&samples=60", &resp)
 	}()
-	waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
+	waitUntil(t, "the batch window to arm", func() bool { return clock.Waiters() > 0 })
 	clock.Advance(time.Hour)
 	<-done
 	if status != http.StatusOK || resp.Mode != "sampled" {
@@ -229,7 +237,7 @@ func TestServerImpactBurstCoalesces(t *testing.T) {
 	const reqs = 32
 	var wg sync.WaitGroup
 	codes := make([]int, reqs)
-	resps := make([]impactResponse, reqs)
+	resps := make([]impactBody, reqs)
 	for i := 0; i < reqs; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -311,7 +319,7 @@ func serveDirect(s *Server, url string) *httptest.ResponseRecorder {
 }
 
 // serveBatched runs a request that joins a batch: it waits for the
-// window collector to arm, then fires the window.
+// request to join and arm its batch's window, then fires the window.
 func serveBatched(t *testing.T, s *Server, clock *fakeClock, url string) *httptest.ResponseRecorder {
 	t.Helper()
 	var rec *httptest.ResponseRecorder
@@ -320,7 +328,7 @@ func serveBatched(t *testing.T, s *Server, clock *fakeClock, url string) *httpte
 		defer close(done)
 		rec = serveDirect(s, url)
 	}()
-	waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
+	waitUntil(t, "the batch window to arm", func() bool { return clock.Waiters() > 0 })
 	clock.Advance(time.Hour)
 	<-done
 	return rec
@@ -394,6 +402,48 @@ func TestServerImpactCachedBodyIdentical(t *testing.T) {
 	if laws != 2 {
 		t.Errorf("%d cached laws, want the analytic and the sampled one", laws)
 	}
+}
+
+// TestSizeLawRendersFullVector: a law renders as encoding/json renders
+// its full vector, byte for byte, whatever its support holds: nothing,
+// all of the vector, a negative zero, or floats encoding/json writes in
+// exponent form.
+func TestSizeLawRendersFullVector(t *testing.T) {
+	for _, dist := range [][]float64{
+		{},
+		{0},
+		{0, 0, 0},
+		{1},
+		{0.25, 0.75},
+		{0.5, 0, 0.5, 0, 0},
+		{math.Copysign(0, -1), 1, 0},
+		{1e-7, 2.5e21, 0.1, 0, 0, 0, 0},
+	} {
+		want, err := json.Marshal(dist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		law := newSizeLaw(dist)
+		got, err := json.Marshal(law)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%v: law renders %s, want %s", dist, got, want)
+		}
+		if mean, want := law.mean(), distMean(dist); math.Float64bits(mean) != math.Float64bits(want) {
+			t.Errorf("%v: mean %v, want %v", dist, mean, want)
+		}
+	}
+}
+
+// distMean is the expected impact of a full size histogram.
+func distMean(dist []float64) float64 {
+	mean := 0.0
+	for k, p := range dist {
+		mean += float64(k) * p
+	}
+	return mean
 }
 
 // TestServerImpactDrain pins /impact during a drain. A cached exact law

@@ -48,7 +48,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"infoflow/internal/core"
@@ -158,14 +157,13 @@ const maxSketchSets = 65536
 // Server routes flow queries into the batcher. Build with NewServer,
 // mount via Handler, stop with Drain.
 type Server struct {
-	cfg      Config
-	models   map[string]Model
-	only     string // sole model name when len(models) == 1
-	metrics  *Metrics
-	cache    *lruCache
-	batcher  *batcher
-	mux      *http.ServeMux
-	draining atomic.Bool
+	cfg     Config
+	models  map[string]Model
+	only    string // sole model name when len(models) == 1
+	metrics *Metrics
+	cache   *lruCache
+	batcher *batcher
+	mux     *http.ServeMux
 }
 
 // NewServer validates cfg, fills defaults, computes missing model
@@ -225,20 +223,21 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // pending batch has been executed and delivered. From the call on,
 // healthz reports draining and every request that would compute — a
 // batch join, a /maximize selection, an analytic /impact law — gets 503;
-// cached answers are still served. Call once, on shutdown.
+// cached answers are still served, and every refusal counts toward
+// Metrics.Rejected. Call once, on shutdown.
 func (s *Server) Drain() {
-	s.draining.Store(true)
 	s.batcher.drain()
 }
 
 // refuseDraining returns the 503 a request that would compute gets once
 // Drain has begun, and nil before. The analytic /impact front and
 // /maximize, which compute in the handler, call it before computing, as
-// the batcher refuses joins.
+// the batcher refuses joins, and count the refusal as it does.
 func (s *Server) refuseDraining() *httpError {
-	if !s.draining.Load() {
+	if !s.batcher.draining.Load() {
 		return nil
 	}
+	s.metrics.Rejected.Add(1)
 	return &httpError{status: http.StatusServiceUnavailable, msg: ErrDraining.Error()}
 }
 
@@ -506,11 +505,7 @@ func (s *Server) answer(r *http.Request, q *query) (flowResult, *httpError) {
 // dispatch joins the query's batch and waits for its result or the
 // request deadline; returned *httpError is ready to write.
 func (s *Server) dispatch(ctx context.Context, q *query, key string) (flowResult, *httpError) {
-	pair := mh.FlowPair{Source: q.source, Sink: q.sink}
-	if q.kind == kindCommunity {
-		pair.Sink = q.source
-	}
-	m, err := s.batcher.join(ctx, q.batchKey(), q.model.ICM, q.conds, pair, q.nodes, q.nodesKey, key)
+	m, err := s.batcher.join(ctx, q, key)
 	if err != nil {
 		return flowResult{}, &httpError{status: http.StatusServiceUnavailable, msg: err.Error()}
 	}
@@ -676,17 +671,17 @@ func TopCommunity(probs []float64, source graph.NodeID, top int) []graph.NodeID 
 // "mh-sampled" for the batched chain — and Exact reports whether Dist is
 // the exact law (sampled and bounded-analytic answers are not).
 type impactResponse struct {
-	Model   string    `json:"model"`
-	Sources []int     `json:"sources"`
-	Cond    string    `json:"cond,omitempty"`
-	Mode    string    `json:"mode"`
-	Method  string    `json:"method"`
-	Exact   bool      `json:"exact"`
-	Mean    float64   `json:"mean"`
-	Dist    []float64 `json:"dist"`
-	Samples int       `json:"samples,omitempty"`
-	Seed    uint64    `json:"seed,omitempty"`
-	Cached  bool      `json:"cached"`
+	Model   string  `json:"model"`
+	Sources []int   `json:"sources"`
+	Cond    string  `json:"cond,omitempty"`
+	Mode    string  `json:"mode"`
+	Method  string  `json:"method"`
+	Exact   bool    `json:"exact"`
+	Mean    float64 `json:"mean"`
+	Dist    sizeLaw `json:"dist"`
+	Samples int     `json:"samples,omitempty"`
+	Seed    uint64  `json:"seed,omitempty"`
+	Cached  bool    `json:"cached"`
 	batchStats
 }
 
@@ -722,12 +717,36 @@ func newSizeLaw(dist []float64) sizeLaw {
 	return sizeLaw{support: append(make([]float64, 0, n), dist[:n]...), length: len(dist)}
 }
 
-// dist pads the support back to the law's full length: the vector the
-// estimator returned, bit for bit.
-func (l sizeLaw) dist() []float64 {
-	out := make([]float64, l.length)
-	copy(out, l.support)
-	return out
+// MarshalJSON renders the law as the full-length vector the estimator
+// returned, bit for bit: the support as encoding/json writes it, then a
+// 0 for each entry of the zero tail, which a subcritical cascade makes
+// almost all of a law on a large model.
+func (l sizeLaw) MarshalJSON() ([]byte, error) {
+	out := []byte{'['}
+	if len(l.support) > 0 {
+		b, err := json.Marshal(l.support)
+		if err != nil {
+			return nil, err
+		}
+		out = b[:len(b)-1]
+	}
+	out = slices.Grow(out, 2*(l.length-len(l.support))+1)
+	for i := len(l.support); i < l.length; i++ {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, '0')
+	}
+	return append(out, ']'), nil
+}
+
+// mean is the law's expected impact. The zero tail adds nothing to it.
+func (l sizeLaw) mean() float64 {
+	mean := 0.0
+	for k, p := range l.support {
+		mean += float64(k) * p
+	}
+	return mean
 }
 
 // handleImpact serves the cascade-size distribution of a source set.
@@ -747,17 +766,15 @@ func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 		Model: q.model.Name, Sources: nodeInts(q.nodes), Cond: q.condKey,
 		Cached: res.Cached, batchStats: res.batchStats,
 	}
-	var law sizeLaw
 	switch a := res.Answer.(type) {
 	case impactAnalytic:
 		s.metrics.ImpactAnalytic.Add(1)
-		resp.Mode, resp.Method, resp.Exact, law = "analytic", a.method, a.exact, a.law
+		resp.Mode, resp.Method, resp.Exact, resp.Dist = "analytic", a.method, a.exact, a.law
 	case sizeLaw:
 		s.metrics.ImpactSampled.Add(1)
-		resp.Mode, resp.Method, resp.Samples, resp.Seed, law = "sampled", "mh-sampled", q.opts.Samples, q.seed, a
+		resp.Mode, resp.Method, resp.Samples, resp.Seed, resp.Dist = "sampled", "mh-sampled", q.opts.Samples, q.seed, a
 	}
-	resp.Dist = law.dist()
-	resp.Mean = distMean(resp.Dist)
+	resp.Mean = resp.Dist.mean()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -809,17 +826,8 @@ func nodeInts(nodes []graph.NodeID) []int {
 	return out
 }
 
-// distMean is the expected impact of a normalized size histogram.
-func distMean(dist []float64) float64 {
-	mean := 0.0
-	for k, p := range dist {
-		mean += float64(k) * p
-	}
-	return mean
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.draining.Load() {
+	if s.batcher.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}

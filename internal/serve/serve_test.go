@@ -128,7 +128,7 @@ func TestServerFlowBitIdentity(t *testing.T) {
 		defer close(done)
 		status = getJSON(t, ts.URL+"/flow?source=2&sink=9&samples=150&seed=42", &resp)
 	}()
-	waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
+	waitUntil(t, "the batch window to arm", func() bool { return clock.Waiters() > 0 })
 	clock.Advance(time.Hour)
 	<-done
 	if status != http.StatusOK {
@@ -160,7 +160,7 @@ func TestServerCacheHit(t *testing.T) {
 		defer close(done)
 		getJSON(t, url, &first)
 	}()
-	waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
+	waitUntil(t, "the batch window to arm", func() bool { return clock.Waiters() > 0 })
 	clock.Advance(time.Hour)
 	<-done
 
@@ -194,7 +194,7 @@ func TestServerCommunity(t *testing.T) {
 		defer close(done)
 		status = getJSON(t, ts.URL+"/community?source=4&samples=120&seed=9&top=5", &resp)
 	}()
-	waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
+	waitUntil(t, "the batch window to arm", func() bool { return clock.Waiters() > 0 })
 	clock.Advance(time.Hour)
 	<-done
 	if status != http.StatusOK {
@@ -365,7 +365,7 @@ func TestServerCommunityHugeTop(t *testing.T) {
 		defer close(done)
 		status = getJSON(t, url, &first)
 	}()
-	waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
+	waitUntil(t, "the batch window to arm", func() bool { return clock.Waiters() > 0 })
 	clock.Advance(time.Hour)
 	<-done
 	n := srv.models["m"].ICM.NumNodes()
@@ -426,6 +426,91 @@ func TestServerDrain(t *testing.T) {
 			t.Errorf("%s after drain: %d, want 503", path, status)
 		}
 	}
+}
+
+// TestServerDrainCountsRejected: every 503 a draining server gives a
+// request that would compute counts toward Rejected, whether the
+// batcher refuses its join (/flow) or the handler refuses to compute
+// (/maximize, analytic /impact), while cached answers are still served
+// and count as nothing of the kind.
+func TestServerDrainCountsRejected(t *testing.T) {
+	srv, _, _ := startServer(t, func(c *Config) {
+		c.Models = []Model{{Name: "dag", ICM: serveDAG(7, 20, 40)}}
+		c.Clock, c.Window = RealClock(), time.Millisecond
+	})
+	cached := []string{
+		"/flow?source=2&sink=9&samples=40",
+		"/maximize?k=2&samples=2&roots=64",
+		"/impact?sources=2,5",
+	}
+	for _, url := range cached {
+		if rec := serveDirect(srv, url); rec.Code != http.StatusOK {
+			t.Fatalf("%s before the drain: status %d: %s", url, rec.Code, rec.Body)
+		}
+	}
+	srv.Drain()
+	for _, url := range cached {
+		if rec := serveDirect(srv, url); rec.Code != http.StatusOK {
+			t.Errorf("%s after the drain: status %d, want 200 from the cache", url, rec.Code)
+		}
+	}
+	if got := srv.Metrics().Rejected.Load(); got != 0 {
+		t.Fatalf("Rejected = %d after serving cached answers, want 0", got)
+	}
+	for _, url := range []string{
+		"/flow?source=3&sink=9&samples=40",
+		"/maximize?k=2&samples=3&roots=64",
+		"/impact?sources=3&mode=analytic",
+	} {
+		if rec := serveDirect(srv, url); rec.Code != http.StatusServiceUnavailable {
+			t.Errorf("%s after the drain: status %d, want 503", url, rec.Code)
+		}
+	}
+	if got := srv.Metrics().Rejected.Load(); got != 3 {
+		t.Errorf("Rejected = %d, want 3 (one per refused request)", got)
+	}
+}
+
+// TestServerDrainLeavesNoGoroutines: on the wall clock, a burst that
+// flushes batches both lane-full and on the window, then a drain, leaves
+// no goroutine running: the workers have exited and no window timer is
+// left to fire. Run under -race.
+func TestServerDrainLeavesNoGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	srv, err := NewServer(Config{
+		Models:     []Model{{Name: "m", ICM: serveICM(5, 70, 200)}},
+		Window:     time.Millisecond,
+		LaneBudget: 8,
+		Workers:    2,
+		QueueCap:   16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 20 distinct queries on one key fill two 8-lane batches; the last 4
+	// flush on the window.
+	var wg sync.WaitGroup
+	codes := make([]int, 20)
+	for i := range codes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			codes[i] = serveDirect(srv, fmt.Sprintf("/flow?source=%d&sink=%d&samples=20", i%10, 10+i/10)).Code
+		}()
+	}
+	wg.Wait()
+	for i, code := range codes {
+		if code != http.StatusOK {
+			t.Errorf("request %d: status %d", i, code)
+		}
+	}
+	if got := srv.Metrics().Batches.Load(); got < 3 {
+		t.Errorf("Batches = %d, want at least 3 (two lane-full, one on the window)", got)
+	}
+	srv.Drain()
+	waitUntil(t, "the goroutine count to return to its baseline", func() bool {
+		return runtime.NumGoroutine() <= baseline
+	})
 }
 
 // TestServerBadRequests: parse and validation failures map to the right
@@ -531,7 +616,7 @@ func TestServerCondCanonicalisation(t *testing.T) {
 		defer close(done)
 		getJSON(t, ts.URL+"/flow?source=0&sink=9&cond=1>2=1,3>4=0", &first)
 	}()
-	waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
+	waitUntil(t, "the batch window to arm", func() bool { return clock.Waiters() > 0 })
 	clock.Advance(time.Hour)
 	<-done
 	var second flowResponse
@@ -587,7 +672,7 @@ func TestServerCondOrderLeavesAnswers(t *testing.T) {
 			defer close(done)
 			getJSON(t, ts.URL+"/flow?source=4&sink=5&samples=100&seed=1&cond="+arrival[0], &first)
 		}()
-		waitUntil(t, "window collector to arm", func() bool { return clock.Waiters() > 0 })
+		waitUntil(t, "the batch window to arm", func() bool { return clock.Waiters() > 0 })
 		clock.Advance(time.Hour)
 		<-done
 		var second flowResponse
