@@ -6,6 +6,42 @@ import (
 	"strings"
 )
 
+// Report is a bucket experiment as the paper's figures print it: the
+// calibration analysis and the Table III measures over all pairs and
+// over middle values.
+type Report struct {
+	Analysis *Result
+	All      Metrics
+	// Middle is zero-valued when every estimate is exactly 0 or 1: legal,
+	// if unexpected.
+	Middle Metrics
+}
+
+// Report analyses the experiment into nBins bins and computes the
+// Table III measures.
+func (e *Experiment) Report(nBins int) (Report, error) {
+	analysis, err := e.Analyze(nBins)
+	if err != nil {
+		return Report{}, err
+	}
+	all, err := e.Compute()
+	if err != nil {
+		return Report{}, err
+	}
+	middle, _ := e.ComputeMiddle() // zero-valued when there are no middle values
+	return Report{Analysis: analysis, All: all, Middle: middle}, nil
+}
+
+// String renders the calibration table followed by the measures line.
+func (r Report) String() string { return r.Analysis.String() + r.Measures() }
+
+// Measures renders the Table III measures line: normalised likelihood
+// and Brier score over all pairs, each with its middle-value figure.
+func (r Report) Measures() string {
+	return fmt.Sprintf("normalised likelihood: %.6f (middle %.6f), Brier: %.6f (middle %.6f)\n",
+		r.All.NormalisedLikelihood, r.Middle.NormalisedLikelihood, r.All.Brier, r.Middle.Brier)
+}
+
 // String renders the analysis as a fixed-width table mirroring the
 // information in the paper's calibration figures: per-bin mean estimate,
 // empirical mean with its 95% interval, volumes, and the in-interval

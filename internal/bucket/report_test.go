@@ -91,3 +91,44 @@ func TestVolumePlot(t *testing.T) {
 		t.Errorf("bar widths %d (n=20) vs %d (n=10) not ordered:\n%s", lowBar, highBar, s)
 	}
 }
+
+// TestExperimentReport checks the figures' report: the analysis and both
+// measure sets match the separate calls, the rendering is the table then
+// the measures line, and an experiment whose estimates all sit at 0 or 1
+// reports zero-valued middle measures instead of an error.
+func TestExperimentReport(t *testing.T) {
+	e := &Experiment{}
+	for i := 0; i < 20; i++ {
+		e.MustAdd(0.25, i < 5)
+		e.MustAdd(1, i < 18)
+	}
+	rep, err := e.Report(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, _ := e.Compute()
+	middle, _ := e.ComputeMiddle()
+	if rep.All != all || rep.Middle != middle || rep.Analysis.NonEmpty != 2 {
+		t.Errorf("report = %+v, want all %+v middle %+v over 2 bins", rep, all, middle)
+	}
+	if got, want := rep.String(), rep.Analysis.String()+rep.Measures(); got != want {
+		t.Errorf("String = %q, want table then measures %q", got, want)
+	}
+	if !strings.HasPrefix(rep.Measures(), "normalised likelihood: ") || strings.Count(rep.Measures(), "\n") != 1 {
+		t.Errorf("measures line = %q", rep.Measures())
+	}
+
+	extremes := &Experiment{}
+	extremes.MustAdd(0, false)
+	extremes.MustAdd(1, true)
+	rep, err = extremes.Report(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Middle != (Metrics{}) || rep.All.Count != 2 {
+		t.Errorf("extremes report: all %+v, middle %+v; want zero middle", rep.All, rep.Middle)
+	}
+	if _, err := (&Experiment{}).Report(10); err == nil {
+		t.Error("empty experiment reported")
+	}
+}

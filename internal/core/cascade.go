@@ -70,56 +70,22 @@ func (c *Cascade) NumNewlyActive() int {
 // pseudo-state and deriving the active-state, but touches only edges with
 // active parents.
 func (m *ICM) SampleCascade(r *rng.RNG, sources []graph.NodeID) *Cascade {
-	n, me := m.NumNodes(), m.NumEdges()
-	c := &Cascade{
-		Sources:     append([]graph.NodeID(nil), sources...),
-		ActiveNodes: make([]bool, n),
-		ActiveEdges: make([]bool, me),
-		TriedEdges:  make([]bool, me),
-		Round:       make([]int, n),
-		Parent:      make([]graph.NodeID, n),
-	}
-	for v := range c.Round {
-		c.Round[v] = -1
-		c.Parent[v] = -1
-	}
-	frontier := make([]graph.NodeID, 0, len(sources))
-	for _, s := range sources {
-		if !c.ActiveNodes[s] {
-			c.ActiveNodes[s] = true
-			c.Round[s] = 0
-			frontier = append(frontier, s)
-		}
-	}
-	round := 0
-	for len(frontier) > 0 {
-		round++
-		var next []graph.NodeID
-		for _, v := range frontier {
-			for _, id := range m.G.OutEdges(v) {
-				c.TriedEdges[id] = true
-				if !r.Bernoulli(m.P[id]) {
-					continue
-				}
-				c.ActiveEdges[id] = true
-				w := m.G.Edge(id).To
-				if !c.ActiveNodes[w] {
-					c.ActiveNodes[w] = true
-					c.Round[w] = round
-					c.Parent[w] = v
-					next = append(next, w)
-				}
-			}
-		}
-		frontier = next
-	}
-	return c
+	return m.walk(sources, r, nil)
 }
 
 // CascadeFromPseudoState derives the active-state annotation for sources
 // under a fully specified pseudo-state (the x |-> s map of §III-A).
 // Rounds and parents come from BFS over the active edges.
 func (m *ICM) CascadeFromPseudoState(sources []graph.NodeID, x PseudoState) *Cascade {
+	return m.walk(sources, nil, x)
+}
+
+// walk is the one cascade walk of §III-A, behind SampleCascade and
+// CascadeFromPseudoState. It tries every edge leaving an i-active node
+// exactly once, in BFS rounds and out-edge order. A tried edge fires by
+// one Bernoulli draw from r when r is non-nil, and by its bit in x
+// otherwise.
+func (m *ICM) walk(sources []graph.NodeID, r *rng.RNG, x PseudoState) *Cascade {
 	n, me := m.NumNodes(), m.NumEdges()
 	c := &Cascade{
 		Sources:     append([]graph.NodeID(nil), sources...),
@@ -148,7 +114,13 @@ func (m *ICM) CascadeFromPseudoState(sources []graph.NodeID, x PseudoState) *Cas
 		for _, v := range frontier {
 			for _, id := range m.G.OutEdges(v) {
 				c.TriedEdges[id] = true
-				if !x.Test(int(id)) {
+				var fired bool
+				if r != nil {
+					fired = r.Bernoulli(m.P[id])
+				} else {
+					fired = x.Test(int(id))
+				}
+				if !fired {
 					continue
 				}
 				c.ActiveEdges[id] = true

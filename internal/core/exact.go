@@ -108,11 +108,31 @@ func (m *ICM) EnumConditionalFlowProb(sources []graph.NodeID, sink graph.NodeID,
 // states satisfying the conditions and, of those, the mass that also
 // carries the queried flow. With no conditions condMass is 1.
 func (m *ICM) enumerate(sources []graph.NodeID, sink graph.NodeID, conds []FlowCondition) (flowMass, condMass float64) {
-	me := m.NumEdges()
-	if me > MaxEnumEdges {
+	if me := m.NumEdges(); me > MaxEnumEdges {
 		//flowlint:invariant documented size limit: enumeration is exponential beyond MaxEnumEdges
 		panic(fmt.Sprintf("core: EnumFlowProb on %d edges exceeds limit %d", me, MaxEnumEdges))
 	}
+	m.enumStates(func(x PseudoState, p float64) {
+		if !m.satisfies(x, conds) {
+			return
+		}
+		condMass += p
+		if m.G.Reachable(sources, edgeActive(x))[sink] {
+			flowMass += p
+		}
+	})
+	if conds == nil {
+		condMass = 1
+	}
+	return flowMass, condMass
+}
+
+// enumStates is the one 2^m recursion of the enumeration oracles: it
+// calls visit with every pseudo-state of positive probability (Eq. 3)
+// and that probability, pruning branches that an edge pinned at 0 or 1
+// makes impossible. Each oracle enforces MaxEnumEdges itself.
+func (m *ICM) enumStates(visit func(x PseudoState, p float64)) {
+	me := m.NumEdges()
 	x := NewPseudoState(me)
 	var rec func(i int, logp float64)
 	rec = func(i int, logp float64) {
@@ -120,14 +140,7 @@ func (m *ICM) enumerate(sources []graph.NodeID, sink graph.NodeID, conds []FlowC
 			return // zero-probability branch
 		}
 		if i == me {
-			if !m.satisfies(x, conds) {
-				return
-			}
-			p := math.Exp(logp)
-			condMass += p
-			if m.G.Reachable(sources, edgeActive(x))[sink] {
-				flowMass += p
-			}
+			visit(x, math.Exp(logp))
 			return
 		}
 		x.Set(i)
@@ -136,10 +149,6 @@ func (m *ICM) enumerate(sources []graph.NodeID, sink graph.NodeID, conds []FlowC
 		rec(i+1, logp+log1pOf(-m.P[i]))
 	}
 	rec(0, 0)
-	if conds == nil {
-		condMass = 1
-	}
-	return flowMass, condMass
 }
 
 // FlowCondition constrains an end-to-end flow: Require=true enforces

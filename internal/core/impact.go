@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"infoflow/internal/graph"
 )
@@ -55,28 +54,14 @@ func (m *ICM) EnumImpactDistribution(sources []graph.NodeID) ([]float64, error) 
 	distinct, _ := DedupSources(m.NumNodes(), sources)
 	nSources := len(distinct)
 	out := make([]float64, m.NumNodes()-nSources+1)
-	x := NewPseudoState(me)
-	var rec func(i int, logp float64)
-	rec = func(i int, logp float64) {
-		if math.IsInf(logp, -1) {
-			return
-		}
-		if i == me {
-			active := m.G.Reachable(distinct, edgeActive(x))
-			count := 0
-			for _, a := range active {
-				if a {
-					count++
-				}
+	m.enumStates(func(x PseudoState, p float64) {
+		count := 0
+		for _, a := range m.G.Reachable(distinct, edgeActive(x)) {
+			if a {
+				count++
 			}
-			out[count-nSources] += math.Exp(logp)
-			return
 		}
-		x.Set(i)
-		rec(i+1, logp+logOf(m.P[i]))
-		x.Clear(i)
-		rec(i+1, logp+log1pOf(-m.P[i]))
-	}
-	rec(0, 0)
+		out[count-nSources] += p
+	})
 	return out, nil
 }

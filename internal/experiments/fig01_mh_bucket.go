@@ -58,9 +58,7 @@ func Fig1Small() Fig1Config {
 // Fig1Result is the calibration analysis plus the Table III measures for
 // the "MH Test" row.
 type Fig1Result struct {
-	Analysis *bucket.Result
-	All      bucket.Metrics
-	Middle   bucket.Metrics
+	bucket.Report
 }
 
 // String renders the calibration table and volume plot of Figure 1.
@@ -69,8 +67,7 @@ func (r *Fig1Result) String() string {
 	b.WriteString("Figure 1: Metropolis-Hastings bucket experiment (synthetic betaICMs)\n")
 	b.WriteString(r.Analysis.String())
 	b.WriteString(r.Analysis.VolumePlot())
-	fmt.Fprintf(&b, "normalised likelihood: %.6f (middle %.6f), Brier: %.6f (middle %.6f)\n",
-		r.All.NormalisedLikelihood, r.Middle.NormalisedLikelihood, r.All.Brier, r.Middle.Brier)
+	b.WriteString(r.Measures())
 	return b.String()
 }
 
@@ -112,19 +109,9 @@ func Fig1(cfg Fig1Config) (*Fig1Result, error) {
 			exp.MustAdd(p, outcomes[k])
 		}
 	}
-	analysis, err := exp.Analyze(cfg.Bins)
+	rep, err := exp.Report(cfg.Bins)
 	if err != nil {
 		return nil, err
 	}
-	all, err := exp.Compute()
-	if err != nil {
-		return nil, err
-	}
-	middle, err := exp.ComputeMiddle()
-	if err != nil {
-		// All estimates at an extreme is legal, if unexpected; report
-		// zero-valued middle metrics.
-		middle = bucket.Metrics{}
-	}
-	return &Fig1Result{Analysis: analysis, All: all, Middle: middle}, nil
+	return &Fig1Result{Report: rep}, nil
 }

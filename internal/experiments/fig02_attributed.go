@@ -69,10 +69,8 @@ func Fig2Small() Fig2Config {
 type Fig2Cell struct {
 	Radius     int
 	KnownFlows int
-	Analysis   *bucket.Result
-	All        bucket.Metrics
-	Middle     bucket.Metrics
-	Pairs      int
+	bucket.Report
+	Pairs int
 }
 
 // Fig2Result collects all panels plus corpus bookkeeping.
@@ -92,9 +90,7 @@ func (r *Fig2Result) String() string {
 	fmt.Fprintf(&b, "recovered originals during preprocessing: %d\n", r.RecoveredOriginals)
 	for _, c := range r.Cells {
 		fmt.Fprintf(&b, "\n(radius %d, %d known flows, %d pairs)\n", c.Radius, c.KnownFlows, c.Pairs)
-		b.WriteString(c.Analysis.String())
-		fmt.Fprintf(&b, "normalised likelihood: %.6f (middle %.6f), Brier: %.6f (middle %.6f)\n",
-			c.All.NormalisedLikelihood, c.Middle.NormalisedLikelihood, c.All.Brier, c.Middle.Brier)
+		b.WriteString(c.Report.String())
 	}
 	return b.String()
 }
@@ -120,22 +116,11 @@ func Fig2(cfg Fig2Config) (*Fig2Result, error) {
 			if pairs == 0 {
 				continue
 			}
-			analysis, err := exp.Analyze(cfg.Bins)
+			rep, err := exp.Report(cfg.Bins)
 			if err != nil {
 				return nil, err
 			}
-			all, err := exp.Compute()
-			if err != nil {
-				return nil, err
-			}
-			middle, err := exp.ComputeMiddle()
-			if err != nil {
-				middle = bucket.Metrics{}
-			}
-			res.Cells = append(res.Cells, Fig2Cell{
-				Radius: radius, KnownFlows: known,
-				Analysis: analysis, All: all, Middle: middle, Pairs: pairs,
-			})
+			res.Cells = append(res.Cells, Fig2Cell{Radius: radius, KnownFlows: known, Report: rep, Pairs: pairs})
 		}
 	}
 	return res, nil

@@ -46,18 +46,14 @@ func Fig5Small() Fig5Config {
 // Fig5Result is the RWR calibration analysis plus Table III measures for
 // the "RWR" row.
 type Fig5Result struct {
-	Analysis *bucket.Result
-	All      bucket.Metrics
-	Middle   bucket.Metrics
+	bucket.Report
 }
 
 // String renders the Figure 5 analysis.
 func (r *Fig5Result) String() string {
 	var b strings.Builder
 	b.WriteString("Figure 5: random walk with restart bucket experiment\n")
-	b.WriteString(r.Analysis.String())
-	fmt.Fprintf(&b, "normalised likelihood: %.6f (middle %.6f), Brier: %.6f (middle %.6f)\n",
-		r.All.NormalisedLikelihood, r.Middle.NormalisedLikelihood, r.All.Brier, r.Middle.Brier)
+	b.WriteString(r.Report.String())
 	return b.String()
 }
 
@@ -85,17 +81,9 @@ func Fig5(cfg Fig5Config) (*Fig5Result, error) {
 		}
 		exp.MustAdd(score, z)
 	}
-	analysis, err := exp.Analyze(cfg.Bins)
+	rep, err := exp.Report(cfg.Bins)
 	if err != nil {
 		return nil, err
 	}
-	all, err := exp.Compute()
-	if err != nil {
-		return nil, err
-	}
-	middle, err := exp.ComputeMiddle()
-	if err != nil {
-		middle = bucket.Metrics{}
-	}
-	return &Fig5Result{Analysis: analysis, All: all, Middle: middle}, nil
+	return &Fig5Result{Report: rep}, nil
 }

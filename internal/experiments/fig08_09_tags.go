@@ -69,13 +69,11 @@ func Fig9Small() TagConfig { return tagSmall(Fig9Paper()) }
 
 // TagCell is one panel: a radius and a learning method.
 type TagCell struct {
-	Radius   int
-	Method   string // "ours" or "goyal"
-	Analysis *bucket.Result
-	All      bucket.Metrics
-	Middle   bucket.Metrics
-	Pairs    int
-	Objects  int
+	Radius int
+	Method string // "ours" or "goyal"
+	bucket.Report
+	Pairs   int
+	Objects int
 }
 
 // TagResult collects the panels of Figure 8 or 9.
@@ -94,9 +92,7 @@ func (r *TagResult) String() string {
 	fmt.Fprintf(&b, "Measuring the flow of %s\n", name)
 	for _, c := range r.Cells {
 		fmt.Fprintf(&b, "\n(radius %d, %s; %d objects, %d pairs)\n", c.Radius, c.Method, c.Objects, c.Pairs)
-		b.WriteString(c.Analysis.String())
-		fmt.Fprintf(&b, "normalised likelihood: %.6f (middle %.6f), Brier: %.6f (middle %.6f)\n",
-			c.All.NormalisedLikelihood, c.Middle.NormalisedLikelihood, c.All.Brier, c.Middle.Brier)
+		b.WriteString(c.Report.String())
 	}
 	return b.String()
 }
@@ -136,35 +132,15 @@ func RunTag(cfg TagConfig) (*TagResult, error) {
 			if exp.Len() == 0 {
 				continue
 			}
-			cell, err := finishTagCell(exp, cfg.Bins, radius, method, objects)
+			rep, err := exp.Report(cfg.Bins)
 			if err != nil {
 				return nil, err
 			}
-			res.Cells = append(res.Cells, *cell)
+			res.Cells = append(res.Cells, TagCell{Radius: radius, Method: method, Report: rep, Pairs: exp.Len(), Objects: objects})
 		}
 	}
 	if len(res.Cells) == 0 {
 		return nil, fmt.Errorf("tag experiment produced no pairs")
 	}
 	return res, nil
-}
-
-func finishTagCell(exp *bucket.Experiment, bins, radius int, method string, objects int) (*TagCell, error) {
-	analysis, err := exp.Analyze(bins)
-	if err != nil {
-		return nil, err
-	}
-	all, err := exp.Compute()
-	if err != nil {
-		return nil, err
-	}
-	middle, err := exp.ComputeMiddle()
-	if err != nil {
-		middle = bucket.Metrics{}
-	}
-	return &TagCell{
-		Radius: radius, Method: method,
-		Analysis: analysis, All: all, Middle: middle,
-		Pairs: exp.Len(), Objects: objects,
-	}, nil
 }

@@ -62,11 +62,9 @@ func Fig10Small() Fig10Config {
 
 // Fig10Result is the pooled bucket analysis across sampled graphs.
 type Fig10Result struct {
-	Analysis *bucket.Result
-	All      bucket.Metrics
-	Middle   bucket.Metrics
-	Pairs    int
-	Graphs   int
+	bucket.Report
+	Pairs  int
+	Graphs int
 }
 
 // String renders the analysis.
@@ -74,9 +72,7 @@ func (r *Fig10Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 10: URL bucket experiment with %d graphs sampled from the gaussian edge approximation (%d pairs)\n",
 		r.Graphs, r.Pairs)
-	b.WriteString(r.Analysis.String())
-	fmt.Fprintf(&b, "normalised likelihood: %.6f (middle %.6f), Brier: %.6f (middle %.6f)\n",
-		r.All.NormalisedLikelihood, r.Middle.NormalisedLikelihood, r.All.Brier, r.Middle.Brier)
+	b.WriteString(r.Report.String())
 	return b.String()
 }
 
@@ -112,20 +108,9 @@ func Fig10(cfg Fig10Config) (*Fig10Result, error) {
 	if exp.Len() == 0 {
 		return nil, fmt.Errorf("fig10: no pairs")
 	}
-	analysis, err := exp.Analyze(cfg.Bins)
+	rep, err := exp.Report(cfg.Bins)
 	if err != nil {
 		return nil, err
 	}
-	all, err := exp.Compute()
-	if err != nil {
-		return nil, err
-	}
-	middle, err := exp.ComputeMiddle()
-	if err != nil {
-		middle = bucket.Metrics{}
-	}
-	return &Fig10Result{
-		Analysis: analysis, All: all, Middle: middle,
-		Pairs: exp.Len(), Graphs: cfg.Graphs,
-	}, nil
+	return &Fig10Result{Report: rep, Pairs: exp.Len(), Graphs: cfg.Graphs}, nil
 }

@@ -23,20 +23,13 @@ func Checks() []*Check {
 }
 
 // KnownChecks is the set of names a //flowlint:ignore directive may
-// reference.
+// reference: the names of Checks().
 func KnownChecks() map[string]bool {
-	return map[string]bool{
-		"determinism": true,
-		"hotpath":     true,
-		"floatcmp":    true,
-		"errwrap":     true,
-		"panicfree":   true,
-		"locksafe":    true,
-		"goroleak":    true,
-		"atomicmix":   true,
-		"ctxleak":     true,
-		"maporder":    true,
+	known := make(map[string]bool)
+	for _, c := range Checks() {
+		known[c.Name] = true
 	}
+	return known
 }
 
 // protectedSuffixes are the packages whose outputs must be bit-identical

@@ -182,27 +182,3 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 	}
 	return false
 }
-
-// rootIdentObj resolves the object of the leftmost identifier of a
-// selector/index/star chain (`b.mu` → b's object), or nil.
-func rootIdentObj(info *types.Info, e ast.Expr) types.Object {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			if obj := info.Uses[x]; obj != nil {
-				return obj
-			}
-			return info.Defs[x]
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}

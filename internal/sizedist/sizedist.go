@@ -164,7 +164,9 @@ func Compute(m *core.ICM, sources []graph.NodeID, opts Options) (*Result, error)
 		// No sources: nothing ever activates.
 		return &Result{Dist: pad([]float64{1}, full), Method: MethodForest, Exact: true}, nil
 	}
-	reach := positiveReachable(m, distinct)
+	// Nodes unreachable along edges of positive probability never
+	// activate and are irrelevant to the impact law.
+	reach := m.G.Reachable(distinct, func(e graph.EdgeID) bool { return m.P[e] > 0 })
 
 	if d, ok := forestDist(m, distinct, isSource, reach); ok {
 		return &Result{Dist: pad(d, full), Method: MethodForest, Exact: true}, nil
@@ -220,34 +222,6 @@ func mcDist(m *core.ICM, distinct []graph.NodeID, full, samples int, seed uint64
 		out[k] *= inv
 	}
 	return out
-}
-
-// positiveReachable marks nodes reachable from the sources along edges
-// with positive activation probability; every other node has activation
-// probability zero and is irrelevant to the impact law.
-func positiveReachable(m *core.ICM, distinct []graph.NodeID) []bool {
-	reach := make([]bool, m.NumNodes())
-	queue := make([]graph.NodeID, 0, len(distinct))
-	for _, s := range distinct {
-		if !reach[s] {
-			reach[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, e := range m.G.OutEdges(v) {
-			if m.P[e] <= 0 {
-				continue
-			}
-			to := m.G.Edge(e).To
-			if !reach[to] {
-				reach[to] = true
-				queue = append(queue, to)
-			}
-		}
-	}
-	return reach
 }
 
 // pad extends d with zeros to length full (impacts that cannot occur,

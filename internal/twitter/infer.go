@@ -26,28 +26,12 @@ type InferredGraph struct {
 // user count); references outside it are ignored as noise.
 func InferGraph(tweets []Tweet, numUsers int) *InferredGraph {
 	counts := map[graph.Edge]int{}
-	inRange := func(u UserID) bool { return u >= 0 && int(u) < numUsers }
 	for _, t := range tweets {
 		p := ParseTweet(t.Text)
-		if !p.IsRetweet() || !inRange(t.Author) {
+		if !p.IsRetweet() {
 			continue
 		}
-		// Chain origin-first.
-		chain := make([]UserID, 0, len(p.Ancestors)+1)
-		for i := len(p.Ancestors) - 1; i >= 0; i-- {
-			chain = append(chain, p.Ancestors[i])
-		}
-		chain = append(chain, t.Author)
-		ok := true
-		for _, u := range chain {
-			if !inRange(u) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
+		chain := p.Chain(t.Author, numUsers) // nil through an unknown user
 		for i := 0; i+1 < len(chain); i++ {
 			if chain[i] != chain[i+1] {
 				counts[graph.Edge{From: chain[i], To: chain[i+1]}]++

@@ -75,23 +75,7 @@ func ExtractAttributed(g *graph.DiGraph, tweets []Tweet) *AttributedResult {
 			acc.seenOrig = true
 			continue
 		}
-		// Chain, origin-first: origin = ancestors[last] ... ancestors[0]
-		// -> author.
-		chain := make([]UserID, 0, len(p.Ancestors)+1)
-		for i := len(p.Ancestors) - 1; i >= 0; i-- {
-			chain = append(chain, p.Ancestors[i])
-		}
-		chain = append(chain, t.Author)
-		valid := true
-		for _, u := range chain {
-			if !inRange(u) {
-				valid = false
-				break
-			}
-		}
-		if !valid {
-			continue
-		}
+		chain := p.Chain(t.Author, g.NumNodes()) // nil through an unknown user
 		for i := 0; i+1 < len(chain); i++ {
 			from, to := chain[i], chain[i+1]
 			if from == to {

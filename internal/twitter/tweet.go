@@ -101,6 +101,25 @@ func (p *Parsed) Origin(author UserID) UserID {
 	return p.Ancestors[len(p.Ancestors)-1]
 }
 
+// Chain returns the retweet chain origin-first: the ancestors from the
+// oldest to the most recent, then the tweet's own author. Each adjacent
+// pair is one flow link. It returns nil when any user on the chain lies
+// outside [0, numUsers), so references to unknown users drop the whole
+// chain as noise.
+func (p *Parsed) Chain(author UserID, numUsers int) []UserID {
+	chain := make([]UserID, 0, len(p.Ancestors)+1)
+	for i := len(p.Ancestors) - 1; i >= 0; i-- {
+		chain = append(chain, p.Ancestors[i])
+	}
+	chain = append(chain, author)
+	for _, u := range chain {
+		if u < 0 || int(u) >= numUsers {
+			return nil
+		}
+	}
+	return chain
+}
+
 var (
 	rtPrefixRe = regexp.MustCompile(`^RT @([A-Za-z0-9_]+): `)
 	hashtagRe  = regexp.MustCompile(`#([A-Za-z0-9_]+)`)

@@ -62,6 +62,32 @@ func TestParseRetweetChain(t *testing.T) {
 	}
 }
 
+// TestParsedChain checks the origin-first chain both extractors read
+// links from, and that a user outside the range drops the whole chain.
+func TestParsedChain(t *testing.T) {
+	p := ParseTweet("RT @user4: RT @user2: RT @user9: body")
+	got := p.Chain(7, 10)
+	want := []UserID{9, 2, 4, 7}
+	if len(got) != len(want) {
+		t.Fatalf("chain = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("chain = %v, want %v", got, want)
+		}
+	}
+	if got := p.Chain(7, 9); got != nil {
+		t.Errorf("chain through user9 with 9 users = %v, want nil", got)
+	}
+	if got := p.Chain(-1, 10); got != nil {
+		t.Errorf("chain to author -1 = %v, want nil", got)
+	}
+	orig := ParseTweet("just a body")
+	if got := orig.Chain(3, 10); len(got) != 1 || got[0] != 3 {
+		t.Errorf("original's chain = %v, want [3]", got)
+	}
+}
+
 func TestParseMalformedRTStopsChain(t *testing.T) {
 	p := ParseTweet("RT @nosuch: body")
 	if p.IsRetweet() {

@@ -34,7 +34,28 @@ func DefaultSaitoOptions() SaitoOptions {
 // count. EM converges to a local maximum of the likelihood; the Figure 11
 // experiment shows the Table II summary has several.
 func SaitoRelaxed(s *Summary, init []float64, opts SaitoOptions) ([]float64, int, error) {
-	n := len(s.Parents)
+	rows := make([]emRow, len(s.Rows))
+	for i, r := range s.Rows {
+		rows[i] = emRow{implicated: r.Set, tried: r.Set, leaks: r.Leaks, trials: r.Count}
+	}
+	return saitoEM(len(s.Parents), rows, init, opts)
+}
+
+// emRow is one unit of EM evidence: the implicated parents explain leaks
+// of the sink's activations, and the edges of the tried parents were
+// tried trials times. A summary row implicates and tries its
+// characteristic; a SaitoOriginal trace is one trial.
+type emRow struct {
+	implicated, tried CharBits
+	leaks, trials     int
+}
+
+// saitoEM is the one E/M fixed point behind both estimators: SaitoRelaxed's
+// update with J and L_J ranging over the rows' implicated sets and leaks,
+// and each parent's denominator summing the trials of the rows that try
+// it. It checks the arguments for both. A parent with no trials keeps
+// its initial value.
+func saitoEM(n int, rows []emRow, init []float64, opts SaitoOptions) ([]float64, int, error) {
 	if len(init) != n {
 		return nil, 0, fmt.Errorf("unattrib: init length %d for %d parents", len(init), n)
 	}
@@ -48,12 +69,12 @@ func SaitoRelaxed(s *Summary, init []float64, opts SaitoOptions) ([]float64, int
 		}
 		k[j] = v
 	}
-	// Denominators are constant: total observations where v was active.
+	// Denominators are constant: the trials of each parent's edge.
 	denom := make([]float64, n)
-	for _, r := range s.Rows {
+	for _, r := range rows {
 		for j := 0; j < n; j++ {
-			if r.Set.Has(j) {
-				denom[j] += float64(r.Count)
+			if r.tried.Has(j) {
+				denom[j] += float64(r.trials)
 			}
 		}
 	}
@@ -63,17 +84,17 @@ func SaitoRelaxed(s *Summary, init []float64, opts SaitoOptions) ([]float64, int
 		for j := range next {
 			next[j] = 0
 		}
-		for _, r := range s.Rows {
-			if r.Leaks == 0 {
+		for _, r := range rows {
+			if r.leaks == 0 {
 				continue
 			}
-			pJ := jointProb(r.Set, k)
+			pJ := jointProb(r.implicated, k)
 			if pJ <= 0 {
 				continue // no active parent can explain the leak yet
 			}
 			for j := 0; j < n; j++ {
-				if r.Set.Has(j) {
-					next[j] += float64(r.Leaks) * k[j] / pJ
+				if r.implicated.Has(j) {
+					next[j] += float64(r.leaks) * k[j] / pJ
 				}
 			}
 		}
@@ -123,29 +144,17 @@ func SaitoRelaxedRestarts(s *Summary, restarts int, opts SaitoOptions, r *rng.RN
 // t+1 counts as a failed trial of edge (v, w). It consumes raw traces
 // (not summaries, which discard timing) for the edges into one sink.
 //
-// The estimates are indexed by the parents slice. Parents never active in
+// The estimates are indexed by the parents slice. As for SaitoRelaxed,
+// init holds one value per parent, each in (0,1). Parents never active in
 // any trace keep their initial value.
 func SaitoOriginal(g *graph.DiGraph, sink graph.NodeID, parents []graph.NodeID, traces []Trace, init []float64, opts SaitoOptions) ([]float64, int, error) {
-	n := len(parents)
-	if len(init) != n {
-		return nil, 0, fmt.Errorf("unattrib: init length %d for %d parents", len(init), n)
-	}
-	if opts.MaxIter <= 0 {
-		return nil, 0, fmt.Errorf("unattrib: non-positive MaxIter")
-	}
-	k := make([]float64, n)
-	copy(k, init)
-	// Precompute, per trace: the set of parents active at exactly
-	// t_sink - 1 (positive instance with that implicated set), and for
-	// each parent whether it was active-but-not-followed (failed trial).
-	type instance struct {
-		implicated CharBits // parents active at t_sink - 1 (positive case)
-		positive   bool
-		trials     CharBits // parents whose edge trial happened
-	}
-	instances := make([]instance, 0, len(traces))
+	// One row per trace in which some parent's trial happened: the
+	// parents active at exactly t_sink - 1 are implicated (and leak once
+	// if the sink activated), and every active parent that was not
+	// followed at its next step counts a failed trial.
+	rows := make([]emRow, 0, len(traces))
 	for _, tr := range traces {
-		var inst instance
+		row := emRow{trials: 1}
 		tSink, sinkActive := tr[sink]
 		for j, p := range parents {
 			tp, ok := tr[p]
@@ -154,67 +163,23 @@ func SaitoOriginal(g *graph.DiGraph, sink graph.NodeID, parents []graph.NodeID, 
 			}
 			if sinkActive {
 				if tp == tSink-1 {
-					inst.implicated = inst.implicated.With(j)
-					inst.trials = inst.trials.With(j)
+					row.implicated = row.implicated.With(j)
+					row.tried = row.tried.With(j)
 				} else if tp < tSink-1 {
 					// Active earlier but sink did not activate at tp+1:
 					// that trial failed.
-					inst.trials = inst.trials.With(j)
+					row.tried = row.tried.With(j)
 				}
 			} else {
-				inst.trials = inst.trials.With(j)
+				row.tried = row.tried.With(j)
 			}
 		}
-		inst.positive = sinkActive && inst.implicated != 0
-		if inst.trials != 0 {
-			instances = append(instances, inst)
+		if row.implicated != 0 {
+			row.leaks = 1
 		}
-	}
-	denom := make([]float64, n)
-	for _, inst := range instances {
-		for j := 0; j < n; j++ {
-			if inst.trials.Has(j) {
-				denom[j]++
-			}
+		if row.tried != 0 {
+			rows = append(rows, row)
 		}
 	}
-	next := make([]float64, n)
-	iter := 0
-	for ; iter < opts.MaxIter; iter++ {
-		for j := range next {
-			next[j] = 0
-		}
-		for _, inst := range instances {
-			if !inst.positive {
-				continue
-			}
-			pS := jointProb(inst.implicated, k)
-			if pS <= 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if inst.implicated.Has(j) {
-					next[j] += k[j] / pS
-				}
-			}
-		}
-		maxDelta := 0.0
-		for j := 0; j < n; j++ {
-			var v float64
-			if denom[j] > 0 {
-				v = next[j] / denom[j]
-			} else {
-				v = k[j]
-			}
-			if d := math.Abs(v - k[j]); d > maxDelta {
-				maxDelta = d
-			}
-			k[j] = v
-		}
-		if maxDelta < opts.Tol {
-			iter++
-			break
-		}
-	}
-	return k, iter, nil
+	return saitoEM(len(parents), rows, init, opts)
 }

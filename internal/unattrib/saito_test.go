@@ -119,6 +119,45 @@ func TestSaitoRelaxedValidation(t *testing.T) {
 	}
 }
 
+// TestSaitoOriginalValidationMatchesRelaxed checks that both EMs refuse
+// the same arguments with the same errors. An init of 0 is a fixed point
+// of the update: accepted, it would pin the parent at 0 whatever the
+// traces say (here 2 activations in 3 trials, an estimate of 2/3).
+func TestSaitoOriginalValidationMatchesRelaxed(t *testing.T) {
+	g := graph.New(2)
+	g.MustAddEdge(0, 1)
+	traces := []Trace{{0: 0, 1: 1}, {0: 0, 1: 1}, {0: 0}}
+	s, err := NewSummary(1, []graph.NodeID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddRow(0b1, 3, 2); err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultSaitoOptions()
+	k, _, err := SaitoOriginal(g, 1, g.Parents(1), traces, []float64{0.5}, opts)
+	if err != nil || math.Abs(k[0]-2.0/3) > 1e-9 {
+		t.Fatalf("SaitoOriginal from 0.5 = %v, %v; want 2/3", k, err)
+	}
+	for _, tc := range []struct {
+		name string
+		init []float64
+		opts SaitoOptions
+	}{
+		{"init 0", []float64{0}, opts},
+		{"init -0.2", []float64{-0.2}, opts},
+		{"init 1.5", []float64{1.5}, opts},
+		{"wrong length", []float64{0.5, 0.5}, opts},
+		{"MaxIter 0", []float64{0.5}, SaitoOptions{Tol: 1e-9}},
+	} {
+		_, _, errRelaxed := SaitoRelaxed(s, tc.init, tc.opts)
+		k, _, errOrig := SaitoOriginal(g, 1, g.Parents(1), traces, tc.init, tc.opts)
+		if errRelaxed == nil || errOrig == nil || errOrig.Error() != errRelaxed.Error() {
+			t.Errorf("%s: SaitoOriginal = %v, %v; SaitoRelaxed error %v", tc.name, k, errOrig, errRelaxed)
+		}
+	}
+}
+
 // TestSaitoRestartsOnTableII reproduces the Figure 11 setup: EM restarts
 // with the paper's fixed iteration budget scatter widely, because the
 // Table II likelihood has a long ridge EM crawls along slowly.
