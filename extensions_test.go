@@ -255,10 +255,8 @@ func TestMetricsAndInferenceFacade(t *testing.T) {
 }
 
 func TestSaitoOriginalFacade(t *testing.T) {
-	g := infoflow.NewGraph(2)
-	g.MustAddEdge(0, 1)
 	traces := []infoflow.Trace{{0: 0, 1: 1}, {0: 0}}
-	k, _, err := infoflow.SaitoOriginal(g, 1, []infoflow.NodeID{0}, traces,
+	k, _, err := infoflow.SaitoOriginal(1, []infoflow.NodeID{0}, traces,
 		[]float64{0.5}, infoflow.SaitoOptions{MaxIter: 100, Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)

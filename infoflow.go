@@ -327,6 +327,6 @@ func TrainAttributed(bm *BetaICM, ev *AttributedEvidence, censored bool) error {
 // variant modifies). As for SaitoRelaxed, init holds one value per
 // parent and each must lie in (0,1); an init of 0 would be a fixed point
 // of the update.
-func SaitoOriginal(g *Graph, sink NodeID, parents []NodeID, traces []Trace, init []float64, opts SaitoOptions) ([]float64, int, error) {
-	return unattrib.SaitoOriginal(g, sink, parents, traces, init, opts)
+func SaitoOriginal(sink NodeID, parents []NodeID, traces []Trace, init []float64, opts SaitoOptions) ([]float64, int, error) {
+	return unattrib.SaitoOriginal(sink, parents, traces, init, opts)
 }

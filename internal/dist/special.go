@@ -115,18 +115,38 @@ func betaCF(x, a, b float64) float64 {
 }
 
 // InvRegIncBeta returns x such that I_x(a,b) = p, the quantile function of
-// a Beta(a,b) distribution. It brackets with bisection and polishes with
-// Newton steps on the CDF.
+// a Beta(a,b) distribution. A quantile above 1/2 is found as one minus the
+// (1-p)-quantile of Beta(b,a), so the search always runs in (0, 1/2],
+// where a float keeps its relative precision however small the quantile
+// is (see lowerQuantile).
 func InvRegIncBeta(p, a, b float64) float64 {
-	if p <= 0 {
+	switch {
+	case p <= 0:
 		return 0
-	}
-	if p >= 1 {
+	case p >= 1:
 		return 1
+	case p > RegIncBeta(0.5, a, b):
+		return 1 - lowerQuantile(1-p, b, a)
 	}
-	lo, hi := 0.0, 1.0
-	x := a / (a + b) // start at the mean
-	logPre := -LogBeta(a, b)
+	return lowerQuantile(p, a, b)
+}
+
+// lowerQuantile returns the p-quantile of Beta(a,b) when it lies in
+// (0, 1/2]. It starts from the leading term of the CDF's series at 0,
+// I_x(a,b) ≈ x^a / (a B(a,b)), which is the quantile's asymptote in the
+// lower tail, and polishes with Newton steps on the CDF inside a bracket
+// each evaluation narrows. When Newton leaves the bracket it bisects it,
+// in log x once the bracket's lower end is positive, so a quantile of
+// order 1e-15 or below is reached in a few steps. It stops on a step
+// below 1e-14 of x, a relative test: an absolute one stops a tiny
+// quantile while its relative error is still of order 1.
+func lowerQuantile(p, a, b float64) float64 {
+	logB := LogBeta(a, b)
+	lo, hi := 0.0, 0.5
+	x := math.Exp((math.Log(p*a) + logB) / a)
+	if !(x < hi) {
+		x = hi / 2
+	}
 	for i := 0; i < 200; i++ {
 		f := RegIncBeta(x, a, b) - p
 		if f > 0 {
@@ -135,15 +155,14 @@ func InvRegIncBeta(p, a, b float64) float64 {
 			lo = x
 		}
 		// Newton step using the beta density as the derivative.
-		logPDF := logPre + (a-1)*math.Log(x) + (b-1)*math.Log1p(-x)
-		var next float64
-		if logPDF > -700 {
-			next = x - f/math.Exp(logPDF)
+		next := x - f/math.Exp((a-1)*math.Log(x)+(b-1)*math.Log1p(-x)-logB)
+		if !(next > lo && next < hi) {
+			next = hi / 2
+			if lo > 0 {
+				next = math.Sqrt(lo * hi)
+			}
 		}
-		if !(next > lo && next < hi) || logPDF <= -700 {
-			next = (lo + hi) / 2 // bisect when Newton escapes the bracket
-		}
-		if math.Abs(next-x) < 1e-14 {
+		if math.Abs(next-x) <= 1e-14*x {
 			return next
 		}
 		x = next

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -119,24 +120,65 @@ func TestRegIncBetaMonotone(t *testing.T) {
 	}
 }
 
+// quantileRoundTrips reports whether x is the p-quantile of Beta(a,b)
+// to float precision: its CDF is within 1e-6 of p, or p lies between the
+// CDFs of x's neighbouring floats. 1e-6 rather than 1e-8: for shapes < 1
+// the density is singular at the endpoints, so near x≈0 or x≈1 an
+// ulp-accurate quantile still round-trips with p-space error of ~1e-7
+// (e.g. p=0.99, a=17.1, b=0.2 puts x within 4e-12 of 1 and back-maps
+// 2e-8 off). Closer to 1 no float meets even 1e-6: the 0.998-quantile of
+// Beta(30.1, 0.2) lies 6.7e-16 below 1, where the CDFs of neighbouring
+// floats lie 6e-5 apart. There the neighbouring floats must bracket p. A
+// genuinely broken inverse misses by far more.
+func quantileRoundTrips(x, p, a, b float64) bool {
+	if x < 0 || x > 1 {
+		return false
+	}
+	if almostEqual(RegIncBeta(x, a, b), p, 1e-6) {
+		return true
+	}
+	return RegIncBeta(math.Nextafter(x, 0), a, b) <= p && p <= RegIncBeta(math.Nextafter(x, 1), a, b)
+}
+
 func TestInvRegIncBetaRoundTrip(t *testing.T) {
 	err := quick.Check(func(pr, ar, br uint16) bool {
 		p := float64(pr%998+1) / 1000
 		a := float64(ar%300)/10 + 0.2
 		b := float64(br%300)/10 + 0.2
-		x := InvRegIncBeta(p, a, b)
-		if x < 0 || x > 1 {
-			return false
-		}
-		// 1e-6 rather than 1e-8: for shapes < 1 the density is singular
-		// at the endpoints, so near x≈0 or x≈1 an ulp-accurate quantile
-		// still round-trips with p-space error of ~1e-7 (e.g. p=0.99,
-		// a=17.1, b=0.2 puts x within 4e-12 of 1 and back-maps 2e-8
-		// off). A genuinely broken inverse misses by far more.
-		return almostEqual(RegIncBeta(x, a, b), p, 1e-6)
+		return quantileRoundTrips(InvRegIncBeta(p, a, b), p, a, b)
 	}, &quick.Config{MaxCount: 500})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInvRegIncBetaTails sweeps the region where the round trip's random
+// draws used to fail: every p of TestInvRegIncBetaRoundTrip's grid, one
+// shape on its grid from 0.2 to 1.7 and the other from 0.2 to 1.7 or
+// spread to 30.1, in both orders. A small shape with a small p puts the
+// quantile at 1e-15 and below (p = 0.002, a = 0.2, b = 25.8 at 8.2e-16),
+// and its mirror puts it as close to 1.
+func TestInvRegIncBetaTails(t *testing.T) {
+	var others []float64
+	for i := 2; i <= 17; i++ {
+		others = append(others, float64(i)/10)
+	}
+	others = append(others, 2.5, 5.8, 12.3, 25.8, 30.1)
+	for i := 2; i <= 17; i++ {
+		small := float64(i) / 10
+		t.Run(fmt.Sprint(small), func(t *testing.T) {
+			t.Parallel()
+			for _, other := range others {
+				for _, ab := range [][2]float64{{small, other}, {other, small}} {
+					for pr := 1; pr <= 998; pr++ {
+						p, a, b := float64(pr)/1000, ab[0], ab[1]
+						if x := InvRegIncBeta(p, a, b); !quantileRoundTrips(x, p, a, b) {
+							t.Fatalf("InvRegIncBeta(%v, %v, %v) = %v, whose CDF is %v", p, a, b, x, RegIncBeta(x, a, b))
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -49,13 +49,27 @@ func (w *discardWriter) Header() http.Header         { return w.header }
 func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *discardWriter) WriteHeader(status int)      { w.status = status }
 
+// cachedHit asks url once as a miss and once more to see that it is a
+// hit, and returns the request to repeat and a writer that keeps
+// nothing, so the caller times or counts the handler alone.
+func cachedHit(tb testing.TB, s *Server, url string) (*http.Request, *discardWriter) {
+	tb.Helper()
+	if rec := serveDirect(s, url); rec.Code != http.StatusOK {
+		tb.Fatalf("%s: miss got %d: %s", url, rec.Code, rec.Body)
+	}
+	if rec := serveDirect(s, url); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"cached":true`) {
+		tb.Fatalf("%s: repeat got %d, not a hit: %.200s", url, rec.Code, rec.Body)
+	}
+	return httptest.NewRequest(http.MethodGet, url, nil), &discardWriter{header: http.Header{}}
+}
+
 // BenchmarkServeHit times cache hits on the §IV-C fixture, the read a
 // client pays once an answer is cached: /maximize on the whole graph
 // and restricted to the 500-node community (a planner's later budgets
-// on one pool), /community, and a sampled /impact over three sources.
-// Each request is asked once as a miss before timing; every timed
-// iteration parses the query, keys it, reads the cache and renders the
-// body.
+// on one pool), /community, a sampled /impact over three sources, and
+// /flow. Each request is asked once as a miss before timing; every
+// timed iteration parses the query, keys it, reads the cache and
+// renders the body.
 func BenchmarkServeHit(b *testing.B) {
 	s, err := NewServer(Config{Models: []Model{{Name: "paper", ICM: paperScaleICM()}}})
 	if err != nil {
@@ -67,16 +81,10 @@ func BenchmarkServeHit(b *testing.B) {
 		{"maximize-community", "/maximize?k=10&seed=7&community=" + paperCommunity()},
 		{"community", "/community?source=3&samples=64&seed=7"},
 		{"impact", "/impact?sources=3,17,250&mode=sampled&samples=64&seed=7"},
+		{"flow", "/flow?source=3&sink=42&samples=64&seed=7"},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			if rec := serveDirect(s, bc.url); rec.Code != http.StatusOK {
-				b.Fatalf("%s: miss got %d: %s", bc.url, rec.Code, rec.Body)
-			}
-			if rec := serveDirect(s, bc.url); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"cached":true`) {
-				b.Fatalf("%s: repeat got %d, not a hit: %.200s", bc.url, rec.Code, rec.Body)
-			}
-			req := httptest.NewRequest(http.MethodGet, bc.url, nil)
-			w := &discardWriter{header: http.Header{}}
+			req, w := cachedHit(b, s, bc.url)
 			h := s.Handler()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -88,5 +96,33 @@ func BenchmarkServeHit(b *testing.B) {
 				b.Fatalf("%s: status %d", bc.url, w.status)
 			}
 		})
+	}
+}
+
+// TestServeHitAllocs bounds what a cache hit allocates, so reflection or
+// a per-id copy cannot come back into the hit unnoticed. A community
+// /maximize hit allocates the query, its id slice, its cache key and the
+// budget's prefix of the ranking (the selection, its seeds and its
+// gains); a sampled /impact hit the query, its id slice and its key. The
+// body is rendered into a pooled buffer.
+func TestServeHitAllocs(t *testing.T) {
+	s, err := NewServer(Config{Models: []Model{{Name: "dag", ICM: serveDAG(7, 20, 40)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	for _, hit := range []struct {
+		url string
+		max float64
+	}{
+		{"/maximize?k=3&seed=5&community=1,4,6,9,12", 6},
+		{"/impact?sources=3,5,17&mode=sampled&samples=20&seed=7", 3},
+	} {
+		req, w := cachedHit(t, s, hit.url)
+		h := s.Handler()
+		h.ServeHTTP(w, req) // warm the body pool
+		if allocs := testing.AllocsPerRun(200, func() { h.ServeHTTP(w, req) }); allocs > hit.max {
+			t.Errorf("%s: a hit allocates %v times, want at most %v", hit.url, allocs, hit.max)
+		}
 	}
 }

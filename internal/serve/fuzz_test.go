@@ -15,47 +15,60 @@ import (
 // reaches /maximize only. For arbitrary strings parseQuery must either
 // reject with a 4xx *httpError or return a query of the asked kind that
 // holds every bound it promises — nodes in range; a node set strictly
-// sorted, distinct and keyed by a string ParseSources round-trips; a
-// budget, top, mode, sample count and pool within their limits; at most
-// maxConds in-range conditions, none under mode=analytic; a positive
-// timeout — and must never panic. The node list of /impact and
+// sorted, distinct and keyed by its canonical rendering, the list a body
+// echoes; a budget, top, mode, sample count and pool within their
+// limits; at most maxConds in-range conditions, none under
+// mode=analytic; a positive timeout — and must never panic. The node list of /impact and
 // /maximize must also parse exactly as the pipeline parseNodeSet
 // replaced (see sameAsReference). Seeds #16 on are node lists in the
 // forms that are not their own key (signed, zero-padded, spaced,
 // duplicated, unsorted, with empty tokens or ids past n or 2^31), and
-// one canonical list that is.
+// one canonical list that is. raw is appended to the encoded query as it
+// is, so its pairs fill the parameters the others leave out, and the
+// one-pass reader must read every name from it as
+// url.ParseQuery(raw).Get(name) does (see sameParams). Seeds #25 on are
+// raw queries with escaped keys, '+', bad escapes, ';', repeated keys
+// and empty pairs.
 func FuzzParseQuery(f *testing.F) {
 	s, err := NewServer(Config{Models: []Model{{Name: "m", ICM: serveDAG(5, 12, 25)}}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	defer s.Drain()
-	f.Add(uint8(kindImpact), "0", "", "", "", "", "", "")
-	f.Add(uint8(kindImpact), "3,1,3", "auto", "1>2=1", "500", "", "9", "")
-	f.Add(uint8(kindImpact), " 2 , 5 ", "analytic", "", "", "", "", "")
-	f.Add(uint8(kindImpact), "1,2,4", "sampled", "0>1=0,2>3=1", "50000", "", "18446744073709551615", "")
-	f.Add(uint8(kindImpact), "-1", "psychic", "x", "-5", "", "boom", "")
-	f.Add(uint8(kindImpact), "9999999999999999999999", "", "", "", "", "", "")
-	f.Add(uint8(kindMaximize), "1", "", "", "", "", "", "")
-	f.Add(uint8(kindMaximize), "3", "2,0,2", "1>2=1", "64", "256", "9", "")
-	f.Add(uint8(kindMaximize), " 5 ", " 1 , 4 ", "", "", "64", "", "")
-	f.Add(uint8(kindMaximize), "12", "0,1,2,3", "0>1=0,2>3=1", "256", "256", "18446744073709551615", "")
-	f.Add(uint8(kindMaximize), "-1", "-3", "x", "-5", "100", "boom", "")
-	f.Add(uint8(kindMaximize), "9999999999999999999999", "", "", "1000000", "1024", "", "")
-	f.Add(uint8(kindFlow), "0", "11", "3>4=1", "100", "", "7", "2s")
-	f.Add(uint8(kindFlow), "12", "-1", "", "0", "", "", "-1s")
-	f.Add(uint8(kindCommunity), "4", "3", "2>2=0", "", "", "", "")
-	f.Add(uint8(kindCommunity), " 4", "99999999999999999999", "", "60000", "64", "", "1h")
-	f.Add(uint8(kindImpact), "+3,01, 2", "auto", "", "", "", "", "")
-	f.Add(uint8(kindImpact), "1,,2", "", "", "", "", "", "")
-	f.Add(uint8(kindImpact), "3,", "sampled", "", "", "", "", "")
-	f.Add(uint8(kindImpact), "2147483648,1", "", "", "", "", "", "")
-	f.Add(uint8(kindMaximize), "2", "5,3,5,+1", "", "", "", "", "")
-	f.Add(uint8(kindMaximize), "2", "-1,4", "", "", "", "", "")
-	f.Add(uint8(kindMaximize), "2", "1, 2 ,00", "", "", "", "", "")
-	f.Add(uint8(kindMaximize), "2", "4,12", "", "", "", "", "")
-	f.Add(uint8(kindMaximize), "1", "0,1,2,3,4,5,6,7,8,9,10,11", "", "", "", "", "")
-	f.Fuzz(func(t *testing.T, kindByte uint8, first, second, cond, samples, roots, seed, timeout string) {
+	f.Add(uint8(kindImpact), "0", "", "", "", "", "", "", "")
+	f.Add(uint8(kindImpact), "3,1,3", "auto", "1>2=1", "500", "", "9", "", "")
+	f.Add(uint8(kindImpact), " 2 , 5 ", "analytic", "", "", "", "", "", "")
+	f.Add(uint8(kindImpact), "1,2,4", "sampled", "0>1=0,2>3=1", "50000", "", "18446744073709551615", "", "")
+	f.Add(uint8(kindImpact), "-1", "psychic", "x", "-5", "", "boom", "", "")
+	f.Add(uint8(kindImpact), "9999999999999999999999", "", "", "", "", "", "", "")
+	f.Add(uint8(kindMaximize), "1", "", "", "", "", "", "", "")
+	f.Add(uint8(kindMaximize), "3", "2,0,2", "1>2=1", "64", "256", "9", "", "")
+	f.Add(uint8(kindMaximize), " 5 ", " 1 , 4 ", "", "", "64", "", "", "")
+	f.Add(uint8(kindMaximize), "12", "0,1,2,3", "0>1=0,2>3=1", "256", "256", "18446744073709551615", "", "")
+	f.Add(uint8(kindMaximize), "-1", "-3", "x", "-5", "100", "boom", "", "")
+	f.Add(uint8(kindMaximize), "9999999999999999999999", "", "", "1000000", "1024", "", "", "")
+	f.Add(uint8(kindFlow), "0", "11", "3>4=1", "100", "", "7", "2s", "")
+	f.Add(uint8(kindFlow), "12", "-1", "", "0", "", "", "-1s", "")
+	f.Add(uint8(kindCommunity), "4", "3", "2>2=0", "", "", "", "", "")
+	f.Add(uint8(kindCommunity), " 4", "99999999999999999999", "", "60000", "64", "", "1h", "")
+	f.Add(uint8(kindImpact), "+3,01, 2", "auto", "", "", "", "", "", "")
+	f.Add(uint8(kindImpact), "1,,2", "", "", "", "", "", "", "")
+	f.Add(uint8(kindImpact), "3,", "sampled", "", "", "", "", "", "")
+	f.Add(uint8(kindImpact), "2147483648,1", "", "", "", "", "", "", "")
+	f.Add(uint8(kindMaximize), "2", "5,3,5,+1", "", "", "", "", "", "")
+	f.Add(uint8(kindMaximize), "2", "-1,4", "", "", "", "", "", "")
+	f.Add(uint8(kindMaximize), "2", "1, 2 ,00", "", "", "", "", "", "")
+	f.Add(uint8(kindMaximize), "2", "4,12", "", "", "", "", "", "")
+	f.Add(uint8(kindMaximize), "1", "0,1,2,3,4,5,6,7,8,9,10,11", "", "", "", "", "", "")
+	f.Add(uint8(kindFlow), "", "", "", "", "", "", "", "mod%65l=m&sour%63e=0&sink=1")
+	f.Add(uint8(kindFlow), "0", "", "", "", "", "", "", "sink=%zz&sink=3&sink=4")
+	f.Add(uint8(kindFlow), "", "", "", "", "", "", "", "source=1;sink=2&source=2&&sink=3&")
+	f.Add(uint8(kindImpact), "", "", "", "", "", "", "", "sources=1%2C2+&mode=sampl%65d&seed=%2B5&seed=6")
+	f.Add(uint8(kindMaximize), "", "", "", "", "", "", "", "k=2&community=1,2,3&community=4&cond=0%3E1%3D0&timeout=1s%")
+	f.Add(uint8(kindCommunity), "2", "", "", "", "", "", "", "top=3&to%p=4&=5&top&k+=1&%20top=2&samples=+5")
+	f.Add(uint8(kindImpact), "", "", "", "", "", "", "", "sources&sources=0&mode=&mode=analytic")
+	f.Fuzz(func(t *testing.T, kindByte uint8, first, second, cond, samples, roots, seed, timeout, raw string) {
+		sameParams(t, raw)
 		kind := queryKind(kindByte % 4)
 		switch n := s.models["m"].ICM.NumNodes(); {
 		case kind == kindImpact:
@@ -80,6 +93,9 @@ func FuzzParseQuery(f *testing.F) {
 		}
 		paths := [...]string{kindFlow: "/flow", kindCommunity: "/community", kindImpact: "/impact", kindMaximize: "/maximize"}
 		req := httptest.NewRequest("GET", paths[kind]+"?"+vals.Encode(), nil)
+		if raw != "" {
+			req.URL.RawQuery += "&" + raw
+		}
 		q, herr := s.parseQuery(req, kind)
 		if herr != nil {
 			if herr.status < 400 || herr.status > 499 {
@@ -109,6 +125,11 @@ func FuzzParseQuery(f *testing.F) {
 			round, err := ParseSources(q.nodesKey)
 			if err != nil || !slices.Equal(round, q.nodes) {
 				t.Fatalf("nodesKey %q round-trips to %v (%v), want %v", q.nodesKey, round, err, q.nodes)
+			}
+			// Bodies echo the key as the list, so it must be the list's
+			// canonical rendering byte for byte.
+			if want := sourcesKey(q.nodes); q.nodesKey != want {
+				t.Fatalf("nodesKey %q is not the canonical rendering %q", q.nodesKey, want)
 			}
 		}
 		if len(q.conds) > maxConds || CheckConds(q.conds, n) != nil {
@@ -150,6 +171,19 @@ func FuzzParseQuery(f *testing.F) {
 			t.Fatalf("accepted samples %d outside (0, %d]", q.opts.Samples, s.cfg.MaxSamples)
 		}
 	})
+}
+
+// sameParams fails t unless readParams reads every parameter of raw as
+// url.ParseQuery(raw).Get(name) does.
+func sameParams(t *testing.T, raw string) {
+	t.Helper()
+	got := readParams(raw)
+	want, _ := url.ParseQuery(raw)
+	for i, name := range paramNames {
+		if got[i] != want.Get(name) {
+			t.Fatalf("%q: read %s=%q, url.ParseQuery has %q", raw, name, got[i], want.Get(name))
+		}
+	}
 }
 
 // FuzzParseConds checks the canonical condition order: for any cond=

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"infoflow/internal/graph"
 	"infoflow/internal/influence"
 	"infoflow/internal/mh"
 	"infoflow/internal/rng"
@@ -25,19 +26,19 @@ type maximizeAnswer struct {
 // over the target universe at selection time, and SpreadEstimate is
 // exactly their sum (the pool estimator contract).
 type maximizeResponse struct {
-	Model          string    `json:"model"`
-	K              int       `json:"k"`
-	Community      []int     `json:"community,omitempty"`
-	Cond           string    `json:"cond,omitempty"`
-	Seeds          []int     `json:"seeds"`
-	MarginalGains  []float64 `json:"marginal_gains"`
-	SpreadEstimate float64   `json:"spread_estimate"`
-	Universe       int       `json:"universe"`
-	RRSets         int       `json:"rr_sets"`
-	Samples        int       `json:"samples"`
-	Roots          int       `json:"roots"`
-	Seed           uint64    `json:"seed"`
-	Cached         bool      `json:"cached"`
+	Model          string         `json:"model"`
+	K              int            `json:"k"`
+	Community      nodeList       `json:"community,omitempty"`
+	Cond           string         `json:"cond,omitempty"`
+	Seeds          []graph.NodeID `json:"seeds"`
+	MarginalGains  []float64      `json:"marginal_gains"`
+	SpreadEstimate float64        `json:"spread_estimate"`
+	Universe       int            `json:"universe"`
+	RRSets         int            `json:"rr_sets"`
+	Samples        int            `json:"samples"`
+	Roots          int            `json:"roots"`
+	Seed           uint64         `json:"seed"`
+	Cached         bool           `json:"cached"`
 }
 
 // handleMaximize serves RIS-sketch influence maximization: build a
@@ -63,12 +64,13 @@ func (s *Server) handleMaximize(w http.ResponseWriter, r *http.Request) {
 	if !res.Cached {
 		s.metrics.MaximizeSeeds.Add(int64(len(sel.Seeds)))
 	}
-	writeJSON(w, http.StatusOK, maximizeResponse{
-		Model: q.model.Name, K: q.k, Community: nodeInts(q.nodes), Cond: q.condKey,
-		Seeds: nodeInts(sel.Seeds), MarginalGains: sel.MarginalGains, SpreadEstimate: sel.SpreadEstimate,
+	resp := maximizeResponse{
+		Model: q.model.Name, K: q.k, Community: nodeList(q.nodesKey), Cond: q.condKey,
+		Seeds: sel.Seeds, MarginalGains: sel.MarginalGains, SpreadEstimate: sel.SpreadEstimate,
 		Universe: ans.universe, RRSets: ans.rrSets,
 		Samples: q.opts.Samples, Roots: q.roots, Seed: q.seed, Cached: res.Cached,
-	})
+	}
+	writeBody(w, http.StatusOK, resp.appendJSON)
 }
 
 // maximize computes a /maximize miss: it builds q's RR pool with the

@@ -57,7 +57,7 @@ func TestServerMaximize(t *testing.T) {
 		t.Fatalf("%d seeds, want %d", len(resp.Seeds), len(want.Seeds))
 	}
 	for i := range want.Seeds {
-		if resp.Seeds[i] != int(want.Seeds[i]) || resp.MarginalGains[i] != want.MarginalGains[i] {
+		if resp.Seeds[i] != want.Seeds[i] || resp.MarginalGains[i] != want.MarginalGains[i] {
 			t.Fatalf("seeds/gains %v/%v, want %v/%v (served selection must match the library bit-for-bit)",
 				resp.Seeds, resp.MarginalGains, want.Seeds, want.MarginalGains)
 		}
@@ -271,7 +271,7 @@ func sameSelection(t *testing.T, label string, resp maximizeResponse, want *infl
 		math.Float64bits(resp.SpreadEstimate) == math.Float64bits(want.SpreadEstimate) &&
 		resp.Universe == pool.Universe && resp.RRSets == pool.NumSets
 	for i := 0; ok && i < len(want.Seeds); i++ {
-		ok = resp.Seeds[i] == int(want.Seeds[i]) &&
+		ok = resp.Seeds[i] == want.Seeds[i] &&
 			math.Float64bits(resp.MarginalGains[i]) == math.Float64bits(want.MarginalGains[i])
 	}
 	if !ok {

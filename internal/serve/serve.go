@@ -37,7 +37,6 @@ package serve
 import (
 	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
@@ -273,18 +272,18 @@ func badRequest(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// parseQuery extracts and validates a request of the given kind. Every
-// endpoint reads its parameters in one order, so of several bad
-// parameters the first in it decides the error: model; the endpoint's
-// own query (source and sink; source; sources and mode; or k and
-// community); cond; samples, and roots for /maximize; seed; timeout;
-// then /community's top and /impact's refusal to condition an analytic
-// law.
+// parseQuery extracts and validates a request of the given kind from
+// one pass over its raw query (readParams). Every endpoint reads its
+// parameters in one order, so of several bad parameters the first in it
+// decides the error: model; the endpoint's own query (source and sink;
+// source; sources and mode; or k and community); cond; samples, and
+// roots for /maximize; seed; timeout; then /community's top and
+// /impact's refusal to condition an analytic law.
 func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError) {
 	q := &query{kind: kind}
-	vals := r.URL.Query()
+	vals := readParams(r.URL.RawQuery)
 
-	name := vals.Get("model")
+	name := vals[pModel]
 	if name == "" {
 		if s.only == "" {
 			return nil, badRequest("model parameter required (serving %d models)", len(s.models))
@@ -298,17 +297,17 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 	q.model = m
 	n := m.ICM.NumNodes()
 
-	node := func(param string) (graph.NodeID, *httpError) {
-		raw := vals.Get(param)
+	node := func(p param) (graph.NodeID, *httpError) {
+		raw, name := vals[p], paramNames[p]
 		if raw == "" {
-			return 0, badRequest("%s parameter required", param)
+			return 0, badRequest("%s parameter required", name)
 		}
 		v, err := strconv.Atoi(raw)
 		if err != nil {
-			return 0, badRequest("%s: %v", param, err)
+			return 0, badRequest("%s: %v", name, err)
 		}
 		if v < 0 || v >= n {
-			return 0, badRequest("%s %d out of range [0, %d)", param, v, n)
+			return 0, badRequest("%s %d out of range [0, %d)", name, v, n)
 		}
 		return graph.NodeID(v), nil
 	}
@@ -316,22 +315,22 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 	var err error
 	switch kind {
 	case kindFlow, kindCommunity:
-		if q.source, herr = node("source"); herr != nil {
+		if q.source, herr = node(pSource); herr != nil {
 			return nil, herr
 		}
 		if kind == kindFlow {
-			if q.sink, herr = node("sink"); herr != nil {
+			if q.sink, herr = node(pSink); herr != nil {
 				return nil, herr
 			}
 		}
 	case kindImpact:
-		if q.nodes, q.nodesKey, herr = parseNodeSet(vals.Get("sources"), "sources", n); herr != nil {
+		if q.nodes, q.nodesKey, herr = parseNodeSet(vals[pSources], "sources", n); herr != nil {
 			return nil, herr
 		}
 		if len(q.nodes) == 0 {
 			return nil, badRequest("sources parameter required")
 		}
-		switch mode := vals.Get("mode"); mode {
+		switch mode := vals[pMode]; mode {
 		case "", "auto":
 			q.mode = "auto"
 		case "analytic", "sampled":
@@ -340,7 +339,7 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 			return nil, badRequest("mode %q: want auto, analytic, or sampled", mode)
 		}
 	case kindMaximize:
-		raw := vals.Get("k")
+		raw := vals[pK]
 		if raw == "" {
 			return nil, badRequest("k parameter required")
 		}
@@ -350,7 +349,7 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 		if q.k <= 0 || q.k > n {
 			return nil, badRequest("k %d out of range [1, %d]", q.k, n)
 		}
-		if raw := vals.Get("community"); raw != "" {
+		if raw := vals[pCommunity]; raw != "" {
 			if q.nodes, q.nodesKey, herr = parseNodeSet(raw, "community", n); herr != nil {
 				return nil, herr
 			}
@@ -360,7 +359,7 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 		}
 	}
 
-	if q.conds, q.condKey, herr = parseCondParam(vals.Get("cond"), n); herr != nil {
+	if q.conds, q.condKey, herr = parseCondParam(vals[pCond], n); herr != nil {
 		return nil, herr
 	}
 
@@ -374,7 +373,7 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 		sketch := influence.DefaultSketchOptions(m.ICM.NumEdges())
 		q.opts, q.roots = sketch.Chain, sketch.RootsPerSample
 	}
-	if raw := vals.Get("samples"); raw != "" {
+	if raw := vals[pSamples]; raw != "" {
 		if q.opts.Samples, err = strconv.Atoi(raw); err != nil {
 			return nil, badRequest("samples: %v", err)
 		}
@@ -386,7 +385,7 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 		}
 	}
 	if kind == kindMaximize {
-		if raw := vals.Get("roots"); raw != "" {
+		if raw := vals[pRoots]; raw != "" {
 			if q.roots, err = strconv.Atoi(raw); err != nil {
 				return nil, badRequest("roots: %v", err)
 			}
@@ -400,13 +399,13 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 		}
 	}
 	q.seed = s.cfg.DefaultSeed
-	if raw := vals.Get("seed"); raw != "" {
+	if raw := vals[pSeed]; raw != "" {
 		if q.seed, err = strconv.ParseUint(raw, 10, 64); err != nil {
 			return nil, badRequest("seed: %v", err)
 		}
 	}
 	q.timeout = s.cfg.DefaultTimeout
-	if raw := vals.Get("timeout"); raw != "" {
+	if raw := vals[pTimeout]; raw != "" {
 		if q.timeout, err = time.ParseDuration(raw); err != nil {
 			return nil, badRequest("timeout: %v", err)
 		}
@@ -417,7 +416,7 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 
 	if kind == kindCommunity {
 		q.top = 10
-		if raw := vals.Get("top"); raw != "" {
+		if raw := vals[pTop]; raw != "" {
 			if q.top, err = strconv.Atoi(raw); err != nil || q.top <= 0 {
 				return nil, badRequest("top must be a positive integer")
 			}
@@ -446,11 +445,28 @@ func (q *query) batchKey() batchKey {
 // every chain input the answer is a function of. A kind leaves the
 // fields it does not read at zero. It leaves out what only shapes the
 // rendering: /community's top, and /maximize's k, since every budget's
-// selection is a prefix of the pool's one greedy ranking.
+// selection is a prefix of the pool's one greedy ranking. The fields
+// are '|'-separated, the numbers in decimal, into one buffer.
 func (q *query) cacheKey() string {
-	return fmt.Sprintf("%s|%d|%d|%d|%s|%s|%d|%d|%d|%d|%d",
-		q.model.Digest, q.kind, q.source, q.sink, q.nodesKey, q.condKey,
-		q.opts.BurnIn, q.opts.Thin, q.opts.Samples, q.roots, q.seed)
+	var b strings.Builder
+	b.Grow(len(q.model.Digest) + len(q.nodesKey) + len(q.condKey) + 64)
+	var num [20]byte
+	b.WriteString(q.model.Digest)
+	for _, v := range [...]int64{int64(q.kind), int64(q.source), int64(q.sink)} {
+		b.WriteByte('|')
+		b.Write(strconv.AppendInt(num[:0], v, 10))
+	}
+	b.WriteByte('|')
+	b.WriteString(q.nodesKey)
+	b.WriteByte('|')
+	b.WriteString(q.condKey)
+	for _, v := range [...]int64{int64(q.opts.BurnIn), int64(q.opts.Thin), int64(q.opts.Samples), int64(q.roots)} {
+		b.WriteByte('|')
+		b.Write(strconv.AppendInt(num[:0], v, 10))
+	}
+	b.WriteByte('|')
+	b.Write(strconv.AppendUint(num[:0], q.seed, 10))
+	return b.String()
 }
 
 // analyticCacheKey keys the analytic /impact path: the exact law depends
@@ -565,11 +581,12 @@ func (s *Server) handleFlow(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, flowResponse{
+	resp := flowResponse{
 		Model: q.model.Name, Source: int(q.source), Sink: int(q.sink), Cond: q.condKey,
 		Prob: res.Answer.(float64), Samples: q.opts.Samples, Seed: q.seed,
 		Cached: res.Cached, batchStats: res.batchStats,
-	})
+	}
+	writeBody(w, http.StatusOK, resp.appendJSON)
 }
 
 type communityEntry struct {
@@ -597,11 +614,12 @@ func (s *Server) handleCommunity(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, communityResponse{
+	resp := communityResponse{
 		Model: q.model.Name, Source: int(q.source), Cond: q.condKey, Samples: q.opts.Samples, Seed: q.seed,
 		Cached: res.Cached, Top: res.Answer.(communityLaw).top(q.source, q.top),
 		batchStats: res.batchStats,
-	})
+	}
+	writeBody(w, http.StatusOK, resp.appendJSON)
 }
 
 // communityLaw is a cached /community vector without its zeros: the
@@ -671,17 +689,17 @@ func TopCommunity(probs []float64, source graph.NodeID, top int) []graph.NodeID 
 // "mh-sampled" for the batched chain — and Exact reports whether Dist is
 // the exact law (sampled and bounded-analytic answers are not).
 type impactResponse struct {
-	Model   string  `json:"model"`
-	Sources []int   `json:"sources"`
-	Cond    string  `json:"cond,omitempty"`
-	Mode    string  `json:"mode"`
-	Method  string  `json:"method"`
-	Exact   bool    `json:"exact"`
-	Mean    float64 `json:"mean"`
-	Dist    sizeLaw `json:"dist"`
-	Samples int     `json:"samples,omitempty"`
-	Seed    uint64  `json:"seed,omitempty"`
-	Cached  bool    `json:"cached"`
+	Model   string   `json:"model"`
+	Sources nodeList `json:"sources"`
+	Cond    string   `json:"cond,omitempty"`
+	Mode    string   `json:"mode"`
+	Method  string   `json:"method"`
+	Exact   bool     `json:"exact"`
+	Mean    float64  `json:"mean"`
+	Dist    sizeLaw  `json:"dist"`
+	Samples int      `json:"samples,omitempty"`
+	Seed    uint64   `json:"seed,omitempty"`
+	Cached  bool     `json:"cached"`
 	batchStats
 }
 
@@ -717,29 +735,6 @@ func newSizeLaw(dist []float64) sizeLaw {
 	return sizeLaw{support: append(make([]float64, 0, n), dist[:n]...), length: len(dist)}
 }
 
-// MarshalJSON renders the law as the full-length vector the estimator
-// returned, bit for bit: the support as encoding/json writes it, then a
-// 0 for each entry of the zero tail, which a subcritical cascade makes
-// almost all of a law on a large model.
-func (l sizeLaw) MarshalJSON() ([]byte, error) {
-	out := []byte{'['}
-	if len(l.support) > 0 {
-		b, err := json.Marshal(l.support)
-		if err != nil {
-			return nil, err
-		}
-		out = b[:len(b)-1]
-	}
-	out = slices.Grow(out, 2*(l.length-len(l.support))+1)
-	for i := len(l.support); i < l.length; i++ {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		out = append(out, '0')
-	}
-	return append(out, ']'), nil
-}
-
 // mean is the law's expected impact. The zero tail adds nothing to it.
 func (l sizeLaw) mean() float64 {
 	mean := 0.0
@@ -763,7 +758,7 @@ func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := impactResponse{
-		Model: q.model.Name, Sources: nodeInts(q.nodes), Cond: q.condKey,
+		Model: q.model.Name, Sources: nodeList(q.nodesKey), Cond: q.condKey,
 		Cached: res.Cached, batchStats: res.batchStats,
 	}
 	switch a := res.Answer.(type) {
@@ -775,7 +770,7 @@ func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 		resp.Mode, resp.Method, resp.Samples, resp.Seed, resp.Dist = "sampled", "mh-sampled", q.opts.Samples, q.seed, a
 	}
 	resp.Mean = resp.Dist.mean()
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, resp.appendJSON)
 }
 
 // analyticImpact is /impact's analytic front. Unless q asks for sampling
@@ -817,31 +812,12 @@ func (s *Server) analyticImpact(q *query) (flowResult, *httpError) {
 	return flowResult{}, nil
 }
 
-// nodeInts renders a node slice for a JSON payload.
-func nodeInts(nodes []graph.NodeID) []int {
-	out := make([]int, len(nodes))
-	for i, v := range nodes {
-		out[i] = int(v)
-	}
-	return out
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	status, msg := http.StatusOK, "ok"
 	if s.batcher.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
+		status, msg = http.StatusServiceUnavailable, "draining"
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, herr *httpError) {
-	writeJSON(w, herr.status, map[string]string{"error": herr.msg})
+	writeBody(w, status, func(b []byte) []byte { return appendMessage(b, "status", msg) })
 }
 
 // ParseConds parses comma-separated flow conditions — "u>v=1" (flow

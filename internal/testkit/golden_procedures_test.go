@@ -380,7 +380,7 @@ func TestGoldenSaitoEM(t *testing.T) {
 		for i, init := range goldenInits(len(parents), 1, 862+uint64(sink)) {
 			for _, maxIter := range []int{200, 3} {
 				opts := unattrib.SaitoOptions{MaxIter: maxIter, Tol: 1e-9}
-				k, iter, err := unattrib.SaitoOriginal(d.Flow, sink, parents, traces, init, opts)
+				k, iter, err := unattrib.SaitoOriginal(sink, parents, traces, init, opts)
 				if err != nil {
 					t.Fatalf("sink %d init %d: %v", sink, i, err)
 				}

@@ -147,7 +147,7 @@ func SaitoRelaxedRestarts(s *Summary, restarts int, opts SaitoOptions, r *rng.RN
 // The estimates are indexed by the parents slice. As for SaitoRelaxed,
 // init holds one value per parent, each in (0,1). Parents never active in
 // any trace keep their initial value.
-func SaitoOriginal(g *graph.DiGraph, sink graph.NodeID, parents []graph.NodeID, traces []Trace, init []float64, opts SaitoOptions) ([]float64, int, error) {
+func SaitoOriginal(sink graph.NodeID, parents []graph.NodeID, traces []Trace, init []float64, opts SaitoOptions) ([]float64, int, error) {
 	// One row per trace in which some parent's trial happened: the
 	// parents active at exactly t_sink - 1 are implicated (and leak once
 	// if the sink activated), and every active parent that was not

@@ -135,7 +135,7 @@ func TestSaitoOriginalValidationMatchesRelaxed(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultSaitoOptions()
-	k, _, err := SaitoOriginal(g, 1, g.Parents(1), traces, []float64{0.5}, opts)
+	k, _, err := SaitoOriginal(1, g.Parents(1), traces, []float64{0.5}, opts)
 	if err != nil || math.Abs(k[0]-2.0/3) > 1e-9 {
 		t.Fatalf("SaitoOriginal from 0.5 = %v, %v; want 2/3", k, err)
 	}
@@ -151,7 +151,7 @@ func TestSaitoOriginalValidationMatchesRelaxed(t *testing.T) {
 		{"MaxIter 0", []float64{0.5}, SaitoOptions{Tol: 1e-9}},
 	} {
 		_, _, errRelaxed := SaitoRelaxed(s, tc.init, tc.opts)
-		k, _, errOrig := SaitoOriginal(g, 1, g.Parents(1), traces, tc.init, tc.opts)
+		k, _, errOrig := SaitoOriginal(1, g.Parents(1), traces, tc.init, tc.opts)
 		if errRelaxed == nil || errOrig == nil || errOrig.Error() != errRelaxed.Error() {
 			t.Errorf("%s: SaitoOriginal = %v, %v; SaitoRelaxed error %v", tc.name, k, errOrig, errRelaxed)
 		}
@@ -224,7 +224,7 @@ func TestSaitoOriginalSimpleChain(t *testing.T) {
 		{0: 0},       // 0 active, sink never: failed trial for 0
 		{1: 0},       // 1 active, sink never: failed trial for 1
 	}
-	k, _, err := SaitoOriginal(g, 2, parents, traces, []float64{0.5, 0.5}, DefaultSaitoOptions())
+	k, _, err := SaitoOriginal(2, parents, traces, []float64{0.5, 0.5}, DefaultSaitoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestSaitoOriginalIgnoresLateParents(t *testing.T) {
 	traces := []Trace{
 		{0: 0, 1: 2}, // gap of 2: trial failed at t=1; activation unexplained
 	}
-	k, _, err := SaitoOriginal(g, 1, g.Parents(1), traces, []float64{0.5}, DefaultSaitoOptions())
+	k, _, err := SaitoOriginal(1, g.Parents(1), traces, []float64{0.5}, DefaultSaitoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestSaitoOriginalVsRelaxedOnRoundData(t *testing.T) {
 			traces = append(traces, tr)
 		}
 	}
-	orig, _, err := SaitoOriginal(g, 2, g.Parents(2), traces, []float64{0.5, 0.5}, DefaultSaitoOptions())
+	orig, _, err := SaitoOriginal(2, g.Parents(2), traces, []float64{0.5, 0.5}, DefaultSaitoOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
