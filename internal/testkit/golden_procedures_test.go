@@ -1,6 +1,7 @@
 package testkit
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -317,6 +318,68 @@ func TestGoldenRetweetChains(t *testing.T) {
 		out.Attributed = append(out.Attributed, a)
 	}
 	Golden(t, "retweet_chains", out)
+}
+
+type goldenTraining struct {
+	Tweets             string `json:"tweets"`
+	Censored           bool   `json:"censored"`
+	Nodes              int    `json:"nodes"`
+	Edges              int    `json:"edges"`
+	Objects            int    `json:"objects"`
+	RecoveredOriginals int    `json:"recovered_originals"`
+	SkippedEdges       int    `json:"skipped_edges"`
+	// BetaDigest folds each edge's endpoints and the bits of its Beta
+	// parameters, in EdgeID order.
+	BetaDigest string `json:"beta_digest"`
+}
+
+// trainAttributed is the corpus loader: a betaICM over the real-user
+// subgraph, trained on the evidence ExtractAttributed recovers from
+// tweets under the censored or the literal rule.
+func trainAttributed(d *twitter.Dataset, tweets []twitter.Tweet, censored bool) (*core.BetaICM, *twitter.AttributedResult, error) {
+	real, _, _ := d.Flow.Subgraph(d.RealUsers())
+	res := twitter.ExtractAttributed(real, tweets)
+	bm := core.NewBetaICM(real)
+	train := bm.TrainAttributed
+	if censored {
+		train = bm.TrainAttributedCensored
+	}
+	return bm, res, train(&res.Evidence)
+}
+
+// TestGoldenAttributedTraining pins the corpus loader (§II-A, §IV-B):
+// the betaICM trained on every tweet of the noisy golden corpus and on
+// its 70% train split, under the censored and the literal rule, with
+// the extraction's counts.
+func TestGoldenAttributedTraining(t *testing.T) {
+	d, tweets := goldenCorpusTweets(t)
+	train, _ := d.SplitTweets(0.7)
+	var out []goldenTraining
+	for _, tc := range []struct {
+		name   string
+		tweets []twitter.Tweet
+	}{{"all", tweets}, {"train", train}} {
+		for _, censored := range []bool{true, false} {
+			bm, res, err := trainAttributed(d, tc.tweets, censored)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := newFNVWords()
+			for id, b := range bm.B {
+				e := bm.G.Edge(graph.EdgeID(id))
+				h.add(uint64(e.From))
+				h.add(uint64(e.To))
+				h.add(math.Float64bits(b.Alpha))
+				h.add(math.Float64bits(b.Beta))
+			}
+			out = append(out, goldenTraining{
+				Tweets: tc.name, Censored: censored, Nodes: bm.G.NumNodes(), Edges: bm.G.NumEdges(),
+				Objects: res.Objects, RecoveredOriginals: res.RecoveredOriginals, SkippedEdges: res.SkippedEdges,
+				BetaDigest: h.String(),
+			})
+		}
+	}
+	Golden(t, "attributed_training", out)
 }
 
 type goldenEM struct {
