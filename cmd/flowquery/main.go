@@ -11,38 +11,44 @@
 //	flowquery -data corpus.json -maximize -k 5
 //	flowquery -data corpus.json -maximize -k 3 -sources 1,4,9
 //
+// It answers through flowserve's handler, in process: each query is a
+// /flow, /community, /impact or /maximize request to a serve.Server on
+// the trained model, so both tools read a query alike and give it one
+// answer. -nested, which no endpoint serves, samples models directly.
+//
 // Conditions are comma-separated "u>v=1" (flow known present) or
-// "u>v=0" (known absent). They run sorted with duplicates dropped, as
-// flowserve runs them; "u>u=0" and a flow both required and forbidden
-// are errors.
+// "u>v=0" (known absent). They, and -sources, are read as sets. "u>u=0"
+// and a flow both required and forbidden are errors.
 //
 // -impact prints the cascade-size distribution of the source set: the
-// exact analytic law (internal/sizedist) when the model admits one and
-// the query is unconditioned, otherwise the sampled MH estimate — the
-// header labels which estimator answered.
-//
-// -maximize selects the -k seed users whose cascades cover the most of
-// the network (or of the -sources community, when given) by RIS-sketch
-// lazy-greedy maximum coverage — the deterministic sketch backend the
-// flowserve /maximize endpoint serves.
+// exact analytic law when the model admits one and the query is
+// unconditioned, otherwise the sampled MH estimate; the header labels
+// which estimator answered. -maximize selects the -k seed users whose
+// cascades cover the most of the network (or of the -sources community)
+// by RIS-sketch lazy-greedy maximum coverage.
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
+	"strconv"
 	"strings"
+	"time"
 
 	"infoflow/internal/core"
 	"infoflow/internal/dist"
 	"infoflow/internal/graph"
-	"infoflow/internal/influence"
 	"infoflow/internal/mh"
 	"infoflow/internal/rng"
 	"infoflow/internal/serve"
-	"infoflow/internal/sizedist"
 	"infoflow/internal/twitter"
 )
 
@@ -84,6 +90,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *top < 1 {
 		return fmt.Errorf("-top must be a positive integer, got %d", *top)
 	}
+	// Flag errors that need no model come before the corpus is read.
+	flow := !*maximize && !*impact && !*community
+	if flow && *sink < 0 {
+		if *nested > 0 {
+			return fmt.Errorf("-sink required for nested query")
+		}
+		return fmt.Errorf("-sink required (or use -community / -impact)")
+	}
 	f, err := os.Open(*data)
 	if err != nil {
 		return err
@@ -93,170 +107,167 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	real, _, _ := d.Flow.Subgraph(d.RealUsers())
-	res := twitter.ExtractAttributed(real, d.Tweets)
-	bm := core.NewBetaICM(real)
-	train := bm.TrainAttributed
-	if *censored {
-		train = bm.TrainAttributedCensored
-	}
-	if err := train(&res.Evidence); err != nil {
+	bm, res, err := d.TrainAttributed(d.Tweets, *censored)
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "trained on %d objects (%d originals recovered, %d edges skipped)\n",
 		res.Objects, res.RecoveredOriginals, res.SkippedEdges)
+	if flow && *nested > 0 {
+		return printNested(stdout, bm, *source, *sink, *condsArg, *nested, *samples, *seed)
+	}
 
-	conds, err := serve.ParseConds(*condsArg)
+	// -samples bounds ?samples=, so every count the flag takes is served,
+	// and the CLI sets no deadline.
+	srv, err := serve.NewServer(serve.Config{
+		Models:         []serve.Model{{Name: "flowquery", ICM: bm.ExpectedICM()}},
+		MaxSamples:     *samples,
+		DefaultTimeout: time.Duration(math.MaxInt64),
+	})
 	if err != nil {
 		return err
 	}
-	r := rng.New(*seed)
-	m := bm.ExpectedICM()
-	opts := mh.DefaultOptions(m.NumEdges())
-	opts.Samples = *samples
-	// Range-check as ints, before any cast to the int32 graph.NodeID.
-	n := real.NumNodes()
-	if *source >= n {
-		return fmt.Errorf("source %d out of range [0, %d)", *source, n)
+	defer srv.Drain()
+	q := url.Values{"seed": {strconv.FormatUint(*seed, 10)}, "cond": {*condsArg}}
+	if !*maximize {
+		// /maximize keeps its sketch's own chain schedule.
+		q.Set("samples", strconv.Itoa(*samples))
 	}
-	if *sink >= n {
-		return fmt.Errorf("sink %d out of range [0, %d)", *sink, n)
-	}
-	if err := serve.CheckConds(conds, n); err != nil {
-		return err
-	}
-	// Run the conditions in flowserve's canonical order, so both tools
-	// answer a list alike whatever order it is given in.
-	if conds, _, err = serve.CanonicalConds(conds); err != nil {
-		return err
-	}
-	src := graph.NodeID(*source)
-
 	switch {
 	case *maximize:
-		var targets []graph.NodeID
-		if *sourcesArg != "" {
-			if targets, err = serve.ParseSources(*sourcesArg); err != nil {
-				return err
-			}
-			for _, v := range targets {
-				if int(v) >= real.NumNodes() {
-					return fmt.Errorf("target %d out of range", v)
-				}
-			}
+		q.Set("k", strconv.Itoa(*budget))
+		q.Set("community", *sourcesArg)
+		a, err := ask(srv.Handler(), "/maximize", q)
+		if err != nil {
+			return err
 		}
-		return printMaximize(stdout, m, *budget, targets, conds, r)
+		scope := "network"
+		if *sourcesArg != "" {
+			scope = fmt.Sprintf("community of %d users", a.Universe)
+		}
+		fmt.Fprintf(stdout, "top-%d influence seeds over the %s (RIS sketch, %d RR sets):\n", len(a.Seeds), scope, a.RRSets)
+		for i, v := range a.Seeds {
+			fmt.Fprintf(stdout, "  %2d. user %6d  marginal gain %8.2f\n", i+1, v, a.MarginalGains[i])
+		}
+		fmt.Fprintf(stdout, "estimated spread of the set: %.2f users\n", a.SpreadEstimate)
 	case *impact:
-		set := []graph.NodeID{src}
-		if *sourcesArg != "" {
-			if set, err = serve.ParseSources(*sourcesArg); err != nil {
-				return err
-			}
-			if len(set) == 0 {
-				return fmt.Errorf("-sources is empty")
-			}
-			for _, v := range set {
-				if int(v) >= real.NumNodes() {
-					return fmt.Errorf("source %d out of range", v)
-				}
-			}
+		sources := *sourcesArg
+		if sources == "" {
+			sources = strconv.Itoa(*source)
 		}
-		return printImpact(stdout, m, set, conds, opts, r)
-	case *community:
-		flows, err := mh.CommunityFlowProbs(m, src, conds, opts, r)
+		q.Set("sources", sources)
+		a, err := ask(srv.Handler(), "/impact", q)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "top community flows from user %d:\n", src)
-		for _, v := range serve.TopCommunity(flows, src, *top) {
-			fmt.Fprintf(stdout, "  -> %6d  %.4f\n", v, flows[v])
-		}
-	case *nested > 0:
-		if *sink < 0 {
-			return fmt.Errorf("-sink required for nested query")
-		}
-		ps, err := mh.NestedFlowProb(bm, src, graph.NodeID(*sink), conds, *nested, opts, r)
-		if err != nil {
-			return err
-		}
-		s := dist.Summarize(ps)
-		fit := dist.FitBetaToSamples(ps)
-		fmt.Fprintf(stdout, "flow %d ~> %d: mean %.4f sd %.4f over %d sampled models (fit %v)\n",
-			src, *sink, s.Mean, s.StdDev(), s.N, fit)
-	default:
-		if *sink < 0 {
-			return fmt.Errorf("-sink required (or use -community / -impact)")
-		}
-		p, err := mh.FlowProb(m, src, graph.NodeID(*sink), conds, opts, r)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "Pr[%d ~> %d", src, *sink)
-		if len(conds) > 0 {
-			fmt.Fprintf(stdout, " | %d conditions", len(conds))
-		}
-		fmt.Fprintf(stdout, "] = %.4f\n", p)
-	}
-	return nil
-}
-
-// printMaximize reports the k-seed RIS-sketch selection: seeds in
-// selection order with their marginal spread gains over the target
-// universe (the whole network, or the community given via -sources).
-func printMaximize(stdout io.Writer, m *core.ICM, k int, targets []graph.NodeID, conds []core.FlowCondition, r *rng.RNG) error {
-	if k <= 0 || k > m.NumNodes() {
-		return fmt.Errorf("-k %d out of range [1, %d]", k, m.NumNodes())
-	}
-	opts := influence.DefaultSketchOptions(m.NumEdges())
-	res, pool, err := influence.Maximize(m, k, targets, conds, opts, r)
-	if err != nil {
-		return err
-	}
-	scope := "network"
-	if len(targets) > 0 {
-		scope = fmt.Sprintf("community of %d users", pool.Universe)
-	}
-	fmt.Fprintf(stdout, "top-%d influence seeds over the %s (RIS sketch, %d RR sets):\n",
-		len(res.Seeds), scope, pool.NumSets)
-	for i, v := range res.Seeds {
-		fmt.Fprintf(stdout, "  %2d. user %6d  marginal gain %8.2f\n", i+1, v, res.MarginalGains[i])
-	}
-	fmt.Fprintf(stdout, "estimated spread of the set: %.2f users\n", res.SpreadEstimate)
-	return nil
-}
-
-// printImpact reports the cascade-size distribution of a source set:
-// the exact analytic law when internal/sizedist can produce one (the
-// query must be unconditioned — the analytic engine computes the
-// unconditional law), otherwise the sampled MH estimate. The header
-// labels which estimator answered.
-func printImpact(stdout io.Writer, m *core.ICM, set []graph.NodeID, conds []core.FlowCondition, opts mh.Options, r *rng.RNG) error {
-	users := make([]string, len(set))
-	for i, v := range set {
-		users[i] = fmt.Sprint(v)
-	}
-	who := strings.Join(users, ",")
-	if len(conds) == 0 {
-		if res, err := sizedist.Compute(m, set, sizedist.DefaultOptions()); err == nil && res.Exact {
-			fmt.Fprintf(stdout, "impact distribution for users %s (analytic: %s, exact; mean %.4f):\n", who, res.Method, res.Mean())
-			for k, p := range res.Dist {
+		who := strings.Trim(string(a.Sources), "[]")
+		if a.Mode == "analytic" {
+			fmt.Fprintf(stdout, "impact distribution for users %s (analytic: %s, exact; mean %.4f):\n", who, a.Method, a.Mean)
+			for k, p := range a.Dist {
 				if p > 1e-9 {
 					fmt.Fprintf(stdout, "  %3d reached: %.4f\n", k, p)
 				}
 			}
 			return nil
 		}
+		// A sampled law's entries are count/samples quotients, so rounding
+		// recovers each count exactly.
+		fmt.Fprintf(stdout, "impact distribution for users %s (sampled: mh, over %d samples):\n", who, a.Samples)
+		for k, p := range a.Dist {
+			if c := math.Round(p * float64(a.Samples)); c > 0 {
+				fmt.Fprintf(stdout, "  %3d reached: %6d (%.4f)\n", k, int(c), p)
+			}
+		}
+	case *community:
+		q.Set("source", strconv.Itoa(*source))
+		q.Set("top", strconv.Itoa(*top))
+		a, err := ask(srv.Handler(), "/community", q)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "top community flows from user %d:\n", a.Source)
+		for _, e := range a.Top {
+			fmt.Fprintf(stdout, "  -> %6d  %.4f\n", e.Node, e.Prob)
+		}
+	default:
+		q.Set("source", strconv.Itoa(*source))
+		q.Set("sink", strconv.Itoa(*sink))
+		a, err := ask(srv.Handler(), "/flow", q)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "Pr[%d ~> %d", a.Source, a.Sink)
+		if a.Cond != "" {
+			fmt.Fprintf(stdout, " | %d conditions", strings.Count(a.Cond, ",")+1)
+		}
+		fmt.Fprintf(stdout, "] = %.4f\n", a.Prob)
 	}
-	impacts, err := mh.ImpactDistribution(m, set, conds, opts, r)
+	return nil
+}
+
+// answer holds the fields of a served body that flowquery prints. Each
+// endpoint fills its own.
+type answer struct {
+	Error  string  `json:"error"`
+	Source int     `json:"source"`
+	Sink   int     `json:"sink"`
+	Cond   string  `json:"cond"`
+	Prob   float64 `json:"prob"`
+	Top    []struct {
+		Node int     `json:"node"`
+		Prob float64 `json:"prob"`
+	} `json:"top"`
+	Sources        json.RawMessage `json:"sources"` // the set as a JSON array, [3,7]
+	Mode           string          `json:"mode"`
+	Method         string          `json:"method"`
+	Mean           float64         `json:"mean"`
+	Dist           []float64       `json:"dist"`
+	Samples        int             `json:"samples"`
+	Seeds          []int           `json:"seeds"`
+	MarginalGains  []float64       `json:"marginal_gains"`
+	SpreadEstimate float64         `json:"spread_estimate"`
+	Universe       int             `json:"universe"`
+	RRSets         int             `json:"rr_sets"`
+}
+
+// ask serves one GET of path with query q through h and decodes the
+// body. A refused request's {"error":…} message is the error.
+func ask(h http.Handler, path string, q url.Values) (*answer, error) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path+"?"+q.Encode(), nil))
+	var a answer
+	if err := json.Unmarshal(rec.Body.Bytes(), &a); err != nil {
+		return nil, err
+	}
+	if rec.Code != http.StatusOK {
+		return nil, errors.New(a.Error)
+	}
+	return &a, nil
+}
+
+// printNested reports the spread of Pr[source ~> sink] over models
+// sampled from the betaICM, each answered by MH.
+func printNested(stdout io.Writer, bm *core.BetaICM, source, sink int, cond string, models, samples int, seed uint64) error {
+	n := bm.G.NumNodes()
+	if source >= n {
+		return fmt.Errorf("source %d out of range [0, %d)", source, n)
+	}
+	if sink >= n {
+		return fmt.Errorf("sink %d out of range [0, %d)", sink, n)
+	}
+	conds, _, err := serve.ParseConds(cond, n)
 	if err != nil {
 		return err
 	}
-	hist := dist.IntHistogram(impacts)
-	fmt.Fprintf(stdout, "impact distribution for users %s (sampled: mh, over %d samples):\n", who, len(impacts))
-	for k, c := range hist {
-		if c > 0 {
-			fmt.Fprintf(stdout, "  %3d reached: %6d (%.4f)\n", k, c, float64(c)/float64(len(impacts)))
-		}
+	opts := mh.DefaultOptions(bm.G.NumEdges())
+	opts.Samples = samples
+	ps, err := mh.NestedFlowProb(bm, graph.NodeID(source), graph.NodeID(sink), conds, models, opts, rng.New(seed))
+	if err != nil {
+		return err
 	}
+	s := dist.Summarize(ps)
+	fit := dist.FitBetaToSamples(ps)
+	fmt.Fprintf(stdout, "flow %d ~> %d: mean %.4f sd %.4f over %d sampled models (fit %v)\n",
+		source, sink, s.Mean, s.StdDev(), s.N, fit)
 	return nil
 }

@@ -34,7 +34,6 @@ import (
 	"syscall"
 	"time"
 
-	"infoflow/internal/core"
 	"infoflow/internal/serve"
 	"infoflow/internal/twitter"
 )
@@ -88,10 +87,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-data is required")
 	}
 
-	m, err := loadModel(*data, *censored, stdout)
+	f, err := os.Open(*data)
 	if err != nil {
 		return err
 	}
+	d, err := twitter.Read(f)
+	f.Close()
+	if err != nil {
+		return err
+	}
+	bm, res, err := d.TrainAttributed(d.Tweets, *censored)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "flowserve: trained on %d objects (%d originals recovered, %d edges skipped)\n",
+		res.Objects, res.RecoveredOriginals, res.SkippedEdges)
+	m := bm.ExpectedICM()
 	srv, err := serve.NewServer(serve.Config{
 		Models:         []serve.Model{{Name: *name, ICM: m}},
 		Window:         *window,
@@ -143,31 +154,4 @@ func run(args []string, stdout, stderr io.Writer) error {
 			met.Batches.Load(), met.Occupancy(), met.StartHits.Load(), met.StartMisses.Load(), met.CacheHitRate(), met.Timeouts.Load())
 		return nil
 	}
-}
-
-// loadModel trains a betaICM on the corpus's recovered retweet chains
-// (the flowquery pipeline) and returns its expected ICM.
-func loadModel(path string, censored bool, stdout io.Writer) (*core.ICM, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	d, err := twitter.Read(f)
-	if err != nil {
-		return nil, err
-	}
-	real, _, _ := d.Flow.Subgraph(d.RealUsers())
-	res := twitter.ExtractAttributed(real, d.Tweets)
-	bm := core.NewBetaICM(real)
-	train := bm.TrainAttributed
-	if censored {
-		train = bm.TrainAttributedCensored
-	}
-	if err := train(&res.Evidence); err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(stdout, "flowserve: trained on %d objects (%d originals recovered, %d edges skipped)\n",
-		res.Objects, res.RecoveredOriginals, res.SkippedEdges)
-	return bm.ExpectedICM(), nil
 }

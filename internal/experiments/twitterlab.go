@@ -39,18 +39,15 @@ func NewTwitterLab(cfg twitter.Config, trainFrac float64, r *rng.RNG) (*TwitterL
 		return nil, err
 	}
 	lab := &TwitterLab{Dataset: d}
-	sub, _, _ := d.Flow.Subgraph(d.RealUsers())
-	lab.RealFlow = sub
 	lab.TrainTweets, lab.TestTweets = d.SplitTweets(trainFrac)
 	lab.TrainCut = int(float64(len(d.Retweets)) * trainFrac)
-	lab.Extraction = twitter.ExtractAttributed(lab.RealFlow, lab.TrainTweets)
-	lab.Trained = core.NewBetaICM(lab.RealFlow)
 	// Chain-recovered evidence attributes each retweet to one parent, so
 	// the other incident edges of an already-active child are censored,
 	// not failed: the censored training rule avoids deflating them.
-	if err := lab.Trained.TrainAttributedCensored(&lab.Extraction.Evidence); err != nil {
+	if lab.Trained, lab.Extraction, err = d.TrainAttributed(lab.TrainTweets, true); err != nil {
 		return nil, fmt.Errorf("twitterlab: training: %w", err)
 	}
+	lab.RealFlow = lab.Trained.G
 	return lab, nil
 }
 

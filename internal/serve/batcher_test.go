@@ -345,7 +345,7 @@ type startTest struct {
 
 // startTestModel is the model and evidence startTest runs under.
 func startTestModel() (*core.ICM, []core.FlowCondition, string) {
-	conds, condKey, _ := CanonicalConds([]core.FlowCondition{{Source: 0, Sink: 5, Require: true}})
+	conds, condKey, _ := canonicalConds([]core.FlowCondition{{Source: 0, Sink: 5, Require: true}})
 	return serveICM(3, 20, 60), conds, condKey
 }
 

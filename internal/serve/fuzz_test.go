@@ -122,7 +122,7 @@ func FuzzParseQuery(f *testing.F) {
 			t.Fatalf("nodesKey %q inconsistent with nodes %v", q.nodesKey, q.nodes)
 		}
 		if q.nodesKey != "" {
-			round, err := ParseSources(q.nodesKey)
+			round, _, _, err := readNodes(q.nodesKey, n)
 			if err != nil || !slices.Equal(round, q.nodes) {
 				t.Fatalf("nodesKey %q round-trips to %v (%v), want %v", q.nodesKey, round, err, q.nodes)
 			}
@@ -132,7 +132,7 @@ func FuzzParseQuery(f *testing.F) {
 				t.Fatalf("nodesKey %q is not the canonical rendering %q", q.nodesKey, want)
 			}
 		}
-		if len(q.conds) > maxConds || CheckConds(q.conds, n) != nil {
+		if len(q.conds) > maxConds || checkConds(q.conds, n) != nil {
 			t.Fatalf("accepted conditions %v", q.conds)
 		}
 		if q.timeout <= 0 {
@@ -199,24 +199,24 @@ func FuzzParseConds(f *testing.F) {
 	f.Add("7>7=0")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, raw string) {
-		conds, err := ParseConds(raw)
+		conds, err := readConds(raw)
 		if err != nil {
 			return
 		}
-		want, key, werr := CanonicalConds(conds)
+		want, key, werr := canonicalConds(conds)
 		if werr == nil {
-			round, err := ParseConds(key)
+			round, err := readConds(key)
 			if err != nil || !slices.Equal(round, want) {
 				t.Fatalf("key %q re-parses to %v (%v), want %v", key, round, err, want)
 			}
 		}
 		orderings(strings.Split(raw, ","), func(parts []string) {
 			joined := strings.Join(parts, ",")
-			perm, err := ParseConds(joined)
+			perm, err := readConds(joined)
 			if err != nil {
 				t.Fatalf("%q parses but its reordering %q does not: %v", raw, joined, err)
 			}
-			got, gkey, gerr := CanonicalConds(perm)
+			got, gkey, gerr := canonicalConds(perm)
 			if (gerr == nil) != (werr == nil) || (werr != nil && gerr.Error() != werr.Error()) {
 				t.Fatalf("%q canonicalises with error %v, its reordering %q with %v", raw, werr, joined, gerr)
 			}

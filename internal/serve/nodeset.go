@@ -10,12 +10,11 @@ import (
 	"infoflow/internal/graph"
 )
 
-// readNodes is the one node-list reader behind ParseSources and
-// parseNodeSet. It reads a comma-separated list ("3,1,7") in one pass,
-// in place: no token is split out or copied. Whitespace around an id is
-// tolerated, and an id parses at graph.NodeID's 32 bits, as in
-// ParseConds, so an oversized id is an error, never a wrap. An empty or
-// all-space list is no ids.
+// readNodes is the one node-list reader, behind parseNodeSet. It reads
+// a comma-separated list ("3,1,7") in one pass, in place: no token is
+// split out or copied. Whitespace around an id is tolerated, and an id
+// parses at graph.NodeID's 32 bits, as in readConds, so an oversized id
+// is an error, never a wrap. An empty or all-space list is no ids.
 //
 // Besides the ids in list order it returns over, the first id not below
 // n (-1 when every id is), and canonical: whether the list is already in
@@ -65,16 +64,6 @@ func readNodes(s string, n int) (ids []graph.NodeID, over int, canonical bool, e
 		start = end + 1
 	}
 	return ids, over, canonical, nil
-}
-
-// ParseSources parses a comma-separated node-id list ("3,1,7") into
-// node IDs, in list order. Whitespace around entries is tolerated; an
-// empty string is an empty set. Ids are parsed at 32 bits, as in
-// ParseConds; range validation is the caller's job (it needs the model).
-// Shared with the flowquery CLI.
-func ParseSources(s string) ([]graph.NodeID, error) {
-	ids, _, _, err := readNodes(s, math.MaxInt)
-	return ids, err
 }
 
 // parseNodeSet parses the node list named param for a model of n nodes

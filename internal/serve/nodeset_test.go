@@ -64,7 +64,7 @@ func refParseNodeSet(raw, param string, n int) ([]graph.NodeID, string, *httpErr
 	return distinct, refSourcesKey(distinct), nil
 }
 
-// sameAsReference checks parseNodeSet and ParseSources on raw against
+// sameAsReference checks parseNodeSet and readNodes on raw against
 // the reference pipeline: the same nodes, key and error, status and
 // text.
 func sameAsReference(t *testing.T, raw string, n int) {
@@ -79,10 +79,10 @@ func sameAsReference(t *testing.T, raw string, n int) {
 	case !slices.Equal(nodes, wnodes) || key != wkey:
 		t.Fatalf("%q (n=%d): nodes %v key %q, reference %v %q", raw, n, nodes, key, wnodes, wkey)
 	}
-	ids, err := ParseSources(raw)
+	ids, _, _, err := readNodes(raw, n)
 	wids, werr := refParseSources(raw)
 	if fmt.Sprint(err) != fmt.Sprint(werr) || !slices.Equal(ids, wids) {
-		t.Fatalf("ParseSources(%q) = %v, %v; reference %v, %v", raw, ids, err, wids, werr)
+		t.Fatalf("readNodes(%q) = %v, %v; reference %v, %v", raw, ids, err, wids, werr)
 	}
 }
 
@@ -117,7 +117,7 @@ func nodeToken(r *rng.RNG, n int) string {
 // TestParseNodeSetMatchesReference: on generated lists of every form
 // (canonical, unsorted, duplicated, spaced, signed, zero-padded, with
 // empty tokens or a trailing comma, with ids past n or past 2^31)
-// parseNodeSet and ParseSources answer exactly as the pipeline they
+// parseNodeSet and readNodes answer exactly as the pipeline they
 // replaced: the same nodes, key and error text.
 func TestParseNodeSetMatchesReference(t *testing.T) {
 	for _, raw := range []string{

@@ -21,7 +21,7 @@ import (
 // bodies into the structs.
 
 func (l nodeList) MarshalJSON() ([]byte, error) {
-	ids, err := ParseSources(string(l))
+	ids, _, _, err := readNodes(string(l), math.MaxInt)
 	if err != nil {
 		return nil, err
 	}

@@ -359,8 +359,8 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 		}
 	}
 
-	if q.conds, q.condKey, herr = parseCondParam(vals[pCond], n); herr != nil {
-		return nil, herr
+	if q.conds, q.condKey, err = ParseConds(vals[pCond], n); err != nil {
+		return nil, err.(*httpError)
 	}
 
 	// The chain schedule is the one a library caller would use for this
@@ -652,9 +652,8 @@ func newCommunityLaw(probs []float64) communityLaw {
 
 // top ranks the law's support: every node but the source, most probable
 // first, ties broken by node id, cut to the first top. It is the one
-// community ranking; TopCommunity applies it to a full vector. top is
-// client input with no upper bound, so it sizes nothing beyond the
-// support.
+// community ranking. top is client input with no upper bound, so it
+// sizes nothing beyond the support.
 func (c communityLaw) top(source graph.NodeID, top int) []communityEntry {
 	out := make([]communityEntry, 0, len(c.nodes))
 	for i, v := range c.nodes {
@@ -668,20 +667,6 @@ func (c communityLaw) top(source graph.NodeID, top int) []communityEntry {
 		return cmp.Or(cmp.Compare(b.Prob, a.Prob), cmp.Compare(a.Node, b.Node))
 	})
 	return out[:min(top, len(out))]
-}
-
-// TopCommunity ranks a community vector (Pr[source ~> v] per node v) as
-// /community does (see communityLaw.top): every node but the source
-// with a positive probability, most probable first, ties broken by node
-// id, cut to the first top. Shared with the flowquery CLI, so both list
-// a community in the same order.
-func TopCommunity(probs []float64, source graph.NodeID, top int) []graph.NodeID {
-	ranked := newCommunityLaw(probs).top(source, top)
-	out := make([]graph.NodeID, len(ranked))
-	for i, e := range ranked {
-		out[i] = graph.NodeID(e.Node)
-	}
-	return out
 }
 
 // impactResponse is the /impact payload. Method labels the estimator
@@ -820,11 +805,37 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeBody(w, status, func(b []byte) []byte { return appendMessage(b, "status", msg) })
 }
 
-// ParseConds parses comma-separated flow conditions — "u>v=1" (flow
-// known present) or "u>v=0" (known absent) — into core form. An empty
-// string is no conditions. Ids parse at graph.NodeID's 32 bits, so an
-// oversized id is an error, never a wrap. Shared with the flowquery CLI.
-func ParseConds(s string) ([]core.FlowCondition, error) {
+// ParseConds reads a cond= value for a model of n nodes; every endpoint
+// reads its conditions through it, and so does flowquery -nested. It
+// returns the value's comma-separated flow conditions — "u>v=1" (flow
+// known present) or "u>v=0" (known absent), "" for none — in the
+// canonical order canonicalConds gives them, with their key. It refuses
+// a condition that does not parse or names a node outside [0, n), a set
+// no state can satisfy on its face, and more than maxConds distinct
+// conditions; a refusal is an *httpError, whose message is the one a
+// served request gets.
+func ParseConds(raw string, n int) ([]core.FlowCondition, string, error) {
+	conds, err := readConds(raw)
+	if err != nil {
+		return nil, "", badRequest("cond: %v", err)
+	}
+	if err := checkConds(conds, n); err != nil {
+		return nil, "", badRequest("%v", err)
+	}
+	conds, key, err := canonicalConds(conds)
+	if err != nil {
+		return nil, "", &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
+	}
+	if len(conds) > maxConds {
+		return nil, "", badRequest("cond: %d distinct conditions, at most %d allowed", len(conds), maxConds)
+	}
+	return conds, key, nil
+}
+
+// readConds parses comma-separated flow conditions into core form, in
+// list order. An empty string is no conditions. Ids parse at
+// graph.NodeID's 32 bits, so an oversized id is an error, never a wrap.
+func readConds(s string) ([]core.FlowCondition, error) {
 	if s == "" {
 		return nil, nil
 	}
@@ -861,9 +872,9 @@ func ParseConds(s string) ([]core.FlowCondition, error) {
 	return out, nil
 }
 
-// CheckConds returns an error naming the first condition whose source
-// or sink lies outside [0, n). Shared with the flowquery CLI.
-func CheckConds(conds []core.FlowCondition, n int) error {
+// checkConds returns an error naming the first condition whose source
+// or sink lies outside [0, n).
+func checkConds(conds []core.FlowCondition, n int) error {
 	for _, c := range conds {
 		if int(c.Source) < 0 || int(c.Source) >= n || int(c.Sink) < 0 || int(c.Sink) >= n {
 			return fmt.Errorf("cond %d>%d references a node out of range [0, %d)", c.Source, c.Sink, n)
@@ -878,36 +889,15 @@ func CheckConds(conds []core.FlowCondition, n int) error {
 // always hold would make one request allocate O(conditions × n).
 const maxConds = 64
 
-// parseCondParam parses and validates a cond= value for a model of n
-// nodes and returns its canonical form (see CanonicalConds).
-func parseCondParam(raw string, n int) ([]core.FlowCondition, string, *httpError) {
-	conds, err := ParseConds(raw)
-	if err != nil {
-		return nil, "", badRequest("cond: %v", err)
-	}
-	if err := CheckConds(conds, n); err != nil {
-		return nil, "", badRequest("%v", err)
-	}
-	conds, key, err := CanonicalConds(conds)
-	if err != nil {
-		return nil, "", &httpError{status: http.StatusUnprocessableEntity, msg: err.Error()}
-	}
-	if len(conds) > maxConds {
-		return nil, "", badRequest("cond: %d distinct conditions, at most %d allowed", len(conds), maxConds)
-	}
-	return conds, key, nil
-}
-
-// CanonicalConds sorts conditions by their rendered "u>v=r" form, drops
+// canonicalConds sorts conditions by their rendered "u>v=r" form, drops
 // exact duplicates, and returns them with the rendered key. Requests
 // listing the same conditions in any order therefore share a batch and
 // a cache line, and the chain — whose initial state depends on the
 // order constructInitialState repairs conditions in — runs on the same
 // list whichever request opened the batch. It rejects sets no state can
 // satisfy on their face: a forbidden self-flow u>u=0, or a pair both
-// required and forbidden. Shared with the flowquery CLI, so both run a
-// condition list in the same order.
-func CanonicalConds(conds []core.FlowCondition) ([]core.FlowCondition, string, error) {
+// required and forbidden.
+func canonicalConds(conds []core.FlowCondition) ([]core.FlowCondition, string, error) {
 	if len(conds) == 0 {
 		return nil, "", nil
 	}

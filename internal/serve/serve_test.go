@@ -241,11 +241,10 @@ func refTopCommunity(probs []float64, source graph.NodeID, top int) []graph.Node
 }
 
 // TestTopCommunityMatchesVectorRanking: ranking a community from its
-// support (communityLaw.top, and TopCommunity through it) lists the same
-// nodes with the same probabilities as the ranking of the full vector
-// it replaced, on random vectors with many ties and zeros, the source
-// inside and outside the support, and every cut from 1 past the
-// support's size.
+// support (communityLaw.top) lists the same nodes with the same
+// probabilities as the ranking of the full vector it replaced, on
+// random vectors with many ties and zeros, the source inside and
+// outside the support, and every cut from 1 past the support's size.
 func TestTopCommunityMatchesVectorRanking(t *testing.T) {
 	r := rng.New(31)
 	for trial := 0; trial < 500; trial++ {
@@ -264,9 +263,6 @@ func TestTopCommunityMatchesVectorRanking(t *testing.T) {
 		law := newCommunityLaw(probs)
 		for top := 1; top <= n+1; top++ {
 			want := refTopCommunity(probs, source, top)
-			if got := TopCommunity(probs, source, top); !slices.Equal(got, want) {
-				t.Fatalf("trial %d top %d: TopCommunity %v, vector ranking %v (probs %v, source %d)", trial, top, got, want, probs, source)
-			}
 			entries := law.top(source, top)
 			if len(entries) != len(want) {
 				t.Fatalf("trial %d top %d: %d entries, want %d", trial, top, len(entries), len(want))
@@ -291,7 +287,7 @@ func TestServerCommunityCachedBodyIdentical(t *testing.T) {
 	n := m.NumNodes()
 	const source = 4
 	for ci, cond := range []string{"", "0>5=1"} {
-		conds, err := ParseConds(cond)
+		conds, condKey, err := ParseConds(cond, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,8 +317,7 @@ func TestServerCommunityCachedBodyIdentical(t *testing.T) {
 			}
 			sameCachedBodies(t, url, miss.Body.Bytes(), serveDirect(srv, url).Body.Bytes())
 
-			q := query{model: srv.models["m"], kind: kindCommunity, source: source, opts: opts, seed: seed}
-			q.conds, q.condKey, _ = parseCondParam(cond, n)
+			q := query{model: srv.models["m"], kind: kindCommunity, source: source, conds: conds, condKey: condKey, opts: opts, seed: seed}
 			v, ok := srv.cache.Get(q.cacheKey())
 			if !ok {
 				t.Fatalf("%s: no cache entry", url)
@@ -656,7 +651,7 @@ func TestServerCondOrderLeavesAnswers(t *testing.T) {
 	m := condOrderModel()
 	opts := mh.DefaultOptions(m.NumEdges())
 	opts.Samples = 100
-	conds, err := ParseConds(canonical)
+	conds, _, err := ParseConds(canonical, m.NumNodes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -711,12 +706,12 @@ func TestServerCondContradictions(t *testing.T) {
 		"3>4=1,1>2=1,3>4=1": "1>2=1,3>4=1",
 		"2>2=1":             "2>2=1",
 	} {
-		conds, err := ParseConds(raw)
+		conds, err := readConds(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, got, err := CanonicalConds(conds); err != nil || got != key {
-			t.Errorf("CanonicalConds(%q): key %q, error %v; want key %q", raw, got, err, key)
+		if _, got, err := canonicalConds(conds); err != nil || got != key {
+			t.Errorf("canonicalConds(%q): key %q, error %v; want key %q", raw, got, err, key)
 		}
 	}
 }
@@ -834,22 +829,32 @@ func TestServerPprof(t *testing.T) {
 	}
 }
 
-// TestParseCondsRejectsGarbage exercises the exported parser directly.
+// TestParseCondsRejectsGarbage exercises the exported reader directly:
+// a list parses to its conditions in canonical order with their key,
+// and a malformed one is refused.
 func TestParseCondsRejectsGarbage(t *testing.T) {
-	good, err := ParseConds(" 3>7=1 , 3>9=0 ")
-	if err != nil || len(good) != 2 || !good[0].Require || good[1].Require {
-		t.Fatalf("ParseConds = %+v, %v", good, err)
+	good, key, err := ParseConds(" 3>7=1 , 3>9=0 ", 10)
+	if err != nil || len(good) != 2 || !good[0].Require || good[1].Require || key != "3>7=1,3>9=0" {
+		t.Fatalf("ParseConds = %+v %q, %v", good, key, err)
+	}
+	got, key, err := ParseConds("3>7=1, 2>9=0 ,0>1=1", 10)
+	want := []core.FlowCondition{{Source: 0, Sink: 1, Require: true}, {Source: 2, Sink: 9}, {Source: 3, Sink: 7, Require: true}}
+	if err != nil || !slices.Equal(got, want) || key != "0>1=1,2>9=0,3>7=1" {
+		t.Fatalf("ParseConds = %+v %q, %v; want %+v", got, key, err, want)
 	}
 	// Ids past int32 must be rejected, not wrapped onto node 0 or 1.
-	for _, bad := range []string{"3>7", "3-7=1", "a>b=1", "3>7=2", ">=1", "4294967296>5=1", "1>4294967297=0"} {
-		if _, err := ParseConds(bad); err == nil {
+	for _, bad := range []string{
+		"3>7", "3=1", "3-7=1", "a>b=1", "3>b=1", "3>7=2", ">=1", "3>7=1,,", "3 > 7 = x",
+		"4294967296>5=1", "1>4294967297=0",
+	} {
+		if _, _, err := ParseConds(bad, 10); err == nil {
 			t.Errorf("ParseConds(%q) accepted garbage", bad)
 		}
 	}
-	if got, err := ParseConds(""); err != nil || got != nil {
-		t.Errorf("ParseConds(\"\") = %v, %v; want nil, nil", got, err)
+	if got, key, err := ParseConds("", 10); err != nil || got != nil || key != "" {
+		t.Errorf("ParseConds(\"\") = %v %q, %v; want nil, \"\", nil", got, key, err)
 	}
-	if got, err := ParseSources("2,4294967297"); err == nil {
-		t.Errorf("ParseSources wrapped an oversized id to %v", got)
+	if got, _, _, err := readNodes("2,4294967297", math.MaxInt); err == nil {
+		t.Errorf("readNodes wrapped an oversized id to %v", got)
 	}
 }

@@ -333,24 +333,10 @@ type goldenTraining struct {
 	BetaDigest string `json:"beta_digest"`
 }
 
-// trainAttributed is the corpus loader: a betaICM over the real-user
-// subgraph, trained on the evidence ExtractAttributed recovers from
-// tweets under the censored or the literal rule.
-func trainAttributed(d *twitter.Dataset, tweets []twitter.Tweet, censored bool) (*core.BetaICM, *twitter.AttributedResult, error) {
-	real, _, _ := d.Flow.Subgraph(d.RealUsers())
-	res := twitter.ExtractAttributed(real, tweets)
-	bm := core.NewBetaICM(real)
-	train := bm.TrainAttributed
-	if censored {
-		train = bm.TrainAttributedCensored
-	}
-	return bm, res, train(&res.Evidence)
-}
-
-// TestGoldenAttributedTraining pins the corpus loader (§II-A, §IV-B):
-// the betaICM trained on every tweet of the noisy golden corpus and on
-// its 70% train split, under the censored and the literal rule, with
-// the extraction's counts.
+// TestGoldenAttributedTraining pins the corpus loader (§II-A, §IV-B),
+// Dataset.TrainAttributed: the betaICM trained on every tweet of the
+// noisy golden corpus and on its 70% train split, under the censored
+// and the literal rule, with the extraction's counts.
 func TestGoldenAttributedTraining(t *testing.T) {
 	d, tweets := goldenCorpusTweets(t)
 	train, _ := d.SplitTweets(0.7)
@@ -360,7 +346,7 @@ func TestGoldenAttributedTraining(t *testing.T) {
 		tweets []twitter.Tweet
 	}{{"all", tweets}, {"train", train}} {
 		for _, censored := range []bool{true, false} {
-			bm, res, err := trainAttributed(d, tc.tweets, censored)
+			bm, res, err := d.TrainAttributed(tc.tweets, censored)
 			if err != nil {
 				t.Fatal(err)
 			}

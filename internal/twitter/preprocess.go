@@ -113,6 +113,26 @@ func ExtractAttributed(g *graph.DiGraph, tweets []Tweet) *AttributedResult {
 	return res
 }
 
+// TrainAttributed is the one corpus loader: it trains a betaICM over
+// the real-user subgraph of d's flow graph (node ids unchanged) on the
+// attributed evidence ExtractAttributed recovers from tweets, and
+// returns it with the extraction's bookkeeping. censored selects
+// core.BetaICM.TrainAttributedCensored, the rule for chain-recovered
+// evidence, over the paper's literal TrainAttributed.
+func (d *Dataset) TrainAttributed(tweets []Tweet, censored bool) (*core.BetaICM, *AttributedResult, error) {
+	real, _, _ := d.Flow.Subgraph(d.RealUsers())
+	res := ExtractAttributed(real, tweets)
+	bm := core.NewBetaICM(real)
+	train := bm.TrainAttributed
+	if censored {
+		train = bm.TrainAttributedCensored
+	}
+	if err := train(&res.Evidence); err != nil {
+		return nil, nil, err
+	}
+	return bm, res, nil
+}
+
 // MentionKind selects which in-text objects ExtractTraces collects.
 type MentionKind int
 
