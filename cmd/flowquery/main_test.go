@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
+	"infoflow/internal/core"
 	"infoflow/internal/serve"
 	"infoflow/internal/twitter"
 )
@@ -73,6 +75,48 @@ func TestRunFlagErrorsFirst(t *testing.T) {
 		err := run(append([]string{"-data", "nope.json"}, tc.args...), &stdout, &stderr)
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// The ParseConds tests pin how -nested reads -cond: serve.ParseConds
+// parses the list, checks ids against the node count and returns the
+// conditions in canonical order with their key.
+func TestParseCondsValid(t *testing.T) {
+	got, key, err := serve.ParseConds("3>7=1, 2>9=0 ,0>1=1", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []core.FlowCondition{
+		{Source: 0, Sink: 1, Require: true},
+		{Source: 2, Sink: 9, Require: false},
+		{Source: 3, Sink: 7, Require: true},
+	}
+	if !slices.Equal(got, want) || key != "0>1=1,2>9=0,3>7=1" {
+		t.Fatalf("got %+v %q, want %+v", got, key, want)
+	}
+}
+
+func TestParseCondsEmpty(t *testing.T) {
+	got, key, err := serve.ParseConds("", 10)
+	if err != nil || got != nil || key != "" {
+		t.Fatalf("empty = %v %q, %v", got, key, err)
+	}
+}
+
+func TestParseCondsInvalid(t *testing.T) {
+	for _, bad := range []string{
+		"3>7",     // missing requirement
+		"3=1",     // missing sink
+		"a>7=1",   // bad source
+		"3>b=1",   // bad sink
+		"3>7=2",   // bad requirement
+		"3>7=1,,", // empty element
+		"3 > 7 = x",
+		"3>10=1", // sink out of range
+	} {
+		if _, _, err := serve.ParseConds(bad, 10); err == nil {
+			t.Errorf("accepted %q", bad)
 		}
 	}
 }
