@@ -178,8 +178,8 @@ func TestRunCondsCanonicalOrder(t *testing.T) {
 	}
 }
 
-// servedModel trains the model flowquery answers from on corpus, the
-// same way run does (censored attributed training).
+// servedModel trains the model flowquery answers from on corpus through
+// the one loader run calls (censored attributed training).
 func servedModel(t *testing.T, corpus string) *core.ICM {
 	t.Helper()
 	f, err := os.Open(corpus)
@@ -191,10 +191,8 @@ func servedModel(t *testing.T, corpus string) *core.ICM {
 	if err != nil {
 		t.Fatal(err)
 	}
-	real, _, _ := d.Flow.Subgraph(d.RealUsers())
-	res := twitter.ExtractAttributed(real, d.Tweets)
-	bm := core.NewBetaICM(real)
-	if err := bm.TrainAttributedCensored(&res.Evidence); err != nil {
+	bm, _, err := d.TrainAttributed(d.Tweets, true)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return bm.ExpectedICM()

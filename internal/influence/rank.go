@@ -72,6 +72,10 @@ func (r *Ranking) Prefix(k int) *Result {
 
 func (r *Ranking) isCandidate(v int) bool { return r.candidates == nil || r.candidates.Test(v) }
 
+// Bytes returns the size of what the ranking keeps: its seeds, their
+// counts and the candidate set.
+func (r *Ranking) Bytes() int { return 4*len(r.seeds) + 4*len(r.counts) + 8*len(r.candidates) }
+
 // ranker extends a Ranking on demand. Its heap holds one entry per
 // unranked candidate, keyed by the gain it was last evaluated at.
 // Coverage is submodular and the gains are exact counts, so a stale

@@ -296,7 +296,7 @@ func (b *batcher) execute(pb *pendingBatch) {
 	res := flowResult{batchStats: batchStats{BatchSize: len(pb.members), Lanes: pb.lanes, Acceptance: acc}}
 	for _, m := range pb.members {
 		res.Answer = answers[m.lane]
-		b.cache.Add(m.cacheKey, res.Answer)
+		keepAnswer(b.cache, m.cacheKey, res.Answer)
 		m.done <- res
 	}
 }
@@ -324,7 +324,7 @@ func anyWaiting(members []*member) bool {
 // Add replaces the first with an equal copy.
 func (b *batcher) chain(pb *pendingBatch, opts mh.Options) (*mh.Sampler, error) {
 	key := pb.key.startKey()
-	if v, ok := b.starts.Get(key); ok {
+	if v, ok := b.starts.Get([]byte(key)); ok {
 		b.metrics.StartHits.Add(1)
 		return v.(*mh.Start).Clone(), nil
 	}

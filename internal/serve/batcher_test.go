@@ -71,6 +71,9 @@ func testQuery(m *core.ICM, source, sink graph.NodeID, samples int, seed uint64)
 	}
 }
 
+// cacheKey returns q's cache key as the string a batch member keeps.
+func (q *query) cacheKey() string { return string(q.appendCacheKey(nil)) }
+
 // join joins q to its batch under q's cache key.
 func join(t *testing.T, b *batcher, ctx context.Context, q *query) *member {
 	t.Helper()

@@ -99,12 +99,12 @@ func BenchmarkServeHit(b *testing.B) {
 	}
 }
 
-// TestServeHitAllocs bounds what a cache hit allocates, so reflection or
-// a per-id copy cannot come back into the hit unnoticed. A community
-// /maximize hit allocates the query, its id slice, its cache key and the
+// TestServeHitAllocs bounds what a cache hit allocates, so reflection, a
+// per-id copy or a read of the node list cannot come back into the hit
+// unnoticed. A community /maximize hit allocates the query and the
 // budget's prefix of the ranking (the selection, its seeds and its
-// gains); a sampled /impact hit the query, its id slice and its key. The
-// body is rendered into a pooled buffer.
+// gains); a sampled /impact hit the query alone. A hit reads no node
+// list, and its cache key and body are appended into pooled buffers.
 func TestServeHitAllocs(t *testing.T) {
 	s, err := NewServer(Config{Models: []Model{{Name: "dag", ICM: serveDAG(7, 20, 40)}}})
 	if err != nil {
@@ -115,8 +115,8 @@ func TestServeHitAllocs(t *testing.T) {
 		url string
 		max float64
 	}{
-		{"/maximize?k=3&seed=5&community=1,4,6,9,12", 6},
-		{"/impact?sources=3,5,17&mode=sampled&samples=20&seed=7", 3},
+		{"/maximize?k=3&seed=5&community=1,4,6,9,12", 4},
+		{"/impact?sources=3,5,17&mode=sampled&samples=20&seed=7", 1},
 	} {
 		req, w := cachedHit(t, s, hit.url)
 		h := s.Handler()

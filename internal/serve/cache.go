@@ -42,23 +42,22 @@ func newLRUCache(capacity, maxBytes int) *lruCache {
 	}
 }
 
-// Get returns the cached value and marks it most recently used.
-func (c *lruCache) Get(key string) (any, bool) {
+// Get returns the value cached under key and marks it most recently
+// used. The key is a byte slice, such as one appended into a reused
+// buffer: the map lookup neither copies nor keeps it.
+func (c *lruCache) Get(key []byte) (any, bool) {
 	if c.cap <= 0 {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	el, ok := c.items[string(key)]
 	if !ok {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
 	return el.Value.(*lruEntry).val, true
 }
-
-// Add inserts or refreshes key as an entry of size 0.
-func (c *lruCache) Add(key string, val any) { c.AddSized(key, val, 0) }
 
 // AddSized inserts or refreshes key as an entry of size bytes, then
 // evicts least recently used entries until the cache is within both of

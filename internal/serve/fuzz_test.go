@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzParseQuery hammers the one query parser over all four endpoints.
@@ -29,12 +31,23 @@ import (
 // url.ParseQuery(raw).Get(name) does (see sameParams). Seeds #25 on are
 // raw queries with escaped keys, '+', bad escapes, ';', repeated keys
 // and empty pairs.
+//
+// parseQuery keeps a node list unread, so a parsed query is looked up
+// as its request would be: a miss reads the list, and a hit on an
+// unread list must be on one that reads to itself. The properties above
+// hold once the list is read. The server caches one /maximize pool over
+// {2, 5} first, and seeds #32 on are a canonical list out of range, that
+// list in canonical and in non-canonical form, and bad lists beside bad
+// later parameters.
 func FuzzParseQuery(f *testing.F) {
 	s, err := NewServer(Config{Models: []Model{{Name: "m", ICM: serveDAG(5, 12, 25)}}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	defer s.Drain()
+	if rec := serveDirect(s, "/maximize?k=1&community=2,5&samples=1&roots=64"); rec.Code != http.StatusOK {
+		f.Fatalf("caching a pool: status %d: %s", rec.Code, rec.Body)
+	}
 	f.Add(uint8(kindImpact), "0", "", "", "", "", "", "", "")
 	f.Add(uint8(kindImpact), "3,1,3", "auto", "1>2=1", "500", "", "9", "", "")
 	f.Add(uint8(kindImpact), " 2 , 5 ", "analytic", "", "", "", "", "", "")
@@ -67,6 +80,12 @@ func FuzzParseQuery(f *testing.F) {
 	f.Add(uint8(kindMaximize), "", "", "", "", "", "", "", "k=2&community=1,2,3&community=4&cond=0%3E1%3D0&timeout=1s%")
 	f.Add(uint8(kindCommunity), "2", "", "", "", "", "", "", "top=3&to%p=4&=5&top&k+=1&%20top=2&samples=+5")
 	f.Add(uint8(kindImpact), "", "", "", "", "", "", "", "sources&sources=0&mode=&mode=analytic")
+	f.Add(uint8(kindImpact), "5,12", "sampled", "", "", "", "", "", "")
+	f.Add(uint8(kindMaximize), "1", "2,5", "", "1", "64", "", "", "")
+	f.Add(uint8(kindMaximize), "2", "5,2,5", "", "1", "64", "", "", "")
+	f.Add(uint8(kindMaximize), "1", " 2,05", "", "1", "64", "", "", "")
+	f.Add(uint8(kindMaximize), "2", "4,99", "x", "0", "", "", "", "")
+	f.Add(uint8(kindImpact), "3,-2", "psychic", "", "", "", "", "", "")
 	f.Fuzz(func(t *testing.T, kindByte uint8, first, second, cond, samples, roots, seed, timeout, raw string) {
 		sameParams(t, raw)
 		kind := queryKind(kindByte % 4)
@@ -97,6 +116,15 @@ func FuzzParseQuery(f *testing.F) {
 			req.URL.RawQuery += "&" + raw
 		}
 		q, herr := s.parseQuery(req, kind)
+		if herr == nil {
+			raw := q.nodesKey
+			var cached bool
+			if _, cached, _, herr = s.lookup(q, (*query).appendCacheKey); herr == nil && cached && q.unread {
+				if herr = q.readList(); herr != nil || q.nodesKey != raw {
+					t.Fatalf("a hit on the unread list %q, which reads to %q (%v)", raw, q.nodesKey, herr)
+				}
+			}
+		}
 		if herr != nil {
 			if herr.status < 400 || herr.status > 499 {
 				t.Fatalf("parse error with non-4xx status %d: %s", herr.status, herr.msg)
@@ -171,6 +199,143 @@ func FuzzParseQuery(f *testing.F) {
 			t.Fatalf("accepted samples %d outside (0, %d]", q.opts.Samples, s.cfg.MaxSamples)
 		}
 	})
+}
+
+// FuzzServeLists holds the key-first cache read to the path it replaced.
+// Each generated /impact or /maximize request is served three times on
+// one fresh server: cold, warm, and through serveEager, which reads the
+// node list before it looks anything up. kind picks the endpoint (bit
+// 0) and the model (bit 1: a DAG, whose laws are exact, or a cyclic
+// model, whose auto-mode laws fall back to sampling); list fills
+// sources or community and other mode or k. raw is appended to the
+// query as it is, as in FuzzParseQuery. The warm and eager asks must
+// agree byte for byte, and the cold ask with them in its status and, up
+// to cached and the batch fields, its body. Each ask counts at most one
+// cache hit or miss, exactly one when it succeeds, a hit exactly when
+// its body says cached, and the warm and eager asks count alike.
+// Deadlines under a minute could expire on one ask and not another, so
+// they are skipped.
+func FuzzServeLists(f *testing.F) {
+	models := []Model{{Name: "dag", ICM: serveDAG(5, 12, 25)}, {Name: "cyclic", ICM: serveICM(3, 20, 60)}}
+	f.Add(uint8(0), "3,1,3", "", "", "", "", "", "")
+	f.Add(uint8(0), "1,3", "sampled", "", "20", "", "9", "")
+	f.Add(uint8(0), "4,12", "auto", "", "", "", "", "")
+	f.Add(uint8(0), "7,99,-1", "psychic", "x", "", "", "", "")
+	f.Add(uint8(0), " 2 , 5 ", "analytic", "1>2=1", "", "", "", "")
+	f.Add(uint8(2), "0,3", "", "", "30", "", "4", "")
+	f.Add(uint8(2), "3", "analytic", "", "", "", "", "")
+	f.Add(uint8(2), "5,3,5", "sampled", "0>5=1", "25", "", "", "")
+	f.Add(uint8(1), "1,4,6,9", "2", "", "", "", "5", "")
+	f.Add(uint8(1), "9,4,1,6,4", "3", "0>11=0", "", "", "", "")
+	f.Add(uint8(1), "4,12", "2", "", "", "", "", "")
+	f.Add(uint8(1), "99", "2", "x", "", "", "", "")
+	f.Add(uint8(1), "99", "0", "x", "", "", "", "")
+	f.Add(uint8(1), " ", "2", "", "0", "", "", "")
+	f.Add(uint8(1), "1|2", "1", "", "", "", "", "")
+	f.Add(uint8(3), "0,5,19", "4", "", "8", "128", "", "")
+	f.Add(uint8(3), "19,0,5", "1", "", "8", "100", "x", "")
+	f.Add(uint8(1), "", "", "", "", "", "", "k=2&community=3%2C1&community=4&seed=%2B5")
+	f.Add(uint8(0), "", "", "", "", "", "", "sources=1%2C2+&mode=sampl%65d&samples=9&sources=3")
+	f.Add(uint8(1), "", "", "", "", "", "", "k=1&community=2%7C3&cond=0%3E1%3D0")
+	f.Fuzz(func(t *testing.T, kindByte uint8, list, other, cond, samples, roots, seed, raw string) {
+		kind, params := kindImpact, [2]string{"sources", "mode"}
+		if kindByte&1 == 1 {
+			kind, params = kindMaximize, [2]string{"community", "k"}
+		}
+		vals := url.Values{"model": {models[kindByte>>1&1].Name}}
+		for name, v := range map[string]string{
+			params[0]: list, params[1]: other,
+			"cond": cond, "samples": samples, "roots": roots, "seed": seed,
+		} {
+			if v != "" {
+				vals.Set(name, v)
+			}
+		}
+		target := map[queryKind]string{kindImpact: "/impact", kindMaximize: "/maximize"}[kind] + "?" + vals.Encode()
+		if raw != "" {
+			target += "&" + raw
+		}
+		request := func() *http.Request {
+			r := httptest.NewRequest(http.MethodGet, "/", nil)
+			r.URL.Path, r.URL.RawQuery, _ = strings.Cut(target, "?")
+			return r
+		}
+		if d, err := time.ParseDuration(readParams(request().URL.RawQuery)[pTimeout]); err == nil && d > 0 && d < time.Minute {
+			t.Skip()
+		}
+		s, err := NewServer(Config{Models: models, Window: time.Microsecond, DefaultSamples: 40, MaxSamples: 400})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Drain()
+		type reply struct {
+			status       int
+			body         string
+			hits, misses int64
+		}
+		ask := func(serve func(http.ResponseWriter, *http.Request)) reply {
+			h0, m0 := s.metrics.CacheHits.Load(), s.metrics.CacheMisses.Load()
+			rec := httptest.NewRecorder()
+			serve(rec, request())
+			return reply{rec.Code, rec.Body.String(), s.metrics.CacheHits.Load() - h0, s.metrics.CacheMisses.Load() - m0}
+		}
+		cold := ask(s.Handler().ServeHTTP)
+		warm := ask(s.Handler().ServeHTTP)
+		eager := ask(func(w http.ResponseWriter, r *http.Request) { serveEager(s, w, r, kind) })
+		for _, r := range []struct {
+			name string
+			reply
+		}{{"cold", cold}, {"warm", warm}, {"eager", eager}} {
+			counted := r.hits + r.misses
+			if counted > 1 || r.status == http.StatusOK && counted != 1 ||
+				(r.hits == 1) != (r.status == http.StatusOK && strings.Contains(r.body, `"cached":true`)) {
+				t.Fatalf("%s: %s ask counted %d hits and %d misses for %d %s", target, r.name, r.hits, r.misses, r.status, r.body)
+			}
+		}
+		if warm != eager {
+			t.Fatalf("%s: the warm ask and the eager reference differ:\nwarm  %+v\neager %+v", target, warm, eager)
+		}
+		if cold.status != warm.status || cold.hits+cold.misses != warm.hits+warm.misses {
+			t.Fatalf("%s: cold ask %+v, warm ask %+v", target, cold, warm)
+		}
+		if cold.status != http.StatusOK {
+			if cold.body != warm.body {
+				t.Fatalf("%s: cold and warm errors differ:\ncold %s\nwarm %s", target, cold.body, warm.body)
+			}
+			return
+		}
+		if strings.Contains(warm.body, `"cached":true`) {
+			sameCachedBodies(t, target, []byte(cold.body), []byte(warm.body))
+		} else if cold.body != warm.body {
+			t.Fatalf("%s: an answer computed twice differs:\ncold %s\nwarm %s", target, cold.body, warm.body)
+		}
+	})
+}
+
+// serveEager serves r as flowserve did while every node list was read
+// as its query was parsed, before any cache lookup: the reference
+// FuzzServeLists holds the key-first path to. Its lookups therefore
+// always run under the canonical key.
+func serveEager(s *Server, w http.ResponseWriter, r *http.Request, kind queryKind) {
+	q, herr := s.parseQuery(r, kind)
+	if herr == nil {
+		herr = q.readList()
+	}
+	var res flowResult
+	if herr == nil && kind == kindImpact {
+		res, herr = s.analyticImpact(q)
+	}
+	if herr == nil && res.Answer == nil {
+		res, herr = s.answer(r, q)
+	}
+	switch {
+	case herr != nil:
+		writeError(w, herr)
+	case kind == kindImpact:
+		s.writeImpact(w, q, res)
+	default:
+		s.writeMaximize(w, q, res)
+	}
 }
 
 // sameParams fails t unless readParams reads every parameter of raw as

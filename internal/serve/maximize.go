@@ -55,10 +55,14 @@ type maximizeResponse struct {
 // on the same pool, bit for bit.
 func (s *Server) handleMaximize(w http.ResponseWriter, r *http.Request) {
 	s.metrics.MaximizeRequests.Add(1)
-	q, res, ok := s.serveQuery(w, r, kindMaximize)
-	if !ok {
-		return
+	if q, res, ok := s.serveQuery(w, r, kindMaximize); ok {
+		s.writeMaximize(w, q, res)
 	}
+}
+
+// writeMaximize renders a /maximize answer: the budget's prefix of the
+// pool's ranking.
+func (s *Server) writeMaximize(w http.ResponseWriter, q *query, res flowResult) {
 	ans := res.Answer.(maximizeAnswer)
 	sel := ans.ranking.Prefix(q.k)
 	if !res.Cached {
@@ -94,7 +98,7 @@ func (s *Server) maximize(ctx context.Context, q *query, key string) (flowResult
 		return flowResult{}, s.mapError(ctx, err)
 	}
 	ans := maximizeAnswer{ranking: ranking, universe: pool.Universe, rrSets: pool.NumSets}
-	s.cache.Add(key, ans)
+	keepAnswer(s.cache, key, ans)
 	s.metrics.MaximizeSketchSets.Add(int64(pool.NumSets))
 	s.metrics.MaximizeSketchMembers.Add(int64(pool.Cover.Count()))
 	return flowResult{Answer: ans}, nil

@@ -72,7 +72,7 @@ func readNodes(s string, n int) (ids []graph.NodeID, over int, canonical bool, e
 // line. A list already in canonical form, as the server's own responses
 // echo it, is its own key: it is read once and neither sorted nor
 // copied. An empty list parses to an empty set; whether it is allowed is
-// the caller's call.
+// the caller's call. Only a cache miss reads its list (query.readList).
 func parseNodeSet(raw, param string, n int) ([]graph.NodeID, string, *httpError) {
 	nodes, over, canonical, err := readNodes(raw, n)
 	if err != nil {

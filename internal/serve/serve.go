@@ -22,7 +22,8 @@
 // only when the analytic engine cannot be exact.
 //
 // Every endpoint takes one request path (serveQuery): parseQuery reads
-// its parameters in one order into one query type, the answer comes from
+// its parameters in one order into one query type, keeping a node list
+// unread until a cache miss needs it (see lookup), the answer comes from
 // the cache or from its computation in the one form the cache keeps
 // (flowResult), and the handler renders hits and misses alike from it.
 //
@@ -57,7 +58,7 @@ import (
 )
 
 // Model is one servable ICM. Digest is computed by NewServer when left
-// empty.
+// empty; a digest given may not hold '|'.
 type Model struct {
 	Name   string
 	ICM    *core.ICM
@@ -85,9 +86,9 @@ type Config struct {
 	// past it, requests are refused with 503 rather than queued.
 	QueueCap int
 	// CacheSize is the LRU result-cache capacity in entries (default
-	// 1024; negative disables caching). It also caps the kept burned-in
-	// chain starts, which startBudget bounds in bytes as well; negative
-	// keeps none.
+	// 1024; negative disables caching), which resultBudget bounds in
+	// bytes as well. It also caps the kept burned-in chain starts, which
+	// startBudget bounds in bytes; negative keeps none.
 	CacheSize int
 	// DefaultSamples / MaxSamples bound the ?samples= parameter of the
 	// batched endpoints (defaults 2000 / 50000). /maximize defaults to
@@ -147,6 +148,14 @@ func (c *Config) applyDefaults() {
 // budget keeps about 140 starts.
 const startBudget = 16 << 20
 
+// resultBudget bounds the bytes the result cache holds, each answer
+// sized by what it keeps (see keepAnswer). At §IV-C scale a default
+// whole-graph /maximize ranking holds about 3,680 seeds (29 KB), so the
+// budget holds about 1,100 of them, more than CacheSize's default
+// entries; a larger pool ranks up to 6,000 seeds (48 KB). A community
+// ranking holds about 520 seeds plus its 2.5 KB key.
+const resultBudget = 32 << 20
+
 // maxSketchSets bounds the /maximize pool size: ?samples= times ?roots=
 // may not exceed it. A pool's cover holds 4 bytes per (node, set)
 // membership, and never more than one bit per (node, set) pair plus a
@@ -184,6 +193,9 @@ func NewServer(cfg Config) (*Server, error) {
 		if m.Digest == "" {
 			m.Digest = ModelDigest(m.ICM)
 		}
+		if strings.IndexByte(m.Digest, '|') >= 0 {
+			return nil, fmt.Errorf("serve: model %q digest %q holds '|', which separates cache key fields", m.Name, m.Digest)
+		}
 		s.models[m.Name] = m
 	}
 	if len(cfg.Models) == 1 {
@@ -191,7 +203,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.metrics = &Metrics{}
 	s.metrics.laneBudget.Store(int64(cfg.LaneBudget))
-	s.cache = newLRUCache(cfg.CacheSize, 0)
+	s.cache = newLRUCache(cfg.CacheSize, resultBudget)
 	starts := newLRUCache(cfg.CacheSize, startBudget)
 	s.batcher = newBatcher(cfg.Window, cfg.Workers, cfg.QueueCap, cfg.LaneBudget, cfg.Clock, s.metrics, s.cache, starts)
 	publishExpvar(s.metrics)
@@ -247,8 +259,9 @@ type query struct {
 	kind     queryKind
 	source   graph.NodeID   // kindFlow, kindCommunity
 	sink     graph.NodeID   // kindFlow
-	nodes    []graph.NodeID // kindImpact: the source set; kindMaximize: the community, nil for every node
-	nodesKey string         // canonical (sorted distinct) form of nodes
+	nodes    []graph.NodeID // kindImpact: the source set; kindMaximize: the community, nil for every node; built by readList
+	nodesKey string         // the node list: as it arrived while unread, then in canonical (sorted distinct) form
+	unread   bool           // nodesKey holds a list readList has yet to read
 	mode     string         // kindImpact: "auto" | "analytic" | "sampled"
 	top      int            // kindCommunity: how many nodes to list
 	k        int            // kindMaximize: the seed budget
@@ -279,20 +292,36 @@ func badRequest(format string, args ...any) *httpError {
 // source; sources and mode; or k and community); cond; samples, and
 // roots for /maximize; seed; timeout; then /community's top and
 // /impact's refusal to condition an analytic law.
+//
+// A node list (sources=, community=) is kept unread, as it arrived, in
+// nodesKey: a cache hit answers without reading it, and a miss reads
+// it (see lookup). When a parameter after the list fails, the list is
+// read first, so a bad list still decides the error.
 func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError) {
 	q := &query{kind: kind}
-	vals := readParams(r.URL.RawQuery)
+	if herr := s.parseParams(q, readParams(r.URL.RawQuery)); herr != nil {
+		if lerr := q.readList(); lerr != nil {
+			return nil, lerr
+		}
+		return nil, herr
+	}
+	return q, nil
+}
 
+// parseParams reads and checks q's parameters from vals in parse order
+// (see parseQuery), keeping a node list unread.
+func (s *Server) parseParams(q *query, vals params) *httpError {
+	kind := q.kind
 	name := vals[pModel]
 	if name == "" {
 		if s.only == "" {
-			return nil, badRequest("model parameter required (serving %d models)", len(s.models))
+			return badRequest("model parameter required (serving %d models)", len(s.models))
 		}
 		name = s.only
 	}
 	m, ok := s.models[name]
 	if !ok {
-		return nil, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("unknown model %q", name)}
+		return &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("unknown model %q", name)}
 	}
 	q.model = m
 	n := m.ICM.NumNodes()
@@ -316,51 +345,41 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 	switch kind {
 	case kindFlow, kindCommunity:
 		if q.source, herr = node(pSource); herr != nil {
-			return nil, herr
+			return herr
 		}
 		if kind == kindFlow {
 			if q.sink, herr = node(pSink); herr != nil {
-				return nil, herr
+				return herr
 			}
 		}
 	case kindImpact:
-		if q.nodes, q.nodesKey, herr = parseNodeSet(vals[pSources], "sources", n); herr != nil {
-			return nil, herr
-		}
-		if len(q.nodes) == 0 {
-			return nil, badRequest("sources parameter required")
-		}
+		q.nodesKey, q.unread = vals[pSources], true
 		switch mode := vals[pMode]; mode {
 		case "", "auto":
 			q.mode = "auto"
 		case "analytic", "sampled":
 			q.mode = mode
 		default:
-			return nil, badRequest("mode %q: want auto, analytic, or sampled", mode)
+			return badRequest("mode %q: want auto, analytic, or sampled", mode)
 		}
 	case kindMaximize:
 		raw := vals[pK]
 		if raw == "" {
-			return nil, badRequest("k parameter required")
+			return badRequest("k parameter required")
 		}
 		if q.k, err = strconv.Atoi(raw); err != nil {
-			return nil, badRequest("k: %v", err)
+			return badRequest("k: %v", err)
 		}
 		if q.k <= 0 || q.k > n {
-			return nil, badRequest("k %d out of range [1, %d]", q.k, n)
+			return badRequest("k %d out of range [1, %d]", q.k, n)
 		}
 		if raw := vals[pCommunity]; raw != "" {
-			if q.nodes, q.nodesKey, herr = parseNodeSet(raw, "community", n); herr != nil {
-				return nil, herr
-			}
-			if len(q.nodes) == 0 {
-				return nil, badRequest("community parameter must name at least one node")
-			}
+			q.nodesKey, q.unread = raw, true
 		}
 	}
 
 	if q.conds, q.condKey, err = ParseConds(vals[pCond], n); err != nil {
-		return nil, err.(*httpError)
+		return err.(*httpError)
 	}
 
 	// The chain schedule is the one a library caller would use for this
@@ -375,42 +394,42 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 	}
 	if raw := vals[pSamples]; raw != "" {
 		if q.opts.Samples, err = strconv.Atoi(raw); err != nil {
-			return nil, badRequest("samples: %v", err)
+			return badRequest("samples: %v", err)
 		}
 		switch samples := q.opts.Samples; {
 		case kind == kindMaximize && samples <= 0:
-			return nil, badRequest("samples %d must be positive", samples)
+			return badRequest("samples %d must be positive", samples)
 		case kind != kindMaximize && (samples <= 0 || samples > s.cfg.MaxSamples):
-			return nil, badRequest("samples %d out of range [1, %d]", samples, s.cfg.MaxSamples)
+			return badRequest("samples %d out of range [1, %d]", samples, s.cfg.MaxSamples)
 		}
 	}
 	if kind == kindMaximize {
 		if raw := vals[pRoots]; raw != "" {
 			if q.roots, err = strconv.Atoi(raw); err != nil {
-				return nil, badRequest("roots: %v", err)
+				return badRequest("roots: %v", err)
 			}
 			if q.roots <= 0 || q.roots%mh.LaneWidth != 0 {
-				return nil, badRequest("roots %d must be a positive multiple of %d", q.roots, mh.LaneWidth)
+				return badRequest("roots %d must be a positive multiple of %d", q.roots, mh.LaneWidth)
 			}
 		}
 		if sets := q.opts.Samples * q.roots; sets > maxSketchSets || sets/q.roots != q.opts.Samples {
-			return nil, badRequest("samples %d x roots %d exceeds the sketch budget of %d RR sets",
+			return badRequest("samples %d x roots %d exceeds the sketch budget of %d RR sets",
 				q.opts.Samples, q.roots, maxSketchSets)
 		}
 	}
 	q.seed = s.cfg.DefaultSeed
 	if raw := vals[pSeed]; raw != "" {
 		if q.seed, err = strconv.ParseUint(raw, 10, 64); err != nil {
-			return nil, badRequest("seed: %v", err)
+			return badRequest("seed: %v", err)
 		}
 	}
 	q.timeout = s.cfg.DefaultTimeout
 	if raw := vals[pTimeout]; raw != "" {
 		if q.timeout, err = time.ParseDuration(raw); err != nil {
-			return nil, badRequest("timeout: %v", err)
+			return badRequest("timeout: %v", err)
 		}
 		if q.timeout <= 0 {
-			return nil, badRequest("timeout must be positive")
+			return badRequest("timeout must be positive")
 		}
 	}
 
@@ -418,14 +437,38 @@ func (s *Server) parseQuery(r *http.Request, kind queryKind) (*query, *httpError
 		q.top = 10
 		if raw := vals[pTop]; raw != "" {
 			if q.top, err = strconv.Atoi(raw); err != nil || q.top <= 0 {
-				return nil, badRequest("top must be a positive integer")
+				return badRequest("top must be a positive integer")
 			}
 		}
 	}
 	if q.mode == "analytic" && len(q.conds) > 0 {
-		return nil, badRequest("mode=analytic does not support cond: the analytic engine computes the unconditional law")
+		return badRequest("mode=analytic does not support cond: the analytic engine computes the unconditional law")
 	}
-	return q, nil
+	return nil
+}
+
+// readList reads the node list parseQuery kept unread, if any: it
+// range-checks the list on q's model and puts it in canonical form
+// (parseNodeSet), its ids in nodes and its key in nodesKey. Either list
+// must name at least one node.
+func (q *query) readList() *httpError {
+	if !q.unread {
+		return nil
+	}
+	q.unread = false
+	param, empty := "sources", "sources parameter required"
+	if q.kind == kindMaximize {
+		param, empty = "community", "community parameter must name at least one node"
+	}
+	nodes, key, herr := parseNodeSet(q.nodesKey, param, q.model.ICM.NumNodes())
+	if herr != nil {
+		return herr
+	}
+	if len(nodes) == 0 {
+		return &httpError{status: http.StatusBadRequest, msg: empty}
+	}
+	q.nodes, q.nodesKey = nodes, key
+	return nil
 }
 
 func (q *query) batchKey() batchKey {
@@ -440,43 +483,67 @@ func (q *query) batchKey() batchKey {
 	}
 }
 
-// cacheKey names q's cached answer, in one layout for every endpoint:
-// the model digest, the kind, the query's nodes, its conditions and
-// every chain input the answer is a function of. A kind leaves the
-// fields it does not read at zero. It leaves out what only shapes the
-// rendering: /community's top, and /maximize's k, since every budget's
-// selection is a prefix of the pool's one greedy ranking. The fields
-// are '|'-separated, the numbers in decimal, into one buffer.
-func (q *query) cacheKey() string {
-	var b strings.Builder
-	b.Grow(len(q.model.Digest) + len(q.nodesKey) + len(q.condKey) + 64)
-	var num [20]byte
-	b.WriteString(q.model.Digest)
+// appendCacheKey appends the key naming q's cached answer, in one
+// layout for every endpoint: the model digest, the kind, the query's
+// nodes, its conditions and every chain input the answer is a function
+// of. A kind leaves the fields it does not read at zero. It leaves out
+// what only shapes the rendering: /community's top, and /maximize's k,
+// since every budget's selection is a prefix of the pool's one greedy
+// ranking. The fields are '|'-separated, the numbers in decimal.
+//
+// The node list enters as nodesKey holds it, read or not. No other
+// field can hold a '|' (NewServer refuses a digest with one), and the
+// list lies between the key's first four fields and its last six, so a
+// key names one query even when an unread list holds a '|'.
+func (q *query) appendCacheKey(b []byte) []byte {
+	b = append(b, q.model.Digest...)
 	for _, v := range [...]int64{int64(q.kind), int64(q.source), int64(q.sink)} {
-		b.WriteByte('|')
-		b.Write(strconv.AppendInt(num[:0], v, 10))
+		b = strconv.AppendInt(append(b, '|'), v, 10)
 	}
-	b.WriteByte('|')
-	b.WriteString(q.nodesKey)
-	b.WriteByte('|')
-	b.WriteString(q.condKey)
+	b = append(append(b, '|'), q.nodesKey...)
+	b = append(append(b, '|'), q.condKey...)
 	for _, v := range [...]int64{int64(q.opts.BurnIn), int64(q.opts.Thin), int64(q.opts.Samples), int64(q.roots)} {
-		b.WriteByte('|')
-		b.Write(strconv.AppendInt(num[:0], v, 10))
+		b = strconv.AppendInt(append(b, '|'), v, 10)
 	}
-	b.WriteByte('|')
-	b.Write(strconv.AppendUint(num[:0], q.seed, 10))
-	return b.String()
+	return strconv.AppendUint(append(b, '|'), q.seed, 10)
 }
 
-// analyticCacheKey keys the analytic /impact path: the exact law depends
-// only on the model and the source set — no chain schedule, seed, or
-// sample count — so analytic entries are shared across all of them. It
-// is cacheKey with every chain field zero, which no sampled key is: a
-// parsed query draws at least one sample.
-func (q *query) analyticCacheKey() string {
+// appendAnalyticKey appends the key of q's analytic /impact law. The
+// exact law depends only on the model and the source set — no chain
+// schedule, seed, or sample count — so analytic entries are shared
+// across all of them. It is the cache key with every chain field zero,
+// which no sampled key is: a parsed query draws at least one sample.
+func (q *query) appendAnalyticKey(b []byte) []byte {
 	law := query{model: q.model, kind: kindImpact, nodesKey: q.nodesKey}
-	return law.cacheKey()
+	return law.appendCacheKey(b)
+}
+
+// lookup reads the cache under the key appendKey appends for q. The key
+// is appended into a pooled buffer and looked up without a copy; it
+// becomes a string only on a miss, to cache the computed answer under.
+//
+// An unread node list enters the key as it arrived, so a hit answers
+// without reading it. That is safe because a key enters the cache only
+// once a miss has read, range-checked and canonicalized its list on a
+// model with the same digest: a list that hits is one such list. A miss
+// reads the list, refusing a bad one, and looks again if canonicalizing
+// changed the key. lookup counts neither hit nor miss.
+func (s *Server) lookup(q *query, appendKey func(*query, []byte) []byte) (v any, cached bool, key string, herr *httpError) {
+	buf := bufs.Get().(*pooledBuf)
+	b := appendKey(q, buf.b[:0])
+	v, cached = s.cache.Get(b)
+	if !cached && q.unread {
+		raw := q.nodesKey
+		if herr = q.readList(); herr == nil && q.nodesKey != raw {
+			b = appendKey(q, b[:0])
+			v, cached = s.cache.Get(b)
+		}
+	}
+	if !cached && herr == nil {
+		key = string(b)
+	}
+	putBuf(buf, b)
+	return v, cached, key, herr
 }
 
 // serveQuery is every endpoint's request path: it parses a request of
@@ -504,8 +571,11 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kind queryKi
 // on a hit, else one computed under q's deadline — by q's batch, or for
 // /maximize by building and ranking its pool in the handler.
 func (s *Server) answer(r *http.Request, q *query) (flowResult, *httpError) {
-	key := q.cacheKey()
-	if v, ok := s.cache.Get(key); ok {
+	v, cached, key, herr := s.lookup(q, (*query).appendCacheKey)
+	if herr != nil {
+		return flowResult{}, herr
+	}
+	if cached {
 		s.metrics.CacheHits.Add(1)
 		return flowResult{Answer: v, Cached: true}, nil
 	}
@@ -516,6 +586,26 @@ func (s *Server) answer(r *http.Request, q *query) (flowResult, *httpError) {
 		return s.maximize(ctx, q, key)
 	}
 	return s.dispatch(ctx, q, key)
+}
+
+// keepAnswer caches an answer under key, sized by what the entry
+// keeps: the key, and the answer's ranking, law support or community
+// support (a /flow probability keeps 8 bytes).
+func keepAnswer(c *lruCache, key string, v any) {
+	size := len(key)
+	switch a := v.(type) {
+	case float64:
+		size += 8
+	case communityLaw:
+		size += 4*len(a.nodes) + 8*len(a.probs)
+	case sizeLaw:
+		size += 8 * len(a.support)
+	case impactAnalytic:
+		size += 8 * len(a.law.support)
+	case maximizeAnswer:
+		size += a.ranking.Bytes()
+	}
+	c.AddSized(key, v, size)
 }
 
 // dispatch joins the query's batch and waits for its result or the
@@ -738,10 +828,13 @@ func (l sizeLaw) mean() float64 {
 // cache entries ignore the chain schedule entirely.
 func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ImpactRequests.Add(1)
-	q, res, ok := s.serveQuery(w, r, kindImpact)
-	if !ok {
-		return
+	if q, res, ok := s.serveQuery(w, r, kindImpact); ok {
+		s.writeImpact(w, q, res)
 	}
+}
+
+// writeImpact renders an /impact answer, analytic or sampled.
+func (s *Server) writeImpact(w http.ResponseWriter, q *query, res flowResult) {
 	resp := impactResponse{
 		Model: q.model.Name, Sources: nodeList(q.nodesKey), Cond: q.condKey,
 		Cached: res.Cached, batchStats: res.batchStats,
@@ -769,8 +862,10 @@ func (s *Server) analyticImpact(q *query) (flowResult, *httpError) {
 	if q.mode == "sampled" || len(q.conds) > 0 {
 		return flowResult{}, nil
 	}
-	key := q.analyticCacheKey()
-	v, cached := s.cache.Get(key)
+	v, cached, key, herr := s.lookup(q, (*query).appendAnalyticKey)
+	if herr != nil {
+		return flowResult{}, herr
+	}
 	if !cached {
 		if herr := s.refuseDraining(); herr != nil {
 			return flowResult{}, herr
@@ -779,7 +874,7 @@ func (s *Server) analyticImpact(q *query) (flowResult, *httpError) {
 		verdict := impactAnalytic{err: err}
 		if err == nil {
 			verdict = impactAnalytic{method: res.Method.String(), exact: res.Exact, law: newSizeLaw(res.Dist)}
-			s.cache.Add(key, verdict)
+			keepAnswer(s.cache, key, verdict)
 		}
 		v = verdict
 	}

@@ -318,7 +318,7 @@ func TestServerCommunityCachedBodyIdentical(t *testing.T) {
 			sameCachedBodies(t, url, miss.Body.Bytes(), serveDirect(srv, url).Body.Bytes())
 
 			q := query{model: srv.models["m"], kind: kindCommunity, source: source, conds: conds, condKey: condKey, opts: opts, seed: seed}
-			v, ok := srv.cache.Get(q.cacheKey())
+			v, ok := srv.cache.Get(q.appendCacheKey(nil))
 			if !ok {
 				t.Fatalf("%s: no cache entry", url)
 			}
@@ -556,6 +556,20 @@ func condList(k, n int) string {
 		}
 	}
 	return strings.Join(parts, ",")
+}
+
+// TestNewServerRefusesDigestWithPipe: the digest is a cache key field,
+// and a key names one query only while no field but the node list can
+// hold a '|' (see appendCacheKey), so NewServer refuses such a digest.
+func TestNewServerRefusesDigestWithPipe(t *testing.T) {
+	srv, err := NewServer(Config{Models: []Model{{Name: "m", ICM: serveICM(3, 20, 60), Digest: "d|3"}}})
+	if err == nil {
+		srv.Drain()
+		t.Fatal("NewServer accepted the digest \"d|3\"")
+	}
+	if !strings.Contains(err.Error(), `digest "d|3"`) {
+		t.Errorf("error %q does not name the digest", err)
+	}
 }
 
 // TestServerCondCountBounded: a request carries at most maxConds

@@ -16,18 +16,22 @@ import (
 var updateGolden = flag.Bool("update-golden", false,
 	"rewrite golden files under testdata/golden instead of comparing")
 
-// Golden compares got — canonicalised through indented JSON — against
+// Golden compares got — canonicalised through indented JSON, with <, >
+// and & written as they are, so a condition reads 3>7=1 — against
 // testdata/golden/<name>.json relative to the calling test's package
 // directory. A mismatch fails the test with both serialisations; with
 // -update-golden the file is (re)written instead, so intentional drift
 // becomes a reviewable diff in the committed corpus.
 func Golden(t *testing.T, name string, got any) {
 	t.Helper()
-	data, err := json.MarshalIndent(got, "", "  ")
-	if err != nil {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(got); err != nil {
 		t.Fatalf("testkit: marshal golden %q: %v", name, err)
 	}
-	data = append(data, '\n')
+	data := buf.Bytes()
 	path := filepath.Join("testdata", "golden", name+".json")
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
