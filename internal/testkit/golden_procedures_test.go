@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"infoflow/internal/core"
+	"infoflow/internal/ctic"
+	"infoflow/internal/dist"
 	"infoflow/internal/graph"
 	"infoflow/internal/rng"
 	"infoflow/internal/twitter"
@@ -14,7 +16,9 @@ import (
 
 // Golden vectors for the paper procedures that exist once in the
 // library: the cascade walk (§III-A), pseudo-state enumeration (§II),
-// retweet-chain recovery (§IV-B) and Saito et al.'s EM (Appendix).
+// retweet-chain recovery (§IV-B), Saito et al.'s EM (Appendix) and the
+// random-walk Metropolis loop both edge learners run (§V-B's joint
+// Bayes and the continuous-time learner).
 // Unlike the rest of the corpus these pin bits: probabilities and
 // estimates are stored unrounded (JSON's shortest round-trip form
 // restores every bit) and per-record annotations as FNV-1a digests.
@@ -438,4 +442,75 @@ func TestGoldenSaitoEM(t *testing.T) {
 		}
 	}
 	Golden(t, "saito_em", out)
+}
+
+type goldenLearner struct {
+	Name string `json:"name"`
+	// Rows is the retained-sample count and RowsDigest folds the bits of
+	// every retained row, in draw order; a ctic row is its k half then
+	// its r half. Mean and StdDev follow the same order.
+	Rows           int       `json:"rows"`
+	RowsDigest     string    `json:"rows_digest"`
+	Mean           []float64 `json:"mean"`
+	StdDev         []float64 `json:"std_dev"`
+	AcceptanceRate float64   `json:"acceptance_rate"`
+}
+
+// learnerGolden records one learner run: rows[i] is the i-th retained
+// row, split into the halves the learner returns it in.
+func learnerGolden(name string, rows [][][]float64, mean, sd []float64, acc float64) goldenLearner {
+	h := newFNVWords()
+	for _, row := range rows {
+		for _, half := range row {
+			for _, v := range half {
+				h.add(math.Float64bits(v))
+			}
+		}
+	}
+	return goldenLearner{Name: name, Rows: len(rows), RowsDigest: h.String(), Mean: mean, StdDev: sd, AcceptanceRate: acc}
+}
+
+// TestGoldenLearners pins both edge learners bit for bit: JointBayes and
+// JointBayesWithPrior (base Beta(2,5)) on the paper's Table I and Table
+// II summaries, and ctic.Learn on the learner corpus's episodes under
+// its short schedule and DefaultLearnOptions.
+func TestGoldenLearners(t *testing.T) {
+	var out []goldenLearner
+	for _, sc := range []struct {
+		name string
+		s    *unattrib.Summary
+	}{{"table_i", unattrib.TableI()}, {"table_ii", unattrib.TableII()}} {
+		for _, prior := range []struct {
+			name string
+			base dist.Beta
+		}{{"uniform", dist.Uniform()}, {"beta_2_5", dist.NewBeta(2, 5)}} {
+			post, err := unattrib.JointBayesWithPrior(sc.s, prior.base, goldenBayesOptions, rng.New(313))
+			if err != nil {
+				t.Fatalf("%s %s: %v", sc.name, prior.name, err)
+			}
+			rows := make([][][]float64, len(post.Samples))
+			for i, row := range post.Samples {
+				rows[i] = [][]float64{row}
+			}
+			out = append(out, learnerGolden("joint_bayes/"+sc.name+"/"+prior.name, rows, post.Mean, post.StdDev, post.AcceptanceRate))
+		}
+	}
+	eps := goldenCTICEpisodes(t)
+	for _, sc := range []struct {
+		name string
+		opts ctic.LearnOptions
+	}{{"golden_options", goldenCTICOptions()}, {"default_options", ctic.DefaultLearnOptions()}} {
+		post, err := ctic.Learn(2, []graph.NodeID{0, 1}, eps, sc.opts, rng.New(11))
+		if err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
+		rows := make([][][]float64, len(post.KSamples))
+		for i := range rows {
+			rows[i] = [][]float64{post.KSamples[i], post.RSamples[i]}
+		}
+		mean := append(append([]float64(nil), post.KMean...), post.RMean...)
+		sd := append(append([]float64(nil), post.KStd...), post.RStd...)
+		out = append(out, learnerGolden("ctic/"+sc.name, rows, mean, sd, post.AcceptanceRate))
+	}
+	Golden(t, "learners", out)
 }

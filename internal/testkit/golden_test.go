@@ -98,13 +98,18 @@ type goldenCTIC struct {
 	AcceptanceRate float64        `json:"acceptance_rate"`
 }
 
-func TestGoldenCTICLearner(t *testing.T) {
+// goldenCTICTruth is the learner corpus's model: parents 0 and 1 of
+// sink 2, with these transmission probabilities and delay rates.
+var goldenCTICTruth = struct{ k, r []float64 }{[]float64{0.8, 0.3}, []float64{2, 1}}
+
+// goldenCTICEpisodes simulates the learner corpus's 240 episodes from
+// rotating source sets {0}, {1} and {0, 1}, each observed up to time 4.
+func goldenCTICEpisodes(t *testing.T) []ctic.Episode {
+	t.Helper()
 	g := graph.New(3)
 	g.MustAddEdge(0, 2)
 	g.MustAddEdge(1, 2)
-	kTruth := []float64{0.8, 0.3}
-	rTruth := []float64{2, 1}
-	model, err := ctic.New(g, kTruth, rTruth)
+	model, err := ctic.New(g, goldenCTICTruth.k, goldenCTICTruth.r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +119,23 @@ func TestGoldenCTICLearner(t *testing.T) {
 	for i := 0; i < 240; i++ {
 		eps = append(eps, model.Simulate(r, sourceSets[i%len(sourceSets)], 4))
 	}
-	opts := ctic.LearnOptions{
+	return eps
+}
+
+// goldenCTICOptions is the learner corpus's short schedule.
+func goldenCTICOptions() ctic.LearnOptions {
+	return ctic.LearnOptions{
 		BurnIn: 200, Thin: 2, Samples: 400,
 		StepK: 0.1, StepR: 0.3,
 		PriorK:      dist.Uniform(),
 		PriorRShape: 1.5, PriorRScale: 2,
 	}
-	post, err := ctic.Learn(2, []graph.NodeID{0, 1}, eps, opts, rng.New(11))
+}
+
+func TestGoldenCTICLearner(t *testing.T) {
+	eps := goldenCTICEpisodes(t)
+	kTruth, rTruth := goldenCTICTruth.k, goldenCTICTruth.r
+	post, err := ctic.Learn(2, []graph.NodeID{0, 1}, eps, goldenCTICOptions(), rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +158,12 @@ type goldenUnattrib struct {
 	AcceptanceRate float64      `json:"acceptance_rate"`
 }
 
+// goldenBayesOptions is the joint-Bayes corpus's schedule.
+var goldenBayesOptions = unattrib.BayesOptions{BurnIn: 400, Thin: 3, Samples: 800, Step: 0.08}
+
 func TestGoldenUnattribPosterior(t *testing.T) {
 	s := unattrib.TableI()
-	opts := unattrib.BayesOptions{BurnIn: 400, Thin: 3, Samples: 800, Step: 0.08}
-	post, err := unattrib.JointBayes(s, opts, rng.New(313))
+	post, err := unattrib.JointBayes(s, goldenBayesOptions, rng.New(313))
 	if err != nil {
 		t.Fatal(err)
 	}
