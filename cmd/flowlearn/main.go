@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -147,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var best pair
 	for i := range corr {
 		for j := i + 1; j < len(corr); j++ {
-			if abs(corr[i][j]) > abs(best.c) {
+			if math.Abs(corr[i][j]) > math.Abs(best.c) {
 				best = pair{i, j, corr[i][j]}
 			}
 		}
@@ -157,11 +158,4 @@ func run(args []string, stdout, stderr io.Writer) error {
 			s.Parents[best.i], s.Parents[best.j], best.c)
 	}
 	return nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -66,8 +66,9 @@ func Learn(sink graph.NodeID, parents []graph.NodeID, eps []Episode, opts LearnO
 	if nP == 0 {
 		return nil, fmt.Errorf("ctic: no parents for sink %d", sink)
 	}
-	k := make([]float64, nP)
-	rate := make([]float64, nP)
+	// (k, r) are the two halves of the chain's one state vector.
+	x := make([]float64, 2*nP)
+	k, rate := x[:nP:nP], x[nP:]
 	for j := range k {
 		k[j] = opts.PriorK.Mean()
 		rate[j] = opts.PriorRShape * opts.PriorRScale // prior mean
@@ -84,22 +85,19 @@ func Learn(sink graph.NodeID, parents []graph.NodeID, eps []Episode, opts LearnO
 		return lp
 	}
 	cur := logPost()
-	var proposed, accepted int64
-	step := func() {
+	run := dist.RunMetropolis(x, 2*nP, opts.BurnIn, opts.Thin, opts.Samples, func() bool {
 		j := r.Intn(nP)
-		proposed++
 		if r.Bernoulli(0.5) {
 			old := k[j]
 			k[j] = old + opts.StepK*r.Norm()
 			if k[j] <= 0 || k[j] >= 1 {
 				k[j] = old
-				return
+				return false
 			}
 			cand := logPost()
 			if cand >= cur || r.Float64() < math.Exp(cand-cur) {
 				cur = cand
-				accepted++
-				return
+				return true
 			}
 			k[j] = old
 		} else {
@@ -111,59 +109,24 @@ func Learn(sink graph.NodeID, parents []graph.NodeID, eps []Episode, opts LearnO
 			cand := logPost() + math.Log(rate[j]/old)
 			if cand >= cur || r.Float64() < math.Exp(cand-cur) {
 				cur = cand - math.Log(rate[j]/old)
-				accepted++
-				return
+				return true
 			}
 			rate[j] = old
 		}
+		return false
+	})
+	post := &Posterior{
+		Parents:        append([]graph.NodeID(nil), parents...),
+		KSamples:       make([][]float64, opts.Samples),
+		RSamples:       make([][]float64, opts.Samples),
+		KMean:          run.Mean[:nP:nP],
+		KStd:           run.StdDev[:nP:nP],
+		RMean:          run.Mean[nP:],
+		RStd:           run.StdDev[nP:],
+		AcceptanceRate: run.AcceptanceRate,
 	}
-	sweep := func() {
-		for i := 0; i < 2*nP; i++ {
-			step()
-		}
+	for i, row := range run.Samples {
+		post.KSamples[i], post.RSamples[i] = row[:nP:nP], row[nP:]
 	}
-	for i := 0; i < opts.BurnIn; i++ {
-		sweep()
-	}
-	post := &Posterior{Parents: append([]graph.NodeID(nil), parents...)}
-	kSum := make([]float64, nP)
-	kSq := make([]float64, nP)
-	rSum := make([]float64, nP)
-	rSq := make([]float64, nP)
-	for s := 0; s < opts.Samples; s++ {
-		for i := 0; i < opts.Thin; i++ {
-			sweep()
-		}
-		kRow := append([]float64(nil), k...)
-		rRow := append([]float64(nil), rate...)
-		post.KSamples = append(post.KSamples, kRow)
-		post.RSamples = append(post.RSamples, rRow)
-		for j := 0; j < nP; j++ {
-			kSum[j] += k[j]
-			kSq[j] += k[j] * k[j]
-			rSum[j] += rate[j]
-			rSq[j] += rate[j] * rate[j]
-		}
-	}
-	n := float64(opts.Samples)
-	post.KMean = make([]float64, nP)
-	post.KStd = make([]float64, nP)
-	post.RMean = make([]float64, nP)
-	post.RStd = make([]float64, nP)
-	for j := 0; j < nP; j++ {
-		post.KMean[j] = kSum[j] / n
-		post.RMean[j] = rSum[j] / n
-		kv := kSq[j]/n - post.KMean[j]*post.KMean[j]
-		rv := rSq[j]/n - post.RMean[j]*post.RMean[j]
-		if kv < 0 {
-			kv = 0
-		}
-		if rv < 0 {
-			rv = 0
-		}
-		post.KStd[j] = math.Sqrt(kv)
-		post.RStd[j] = math.Sqrt(rv)
-	}
-	post.AcceptanceRate = float64(accepted) / float64(proposed)
 	return post, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"infoflow/internal/core"
@@ -137,13 +138,13 @@ func proposalAblation(cfg AblationConfig, res *AblationResult) error {
 			return err
 		}
 		accW += acc / float64(cfg.Queries)
-		maeW += abs(est-ref) / float64(cfg.Queries)
+		maeW += math.Abs(est-ref) / float64(cfg.Queries)
 		est, acc, err = run(true)
 		if err != nil {
 			return err
 		}
 		accU += acc / float64(cfg.Queries)
-		maeU += abs(est-ref) / float64(cfg.Queries)
+		maeU += math.Abs(est-ref) / float64(cfg.Queries)
 	}
 	res.WeightedAcceptance, res.UniformAcceptance = accW, accU
 	res.WeightedMAE, res.UniformMAE = maeW, maeU
@@ -198,11 +199,4 @@ func omnipotentAblation(cfg AblationConfig, res *AblationResult) error {
 		res.MeanFlowNoOmni /= float64(nUsers)
 	}
 	return nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -114,7 +115,7 @@ func RunBatch(cfg BatchConfig) (*BatchResult, error) {
 	batchDur := now().Sub(start)
 	gap := 0.0
 	for i := range pairs {
-		gap += abs(seqEst[i] - batchEst[i])
+		gap += math.Abs(seqEst[i] - batchEst[i])
 	}
 	return &BatchResult{
 		Pairs:       cfg.Pairs,

@@ -27,12 +27,7 @@ type Fig1Config struct {
 	Bins   int // bucket count (paper: 30)
 	// Beta parameter ranges; the paper draws a, b ~ U(1, 20).
 	ALo, AHi, BLo, BHi float64
-	// PairsPerModel is how many random flows are tested per model, all
-	// answered by one batched chain. 1 (the default when zero) is the
-	// paper's protocol; larger values amortise the chain's burn-in and
-	// thinning across every flow of the model.
-	PairsPerModel int
-	MH            mh.Options
+	MH                 mh.Options
 }
 
 // Fig1Paper returns the paper-scale configuration.
@@ -71,43 +66,44 @@ func (r *Fig1Result) String() string {
 	return b.String()
 }
 
-// Fig1 runs the experiment: for each synthetic betaICM, sample a
-// point-probability ICM and an active state from it, test random
-// source/sink flows, estimate the same flows by batched MH on the
-// betaICM's expected ICM, and bucket the (estimate, outcome) pairs. All
-// flows of one model share a single chain via FlowProbBatch; with
-// PairsPerModel = 1 the run is bit-identical to per-pair FlowProb.
+// syntheticCase is one case of the §IV-C bucket experiment that Figures
+// 1 and 5 share: a synthetic betaICM, seen by the estimators as its
+// expected ICM m, a source u and a distinct sink v, and whether u reached
+// v in an outcome of a point ICM drawn from the betaICM.
+type syntheticCase struct {
+	m    *core.ICM
+	u, v graph.NodeID
+	flow bool
+}
+
+// drawSyntheticCase draws one case on the given graph size with beta
+// parameters a ~ U(aLo, aHi), b ~ U(bLo, bHi), in the order betaICM,
+// point ICM, u, v, outcome.
+func drawSyntheticCase(r *rng.RNG, nodes, edges int, aLo, aHi, bLo, bHi float64) syntheticCase {
+	bm := core.GenerateBetaICM(r, nodes, edges, aLo, aHi, bLo, bHi)
+	sampled := bm.SampleICM(r)
+	u := graph.NodeID(r.Intn(nodes))
+	v := graph.NodeID(r.Intn(nodes))
+	for v == u {
+		v = graph.NodeID(r.Intn(nodes))
+	}
+	state := sampled.SamplePseudoState(r)
+	return syntheticCase{m: bm.ExpectedICM(), u: u, v: v, flow: sampled.HasFlow(u, v, state)}
+}
+
+// Fig1 runs the experiment: for each synthetic betaICM, draw a case (see
+// drawSyntheticCase), estimate its flow by MH on the betaICM's expected
+// ICM, and bucket the (estimate, outcome) pairs.
 func Fig1(cfg Fig1Config) (*Fig1Result, error) {
 	r := rng.New(cfg.Seed)
-	perModel := cfg.PairsPerModel
-	if perModel <= 0 {
-		perModel = 1
-	}
 	var exp bucket.Experiment
-	pairs := make([]mh.FlowPair, perModel)
-	outcomes := make([]bool, perModel)
 	for i := 0; i < cfg.Models; i++ {
-		bm := core.GenerateBetaICM(r, cfg.Nodes, cfg.Edges, cfg.ALo, cfg.AHi, cfg.BLo, cfg.BHi)
-		sampled := bm.SampleICM(r)
-		for k := range pairs {
-			u := graph.NodeID(r.Intn(cfg.Nodes))
-			v := graph.NodeID(r.Intn(cfg.Nodes))
-			for v == u {
-				v = graph.NodeID(r.Intn(cfg.Nodes))
-			}
-			pairs[k] = mh.FlowPair{Source: u, Sink: v}
-		}
-		state := sampled.SamplePseudoState(r)
-		for k, pair := range pairs {
-			outcomes[k] = sampled.HasFlow(pair.Source, pair.Sink, state)
-		}
-		ps, err := mh.FlowProbBatch(bm.ExpectedICM(), pairs, nil, cfg.MH, r)
+		c := drawSyntheticCase(r, cfg.Nodes, cfg.Edges, cfg.ALo, cfg.AHi, cfg.BLo, cfg.BHi)
+		p, err := mh.FlowProb(c.m, c.u, c.v, nil, cfg.MH, r)
 		if err != nil {
 			return nil, fmt.Errorf("fig1 model %d: %w", i, err)
 		}
-		for k, p := range ps {
-			exp.MustAdd(p, outcomes[k])
-		}
+		exp.MustAdd(p, c.flow)
 	}
 	rep, err := exp.Report(cfg.Bins)
 	if err != nil {

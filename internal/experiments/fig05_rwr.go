@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"infoflow/internal/bucket"
-	"infoflow/internal/core"
-	"infoflow/internal/graph"
 	"infoflow/internal/rng"
 	"infoflow/internal/rwr"
 )
@@ -65,21 +63,12 @@ func Fig5(cfg Fig5Config) (*Fig5Result, error) {
 	r := rng.New(cfg.Seed)
 	var exp bucket.Experiment
 	for i := 0; i < cfg.Models; i++ {
-		bm := core.GenerateBetaICM(r, cfg.Nodes, cfg.Edges, cfg.ALo, cfg.AHi, cfg.BLo, cfg.BHi)
-		sampled := bm.SampleICM(r)
-		u := graph.NodeID(r.Intn(cfg.Nodes))
-		v := graph.NodeID(r.Intn(cfg.Nodes))
-		for v == u {
-			v = graph.NodeID(r.Intn(cfg.Nodes))
-		}
-		state := sampled.SamplePseudoState(r)
-		z := sampled.HasFlow(u, v, state)
-		expected := bm.ExpectedICM()
-		score, err := rwr.Score(expected.G, expected.P, u, v, cfg.RWR)
+		c := drawSyntheticCase(r, cfg.Nodes, cfg.Edges, cfg.ALo, cfg.AHi, cfg.BLo, cfg.BHi)
+		score, err := rwr.Score(c.m.G, c.m.P, c.u, c.v, cfg.RWR)
 		if err != nil {
 			return nil, fmt.Errorf("fig5 model %d: %w", i, err)
 		}
-		exp.MustAdd(score, z)
+		exp.MustAdd(score, c.flow)
 	}
 	rep, err := exp.Report(cfg.Bins)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"infoflow/internal/bucket"
+	"infoflow/internal/dist"
 	"infoflow/internal/graph"
 	"infoflow/internal/rng"
 	"infoflow/internal/unattrib"
@@ -197,8 +198,8 @@ func posteriorBandRMSE(post *unattrib.Posterior, truth []float64) (lo, hi float6
 		for i, row := range post.Samples {
 			col[i] = row[j]
 		}
-		qLo[j] = quantile(col, 0.025)
-		qHi[j] = quantile(col, 0.975)
+		qLo[j] = dist.Quantile(col, 0.025)
+		qHi[j] = dist.Quantile(col, 0.975)
 	}
 	l, err := bucket.RMSE(qLo, truth)
 	if err != nil {

@@ -262,8 +262,8 @@ func pooledPrior(sums map[graph.NodeID]*unattrib.Summary) dist.Beta {
 
 // CommunityFlow estimates, by MH on an ICM with the given edge
 // probabilities, the source-to-community flow probabilities over the
-// sub-graph. It rides the batched lane engine; a one-source batch is
-// bit-identical to CommunityFlowProbs on the same RNG.
+// sub-graph. It is the one-source CommunityFlows, bit-identical to
+// CommunityFlowProbs on the same RNG.
 func (m *TagFlowModel) CommunityFlow(p []float64, opts mh.Options, r *rng.RNG) ([]float64, error) {
 	probs, err := m.CommunityFlows([]graph.NodeID{m.SourceSub}, p, opts, r)
 	if err != nil {

@@ -13,8 +13,10 @@
 //     bounds and most re-evaluations can be skipped).
 //   - SketchGreedy: RIS/IMM-style reverse-reachability sketches built by
 //     mh.BuildRRPool — seed selection becomes exact lazy-greedy maximum
-//     coverage over a bitmap pool, orders of magnitude cheaper per
-//     evaluation (one popcount loop instead of hundreds of cascades).
+//     coverage over the pool's cover (a bitset.SparseRows: each node's
+//     row an id list while short, dense words once longer), orders of
+//     magnitude cheaper per evaluation (one count over a row instead of
+//     hundreds of cascades).
 //     Its selections are prefixes of one Ranking per pool (RankSketch).
 //
 // Determinism contract: every selection in this package is a pure

@@ -149,6 +149,8 @@ func TestDirectEstimatorsKeepTheirDraws(t *testing.T) {
 	}
 }
 
+// TestExpectedFlowProb estimates a flow on a betaICM's expected ICM
+// (§II-A): on a 3-path the expected flow is the product of the means.
 func TestExpectedFlowProb(t *testing.T) {
 	r := rng.New(76)
 	g := graph.Path(3)
@@ -156,7 +158,7 @@ func TestExpectedFlowProb(t *testing.T) {
 	bm.B[0] = dist.NewBeta(9, 1) // mean 0.9
 	bm.B[1] = dist.NewBeta(1, 9) // mean 0.1
 	opts := Options{BurnIn: 500, Thin: 8, Samples: 30000}
-	got, err := ExpectedFlowProb(bm, 0, 2, nil, opts, r)
+	got, err := FlowProb(bm.ExpectedICM(), 0, 2, nil, opts, r)
 	if err != nil {
 		t.Fatal(err)
 	}

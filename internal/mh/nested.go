@@ -6,13 +6,6 @@ import (
 	"infoflow/internal/rng"
 )
 
-// ExpectedFlowProb estimates Pr[source ~> sink | conds] for a betaICM by
-// transforming it into its expected point-probability ICM (§II-A) and
-// sampling that with Metropolis-Hastings.
-func ExpectedFlowProb(bm *core.BetaICM, source, sink graph.NodeID, conds []core.FlowCondition, opts Options, r *rng.RNG) (float64, error) {
-	return FlowProb(bm.ExpectedICM(), source, sink, conds, opts, r)
-}
-
 // NestedFlowProb implements the nested Metropolis-Hastings procedure of
 // §III-E: it draws nModels point-probability ICMs from the betaICM (each
 // edge probability sampled from its beta distribution) and estimates the

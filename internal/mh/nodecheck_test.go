@@ -98,7 +98,6 @@ func TestEstimatorsRejectOutOfRangeNodes(t *testing.T) {
 				return err
 			}},
 			{"BuildRRPool condition", func() error { _, err := BuildRRPool(m, nil, cond, 64, 0, opts, r()); return err }},
-			{"ExpectedFlowProb source", func() error { _, err := ExpectedFlowProb(bm, bad, 1, nil, opts, r()); return err }},
 			{"NestedFlowProb condition", func() error { _, err := NestedFlowProb(bm, 0, 1, cond, 2, opts, r()); return err }},
 			{"NestedImpact member", func() error { _, err := NestedImpact(bm, []graph.NodeID{bad}, 2, opts, r()); return err }},
 			{"DirectFlowProb source", func() error { _, err := DirectFlowProb(m, bad, 1, 10, r()); return err }},

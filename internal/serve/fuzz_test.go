@@ -150,7 +150,7 @@ func FuzzParseQuery(f *testing.F) {
 			t.Fatalf("nodesKey %q inconsistent with nodes %v", q.nodesKey, q.nodes)
 		}
 		if q.nodesKey != "" {
-			round, _, _, err := readNodes(q.nodesKey, n)
+			round, err := readNodes(q.nodesKey)
 			if err != nil || !slices.Equal(round, q.nodes) {
 				t.Fatalf("nodesKey %q round-trips to %v (%v), want %v", q.nodesKey, round, err, q.nodes)
 			}

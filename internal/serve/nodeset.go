@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -10,79 +9,48 @@ import (
 	"infoflow/internal/graph"
 )
 
-// readNodes is the one node-list reader, behind parseNodeSet. It reads
-// a comma-separated list ("3,1,7") in one pass, in place: no token is
-// split out or copied. Whitespace around an id is tolerated, and an id
-// parses at graph.NodeID's 32 bits, as in readConds, so an oversized id
-// is an error, never a wrap. An empty or all-space list is no ids.
-//
-// Besides the ids in list order it returns over, the first id not below
-// n (-1 when every id is), and canonical: whether the list is already in
-// the form sourcesKey renders, strictly increasing ids in plain decimal
-// with no sign, space or leading zero.
-func readNodes(s string, n int) (ids []graph.NodeID, over int, canonical bool, err error) {
-	over = -1
+// readNodes is the one node-list reader, behind parseNodeSet. It splits
+// a comma-separated list ("3,1,7") on its commas, trims the space around
+// each id and parses it at graph.NodeID's 32 bits, as in readConds, so
+// an oversized id is an error, never a wrap; a negative one is refused.
+// An empty or all-space list is no ids.
+func readNodes(s string) ([]graph.NodeID, error) {
 	if strings.TrimSpace(s) == "" {
-		return nil, over, s == "", nil
+		return nil, nil
 	}
-	ids = make([]graph.NodeID, 0, strings.Count(s, ",")+1)
-	canonical = true
-	prev := -1
-	for start := 0; start <= len(s); {
-		// Most ids are plain: up to ten digits, read to the comma.
-		end, x := start, 0
-		for lim := min(len(s), start+10); end < lim; end++ {
-			d := s[end] - '0'
-			if d > 9 {
-				break
-			}
-			x = 10*x + int(d)
+	parts := strings.Split(s, ",")
+	ids := make([]graph.NodeID, 0, len(parts))
+	for _, part := range parts {
+		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("source %q: %w", part, err)
 		}
-		plain := end > start && (end == len(s) || s[end] == ',') &&
-			(s[start] != '0' || end == start+1) && x <= math.MaxInt32
-		if !plain {
-			end = len(s)
-			if i := strings.IndexByte(s[start:], ','); i >= 0 {
-				end = start + i
-			}
-			tok := s[start:end]
-			v, err := strconv.ParseInt(strings.TrimSpace(tok), 10, 32)
-			if err != nil {
-				return nil, 0, false, fmt.Errorf("source %q: %w", tok, err)
-			}
-			if v < 0 {
-				return nil, 0, false, fmt.Errorf("source %d: must be non-negative", v)
-			}
-			x = int(v)
+		if v < 0 {
+			return nil, fmt.Errorf("source %d: must be non-negative", v)
 		}
-		if x >= n && over < 0 {
-			over = x
-		}
-		canonical = canonical && plain && x > prev
-		prev = x
-		ids = append(ids, graph.NodeID(x))
-		start = end + 1
+		ids = append(ids, graph.NodeID(v))
 	}
-	return ids, over, canonical, nil
+	return ids, nil
 }
 
 // parseNodeSet parses the node list named param for a model of n nodes
 // into canonical sorted-distinct form and its key. The answers that read
 // a set depend on the SET, so "3,1,3" and "1,3" share a lane and a cache
-// line. A list already in canonical form, as the server's own responses
-// echo it, is its own key: it is read once and neither sorted nor
-// copied. An empty list parses to an empty set; whether it is allowed is
-// the caller's call. Only a cache miss reads its list (query.readList).
+// line. A parse error anywhere in the list is reported before an id out
+// of range, and the first such id in list order is the one reported. A
+// list is canonical, as the server's own responses echo it, exactly when
+// it equals its key. An empty list parses to an empty set; whether it is
+// allowed is the caller's call. Only a cache miss reads its list
+// (query.readList).
 func parseNodeSet(raw, param string, n int) ([]graph.NodeID, string, *httpError) {
-	nodes, over, canonical, err := readNodes(raw, n)
+	nodes, err := readNodes(raw)
 	if err != nil {
 		return nil, "", badRequest("%s: %v", param, err)
 	}
-	if over >= 0 {
-		return nil, "", badRequest("%s: node %d out of range [0, %d)", param, over, n)
-	}
-	if canonical {
-		return nodes, raw, nil
+	for _, v := range nodes {
+		if int(v) >= n {
+			return nil, "", badRequest("%s: node %d out of range [0, %d)", param, v, n)
+		}
 	}
 	slices.Sort(nodes)
 	nodes = slices.Compact(nodes)

@@ -7,16 +7,15 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"infoflow/internal/core"
 	"infoflow/internal/graph"
 	"infoflow/internal/rng"
 )
 
-// refParseSources is the node-list parser readNodes replaced: split on
-// commas, trim, then strconv.ParseInt per token. It is the reference
-// the one-pass reader must answer like, error text included.
+// refParseSources is the plain node-list pipeline: split on commas,
+// trim, then strconv.ParseInt per token. readNodes is that pipeline; this
+// copy pins what it answers, error text included, against a rewrite.
 func refParseSources(s string) ([]graph.NodeID, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -79,7 +78,7 @@ func sameAsReference(t *testing.T, raw string, n int) {
 	case !slices.Equal(nodes, wnodes) || key != wkey:
 		t.Fatalf("%q (n=%d): nodes %v key %q, reference %v %q", raw, n, nodes, key, wnodes, wkey)
 	}
-	ids, _, _, err := readNodes(raw, n)
+	ids, err := readNodes(raw)
 	wids, werr := refParseSources(raw)
 	if fmt.Sprint(err) != fmt.Sprint(werr) || !slices.Equal(ids, wids) {
 		t.Fatalf("readNodes(%q) = %v, %v; reference %v, %v", raw, ids, err, wids, werr)
@@ -170,25 +169,18 @@ func nodesOf(idx []int) []graph.NodeID {
 	return out
 }
 
-// TestParseNodeSetCanonicalIsItsOwnKey: a canonical list keys as the
-// very string it arrived in, with no copy, and costs one allocation (the
-// node slice) however long it is; a non-canonical one is rendered once.
+// TestParseNodeSetCanonicalIsItsOwnKey: a canonical list keys as
+// itself byte for byte, and the same list with spaces after its commas
+// keys as the canonical rendering.
 func TestParseNodeSetCanonicalIsItsOwnKey(t *testing.T) {
 	idx := rng.New(5).Sample(6000, 500)
 	sort.Ints(idx)
 	raw := refSourcesKey(nodesOf(idx))
 	nodes, key, herr := parseNodeSet(raw, "community", 6000)
-	if herr != nil || len(nodes) != 500 || key != raw || unsafe.StringData(key) != unsafe.StringData(raw) {
-		t.Fatalf("canonical list: %d nodes, key shares the raw value %v, error %v",
-			len(nodes), unsafe.StringData(key) == unsafe.StringData(raw), herr)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { parseNodeSet(raw, "community", 6000) }); allocs != 1 {
-		t.Errorf("canonical list: %v allocations per parse, want 1", allocs)
+	if herr != nil || len(nodes) != 500 || key != raw {
+		t.Fatalf("canonical list: %d nodes, key equal to the list %v, error %v", len(nodes), key == raw, herr)
 	}
 	spaced := strings.ReplaceAll(raw, ",", ", ")
-	if allocs := testing.AllocsPerRun(100, func() { parseNodeSet(spaced, "community", 6000) }); allocs != 2 {
-		t.Errorf("spaced list: %v allocations per parse, want 2 (nodes, key)", allocs)
-	}
 	if _, key, _ := parseNodeSet(spaced, "community", 6000); key != raw {
 		t.Errorf("spaced list keys as %.40q..., want the canonical %.40q...", key, raw)
 	}

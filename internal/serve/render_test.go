@@ -21,7 +21,7 @@ import (
 // bodies into the structs.
 
 func (l nodeList) MarshalJSON() ([]byte, error) {
-	ids, _, _, err := readNodes(string(l), math.MaxInt)
+	ids, err := readNodes(string(l))
 	if err != nil {
 		return nil, err
 	}

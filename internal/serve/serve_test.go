@@ -868,7 +868,7 @@ func TestParseCondsRejectsGarbage(t *testing.T) {
 	if got, key, err := ParseConds("", 10); err != nil || got != nil || key != "" {
 		t.Errorf("ParseConds(\"\") = %v %q, %v; want nil, \"\", nil", got, key, err)
 	}
-	if got, _, _, err := readNodes("2,4294967297", math.MaxInt); err == nil {
+	if got, err := readNodes("2,4294967297"); err == nil {
 		t.Errorf("readNodes wrapped an oversized id to %v", got)
 	}
 }

@@ -2,6 +2,7 @@ package testkit
 
 import (
 	"fmt"
+	"math"
 
 	"infoflow/internal/core"
 	"infoflow/internal/graph"
@@ -198,7 +199,7 @@ func pickSink(m *core.ICM, source, skip graph.NodeID) (graph.NodeID, float64, bo
 		if p <= 0.05 || p >= 0.95 {
 			continue
 		}
-		if best < 0 || abs(p-0.5) < abs(bestP-0.5) {
+		if best < 0 || math.Abs(p-0.5) < math.Abs(bestP-0.5) {
 			best, bestP = sink, p
 		}
 	}
@@ -218,16 +219,9 @@ func pickConditionalSink(m *core.ICM, source, skip graph.NodeID, conds []core.Fl
 		if err != nil || p <= 0.05 || p >= 0.95 {
 			continue
 		}
-		if best < 0 || abs(p-0.5) < abs(bestP-0.5) {
+		if best < 0 || math.Abs(p-0.5) < math.Abs(bestP-0.5) {
 			best, bestP = sink, p
 		}
 	}
 	return best, bestP, best >= 0
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -197,61 +197,27 @@ func JointBayesWithPrior(s *Summary, base dist.Beta, opts BayesOptions, r *rng.R
 		p[j] = priors[j].Mean()
 	}
 	logPost := logPosterior(s, priors, p)
-	var proposed, accepted int64
-	step := func() {
+	run := dist.RunMetropolis(p, nP, opts.BurnIn, opts.Thin, opts.Samples, func() bool {
 		j := r.Intn(nP)
 		old := p[j]
 		p[j] = old + opts.Step*r.Norm()
-		proposed++
 		if p[j] <= 0 || p[j] >= 1 {
 			p[j] = old // out of support: reject
-			return
+			return false
 		}
 		cand := logPosterior(s, priors, p)
 		if cand >= logPost || r.Float64() < math.Exp(cand-logPost) {
 			logPost = cand
-			accepted++
-			return
+			return true
 		}
 		p[j] = old
-	}
-	sweep := func() {
-		for i := 0; i < nP; i++ {
-			step()
-		}
-	}
-	for i := 0; i < opts.BurnIn; i++ {
-		sweep()
-	}
-	post := &Posterior{
-		Summary: s,
-		Samples: make([][]float64, 0, opts.Samples),
-	}
-	sums := make([]float64, nP)
-	sqs := make([]float64, nP)
-	for n := 0; n < opts.Samples; n++ {
-		for i := 0; i < opts.Thin; i++ {
-			sweep()
-		}
-		row := make([]float64, nP)
-		copy(row, p)
-		post.Samples = append(post.Samples, row)
-		for j, v := range row {
-			sums[j] += v
-			sqs[j] += v * v
-		}
-	}
-	post.Mean = make([]float64, nP)
-	post.StdDev = make([]float64, nP)
-	nf := float64(opts.Samples)
-	for j := range sums {
-		post.Mean[j] = sums[j] / nf
-		v := sqs[j]/nf - post.Mean[j]*post.Mean[j]
-		if v < 0 {
-			v = 0
-		}
-		post.StdDev[j] = math.Sqrt(v)
-	}
-	post.AcceptanceRate = float64(accepted) / float64(proposed)
-	return post, nil
+		return false
+	})
+	return &Posterior{
+		Summary:        s,
+		Samples:        run.Samples,
+		Mean:           run.Mean,
+		StdDev:         run.StdDev,
+		AcceptanceRate: run.AcceptanceRate,
+	}, nil
 }
